@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .algebroid import BasePoint, DualPoint
+from .algebroid import BasePoint, DualPoint, FiberPoint
 from .config import bundle_from_config, load_config
 from .dirac import (
     DiracPair,
@@ -25,7 +25,7 @@ from .dirac import (
     dirac_member_poisson,
     dirac_member_symplectic,
 )
-from .dynamics import energy_drift, integrate, residual
+from .dynamics import _steps, energy_drift, integrate, residual
 from .errors import (
     BadParams,
     ConfigError,
@@ -35,9 +35,9 @@ from .errors import (
     ParseError,
     UnknownModel,
 )
-from .hj import check_closedness, check_in_K, verify_theorem
+from .hj import _fd_derivatives, check_closedness, check_in_K, verify_theorem
 from .models import get_model, model_names
-from .prolong import ProlongCovector, ProlongVector
+from .prolong import ProlongCovector, ProlongVector, energies
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -72,9 +72,24 @@ def _parse_floats(text, count, what):
     if len(items) != count:
         raise ConfigError(f"{what} needs {count} comma-separated numbers")
     try:
-        return np.array([float(t) for t in items])
+        values = np.array([float(t) for t in items])
     except ValueError:
         raise ConfigError(f"{what} contains a non-number") from None
+    if not np.isfinite(values).all():
+        raise ConfigError(f"{what} must be finite")
+    return values
+
+
+def _check_args(args):
+    """Refuse option values no command can run with, before any work."""
+    for opt in ("samples", "points"):
+        if getattr(args, opt, 1) < 1:
+            raise ConfigError(f"--{opt} must be at least 1")
+    if hasattr(args, "h"):
+        try:
+            _steps(args.h, args.T)
+        except ValueError as e:
+            raise ConfigError(f"--h/--T: {e}") from None
 
 
 def cmd_list_models(args) -> int:
@@ -116,22 +131,8 @@ def cmd_simulate(args) -> int:
 
     xs = np.array([st.x for st in traj.states])
     ps = np.array([st.p for st in traj.states])
-
-    def fd(vals):
-        d = np.empty_like(vals)
-        if len(vals) >= 3:
-            d[1:-1] = (vals[2:] - vals[:-2]) / (2.0 * args.h)
-            d[0] = (-3.0 * vals[0] + 4.0 * vals[1] - vals[2]) / (2.0 * args.h)
-            d[-1] = (3.0 * vals[-1] - 4.0 * vals[-2] + vals[-3]) / (2.0 * args.h)
-        else:
-            d[:] = 0.0
-        return d
-
-    xdots, pdots = fd(xs), fd(ps)
+    xdots, pdots = _fd_derivatives(xs, args.h), _fd_derivatives(ps, args.h)
     if args.out:
-        from .prolong import energies
-        from .algebroid import FiberPoint
-
         cols = (
             ["t"]
             + [f"x{i + 1}" for i in range(m)]
@@ -289,6 +290,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        _check_args(args)
         code = _COMMANDS[args.command](args)
     except Degenerate as e:
         print(f"error: degenerate system: {e}")

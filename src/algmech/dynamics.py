@@ -1,7 +1,8 @@
 """Constrained implicit dynamics of a Lagrangian on a Lie algebroid with
 a velocity subbundle U: pointwise residual evaluation, an explicit
 fourth-order integrator on the adapted reduction, an implicit midpoint
-integrator that carries the momentum constraint, and energy monitoring.
+integrator that carries the momentum constraint (Newton's method with the
+exact Jacobian and a halving line search), and energy monitoring.
 """
 
 from __future__ import annotations
@@ -230,10 +231,11 @@ def _components(v, size: int, name: str) -> np.ndarray:
 
 
 def _steps(h: float, T: float) -> int:
-    if h <= 0 or T <= 0:
-        raise ValueError("step and horizon must be positive")
+    """Number of uniform steps of size h that make up the horizon T."""
+    if not (h > 0 and T > 0 and np.isfinite(T / h)):
+        raise ValueError("step and horizon must be positive and finite")
     N = int(round(T / h))
-    if abs(N * h - T) > 1e-9 * max(1.0, T):
+    if N < 1 or abs(N * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"horizon {T} is not a multiple of step {h}")
     return N
 
@@ -263,88 +265,90 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     return Trajectory(np.arange(N + 1) * h, states, h, "rk4")
 
 
-def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
-    A, Lg, U = sys.A, sys.Lg, sys.U
-    if not U.adapted:
-        raise ValueError("implicit path needs the subbundle in adapted form")
-    m, n, r = A.m, A.n, U.r
-    N = _steps(h, T)
+def _midpoint_step(sys: ImplicitSystem, h: float):
+    """One implicit-midpoint step of size h as ``(prev, u) -> (F, jacobian)``:
+    the residual F = (kin, mom, leg) at the end state u = (x1, ya1, p1) from
+    prev = (x0, ya0, p0), and the exact dF/du built from the same jets."""
+    A, Lg = sys.A, sys.Lg
+    m, n, r = A.m, A.n, sys.U.r
+    eye_h, pad = np.eye(max(m, r)) / h, np.zeros(n - r)
 
-    def embed(ya):
-        y = np.zeros(n)
-        y[:r] = ya
-        return y
-
-    def legendre_p(x, ya):
-        return Lg.jet(FiberPoint(x, embed(ya)))[2]
-
-    def step_residual(prev, unknown):
-        x0_, ya0_, p0_ = prev
-        x1 = unknown[:m]
-        ya1 = unknown[m : m + r]
-        p1 = unknown[m + r :]
-        xm = 0.5 * (x0_ + x1)
-        yam = 0.5 * (ya0_ + ya1)
-        pm = 0.5 * (p0_ + p1)
-        ym = embed(yam)
+    def step(prev, u):
+        x0, ya0, p0 = prev
+        x1, ya1, p1 = u[:m], u[m : m + r], u[m + r :]
+        xm, pm = 0.5 * (x0 + x1), 0.5 * (p0 + p1)
+        ym = np.concatenate([0.5 * (ya0 + ya1), pad])
         bm = BasePoint(xm)
-        _, Lx, _, _, _, _ = Lg.jet(FiberPoint(xm, ym))
-        rho = A.anchor_at(bm)
-        C = A.structure_at(bm)
-        kin = (x1 - x0_) / h - rho @ ym
-        mom = (
-            (p1[:r] - p0_[:r]) / h
-            + np.einsum("gab,g,b->a", C[:, :r, :], pm, ym)
-            - rho[:, :r].T @ Lx
-        )
-        leg = p1 - legendre_p(x1, ya1)
-        return np.concatenate([kin, mom, leg])
+        rho, drho = A.anchor_jet_at(bm)
+        C, dC = A.structure_jet_at(bm)
+        _, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint(xm, ym))
+        _, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint(x1, np.concatenate([ya1, pad])))
+        rho_a = rho[:, :r]
+        Cp = (pm @ C.reshape(n, n * n)).reshape(n, n)[:r]  # C^g_ab p_g, a < r
+        kin = (x1 - x0) / h - rho @ ym
+        mom = (p1[:r] - p0[:r]) / h + Cp @ ym - rho_a.T @ Lx
+        F = np.concatenate([kin, mom, p1 - Ly1])
 
-    x, ya = x0, ya0
-    p = legendre_p(x, ya)
-    xs, ys, ps = [x], [embed(ya)], [p]
-    dim = m + r + n
+        def jacobian():
+            # rows kin | mom | leg, columns x1 | ya1 | p1
+            J = np.zeros((len(u), len(u)))
+            kin, mom, leg = J[:m], J[m : m + r], J[m + r :]
+            kin[:, :m] = eye_h[:m, :m] - 0.5 * (ym @ drho)
+            kin[:, m : m + r] = -0.5 * rho_a
+            dCp = ym @ (pm @ dC.reshape(n, n * n * m)).reshape(n, n, m)
+            dLx = (Lx @ drho.reshape(m, n * m)).reshape(n, m)
+            mom[:, :m] = 0.5 * (dCp[:r] - dLx[:r] - rho_a.T @ Lxx)
+            mom[:, m : m + r] = 0.5 * (Cp[:, :r] - rho_a.T @ Lxy[:, :r])
+            mom[:, m + r :] = 0.5 * (C[:, :r] @ ym).T
+            mom[:, m + r : m + 2 * r] += eye_h[:r, :r]
+            leg[:, :m] = -Lxy1.T
+            leg[:, m : m + r] = -Lyy1[:, :r]
+            leg[:, m + r :] = np.eye(n)
+            return J
+
+        return F, jacobian
+
+    return step
+
+
+def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
+    if not sys.U.adapted:
+        raise ValueError("implicit path needs the subbundle in adapted form")
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    N = _steps(h, T)
+    step = _midpoint_step(sys, h)
+    y0 = np.concatenate([ya0, np.zeros(n - r)])
+    us = [np.concatenate([x0, ya0, sys.Lg.jet(FiberPoint(x0, y0))[2]])]
     for k in range(N):
-        prev = (x, ya, p)
-        guess = np.concatenate([x, ya, p])
-        F = step_residual(prev, guess)
-        converged = False
+        guess = us[-1]
+        prev = (guess[:m], guess[m : m + r], guess[m + r :])
+        F, jac = step(prev, guess)
+        nF = float(np.abs(F).max()) if F.size else 0.0
         for _ in range(NEWTON_MAX_ITERS):
-            tol = 1e-11 * (1.0 + float(np.linalg.norm(guess)))
-            nF = float(np.abs(F).max()) if dim else 0.0
-            if nF <= tol:
-                converged = True
+            if nF <= 1e-11 * (1.0 + float(np.linalg.norm(guess))):
                 break
-            J = np.empty((dim, dim))
-            for j in range(dim):
-                dq = 1e-7 * (1.0 + abs(guess[j]))
-                bumped = guess.copy()
-                bumped[j] += dq
-                J[:, j] = (step_residual(prev, bumped) - F) / dq
             try:
-                delta = np.linalg.solve(J, -F)
+                delta = np.linalg.solve(jac(), -F)
             except np.linalg.LinAlgError:
                 raise NewtonDivergence(k, nF) from None
             t = 1.0
             while t >= 1.0 / 1024.0:
                 trial = guess + t * delta
-                Ft = step_residual(prev, trial)
+                Ft, jac_t = step(prev, trial)
                 if float(np.abs(Ft).max()) < nF:
-                    guess, F = trial, Ft
+                    guess, F, jac = trial, Ft, jac_t
+                    nF = float(np.abs(F).max())
                     break
                 t *= 0.5
             else:
                 raise NewtonDivergence(k, nF)
-        if not converged:
-            raise NewtonDivergence(k, float(np.abs(F).max()))
-        x = guess[:m]
-        ya = guess[m : m + r]
-        p = guess[m + r :]
-        xs.append(x)
-        ys.append(embed(ya))
-        ps.append(p)
-    times = np.arange(N + 1) * h
-    return Trajectory(times, State.stack(xs, ys, ps), h, "implicit_midpoint")
+        else:
+            raise NewtonDivergence(k, nF)
+        us.append(guess)
+    us = np.array(us)
+    ys = np.hstack([us[:, m : m + r], np.zeros((N + 1, n - r))])
+    states = State.stack(us[:, :m], ys, us[:, m + r :])
+    return Trajectory(np.arange(N + 1) * h, states, h, "implicit_midpoint")
 
 
 def integrate(sys: ImplicitSystem, initial, h: float, T: float, method: str = "rk4") -> Trajectory:

@@ -324,7 +324,8 @@ def _eval(e: Expression, b) -> float:
 
 
 _BINOPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
-_FUNS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log}
+_FUNS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "ln": math.log,
+         "sqrt": math.sqrt, "neg": operator.neg}
 
 
 def _evaluator(e: Expression):
@@ -345,7 +346,7 @@ def _evaluator(e: Expression):
         arg = _evaluator(e.arg)
         return lambda b: -arg(b)
     if isinstance(e, Fun):
-        arg, fn = _evaluator(e.arg), _FUNS.get(e.name, math.sqrt)
+        arg, fn = _evaluator(e.arg), _FUNS[e.name]
         return lambda b: fn(arg(b))
     raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
 
@@ -530,7 +531,7 @@ def _emit(em, e: Expression, index: dict, pairs):
         if e.name in index:
             g[index[e.name]] = em.const(1.0)
         return em.var(e.name), g, h
-    if isinstance(e, Neg):
+    if isinstance(e, Neg) or (isinstance(e, Fun) and e.name == "neg"):
         av, ag, ah = _emit(em, e.arg, index, pairs)
         v = em.step("-{0}", av)
         return v, [em.neg(t) for t in ag], [em.neg(t) for t in ah]

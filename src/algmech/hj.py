@@ -13,8 +13,8 @@ import numpy as np
 
 from . import expr
 from .algebroid import BasePoint, FiberPoint, base_names
-from .dynamics import ImplicitSystem, State, Trajectory, residual
-from .errors import FlowBlowUp, HypothesisViolated
+from .dynamics import ImplicitSystem, State, Trajectory, _steps, residual
+from .errors import BadParams, FlowBlowUp, HypothesisViolated
 
 FLOW_BOUND = 1e6
 DEFAULT_HYPOTHESIS_TOL = 1e-8
@@ -115,9 +115,7 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     """Fourth-order integration of the induced base field
     c' = rho(c) gamma(c)."""
     A = sys.A
-    N = int(round(T / h))
-    if h <= 0 or N <= 0 or abs(N * h - T) > 1e-9 * max(1.0, T):
-        raise ValueError("horizon must be a positive multiple of step")
+    N = _steps(h, T)
 
     def field(x):
         bp = BasePoint(x)
@@ -149,12 +147,13 @@ class TheoremReport:
 
 
 def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order finite differences along axis 0: centered in the
-    interior, one-sided three-point stencils at the ends."""
-    d = np.empty_like(values)
-    d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-    d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-    d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    """Second-order differences along axis 0 (centered inside, one-sided
+    three-point stencils at the ends); zero below three samples."""
+    d = np.zeros_like(values)
+    if len(values) >= 3:
+        d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+        d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+        d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
     return d
 
 
@@ -170,6 +169,8 @@ def verify_theorem(
     """Check the equivalence: the Hamilton–Jacobi residual vanishes
     along the base flow iff the lifted curve solves the implicit
     equations (with finite-difference time derivatives)."""
+    if _steps(h, T) < 2:
+        raise BadParams("the lift check needs a horizon of at least two steps")
     flow = base_flow(sys, s, x0, h, T)
     pts = [BasePoint(x) for x in flow.points]
     for bp in pts:
@@ -191,8 +192,7 @@ def verify_theorem(
     xs = flow.points
     ps = np.array([s.momentum(bp) for bp in pts])
     ys = np.array([s.velocity(bp) for bp in pts])
-    xdots = _fd_derivatives(xs, h) if xs.size else np.zeros_like(xs)
-    pdots = _fd_derivatives(ps, h)
+    xdots, pdots = _fd_derivatives(xs, h), _fd_derivatives(ps, h)
     scale = 1.0 + max(
         float(np.abs(a).max()) if a.size else 0.0 for a in (xs, ys, ps)
     )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .algebroid import LieAlgebroid, Subbundle
-from .dynamics import ImplicitSystem, State, Trajectory
+from .dynamics import ImplicitSystem, State, Trajectory, _steps
 from .errors import BadParams, UnknownModel
 from .hj import HJSection
 from .prolong import Lagrangian
@@ -79,13 +79,6 @@ def _cross(u, v):
         u[2] * v[0] - u[0] * v[2],
         u[0] * v[1] - u[1] * v[0],
     )
-
-
-def _steps(h, T):
-    N = int(round(T / h))
-    if h <= 0 or N <= 0 or abs(N * h - T) > 1e-9 * max(1.0, T):
-        raise ValueError("horizon must be a positive multiple of step")
-    return N
 
 
 def _traj(h, xs, ys, ps):

@@ -82,6 +82,34 @@ def test_simulate_degenerate_exit_code():
     assert code == 3 and "degenerate" in out
 
 
+def test_simulate_implicit_midpoint_is_deterministic():
+    args = ("simulate", "--model", "rigid-body", "--y0", "1,1,1", "--h", "0.01",
+            "--T", "0.3", "--method", "implicit_midpoint")
+    code, out = run_cli(*args)
+    assert code == 0
+    assert "method: implicit_midpoint" in out and "steps: 30" in out
+    assert run_cli(*args) == (code, out)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ("simulate", "--model", "pendulum", "--x0", "0.1", "--y0", "0.1",
+         "--h", "0.003", "--T", "1"),
+        ("simulate", "--model", "pendulum", "--x0", "nan", "--y0", "0.1"),
+        ("dirac-check", "--model", "rigid-body", "--points", "0"),
+        ("validate", "--model", "rigid-body", "--samples", "0"),
+    ],
+)
+def test_bad_numeric_options_exit_6_with_one_error_line(args):
+    proc = subprocess.run(
+        [sys.executable, "-m", "algmech.cli", *args], capture_output=True, text=True
+    )
+    assert proc.returncode == 6
+    assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error: ")
+    assert "Traceback" not in proc.stderr
+
+
 def test_simulate_suslov_constant_csv(tmp_path):
     out_csv = tmp_path / "s.csv"
     code, _ = run_cli(

@@ -1,7 +1,12 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from algmech import dynamics
+from algmech.algebroid import LieAlgebroid, Subbundle
 from algmech.dynamics import (
+    ImplicitSystem,
     State,
     adapted_rhs,
     energy_drift,
@@ -10,6 +15,7 @@ from algmech.dynamics import (
 )
 from algmech.errors import Degenerate, EvaluationFault
 from algmech.models import get_model, oracle_trajectory
+from algmech.prolong import Lagrangian
 
 NO_BASE = np.zeros(0)
 
@@ -209,3 +215,69 @@ def test_power_overflow_in_field_is_an_evaluation_fault():
     b = get_model("pendulum")
     with pytest.raises(EvaluationFault):
         integrate(b.system, ([0.1], [1e200]), 1e-3, 0.01)
+
+
+def _x_dependent_bracket():
+    # the built-in models have constant bracket constants; here C^2_12 and
+    # the anchor both depend on x, so every block of the Jacobian is live
+    A = LieAlgebroid(1, 2, [["1 + x1^2", "0"]], {(1, 0, 1): "sin(x1)"})
+    Lg = Lagrangian(A, "0.5 * y1^2 + 0.5 * (1 + x1^2) * y2^2 + x1 * y1 * y2 - cos(x1)")
+    return ImplicitSystem(A, Lg, Subbundle.full(A))
+
+
+@pytest.mark.parametrize(
+    "system",
+    [
+        lambda: get_model("pendulum").system,
+        lambda: get_model("harmonic-oscillator").system,
+        lambda: get_model("rigid-body").system,
+        lambda: get_model("affine-rank2").system,
+        lambda: get_model(
+            "suslov", inertia=[[2.0, 0.0, 0.3], [0.0, 1.5, 0.2], [0.3, 0.2, 1.0]]
+        ).system,
+        lambda: get_model("degenerate-demo").system,
+        _x_dependent_bracket,
+    ],
+    ids=["pendulum", "harmonic-oscillator", "rigid-body", "affine-rank2",
+         "suslov-coupled", "degenerate-demo", "x-dependent-bracket"],
+)
+def test_midpoint_jacobian_matches_central_differences(system):
+    sys = system()
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step = dynamics._midpoint_step(sys, 0.05)
+    rng = np.random.default_rng(17)
+    eps = 1e-6
+    for _ in range(4):
+        prev = (rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n))
+        u = np.concatenate(prev) + 0.2 * rng.standard_normal(m + r + n)
+        J = step(prev, u)[1]()
+        fd = np.column_stack(
+            [
+                (step(prev, u + eps * e)[0] - step(prev, u - eps * e)[0]) / (2 * eps)
+                for e in np.eye(u.size)
+            ]
+        )
+        assert np.abs(J - fd).max() <= 1e-7 * (1.0 + np.abs(J).max())
+
+
+def test_rigid_body_newton_takes_at_most_three_iterations(monkeypatch):
+    # one Jacobian is built per Newton iteration; keep every prev alive
+    # so the ids that key the steps stay distinct
+    seen = []
+    exact = dynamics._midpoint_step
+
+    def counting(sys, h):
+        step = exact(sys, h)
+
+        def counted(prev, u):
+            F, jac = step(prev, u)
+            return F, lambda: seen.append(prev) or jac()
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_midpoint_step", counting)
+    b = get_model("rigid-body")
+    traj = integrate(b.system, (NO_BASE, [0.7, -0.4, 0.5]), 1e-2, 1.0, method="implicit_midpoint")
+    iterations = Counter(map(id, seen))
+    assert len(traj.states) == 101 and len(iterations) == 100
+    assert max(iterations.values()) <= 3

@@ -192,3 +192,16 @@ def test_overflowing_literal_is_an_evaluation_fault():
     for _ in range(2):  # walked, then compiled
         with pytest.raises(EvaluationFault):
             expr.eval_jet2(e, {"x1": 1.0}, ("x1",))
+
+
+def test_neg_function_node_negates():
+    # the parser turns neg(...) into Neg; a programmatic Fun("neg", ...)
+    # must give the same value and jets, walked and compiled
+    b = {"x1": 4.0}
+    fun = expr.Fun("neg", expr.Pow(expr.Var("x1"), 2))
+    neg = expr.parse("neg(x1^2)")
+    assert expr.evaluate(fun, b) == expr.evaluate(neg, b) == -16.0
+    for _ in range(2):  # walked, then compiled
+        v, g, h = expr.eval_jet2(fun, b, ("x1",))
+        assert (v, g.tolist(), h.tolist()) == (-16.0, [-8.0], [[-2.0]])
+    assert expr.parse(str(fun)) == neg

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import BasePoint
-from algmech.errors import FlowBlowUp, HypothesisViolated
+from algmech.errors import BadParams, FlowBlowUp, HypothesisViolated
 from algmech.hj import (
     HJSection,
     base_flow,
@@ -138,6 +138,13 @@ def test_verify_theorem_hypothesis_violation():
     bad = HJSection(1, 1, ["sqrt(2 - x1^2)"], ["sqrt(2 - x1^2) + 0.1"])
     with pytest.raises(HypothesisViolated):
         verify_theorem(bh.system, bad, ORIGIN1, 5e-3, 1.0, 1e-8)
+
+
+def test_verify_theorem_refuses_a_single_step():
+    # the lift check needs three samples for its difference stencils
+    bh = get_model("harmonic-oscillator")
+    with pytest.raises(BadParams):
+        verify_theorem(bh.system, bh.hj_sections["default"], ORIGIN1, 0.5, 0.5, 1e-8)
 
 
 def test_verify_theorem_biconditional_under_perturbations():
