@@ -27,6 +27,7 @@ __all__ = [
     "StructureReport",
     "LieAlgebroid",
     "Subbundle",
+    "contract",
     "base_names",
     "fiber_names",
     "momentum_names",
@@ -125,11 +126,24 @@ def _as_expression(e):
     return expr.parse(e) if isinstance(e, str) else e
 
 
+def _closed(expressions) -> bool:
+    return not any(expr.free_variables(e) for e in expressions)
+
+
+def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """(C·p)[a, b] = C^g_ab p_g, the structure array contracted with a
+    covector on its upper index; trailing axes, as in dC, are kept."""
+    return (p @ C.reshape(len(p), -1)).reshape(C.shape[1:])
+
+
 class LieAlgebroid:
     """Local-coordinate Lie algebroid: base dimension ``m``, rank ``n``,
     anchor matrix ``rho[i][alpha]`` and structure functions stored only for
     ``alpha < beta`` (the full array is antisymmetrized on read, so the
     antisymmetry of the bracket cannot be violated by construction).
+
+    The anchor jet (rho, drho) and the structure jet (C, dC) are each
+    evaluated once here if no entry depends on x, else on every call.
     """
 
     def __init__(self, m: int, n: int, anchor, structure):
@@ -144,16 +158,32 @@ class LieAlgebroid:
                 raise ValueError(f"bad structure index {(g, a, b)} (need alpha < beta)")
             self.structure[(g, a, b)] = _as_expression(e)
         self._x = base_names(self.m)
-        self._const = all(
-            not expr.free_variables(e)
-            for e in self._all_expressions()
-        )
-        self._cache = {}
+        self._rho_entries = {
+            (i, a): e for i, row in enumerate(self.anchor) for a, e in enumerate(row)
+        }
+        self._anchor_jet = self._structure_jet = None
+        if _closed(self._rho_entries.values()):
+            self._anchor_jet = self._jets(self._rho_entries, (self.m, self.n), {})
+        if _closed(self.structure.values()):
+            self._structure_jet = self._structure_jet_from({})
+        self.constant = self._anchor_jet is not None and self._structure_jet is not None
 
-    def _all_expressions(self):
-        for row in self.anchor:
-            yield from row
-        yield from self.structure.values()
+    def _jets(self, entries: dict, shape: tuple, binding):
+        """Values at ``binding`` of ``entries`` (index -> expression) in an
+        array of ``shape``, and their x-gradients in one of ``shape + (m,)``."""
+        val = np.zeros(shape)
+        grad = np.zeros(shape + (self.m,))
+        for idx, e in entries.items():
+            v, g, _ = expr.eval_jet2(e, binding, self._x)
+            val[idx] = v
+            grad[idx] = g
+        return val, grad
+
+    def _structure_jet_from(self, binding):
+        n = self.n
+        C, dC = self._jets(self.structure, (n, n, n), binding)
+        # only alpha < beta is filled, so each difference is v - 0 or 0 - v
+        return C - C.transpose(0, 2, 1), dC - dC.transpose(0, 2, 1, 3)
 
     # -- pointwise evaluation ------------------------------------------
 
@@ -163,22 +193,9 @@ class LieAlgebroid:
 
     def anchor_jet_at(self, x: BasePoint):
         """(rho, drho) with drho[i, alpha, j] = d rho^i_alpha / d x^j."""
-        key = ("anchor", None if self._const else x.x.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        b = x.binding()
-        rho = np.zeros((self.m, self.n))
-        drho = np.zeros((self.m, self.n, self.m))
-        for i, row in enumerate(self.anchor):
-            for a, e in enumerate(row):
-                v, g, _ = expr.eval_jet2(e, b, self._x)
-                rho[i, a] = v
-                drho[i, a] = g
-        result = (rho, drho)
-        if self._const or len(self._cache) < 4:
-            self._cache[key] = result
-        return result
+        if self._anchor_jet is not None:
+            return self._anchor_jet
+        return self._jets(self._rho_entries, (self.m, self.n), x.binding())
 
     def structure_at(self, x: BasePoint) -> np.ndarray:
         """Structure array C[gamma, alpha, beta], antisymmetric in (alpha, beta)."""
@@ -186,23 +203,9 @@ class LieAlgebroid:
 
     def structure_jet_at(self, x: BasePoint):
         """(C, dC) with dC[gamma, alpha, beta, i] = d C^gamma_ab / d x^i."""
-        key = ("structure", None if self._const else x.x.tobytes())
-        hit = self._cache.get(key)
-        if hit is not None:
-            return hit
-        b = x.binding()
-        C = np.zeros((self.n, self.n, self.n))
-        dC = np.zeros((self.n, self.n, self.n, self.m))
-        for (g, a, bb), e in self.structure.items():
-            v, grad, _ = expr.eval_jet2(e, b, self._x)
-            C[g, a, bb] = v
-            C[g, bb, a] = -v
-            dC[g, a, bb] = grad
-            dC[g, bb, a] = -grad
-        result = (C, dC)
-        if self._const or len(self._cache) < 4:
-            self._cache[key] = result
-        return result
+        if self._structure_jet is not None:
+            return self._structure_jet
+        return self._structure_jet_from(x.binding())
 
     # -- structure equations -------------------------------------------
 
@@ -248,17 +251,11 @@ class LieAlgebroid:
         theta = [_as_expression(t) for t in theta]
         if len(theta) != self.n:
             raise ValueError(f"theta must have {self.n} components")
-        b = x.binding()
-        vals = np.empty(self.n)
-        grads = np.zeros((self.n, self.m))
-        for a, t in enumerate(theta):
-            v, g, _ = expr.eval_jet2(t, b, self._x)
-            vals[a] = v
-            grads[a] = g
+        vals, grads = self._jets(dict(enumerate(theta)), (self.n,), x.binding())
         rho = self.anchor_at(x)
         C = self.structure_at(x)
         a_mat = grads @ rho  # a[gamma, beta] = d theta_g / dx^i rho^i_b
-        raw = a_mat.T - 0.5 * np.einsum("a,abg->bg", vals, C)
+        raw = a_mat.T - 0.5 * contract(C, vals)
         return 0.5 * (raw - raw.T)
 
     def poisson_bracket(self, F: ScalarField, G: ScalarField, pt: DualPoint) -> float:
@@ -275,7 +272,7 @@ class LieAlgebroid:
         rho = self.anchor_at(pt.base)
         C = self.structure_at(pt.base)
         first = float(Fx @ rho @ Gp - Gx @ rho @ Fp)
-        second = float(np.einsum("gab,g,a,b->", C, pt.p, Fp, Gp))
+        second = float(Fp @ contract(C, pt.p) @ Gp)
         return first - second
 
 
@@ -297,11 +294,9 @@ class Subbundle:
             raise ValueError(f"span must be {n}x{r} expressions")
         self.span = [[_as_expression(e) for e in row] for row in span]
         self.adapted = bool(adapted)
-        self._const_span = None
-        if all(not expr.free_variables(e) for row in self.span for e in row):
-            self._const_span = np.array(
-                [[expr.evaluate(e, {}) for e in row] for row in self.span]
-            )
+        self._fixed = None
+        if _closed(e for row in self.span for e in row):
+            self._fixed = self._decompose({})
 
     @classmethod
     def full(cls, parent: LieAlgebroid) -> "Subbundle":
@@ -311,37 +306,42 @@ class Subbundle:
     def adapted_rank(cls, parent: LieAlgebroid, r: int) -> "Subbundle":
         return cls(parent, r, None, adapted=True)
 
-    def span_at(self, x: BasePoint) -> np.ndarray:
-        if self._const_span is not None:
-            return self._const_span
-        b = x.binding()
-        return np.array(
-            [[expr.evaluate(e, b) for e in row] for row in self.span]
-        )
+    def _span(self, binding) -> np.ndarray:
+        return np.array([[expr.evaluate(e, binding) for e in row] for row in self.span])
 
-    def _orthonormal_frames(self, x: BasePoint, tol: float):
-        """(Q, Qc): orthonormal bases of U(x) and of its complement."""
-        S = self.span_at(x)
-        n = self.parent.n
+    def _decompose(self, binding):
+        """(S, W, s): the span at ``binding``, the left factor of its full
+        SVD and its singular values."""
+        S = self._span(binding)
         if self.r == 0:
-            return np.zeros((n, 0)), np.eye(n)
-        U, s, _ = np.linalg.svd(S, full_matrices=True)
+            return S, np.eye(self.parent.n), np.zeros(0)
+        W, s, _ = np.linalg.svd(S, full_matrices=True)
+        return S, W, s
+
+    def span_at(self, x: BasePoint) -> np.ndarray:
+        if self._fixed is not None:
+            return self._fixed[0]
+        return self._span(x.binding())
+
+    def _frames(self, x: BasePoint, tol: float):
+        """(S, Q, Qc): the span at x and orthonormal bases of U(x) and of
+        its complement, once the numerical rank is checked against tol."""
+        S, W, s = self._fixed if self._fixed is not None else self._decompose(x.binding())
         smax = s[0] if s.size else 0.0
         rank = int(np.sum(s > tol * max(smax, 1.0)))
         if rank != self.r:
             raise RankDeficient(
                 f"span has numerical rank {rank}, expected {self.r} at x={x.x}"
             )
-        return U[:, : self.r], U[:, self.r :]
+        return S, W[:, : self.r], W[:, self.r :]
 
     def annihilator(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """(n - r) orthonormal covectors spanning the annihilator (rows)."""
-        _, Qc = self._orthonormal_frames(x, tol)
-        return Qc.T
+        return self._frames(x, tol)[2].T
 
     def completion(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """Orthonormal n x n frame whose first r columns span U(x)."""
-        Q, Qc = self._orthonormal_frames(x, tol)
+        _, Q, Qc = self._frames(x, tol)
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -350,7 +350,7 @@ class Subbundle:
 
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
         v = np.asarray(v, dtype=float)
-        Q, _ = self._orthonormal_frames(x, tol)
+        Q = self._frames(x, tol)[1]
         return float(np.linalg.norm(v - Q @ (Q.T @ v)))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -364,8 +364,7 @@ class Subbundle:
     ) -> float:
         """Largest pairing of ``xi`` with the spanning columns of U(x)."""
         xi = np.asarray(xi, dtype=float)
-        S = self.span_at(x)
-        self._orthonormal_frames(x, tol)  # rank check
+        S = self._frames(x, tol)[0]
         if S.shape[1] == 0:
             return 0.0
         return float(np.abs(xi @ S).max())

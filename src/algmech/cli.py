@@ -30,6 +30,7 @@ from .errors import (
     BadParams,
     ConfigError,
     Degenerate,
+    EvaluationFault,
     HypothesisViolated,
     NewtonDivergence,
     ParseError,
@@ -123,16 +124,21 @@ def cmd_validate(args) -> int:
 def cmd_simulate(args) -> int:
     bundle = _load_bundle(args)
     sys_ = bundle.system
+    if not sys_.U.adapted:
+        raise ConfigError("simulate needs the subbundle in adapted form ('adapted:r')")
     m, n, r = sys_.A.m, sys_.A.n, sys_.U.r
     x0 = _parse_floats(args.x0, m, "--x0")
     ya0 = _parse_floats(args.y0, r, "--y0")
-    traj = integrate(sys_, (x0, ya0), args.h, args.T, args.method)
+    try:
+        traj = integrate(sys_, (x0, ya0), args.h, args.T, args.method)
+    except ValueError as e:  # the states overflowed the floats
+        raise ConfigError(f"--x0/--y0: {e}") from None
     E0, drift = energy_drift(sys_, traj)
 
-    xs = np.array([st.x for st in traj.states])
-    ps = np.array([st.p for st in traj.states])
-    xdots, pdots = _fd_derivatives(xs, args.h), _fd_derivatives(ps, args.h)
     if args.out:
+        xs = np.array([st.x for st in traj.states])
+        ps = np.array([st.p for st in traj.states])
+        xdots, pdots = _fd_derivatives(xs, args.h), _fd_derivatives(ps, args.h)
         cols = (
             ["t"]
             + [f"x{i + 1}" for i in range(m)]
@@ -303,6 +309,9 @@ def main(argv=None) -> int:
         code = EXIT_HYPOTHESIS
     except (ConfigError, ParseError, UnknownModel, BadParams) as e:
         print(f"error: {e}")
+        code = EXIT_CONFIG
+    except EvaluationFault as e:
+        print(f"error: evaluation failed: {e}")
         code = EXIT_CONFIG
     print(f"wall_time_s: {time.perf_counter() - started:.3f}", file=sys.stderr)
     return code

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle
-from .prolong import ProlongCovector, ProlongVector, _cp, omega_sharp, pair
+from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, contract
+from .prolong import ProlongCovector, ProlongVector, omega_sharp, pair
 
 __all__ = [
     "DiracPair",
@@ -81,7 +81,7 @@ def _defect(A, U, dpair, tol):
     x = X.base.base
     span_res = U.member_distance(x, X.z, tol)
     anchor_res = float(np.abs(alpha.v - X.z).max()) if A.n else 0.0
-    xi = alpha.r + X.u + _cp(A, X.base) @ X.z
+    xi = alpha.r + X.u + contract(A.structure_at(x), X.base.p) @ X.z
     ann_res = U.annihilator_residual(x, xi, tol)
     return span_res, anchor_res, ann_res
 
@@ -124,7 +124,7 @@ def dirac_generators(
     n = A.n
     frame = U.completion(pt.base, tol)
     Q, Qc = frame[:, : U.r], frame[:, U.r :]
-    Cp = _cp(A, pt)
+    Cp = contract(A.structure_at(pt.base), pt.p)
     eye = np.eye(n)
     zero = np.zeros(n)
     gens = []

@@ -19,6 +19,7 @@ from .algebroid import (
     LieAlgebroid,
     Subbundle,
     base_names,
+    contract,
     fiber_names,
 )
 from .errors import Degenerate, EvaluationFault, NewtonDivergence
@@ -114,7 +115,7 @@ def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> Residual
     kin = xdot - rho @ st.y
     r_kin = float(np.abs(kin).max()) if kin.size else 0.0
     r_leg = float(np.abs(st.p - Ly).max()) if A.n else 0.0
-    force = pdot + np.einsum("gab,g,b->a", C, st.p, st.y) - rho.T @ Lx
+    force = pdot + contract(C, st.p) @ st.y - rho.T @ Lx
     S = U.span_at(x)
     r_mom = float(np.abs(force @ S).max()) if S.size else 0.0
     passed = max(r_U, r_kin, r_leg, r_mom) <= tol
@@ -148,8 +149,8 @@ class _AdaptedField:
 
         self._idx_M = [tri(m + a, m + b) for a in range(r) for b in range(r)]
         self._idx_xy = [[tri(i, m + a) for i in range(m)] for a in range(r)]
-        self._const = A._const
-        if self._const:
+        self._data = None
+        if A.constant:
             origin = BasePoint(np.zeros(m))
             self._data = self._unpack(A.anchor_at(origin), A.structure_at(origin))
         self._inv_key = None
@@ -190,12 +191,11 @@ class _AdaptedField:
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvaluationFault(str(exc)) from exc
         Lx, Ly = g[:m], g[m:]
-        if self._const:
-            rho_a, rho_aT, terms = self._data
-        else:
+        data = self._data
+        if data is None:
             bp = BasePoint(q[:m])
-            A = self.sys.A
-            rho_a, rho_aT, terms = self._unpack(A.anchor_at(bp), A.structure_at(bp))
+            data = self._unpack(self.sys.A.anchor_at(bp), self.sys.A.structure_at(bp))
+        rho_a, rho_aT, terms = data
         ya = q[m:]
         xdot = [sum(map(mul, row, ya)) for row in rho_a]
         # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less
@@ -284,7 +284,7 @@ def _midpoint_step(sys: ImplicitSystem, h: float):
         _, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint(xm, ym))
         _, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint(x1, np.concatenate([ya1, pad])))
         rho_a = rho[:, :r]
-        Cp = (pm @ C.reshape(n, n * n)).reshape(n, n)[:r]  # C^g_ab p_g, a < r
+        Cp = contract(C, pm)[:r]
         kin = (x1 - x0) / h - rho @ ym
         mom = (p1[:r] - p0[:r]) / h + Cp @ ym - rho_a.T @ Lx
         F = np.concatenate([kin, mom, p1 - Ly1])
@@ -295,7 +295,7 @@ def _midpoint_step(sys: ImplicitSystem, h: float):
             kin, mom, leg = J[:m], J[m : m + r], J[m + r :]
             kin[:, :m] = eye_h[:m, :m] - 0.5 * (ym @ drho)
             kin[:, m : m + r] = -0.5 * rho_a
-            dCp = ym @ (pm @ dC.reshape(n, n * n * m)).reshape(n, n, m)
+            dCp = ym @ contract(dC, pm)
             dLx = (Lx @ drho.reshape(m, n * m)).reshape(n, m)
             mom[:, :m] = 0.5 * (dCp[:r] - dLx[:r] - rho_a.T @ Lxx)
             mom[:, m : m + r] = 0.5 * (Cp[:, :r] - rho_a.T @ Lxy[:, :r])

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import expr
-from .algebroid import BasePoint, FiberPoint, base_names
+from .algebroid import BasePoint, FiberPoint, base_names, contract
 from .dynamics import ImplicitSystem, State, Trajectory, _steps, residual
 from .errors import BadParams, FlowBlowUp, HypothesisViolated
 
@@ -92,7 +92,7 @@ def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
     rho = A.anchor_at(x)
     C = A.structure_at(x)
     R = rho.T @ J.T  # R[b, d] = rho^i_b d gammabar_d / dx^i
-    R = R - R.T - np.einsum("a,abd->bd", gb, C)
+    R = R - R.T - contract(C, gb)
     S = sys.U.span_at(x)
     if S.size == 0:
         return 0.0

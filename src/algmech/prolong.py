@@ -22,6 +22,7 @@ from .algebroid import (
     FiberPoint,
     LieAlgebroid,
     base_names,
+    contract,
     fiber_names,
 )
 
@@ -107,22 +108,16 @@ def pair(alpha: ProlongCovector, X: ProlongVector) -> float:
     return float(alpha.r @ X.z + alpha.v @ X.u)
 
 
-def _cp(A: LieAlgebroid, pt: DualPoint) -> np.ndarray:
-    """Momentum-contracted structure matrix (C·p)[a, b] = C^g_ab p_g."""
-    C = A.structure_at(pt.base)
-    return np.einsum("gab,g->ab", C, pt.p)
-
-
 def omega_flat(A: LieAlgebroid, X: ProlongVector) -> ProlongCovector:
     """Lower an index with the canonical symplectic 2-section:
     r = -u - (C·p) z,  v = z."""
-    Cp = _cp(A, X.base)
+    Cp = contract(A.structure_at(X.base.base), X.base.p)
     return ProlongCovector(X.base, -X.u - Cp @ X.z, X.z)
 
 
 def omega_sharp(A: LieAlgebroid, alpha: ProlongCovector) -> ProlongVector:
     """Exact inverse of :func:`omega_flat`: z = v,  u = -r - (C·p) v."""
-    Cp = _cp(A, alpha.base)
+    Cp = contract(A.structure_at(alpha.base.base), alpha.base.p)
     return ProlongVector(alpha.base, alpha.v, -alpha.r - Cp @ alpha.v)
 
 
@@ -130,7 +125,7 @@ def symplectic_matrix(A: LieAlgebroid, pt: DualPoint) -> np.ndarray:
     """Gram matrix of the symplectic 2-section in the canonical basis,
     block form [[C·p, I], [-I, 0]]; the covector of X is Xᵀ·M."""
     n = A.n
-    Cp = _cp(A, pt)
+    Cp = contract(A.structure_at(pt.base), pt.p)
     M = np.zeros((2 * n, 2 * n))
     M[:n, :n] = Cp
     M[:n, n:] = np.eye(n)
@@ -164,17 +159,11 @@ class Lagrangian:
         self._jet = expr.compile_jet2(self.L, self._names)
 
     def value(self, e: FiberPoint) -> float:
-        return expr.evaluate(self.L, self._binding(e))
-
-    def _binding(self, e: FiberPoint) -> dict:
-        m = self.algebroid.m
-        b = {f"x{i + 1}": v for i, v in enumerate(e.x)}
-        b.update({f"y{a + 1}": v for a, v in enumerate(e.y)})
-        return b
+        return expr.evaluate(self.L, dict(zip(self._names, [*e.x.tolist(), *e.y.tolist()])))
 
     def jet(self, e: FiberPoint):
         """(L, Lx, Ly, Lxx, Lxy, Lyy) at e, via exact forward jets."""
-        v, g, h = expr.eval_jet2(self.L, self._binding(e), self._names)
+        v, g, h = self._jet(dict(zip(self._names, [*e.x.tolist(), *e.y.tolist()])))
         m = self.algebroid.m
         return v, g[:m], g[m:], h[:m, :m], h[:m, m:], h[m:, m:]
 
@@ -187,14 +176,14 @@ def legendre(Lg: Lagrangian, e: FiberPoint) -> DualPoint:
 
 def A_E_map(A: LieAlgebroid, X: ProlongVector) -> TEECovector:
     """(x, p; z, u) -> (x, z; u + (C·p) z, p)."""
-    Cp = _cp(A, X.base)
+    Cp = contract(A.structure_at(X.base.base), X.base.p)
     return TEECovector(FiberPoint(X.base.x, X.z), X.u + Cp @ X.z, X.base.p)
 
 
 def A_E_inverse(A: LieAlgebroid, omega: TEECovector) -> ProlongVector:
     """Exact inverse of :func:`A_E_map`."""
     base = DualPoint(omega.base.x, omega.wbar)
-    Cp = _cp(A, base)
+    Cp = contract(A.structure_at(base.base), base.p)
     z = omega.base.y
     return ProlongVector(base, z, omega.sbar - Cp @ z)
 

@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
 
+from algmech import expr
 from algmech.algebroid import (
     BasePoint,
     DualPoint,
     LieAlgebroid,
     ScalarField,
     Subbundle,
+    contract,
 )
 from algmech.errors import RankDeficient
 from algmech.models import SO3_STRUCTURE
@@ -186,3 +188,76 @@ def test_base_dependent_subbundle():
     x = BasePoint([2.0, 0.0])
     assert U.member(x, [1.0, 2.0])
     assert not U.member(x, [1.0, 0.0])
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Counts of the jet evaluations and SVDs made while a test runs."""
+    counts = {"eval_jet2": 0, "svd": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(expr, "eval_jet2", counted("eval_jet2", expr.eval_jet2))
+    monkeypatch.setattr(np.linalg, "svd", counted("svd", np.linalg.svd))
+    return counts
+
+
+def test_constant_data_is_evaluated_once_at_construction(calls):
+    A = so3()
+    U = Subbundle.adapted_rank(A, 2)
+    skew = Subbundle(A, 2, [["1", "0"], ["1", "1"], ["0", "1"]])
+    built = dict(calls)
+    assert A.constant and built["eval_jet2"] == len(SO3_STRUCTURE)
+    for _ in range(3):
+        A.anchor_jet_at(ORIGIN)
+        A.structure_jet_at(ORIGIN)
+        for V in (U, skew):
+            V.completion(ORIGIN)
+            V.annihilator(ORIGIN)
+            V.member(ORIGIN, [0.3, -0.7, 0.0])
+            V.annihilator_residual(ORIGIN, [0.0, 0.0, 1.0])
+    assert calls == built
+
+
+def test_x_dependent_anchor_is_evaluated_on_every_call(calls):
+    A = affine()
+    assert not A.constant
+    for x in np.linspace(-0.5, 0.5, 6):
+        pt = BasePoint([x])
+        fresh = affine()
+        rho, drho = fresh.anchor_jet_at(pt)
+        for _ in range(2):
+            before = calls["eval_jet2"]
+            got, dgot = A.anchor_jet_at(pt)
+            assert calls["eval_jet2"] - before == 2  # one per anchor entry
+            assert np.array_equal(got, rho) and np.array_equal(dgot, drho)
+
+
+def test_span_rank_is_checked_on_use_with_the_callers_tol():
+    A = tangent(2)
+    U = Subbundle(A, 1, [["1"], ["x1"]])
+    x = BasePoint([2.0, 0.0])
+    assert U.member(x, [1.0, 2.0])
+    with pytest.raises(RankDeficient):
+        U.completion(x, tol=10.0)
+    # a constant span is decomposed when built but rank-checked when used
+    V = Subbundle(so3(), 2, [["1", "2"], ["1", "2"], ["0", "1e-12"]])
+    assert V.completion(ORIGIN, tol=1e-14).shape == (3, 3)
+    with pytest.raises(RankDeficient):
+        V.completion(ORIGIN)
+
+
+def test_contract_matches_einsum_on_antisymmetric_arrays():
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 3, 5):
+        C = rng.standard_normal((n, n, n))
+        C = C - C.transpose(0, 2, 1)
+        p = rng.standard_normal(n)
+        assert np.allclose(contract(C, p), np.einsum("gab,g->ab", C, p), rtol=0, atol=1e-14)
+        dC = rng.standard_normal((n, n, n, 2))
+        assert np.allclose(contract(dC, p), np.einsum("gabi,g->abi", dC, p), rtol=0, atol=1e-14)

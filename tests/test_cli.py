@@ -99,15 +99,39 @@ def test_simulate_implicit_midpoint_is_deterministic():
         ("simulate", "--model", "pendulum", "--x0", "nan", "--y0", "0.1"),
         ("dirac-check", "--model", "rigid-body", "--points", "0"),
         ("validate", "--model", "rigid-body", "--samples", "0"),
+        ("hj-check", "--model", "harmonic-oscillator", "--x0", "1.5"),
+        ("simulate", "--model", "rigid-body", "--y0", "1e200,1,1"),
     ],
 )
 def test_bad_numeric_options_exit_6_with_one_error_line(args):
+    _assert_exit_6_with_one_error_line(args)
+
+
+def _assert_exit_6_with_one_error_line(args):
     proc = subprocess.run(
         [sys.executable, "-m", "algmech.cli", *args], capture_output=True, text=True
     )
     assert proc.returncode == 6
     assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error: ")
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "change, args",
+    [
+        # a non-adapted subbundle is refused before integrating
+        ({"subbundle": [["1", "0"], ["0", "1"], ["0", "0"]]}, ("simulate", "--y0", "1,1")),
+        # constant structure data fails while the algebroid is built
+        ({"structure": {"3,1,2": "ln(-1)"}}, ("validate",)),
+        ({"lagrangian": "ln(-1) * y1^2 + y2^2 + y3^2"}, ("simulate", "--y0", "1,1")),
+    ],
+)
+def test_bad_configs_exit_6_with_one_error_line(tmp_path, change, args):
+    cfg = bundle_to_config(get_model("suslov"))
+    cfg.update(change)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    _assert_exit_6_with_one_error_line((*args, "--config", str(path)))
 
 
 def test_simulate_suslov_constant_csv(tmp_path):
