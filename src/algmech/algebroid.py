@@ -5,11 +5,13 @@ Poisson bracket on the dual bundle.
 Everything lives in a single chart.  Base coordinates are named
 ``x1..xm``, fiber coordinates ``y1..yn``, dual fiber coordinates
 ``p1..pn``; anchor and structure entries are :mod:`algmech.expr`
-expressions of the base coordinates.
+expressions of the base coordinates.  Every point refuses a nan or
+infinite coordinate when it is constructed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -46,11 +48,21 @@ def momentum_names(n: int):
     return tuple(f"p{a + 1}" for a in range(n))
 
 
-def _finite_vector(v, name: str) -> np.ndarray:
+def _finite_vector(v, name: str, message: str = "{} must be finite, got {}") -> np.ndarray:
+    """``v`` as a flat float array: the finiteness check of every carrier.
+    A nan or infinite entry raises ValueError(message.format(name, array))."""
     a = np.asarray(v, dtype=float).reshape(-1)
-    if not np.isfinite(a).all():
-        raise ValueError(f"{name} must be finite, got {a}")
+    if not all(map(math.isfinite, a.tolist())):
+        raise ValueError(message.format(name, a))
     return a
+
+
+def _from_checked(cls, **arrays):
+    """An instance of the carrier ``cls`` over arrays taken unchanged from
+    another carrier, which checked them when it was built."""
+    obj = object.__new__(cls)
+    vars(obj).update(arrays)
+    return obj
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,7 +87,7 @@ class FiberPoint:
 
     @property
     def base(self) -> BasePoint:
-        return BasePoint(self.x)
+        return _from_checked(BasePoint, x=self.x)
 
 
 @dataclass(frozen=True, eq=False)
@@ -89,7 +101,7 @@ class DualPoint:
 
     @property
     def base(self) -> BasePoint:
-        return BasePoint(self.x)
+        return _from_checked(BasePoint, x=self.x)
 
     def binding(self) -> dict:
         b = {f"x{i + 1}": v for i, v in enumerate(self.x)}

@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .algebroid import BasePoint, DualPoint, FiberPoint
+from .algebroid import BasePoint, DualPoint, FiberPoint, _from_checked
 from .config import bundle_from_config, load_config
 from .dirac import (
     DiracPair,
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
         lines = [",".join(cols)]
         for k, st in enumerate(traj.states):
             rep = residual(sys_, st, xdots[k], pdots[k], tol=np.inf)
-            E = energies(sys_.Lg, FiberPoint(st.x, st.y), st.p)[1]
+            E = energies(sys_.Lg, _from_checked(FiberPoint, x=st.x, y=st.y), st.p)[1]
             row = (
                 [traj.times[k]]
                 + list(st.x)

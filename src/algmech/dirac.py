@@ -39,7 +39,7 @@ class DiracPair:
 
     def __post_init__(self):
         bx, ba = self.X.base, self.alpha.base
-        if not (np.array_equal(bx.x, ba.x) and np.array_equal(bx.p, ba.p)):
+        if bx is not ba and not (np.array_equal(bx.x, ba.x) and np.array_equal(bx.p, ba.p)):
             raise ValueError("vector and covector must share a base point")
 
     def coordinates(self) -> np.ndarray:

@@ -18,6 +18,8 @@ from .algebroid import (
     FiberPoint,
     LieAlgebroid,
     Subbundle,
+    _finite_vector,
+    _from_checked,
     base_names,
     contract,
     fiber_names,
@@ -59,9 +61,7 @@ class State:
 
     def __init__(self, x, y, p):
         for name, v in (("x", x), ("y", y), ("p", p)):
-            a = np.asarray(v, dtype=float).reshape(-1)
-            if not np.isfinite(a).all():
-                raise ValueError(f"state component {name} must be finite")
+            a = _finite_vector(v, name, "state component {} must be finite")
             object.__setattr__(self, name, a)
 
     @classmethod
@@ -75,12 +75,7 @@ class State:
             if not np.isfinite(a).all():
                 raise ValueError(f"state component {name} must be finite")
             stacked.append(a)
-        states = []
-        for x, y, p in zip(*stacked):
-            st = object.__new__(cls)
-            vars(st).update(x=x, y=y, p=p)  # rows already checked above
-            states.append(st)
-        return tuple(states)
+        return tuple(_from_checked(cls, x=x, y=y, p=p) for x, y, p in zip(*stacked))
 
 
 @dataclass(frozen=True)
@@ -105,10 +100,10 @@ def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> Residual
     implicit equations: velocity in U, kinematics, Legendre relation and
     the momentum equation paired against the spanning columns of U."""
     A, Lg, U = sys.A, sys.Lg, sys.U
-    x = BasePoint(st.x)
+    x = _from_checked(BasePoint, x=st.x)
     xdot = np.asarray(xdot, dtype=float).reshape(-1)
     pdot = np.asarray(pdot, dtype=float).reshape(-1)
-    _, Lx, Ly, _, _, _ = Lg.jet(FiberPoint(st.x, st.y))
+    _, Lx, Ly, _, _, _ = Lg.jet(_from_checked(FiberPoint, x=st.x, y=st.y))
     rho = A.anchor_at(x)
     C = A.structure_at(x)
     r_U = U.member_distance(x, st.y)
@@ -240,24 +235,28 @@ def _steps(h: float, T: float) -> int:
     return N
 
 
+def _rk4_step(f, q: list, k1: list, h: float) -> list:
+    """One classical RK4 step of q' = f(q) on float lists, from k1 = f(q)."""
+    hh, h6 = 0.5 * h, h / 6.0
+    k2 = f([a + hh * b for a, b in zip(q, k1)])
+    k3 = f([a + hh * b for a, b in zip(q, k2)])
+    k4 = f([a + h * b for a, b in zip(q, k3)])
+    stages = zip(q, k1, k2, k3, k4)
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in stages]
+
+
 def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     field = _AdaptedField(sys)
+    qdot = lambda v: field(v)[0]
     N = _steps(h, T)
     m = sys.A.m
-    hh, h6 = 0.5 * h, h / 6.0
     q = [*x0.tolist(), *ya0.tolist()]
     qs, ps = [], []
     for _ in range(N):
         k1, p = field(q)
         qs.append(q)
         ps.append(p)
-        k2 = field([a + hh * b for a, b in zip(q, k1)])[0]
-        k3 = field([a + hh * b for a, b in zip(q, k2)])[0]
-        k4 = field([a + h * b for a, b in zip(q, k3)])[0]
-        q = [
-            a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4)
-            for a, b1, b2, b3, b4 in zip(q, k1, k2, k3, k4)
-        ]
+        q = _rk4_step(qdot, q, k1, h)
     qs.append(q)
     ps.append(field(q)[1])
     pad = [0.0] * (sys.A.n - sys.U.r)

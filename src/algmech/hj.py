@@ -8,12 +8,13 @@ equivalence check.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from . import expr
 from .algebroid import BasePoint, FiberPoint, base_names, contract
-from .dynamics import ImplicitSystem, State, Trajectory, _steps, residual
+from .dynamics import ImplicitSystem, State, _rk4_step, _steps, residual
 from .errors import BadParams, FlowBlowUp, HypothesisViolated
 
 FLOW_BOUND = 1e6
@@ -71,14 +72,23 @@ class SectionReport:
     legendre_gap: float
 
 
+def _section_at(sys: ImplicitSystem, s: HJSection, x: BasePoint):
+    """(gamma, gammabar, d gammabar/dx, dL/dx, dL/dy, rho) at x, each
+    evaluated once, with the jet of L taken at (x, gamma(x))."""
+    g = s.velocity(x)
+    _, Lx, Ly, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
+    return g, s.momentum(x), s.momentum_jacobian(x), Lx, Ly, sys.A.anchor_at(x)
+
+
 def check_in_K(sys: ImplicitSystem, s: HJSection, x: BasePoint, tol: float) -> SectionReport:
     """Velocity part in U(x) and momentum part equal to the Legendre
     image of the velocity part."""
-    g = s.velocity(x)
-    in_U = sys.U.member(x, g, tol)
-    _, _, Ly, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
-    gap = float(np.abs(s.momentum(x) - Ly).max()) if sys.A.n else 0.0
-    return SectionReport(in_U, gap)
+    return _in_K(sys, x, tol, *_section_at(sys, s, x))
+
+
+def _in_K(sys, x, tol, g, gb, J, Lx, Ly, rho) -> SectionReport:
+    gap = float(np.abs(gb - Ly).max()) if sys.A.n else 0.0
+    return SectionReport(sys.U.member(x, g, tol), gap)
 
 
 def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
@@ -86,13 +96,12 @@ def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
     antisymmetrized derivative condition on the momentum part:
     (rho^i_b d gammabar_d/dx^i - rho^i_d d gammabar_b/dx^i
      - gammabar_a C^a_bd) v^b w^d."""
-    A = sys.A
-    J = s.momentum_jacobian(x)
-    gb = s.momentum(x)
-    rho = A.anchor_at(x)
-    C = A.structure_at(x)
+    return _closedness(sys, x, *_section_at(sys, s, x))
+
+
+def _closedness(sys, x, g, gb, J, Lx, Ly, rho) -> float:
     R = rho.T @ J.T  # R[b, d] = rho^i_b d gammabar_d / dx^i
-    R = R - R.T - contract(C, gb)
+    R = R - R.T - contract(sys.A.structure_at(x), gb)
     S = sys.U.span_at(x)
     if S.size == 0:
         return 0.0
@@ -102,34 +111,31 @@ def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
 def hj_residual(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> np.ndarray:
     """Component for each U spanning column v of
     (gamma^b d gammabar_b/dx^i - dL/dx^i(x, gamma(x))) rho^i_a v^a."""
-    A = sys.A
-    g = s.velocity(x)
-    J = s.momentum_jacobian(x)
-    _, Lx, _, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
+    return _hj_residual(sys, x, *_section_at(sys, s, x))
+
+
+def _hj_residual(sys, x, g, gb, J, Lx, Ly, rho) -> np.ndarray:
     grad = g @ J - Lx
-    rho = A.anchor_at(x)
     return (grad @ rho) @ sys.U.span_at(x)
 
 
 def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> BaseTrajectory:
     """Fourth-order integration of the induced base field
-    c' = rho(c) gamma(c)."""
+    c' = rho(c) gamma(c), on floats."""
     A = sys.A
     N = _steps(h, T)
+    rho = A.anchor_at(x0).tolist() if A.constant else None
 
     def field(x):
         bp = BasePoint(x)
-        return A.anchor_at(bp) @ s.velocity(bp)
+        g = s.velocity(bp).tolist()
+        return [sum(map(mul, row, g)) for row in rho or A.anchor_at(bp).tolist()]
 
-    x = np.array(x0.x, dtype=float)
+    x = x0.x.tolist()
     pts = [x]
     for k in range(N):
-        k1 = field(x)
-        k2 = field(x + 0.5 * h * k1)
-        k3 = field(x + 0.5 * h * k2)
-        k4 = field(x + h * k3)
-        x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if x.size and np.abs(x).max() > FLOW_BOUND:
+        x = _rk4_step(field, x, field(x), h)
+        if any(abs(v) > FLOW_BOUND for v in x):
             raise FlowBlowUp(
                 f"base flow left |x| <= {FLOW_BOUND:g} at t={(k + 1) * h:g}"
             )
@@ -173,35 +179,33 @@ def verify_theorem(
         raise BadParams("the lift check needs a horizon of at least two steps")
     flow = base_flow(sys, s, x0, h, T)
     pts = [BasePoint(x) for x in flow.points]
-    for bp in pts:
-        rep = check_in_K(sys, s, bp, hypothesis_tol)
+    data = [_section_at(sys, s, bp) for bp in pts]
+    res = []
+    for bp, d in zip(pts, data):
+        rep = _in_K(sys, bp, hypothesis_tol, *d)
         if not rep.in_U:
             raise HypothesisViolated("velocity part outside U", bp.x, float("nan"))
         if rep.legendre_gap > hypothesis_tol:
             raise HypothesisViolated(
                 "momentum part is not the Legendre image", bp.x, rep.legendre_gap
             )
-        closed = check_closedness(sys, s, bp)
+        closed = _closedness(sys, bp, *d)
         if closed > hypothesis_tol:
             raise HypothesisViolated("closedness on U-pairs", bp.x, closed)
-
-    res = [hj_residual(sys, s, bp) for bp in pts]
+        res.append(_hj_residual(sys, bp, *d))
     max_hj = max((float(np.abs(r).max()) if r.size else 0.0) for r in res)
     hj_pass = max_hj <= tol
 
     xs = flow.points
-    ps = np.array([s.momentum(bp) for bp in pts])
-    ys = np.array([s.velocity(bp) for bp in pts])
+    ys, ps = np.array([d[0] for d in data]), np.array([d[1] for d in data])
     xdots, pdots = _fd_derivatives(xs, h), _fd_derivatives(ps, h)
     scale = 1.0 + max(
         float(np.abs(a).max()) if a.size else 0.0 for a in (xs, ys, ps)
     )
     lift_tol = tol + 50.0 * h * h * scale
     max_lift = 0.0
-    for k, bp in enumerate(pts):
-        rep = residual(
-            sys, State(xs[k], ys[k], ps[k]), xdots[k], pdots[k], lift_tol
-        )
+    for k, st in enumerate(State.stack(xs, ys, ps)):
+        rep = residual(sys, st, xdots[k], pdots[k], lift_tol)
         max_lift = max(max_lift, rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom)
     lift_pass = max_lift <= lift_tol
     return TheoremReport(hj_pass, lift_pass, hj_pass == lift_pass, max_hj, max_lift)

@@ -4,7 +4,8 @@ differential of a Lagrangian, and the two energy functions.
 
 Vectors on the prolongation over E* carry coordinates (x, p; z, u);
 covectors carry (x, p; r, v).  Vectors/covectors on the prolongation
-over E carry (x, y; s, w).  All maps below are the pinned local forms;
+over E carry (x, y; s, w), and every component is checked finite when a
+vector or covector is constructed.  All maps below are the pinned local forms;
 the only contract tying the sign conventions together is the exact
 composition identity  gamma_E = omega_flat ∘ A_E_inverse.
 """
@@ -17,10 +18,11 @@ import numpy as np
 
 from . import expr
 from .algebroid import (
-    BasePoint,
     DualPoint,
     FiberPoint,
     LieAlgebroid,
+    _finite_vector,
+    _from_checked,
     base_names,
     contract,
     fiber_names,
@@ -48,13 +50,6 @@ __all__ = [
 ]
 
 
-def _vec(v) -> np.ndarray:
-    a = np.asarray(v, dtype=float).reshape(-1)
-    if not np.isfinite(a).all():
-        raise ValueError(f"components must be finite, got {a}")
-    return a
-
-
 @dataclass(frozen=True, eq=False)
 class ProlongVector:
     base: DualPoint
@@ -63,8 +58,8 @@ class ProlongVector:
 
     def __init__(self, base, z, u):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "z", _vec(z))
-        object.__setattr__(self, "u", _vec(u))
+        object.__setattr__(self, "z", _finite_vector(z, "components"))
+        object.__setattr__(self, "u", _finite_vector(u, "components"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -75,8 +70,8 @@ class ProlongCovector:
 
     def __init__(self, base, r, v):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "r", _vec(r))
-        object.__setattr__(self, "v", _vec(v))
+        object.__setattr__(self, "r", _finite_vector(r, "components"))
+        object.__setattr__(self, "v", _finite_vector(v, "components"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -87,8 +82,8 @@ class TEEVector:
 
     def __init__(self, base, s, w):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "s", _vec(s))
-        object.__setattr__(self, "w", _vec(w))
+        object.__setattr__(self, "s", _finite_vector(s, "components"))
+        object.__setattr__(self, "w", _finite_vector(w, "components"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,8 +94,8 @@ class TEECovector:
 
     def __init__(self, base, sbar, wbar):
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "sbar", _vec(sbar))
-        object.__setattr__(self, "wbar", _vec(wbar))
+        object.__setattr__(self, "sbar", _finite_vector(sbar, "components"))
+        object.__setattr__(self, "wbar", _finite_vector(wbar, "components"))
 
 
 def pair(alpha: ProlongCovector, X: ProlongVector) -> float:
@@ -177,12 +172,13 @@ def legendre(Lg: Lagrangian, e: FiberPoint) -> DualPoint:
 def A_E_map(A: LieAlgebroid, X: ProlongVector) -> TEECovector:
     """(x, p; z, u) -> (x, z; u + (C·p) z, p)."""
     Cp = contract(A.structure_at(X.base.base), X.base.p)
-    return TEECovector(FiberPoint(X.base.x, X.z), X.u + Cp @ X.z, X.base.p)
+    e = _from_checked(FiberPoint, x=X.base.x, y=X.z)
+    return TEECovector(e, X.u + Cp @ X.z, X.base.p)
 
 
 def A_E_inverse(A: LieAlgebroid, omega: TEECovector) -> ProlongVector:
     """Exact inverse of :func:`A_E_map`."""
-    base = DualPoint(omega.base.x, omega.wbar)
+    base = _from_checked(DualPoint, x=omega.base.x, p=omega.wbar)
     Cp = contract(A.structure_at(base.base), base.p)
     z = omega.base.y
     return ProlongVector(base, z, omega.sbar - Cp @ z)
@@ -190,9 +186,8 @@ def A_E_inverse(A: LieAlgebroid, omega: TEECovector) -> ProlongVector:
 
 def gamma_E_map(A: LieAlgebroid, omega: TEECovector) -> ProlongCovector:
     """(x, y; s, w) -> (x, w; -s, y); equals omega_flat ∘ A_E_inverse."""
-    return ProlongCovector(
-        DualPoint(omega.base.x, omega.wbar), -omega.sbar, omega.base.y
-    )
+    base = _from_checked(DualPoint, x=omega.base.x, p=omega.wbar)
+    return ProlongCovector(base, -omega.sbar, omega.base.y)
 
 
 def d_TEE_L(Lg: Lagrangian, e: FiberPoint) -> TEECovector:
@@ -200,7 +195,7 @@ def d_TEE_L(Lg: Lagrangian, e: FiberPoint) -> TEECovector:
     (x, y; ρᵀ ∂L/∂x, ∂L/∂y)."""
     A = Lg.algebroid
     _, Lx, Ly, _, _, _ = Lg.jet(e)
-    rho = A.anchor_at(BasePoint(e.x))
+    rho = A.anchor_at(e.base)
     return TEECovector(e, rho.T @ Lx, Ly)
 
 
@@ -208,7 +203,7 @@ def dirac_differential(Lg: Lagrangian, e: FiberPoint) -> ProlongCovector:
     """Dirac differential of L: (x, ∂L/∂y; -ρᵀ ∂L/∂x, y)."""
     A = Lg.algebroid
     _, Lx, Ly, _, _, _ = Lg.jet(e)
-    rho = A.anchor_at(BasePoint(e.x))
+    rho = A.anchor_at(e.base)
     return ProlongCovector(DualPoint(e.x, Ly), -(rho.T @ Lx), e.y)
 
 

@@ -181,3 +181,76 @@ def test_hj_residual_is_energy_gradient_for_gradient_sections():
         qm[i] -= h
         grad.append((El(qp) - El(qm)) / (2 * h))
     assert np.allclose(r, grad, atol=1e-8)
+
+
+# Sections where C != 0, rho != I or U != E.  They are built here rather
+# than bundled in ModelBundle.hj_sections, which the geometry benchmark
+# runs in full.
+COUPLED_I = np.array([[2.0, 0.0, 0.3], [0.0, 1.5, 0.2], [0.3, 0.2, 1.0]])
+
+
+def _section(gamma, gammabar, m):
+    text = lambda v: v if isinstance(v, str) else repr(float(v))
+    return HJSection(
+        len(gamma), m, [text(v) for v in gamma], [text(v) for v in gammabar]
+    )
+
+
+def _coupled_suslov(gamma):
+    # U = span(e1, e2); a constant gamma with gamma3 = 0 is closed on
+    # U-pairs iff (I gamma)3 = 0, and the HJ residual vanishes (m = 0)
+    return _section(gamma, COUPLED_I @ np.asarray(gamma), 0)
+
+
+def _affine(g1, g2):
+    # rho = (1, x1), C^1_12 = 1, L = |y|^2 / 2: gamma = gammabar is closed
+    # iff gamma2 = x1 gamma1 + c, and HJ holds iff |gamma|^2 is constant
+    return _section([g1, g2], [g1, g2], 1)
+
+
+def _refused_as_not_closed(b, s, x0):
+    with pytest.raises(HypothesisViolated) as info:
+        verify_theorem(b.system, s, BasePoint(x0), 5e-3, 0.5, 1e-8)
+    assert info.value.condition == "closedness on U-pairs"
+    return info.value.value
+
+
+def test_verify_theorem_coupled_suslov():
+    b = get_model("suslov", inertia=COUPLED_I)
+    origin = BasePoint([])
+    rep = verify_theorem(b.system, _coupled_suslov([0.2, -0.3, 0.0]), origin, 5e-3, 1.0, 1e-8)
+    assert rep.hj_pass and rep.lift_pass and rep.consistent
+    assert rep.max_hj_residual == 0.0 and rep.max_lift_residual <= 1e-12
+    assert _refused_as_not_closed(b, _coupled_suslov([1.0, 0.0, 0.0]), []) == pytest.approx(0.3)
+    rng = np.random.default_rng(5)
+    for _ in range(4):
+        a, delta = rng.uniform(-1.0, 1.0), rng.choice([-1, 1]) * rng.uniform(0.1, 0.5)
+        closed = _coupled_suslov([a, -1.5 * a, 0.0])
+        rep = verify_theorem(b.system, closed, origin, 5e-3, 0.5, 1e-8)
+        assert rep.hj_pass and rep.lift_pass and rep.consistent, (a, rep)
+        off = _coupled_suslov([a, -1.5 * a + delta, 0.0])
+        assert _refused_as_not_closed(b, off, []) == pytest.approx(abs(0.2 * delta), rel=1e-9)
+
+
+def test_verify_theorem_affine_rank2():
+    b = get_model("affine-rank2")
+    x0 = BasePoint([0.1])
+    rep = verify_theorem(b.system, _affine("0", "0.7"), x0, 5e-3, 0.5, 1e-8)
+    assert rep.hj_pass and rep.lift_pass and rep.consistent
+    rep = verify_theorem(b.system, _affine("0.5", "0.5 * x1 + 0.7"), x0, 5e-3, 0.5, 1e-8)
+    assert not rep.hj_pass and not rep.lift_pass and rep.consistent
+    assert rep.max_hj_residual > 0.1
+    assert _refused_as_not_closed(b, _affine("0.5", "x1"), [0.1]) == pytest.approx(0.5)
+    rng = np.random.default_rng(7)
+    for _ in range(4):
+        a = float(rng.choice([-1, 1]) * rng.uniform(0.2, 0.5))
+        c = rng.uniform(0.5, 1.0)
+        delta = float(rng.choice([-1, 1]) * rng.uniform(0.1, 0.5))
+        x = BasePoint([rng.uniform(-0.2, 0.2)])
+        rep = verify_theorem(b.system, _affine(0.0, c), x, 5e-3, 0.5, 1e-8)
+        assert rep.hj_pass and rep.lift_pass and rep.consistent, (c, rep)
+        moving = _affine(a, f"{a!r} * x1 + {c!r}")
+        rep = verify_theorem(b.system, moving, x, 5e-3, 0.5, 1e-8)
+        assert not rep.hj_pass and not rep.lift_pass and rep.consistent, (a, c, rep)
+        off = _affine(a, f"{a + delta!r} * x1 + {c!r}")
+        assert _refused_as_not_closed(b, off, x.x) == pytest.approx(abs(delta), rel=1e-9)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import BasePoint, DualPoint, FiberPoint, LieAlgebroid
+from algmech.dynamics import State
 from algmech.models import SO3_STRUCTURE, get_model
 from algmech.prolong import (
     A_E_inverse,
@@ -254,3 +255,53 @@ def test_poisson_symplectic_consistency():
             M = symplectic_matrix(A, pt)
             rhs = np.concatenate([XF.z, XF.u]) @ M @ np.concatenate([XG.z, XG.u])
             assert lhs == pytest.approx(rhs, abs=1e-10)
+
+
+OK2 = [1.0, 2.0]
+CARRIERS = {
+    "BasePoint": (lambda v: BasePoint(v), "x must be finite, got {}"),
+    "FiberPoint.x": (lambda v: FiberPoint(v, OK2), "x must be finite, got {}"),
+    "FiberPoint.y": (lambda v: FiberPoint(OK2, v), "y must be finite, got {}"),
+    "DualPoint.x": (lambda v: DualPoint(v, OK2), "x must be finite, got {}"),
+    "DualPoint.p": (lambda v: DualPoint(OK2, v), "p must be finite, got {}"),
+    "ProlongVector": (
+        lambda v: ProlongVector(DualPoint(OK2, OK2), OK2, v),
+        "components must be finite, got {}",
+    ),
+    "ProlongCovector": (
+        lambda v: ProlongCovector(DualPoint(OK2, OK2), v, OK2),
+        "components must be finite, got {}",
+    ),
+    "TEEVector": (
+        lambda v: TEEVector(FiberPoint(OK2, OK2), v, OK2),
+        "components must be finite, got {}",
+    ),
+    "TEECovector": (
+        lambda v: TEECovector(FiberPoint(OK2, OK2), OK2, v),
+        "components must be finite, got {}",
+    ),
+    "State.x": (lambda v: State(v, OK2, OK2), "state component x must be finite"),
+    "State.y": (lambda v: State(OK2, v, OK2), "state component y must be finite"),
+    "State.p": (lambda v: State(OK2, OK2, v), "state component p must be finite"),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+def test_carriers_refuse_non_finite_coordinates(carrier, bad):
+    # every carrier checks its coordinates when constructed; the message
+    # names the offending slot and, for points and vectors, its values
+    build, message = CARRIERS[carrier]
+    v = np.array([1.0, bad])
+    with pytest.raises(ValueError) as info:
+        build(v)
+    assert str(info.value) == message.format(v)
+    build(OK2)
+
+
+def test_computed_components_are_checked_after_overflow():
+    # C·p·z overflows on the rigid body, so the lowered covector is refused
+    A = get_model("rigid-body").system.A
+    X = ProlongVector(DualPoint([], [1e200] * 3), [1e200] * 3, [0.0] * 3)
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
+        omega_flat(A, X)
