@@ -72,21 +72,15 @@ class SectionReport:
     legendre_gap: float
 
 
-def _section_at(sys: ImplicitSystem, s: HJSection, x: BasePoint):
-    """(gamma, gammabar, d gammabar/dx, dL/dx, dL/dy, rho) at x, each
-    evaluated once, with the jet of L taken at (x, gamma(x))."""
-    g = s.velocity(x)
-    _, Lx, Ly, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
-    return g, s.momentum(x), s.momentum_jacobian(x), Lx, Ly, sys.A.anchor_at(x)
-
-
 def check_in_K(sys: ImplicitSystem, s: HJSection, x: BasePoint, tol: float) -> SectionReport:
     """Velocity part in U(x) and momentum part equal to the Legendre
     image of the velocity part."""
-    return _in_K(sys, x, tol, *_section_at(sys, s, x))
+    g = s.velocity(x)
+    _, _, Ly, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
+    return _in_K(sys, x, tol, g, s.momentum(x), Ly)
 
 
-def _in_K(sys, x, tol, g, gb, J, Lx, Ly, rho) -> SectionReport:
+def _in_K(sys, x, tol, g, gb, Ly) -> SectionReport:
     gap = float(np.abs(gb - Ly).max()) if sys.A.n else 0.0
     return SectionReport(sys.U.member(x, g, tol), gap)
 
@@ -96,10 +90,10 @@ def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
     antisymmetrized derivative condition on the momentum part:
     (rho^i_b d gammabar_d/dx^i - rho^i_d d gammabar_b/dx^i
      - gammabar_a C^a_bd) v^b w^d."""
-    return _closedness(sys, x, *_section_at(sys, s, x))
+    return _closedness(sys, x, s.momentum_jacobian(x), s.momentum(x), sys.A.anchor_at(x))
 
 
-def _closedness(sys, x, g, gb, J, Lx, Ly, rho) -> float:
+def _closedness(sys, x, J, gb, rho) -> float:
     R = rho.T @ J.T  # R[b, d] = rho^i_b d gammabar_d / dx^i
     R = R - R.T - contract(sys.A.structure_at(x), gb)
     S = sys.U.span_at(x)
@@ -111,10 +105,12 @@ def _closedness(sys, x, g, gb, J, Lx, Ly, rho) -> float:
 def hj_residual(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> np.ndarray:
     """Component for each U spanning column v of
     (gamma^b d gammabar_b/dx^i - dL/dx^i(x, gamma(x))) rho^i_a v^a."""
-    return _hj_residual(sys, x, *_section_at(sys, s, x))
+    g, J = s.velocity(x), s.momentum_jacobian(x)
+    _, Lx, _, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
+    return _hj_residual(sys, x, g, J, Lx, sys.A.anchor_at(x))
 
 
-def _hj_residual(sys, x, g, gb, J, Lx, Ly, rho) -> np.ndarray:
+def _hj_residual(sys, x, g, J, Lx, rho) -> np.ndarray:
     grad = g @ J - Lx
     return (grad @ rho) @ sys.U.span_at(x)
 
@@ -124,12 +120,11 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     c' = rho(c) gamma(c), on floats."""
     A = sys.A
     N = _steps(h, T)
-    rho = A.anchor_at(x0).tolist() if A.constant else None
 
     def field(x):
         bp = BasePoint(x)
         g = s.velocity(bp).tolist()
-        return [sum(map(mul, row, g)) for row in rho or A.anchor_at(bp).tolist()]
+        return [sum(map(mul, row, g)) for row in A.anchor_at(bp).tolist()]
 
     x = x0.x.tolist()
     pts = [x]
@@ -178,26 +173,31 @@ def verify_theorem(
     if _steps(h, T) < 2:
         raise BadParams("the lift check needs a horizon of at least two steps")
     flow = base_flow(sys, s, x0, h, T)
-    pts = [BasePoint(x) for x in flow.points]
-    data = [_section_at(sys, s, bp) for bp in pts]
-    res = []
-    for bp, d in zip(pts, data):
-        rep = _in_K(sys, bp, hypothesis_tol, *d)
+    # each point is evaluated once and checked before the next is evaluated
+    ys, ps, res = [], [], []
+    for x in flow.points:
+        bp = BasePoint(x)
+        g = s.velocity(bp)
+        _, Lx, Ly, _, _, _ = sys.Lg.jet(FiberPoint(bp.x, g))
+        gb = s.momentum(bp)
+        rep = _in_K(sys, bp, hypothesis_tol, g, gb, Ly)
         if not rep.in_U:
             raise HypothesisViolated("velocity part outside U", bp.x, float("nan"))
         if rep.legendre_gap > hypothesis_tol:
             raise HypothesisViolated(
                 "momentum part is not the Legendre image", bp.x, rep.legendre_gap
             )
-        closed = _closedness(sys, bp, *d)
+        J, rho = s.momentum_jacobian(bp), sys.A.anchor_at(bp)
+        closed = _closedness(sys, bp, J, gb, rho)
         if closed > hypothesis_tol:
             raise HypothesisViolated("closedness on U-pairs", bp.x, closed)
-        res.append(_hj_residual(sys, bp, *d))
+        ys.append(g)
+        ps.append(gb)
+        res.append(_hj_residual(sys, bp, g, J, Lx, rho))
     max_hj = max((float(np.abs(r).max()) if r.size else 0.0) for r in res)
     hj_pass = max_hj <= tol
 
-    xs = flow.points
-    ys, ps = np.array([d[0] for d in data]), np.array([d[1] for d in data])
+    xs, ys, ps = flow.points, np.array(ys), np.array(ps)
     xdots, pdots = _fd_derivatives(xs, h), _fd_derivatives(ps, h)
     scale = 1.0 + max(
         float(np.abs(a).max()) if a.size else 0.0 for a in (xs, ys, ps)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algmech.algebroid import BasePoint
-from algmech.errors import BadParams, FlowBlowUp, HypothesisViolated
+from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated
 from algmech.hj import (
     HJSection,
     base_flow,
@@ -138,6 +138,38 @@ def test_verify_theorem_hypothesis_violation():
     bad = HJSection(1, 1, ["sqrt(2 - x1^2)"], ["sqrt(2 - x1^2) + 0.1"])
     with pytest.raises(HypothesisViolated):
         verify_theorem(bh.system, bad, ORIGIN1, 5e-3, 1.0, 1e-8)
+
+
+def test_verify_theorem_reports_a_violation_before_later_points_are_evaluated():
+    # the momentum part is off the Legendre image at x0 and undefined once
+    # the flow (sqrt(2) sin t) passes x1 = 1, near t = 0.79
+    bh = get_model("harmonic-oscillator")
+    bad = HJSection(1, 1, ["sqrt(2 - x1^2)"], ["sqrt(1 - x1) + 0.5"])
+    with pytest.raises(EvaluationFault):
+        bad.momentum(BasePoint([1.1]))
+    with pytest.raises(HypothesisViolated) as info:
+        verify_theorem(bh.system, bad, ORIGIN1, 5e-3, 1.0, 1e-8)
+    assert info.value.condition == "momentum part is not the Legendre image"
+    assert list(info.value.point) == [0.0]
+    assert info.value.value == pytest.approx(1.5 - math.sqrt(2.0))
+
+
+def test_public_checks_evaluate_only_what_they_read():
+    # d gammabar / dx is undefined at the origin: only closedness and the
+    # HJ residual read it.  An undefined velocity part does not reach
+    # closedness, which reads neither gamma nor the L-jet.
+    b = get_model("free-particle", d=1)
+    s = HJSection(1, 1, ["0"], ["sqrt(x1)"])
+    rep = check_in_K(b.system, s, ORIGIN1, 1e-9)
+    assert rep.in_U and rep.legendre_gap == 0.0
+    for check in (check_closedness, hj_residual):
+        with pytest.raises(EvaluationFault):
+            check(b.system, s, ORIGIN1)
+    bf = get_model("free-particle")
+    undefined_velocity = HJSection(2, 2, ["sqrt(x1 - 1)", "0"], ["x2", "x1"])
+    with pytest.raises(EvaluationFault):
+        check_in_K(bf.system, undefined_velocity, BasePoint([0.0, 0.5]), 1e-9)
+    assert check_closedness(bf.system, undefined_velocity, BasePoint([0.0, 0.5])) == 0.0
 
 
 def test_verify_theorem_refuses_a_single_step():
