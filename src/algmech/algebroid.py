@@ -57,51 +57,61 @@ def _finite_vector(v, name: str, message: str = "{} must be finite, got {}") -> 
     return a
 
 
-def _from_checked(cls, **arrays):
-    """An instance of the carrier ``cls`` over arrays taken unchanged from
-    another carrier, which checked them when it was built."""
-    obj = object.__new__(cls)
-    vars(obj).update(arrays)
-    return obj
+def _as_expression(e):
+    return expr.parse(e) if isinstance(e, str) else e
 
 
-@dataclass(frozen=True, eq=False)
-class BasePoint:
-    x: np.ndarray
+class _Carrier:
+    """Base of the coordinate carriers.  Each subclass ``__init__`` checks
+    its arrays and writes them into ``__dict__``; after that no attribute
+    can be assigned or deleted."""
 
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+    @classmethod
+    def _trusted(cls, **arrays):
+        """An instance over arrays another carrier checked, given in field order."""
+        obj = object.__new__(cls)
+        obj.__dict__.update(arrays)
+        return obj
+
+
+class BasePoint(_Carrier):
     def __init__(self, x):
-        object.__setattr__(self, "x", _finite_vector(x, "x"))
+        self.__dict__["x"] = _finite_vector(x, "x")
 
     def binding(self) -> dict:
         return {f"x{i + 1}": v for i, v in enumerate(self.x)}
 
 
-@dataclass(frozen=True, eq=False)
-class FiberPoint:
-    x: np.ndarray
-    y: np.ndarray
-
+class FiberPoint(_Carrier):
     def __init__(self, x, y):
-        object.__setattr__(self, "x", _finite_vector(x, "x"))
-        object.__setattr__(self, "y", _finite_vector(y, "y"))
+        d = self.__dict__
+        d["x"] = _finite_vector(x, "x")
+        d["y"] = _finite_vector(y, "y")
 
     @property
     def base(self) -> BasePoint:
-        return _from_checked(BasePoint, x=self.x)
+        return BasePoint._trusted(x=self.x)
 
 
-@dataclass(frozen=True, eq=False)
-class DualPoint:
-    x: np.ndarray
-    p: np.ndarray
-
+class DualPoint(_Carrier):
     def __init__(self, x, p):
-        object.__setattr__(self, "x", _finite_vector(x, "x"))
-        object.__setattr__(self, "p", _finite_vector(p, "p"))
+        d = self.__dict__
+        d["x"] = _finite_vector(x, "x")
+        d["p"] = _finite_vector(p, "p")
 
     @property
     def base(self) -> BasePoint:
-        return _from_checked(BasePoint, x=self.x)
+        return BasePoint._trusted(x=self.x)
 
     def binding(self) -> dict:
         b = {f"x{i + 1}": v for i, v in enumerate(self.x)}
@@ -113,9 +123,7 @@ class ScalarField:
     """A scalar expression together with its derivative oracle."""
 
     def __init__(self, expression):
-        if isinstance(expression, str):
-            expression = expr.parse(expression)
-        self.expression = expression
+        self.expression = _as_expression(expression)
 
     def value(self, binding) -> float:
         return expr.evaluate(self.expression, binding)
@@ -132,10 +140,6 @@ class StructureReport:
     max_residual_eq1: float
     max_residual_eq2: float
     passed: bool
-
-
-def _as_expression(e):
-    return expr.parse(e) if isinstance(e, str) else e
 
 
 def _closed(expressions) -> bool:

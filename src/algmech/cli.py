@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .algebroid import BasePoint, DualPoint, FiberPoint, _from_checked
+from .algebroid import BasePoint, DualPoint, FiberPoint
 from .config import bundle_from_config, load_config
 from .dirac import (
     DiracPair,
@@ -149,7 +149,7 @@ def cmd_simulate(args) -> int:
         lines = [",".join(cols)]
         for k, st in enumerate(traj.states):
             rep = residual(sys_, st, xdots[k], pdots[k], tol=np.inf)
-            E = energies(sys_.Lg, _from_checked(FiberPoint, x=st.x, y=st.y), st.p)[1]
+            E = energies(sys_.Lg, FiberPoint._trusted(x=st.x, y=st.y), st.p)[1]
             row = (
                 [traj.times[k]]
                 + list(st.x)
@@ -175,23 +175,18 @@ def cmd_dirac_check(args) -> int:
     A, U = sys_.A, sys_.U
     n = A.n
     rng = np.random.default_rng(args.seed)
-    worst_orth = 0.0
-    rank_ok = True
     points = []
     for _ in range(args.points):
         x = np.array([rng.uniform(lo, hi) for lo, hi in bundle.box])
         p = rng.standard_normal(n)
         points.append(DualPoint(x, p))
-    for pt in points:
-        basis = dirac_generators(A, U, pt)
-        worst_orth = max(worst_orth, check_self_orthogonal(basis))
-        if np.linalg.matrix_rank(basis.matrix(), tol=1e-9) != 2 * n:
-            rank_ok = False
+    bases = [dirac_generators(A, U, pt) for pt in points]
+    worst_orth = max(map(check_self_orthogonal, bases))
+    rank_ok = all(np.linalg.matrix_rank(b.matrix(), tol=1e-9) == 2 * n for b in bases)
     agree = True
     for k in range(args.pairs):
-        pt = points[k % len(points)]
+        pt, basis = points[k % len(points)], bases[k % len(points)]
         if rng.uniform() < 0.5:
-            basis = dirac_generators(A, U, pt)
             coeff = rng.standard_normal(2 * n)
             v = coeff @ basis.matrix()
         else:

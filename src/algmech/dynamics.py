@@ -18,8 +18,8 @@ from .algebroid import (
     FiberPoint,
     LieAlgebroid,
     Subbundle,
+    _Carrier,
     _finite_vector,
-    _from_checked,
     base_names,
     contract,
     fiber_names,
@@ -53,16 +53,11 @@ class ImplicitSystem:
             raise ValueError("Lagrangian and subbundle must share the algebroid")
 
 
-@dataclass(frozen=True, eq=False)
-class State:
-    x: np.ndarray
-    y: np.ndarray
-    p: np.ndarray
-
+class State(_Carrier):
     def __init__(self, x, y, p):
+        d = self.__dict__
         for name, v in (("x", x), ("y", y), ("p", p)):
-            a = _finite_vector(v, name, "state component {} must be finite")
-            object.__setattr__(self, name, a)
+            d[name] = _finite_vector(v, name, "state component {} must be finite")
 
     @classmethod
     def stack(cls, xs, ys, ps) -> tuple:
@@ -75,7 +70,7 @@ class State:
             if not np.isfinite(a).all():
                 raise ValueError(f"state component {name} must be finite")
             stacked.append(a)
-        return tuple(_from_checked(cls, x=x, y=y, p=p) for x, y, p in zip(*stacked))
+        return tuple(cls._trusted(x=x, y=y, p=p) for x, y, p in zip(*stacked))
 
 
 @dataclass(frozen=True)
@@ -100,10 +95,10 @@ def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> Residual
     implicit equations: velocity in U, kinematics, Legendre relation and
     the momentum equation paired against the spanning columns of U."""
     A, Lg, U = sys.A, sys.Lg, sys.U
-    x = _from_checked(BasePoint, x=st.x)
+    x = BasePoint._trusted(x=st.x)
     xdot = np.asarray(xdot, dtype=float).reshape(-1)
     pdot = np.asarray(pdot, dtype=float).reshape(-1)
-    _, Lx, Ly, _, _, _ = Lg.jet(_from_checked(FiberPoint, x=st.x, y=st.y))
+    _, Lx, Ly, _, _, _ = Lg.jet(FiberPoint._trusted(x=st.x, y=st.y))
     rho = A.anchor_at(x)
     C = A.structure_at(x)
     r_U = U.member_distance(x, st.y)
@@ -135,13 +130,8 @@ class _AdaptedField:
         self._names = base_names(m) + fiber_names(A.n)
         self._pad = [0.0] * (A.n - r)
         self._raw = expr.compile_jet2(sys.Lg.L, self._names).raw
-        k = m + A.n
-
-        def tri(j, l):
-            if j > l:
-                j, l = l, j
-            return j * k - j * (j - 1) // 2 + (l - j)
-
+        packed = {jl: i for i, jl in enumerate(expr._pairs(m + A.n))}
+        tri = lambda j, l: packed[min(j, l), max(j, l)]
         self._idx_M = [tri(m + a, m + b) for a in range(r) for b in range(r)]
         self._idx_xy = [[tri(i, m + a) for i in range(m)] for a in range(r)]
         self._data = None

@@ -358,8 +358,8 @@ def _evaluator(e: Expression):
 # ``_emit`` walks the tree once and sends every arithmetic step to a backend:
 # ``_Emitter`` writes the steps as straight-line source, which is compiled;
 # ``_Evaluator`` carries them out at once on the bound values, running each
-# step's source form as a Python function.  Both fold the same structural
-# zeros, so the two give the same floats bit for bit.
+# step's source form as a Python function.  Both fold structural zeros in
+# ``_Tokens``, so the two give the same floats bit for bit.
 
 _ZERO = "0.0"
 
@@ -392,7 +392,43 @@ def _step(form: str):
     return fn
 
 
-class _Emitter:
+class _Tokens:
+    """The zero-folding token algebra over a backend's ``zero``, ``const``
+    and ``step``: no step ever takes the structural zero, which ``zero``
+    and ``const(0.0)`` both return as the one object ``is_zero`` tests for."""
+
+    def is_zero(self, t) -> bool:
+        return t is self.zero
+
+    def add(self, a, b):
+        zero = self.zero
+        if a is zero:
+            return b
+        if b is zero:
+            return a
+        return self.step("{0} + {1}", a, b)
+
+    def sub(self, a, b):
+        zero = self.zero
+        if b is zero:
+            return a
+        if a is zero:
+            return self.neg(b)
+        return self.step("{0} - {1}", a, b)
+
+    def neg(self, a):
+        if a is self.zero:
+            return a
+        return self.step("-{0}", a)
+
+    def mul(self, a, b):
+        zero = self.zero
+        if a is zero or b is zero:
+            return zero
+        return self.step("{0} * {1}", a, b)
+
+
+class _Emitter(_Tokens):
     """Accumulates straight-line assignments; tokens are source, "0.0" is zero."""
 
     zero = _ZERO
@@ -402,14 +438,12 @@ class _Emitter:
         self.n = 0
 
     @staticmethod
-    def is_zero(t) -> bool:
-        return t == _ZERO
-
-    @staticmethod
     def const(x: float) -> str:
         if not math.isfinite(x):
             return f"_float({repr(x)!r})"
-        return repr(x) if math.copysign(1.0, x) > 0 else f"({x!r})"
+        if math.copysign(1.0, x) < 0:
+            return f"({x!r})"
+        return _ZERO if x == 0.0 else repr(x)
 
     @staticmethod
     def var(name: str) -> str:
@@ -421,44 +455,14 @@ class _Emitter:
         self.lines.append(f"    {name} = {form.format(*args)}")
         return name
 
-    # token algebra ---------------------------------------------------
-    def add(self, a: str, b: str) -> str:
-        if a == _ZERO:
-            return b
-        if b == _ZERO:
-            return a
-        return self.step("{0} + {1}", a, b)
 
-    def sub(self, a: str, b: str) -> str:
-        if b == _ZERO:
-            return a
-        if a == _ZERO:
-            return self.neg(b)
-        return self.step("{0} - {1}", a, b)
-
-    def neg(self, a: str) -> str:
-        if a == _ZERO:
-            return _ZERO
-        return self.step("-{0}", a)
-
-    def mul(self, a: str, b: str) -> str:
-        if a == _ZERO or b == _ZERO:
-            return _ZERO
-        return self.step("{0} * {1}", a, b)
-
-
-class _Evaluator:
-    """Carries the steps out on the bound values; ``_Z`` is the structural
-    zero.  The token algebra is the emitter's, written out on floats."""
+class _Evaluator(_Tokens):
+    """Carries the steps out on the bound values; ``_Z`` is the structural zero."""
 
     zero = _Z
 
     def __init__(self, values: dict):
         self.values = values
-
-    @staticmethod
-    def is_zero(t) -> bool:
-        return t is _Z
 
     @staticmethod
     def const(x: float):
@@ -471,32 +475,6 @@ class _Evaluator:
     @staticmethod
     def step(form: str, *args):
         return _step(form)(*args)
-
-    @staticmethod
-    def add(a, b):
-        if a is _Z:
-            return b
-        if b is _Z:
-            return a
-        return a + b
-
-    @staticmethod
-    def sub(a, b):
-        if b is _Z:
-            return a
-        if a is _Z:
-            return -b
-        return a - b
-
-    @staticmethod
-    def neg(a):
-        return _Z if a is _Z else -a
-
-    @staticmethod
-    def mul(a, b):
-        if a is _Z or b is _Z:
-            return _Z
-        return a * b
 
 
 def _live(em, *groups) -> bool:

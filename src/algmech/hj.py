@@ -13,7 +13,7 @@ from operator import mul
 import numpy as np
 
 from . import expr
-from .algebroid import BasePoint, FiberPoint, base_names, contract
+from .algebroid import BasePoint, FiberPoint, _as_expression, base_names, contract
 from .dynamics import ImplicitSystem, State, _rk4_step, _steps, residual
 from .errors import BadParams, FlowBlowUp, HypothesisViolated
 
@@ -36,9 +36,8 @@ class HJSection:
     and a momentum part, each n expressions of the base coordinates."""
 
     def __init__(self, n: int, m: int, gamma, gammabar):
-        conv = lambda e: expr.parse(e) if isinstance(e, str) else e
-        self.gamma = [conv(e) for e in gamma]
-        self.gammabar = [conv(e) for e in gammabar]
+        self.gamma = [_as_expression(e) for e in gamma]
+        self.gammabar = [_as_expression(e) for e in gammabar]
         if len(self.gamma) != n or len(self.gammabar) != n:
             raise ValueError(f"section needs {n} components per part")
         self.n = n

@@ -12,8 +12,6 @@ composition identity  gamma_E = omega_flat ∘ A_E_inverse.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import expr
@@ -21,8 +19,9 @@ from .algebroid import (
     DualPoint,
     FiberPoint,
     LieAlgebroid,
+    _Carrier,
+    _as_expression,
     _finite_vector,
-    _from_checked,
     base_names,
     contract,
     fiber_names,
@@ -50,52 +49,36 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class ProlongVector:
-    base: DualPoint
-    z: np.ndarray
-    u: np.ndarray
-
+class ProlongVector(_Carrier):
     def __init__(self, base, z, u):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "z", _finite_vector(z, "components"))
-        object.__setattr__(self, "u", _finite_vector(u, "components"))
+        d = self.__dict__
+        d["base"] = base
+        d["z"] = _finite_vector(z, "components")
+        d["u"] = _finite_vector(u, "components")
 
 
-@dataclass(frozen=True, eq=False)
-class ProlongCovector:
-    base: DualPoint
-    r: np.ndarray
-    v: np.ndarray
-
+class ProlongCovector(_Carrier):
     def __init__(self, base, r, v):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "r", _finite_vector(r, "components"))
-        object.__setattr__(self, "v", _finite_vector(v, "components"))
+        d = self.__dict__
+        d["base"] = base
+        d["r"] = _finite_vector(r, "components")
+        d["v"] = _finite_vector(v, "components")
 
 
-@dataclass(frozen=True, eq=False)
-class TEEVector:
-    base: FiberPoint
-    s: np.ndarray
-    w: np.ndarray
-
+class TEEVector(_Carrier):
     def __init__(self, base, s, w):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "s", _finite_vector(s, "components"))
-        object.__setattr__(self, "w", _finite_vector(w, "components"))
+        d = self.__dict__
+        d["base"] = base
+        d["s"] = _finite_vector(s, "components")
+        d["w"] = _finite_vector(w, "components")
 
 
-@dataclass(frozen=True, eq=False)
-class TEECovector:
-    base: FiberPoint
-    sbar: np.ndarray
-    wbar: np.ndarray
-
+class TEECovector(_Carrier):
     def __init__(self, base, sbar, wbar):
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "sbar", _finite_vector(sbar, "components"))
-        object.__setattr__(self, "wbar", _finite_vector(wbar, "components"))
+        d = self.__dict__
+        d["base"] = base
+        d["sbar"] = _finite_vector(sbar, "components")
+        d["wbar"] = _finite_vector(wbar, "components")
 
 
 def pair(alpha: ProlongCovector, X: ProlongVector) -> float:
@@ -148,7 +131,7 @@ class Lagrangian:
 
     def __init__(self, algebroid: LieAlgebroid, L):
         self.algebroid = algebroid
-        self.L = expr.parse(L) if isinstance(L, str) else L
+        self.L = _as_expression(L)
         m, n = algebroid.m, algebroid.n
         self._names = base_names(m) + fiber_names(n)
         self._jet = expr.compile_jet2(self.L, self._names)
@@ -172,13 +155,13 @@ def legendre(Lg: Lagrangian, e: FiberPoint) -> DualPoint:
 def A_E_map(A: LieAlgebroid, X: ProlongVector) -> TEECovector:
     """(x, p; z, u) -> (x, z; u + (C·p) z, p)."""
     Cp = contract(A.structure_at(X.base.base), X.base.p)
-    e = _from_checked(FiberPoint, x=X.base.x, y=X.z)
+    e = FiberPoint._trusted(x=X.base.x, y=X.z)
     return TEECovector(e, X.u + Cp @ X.z, X.base.p)
 
 
 def A_E_inverse(A: LieAlgebroid, omega: TEECovector) -> ProlongVector:
     """Exact inverse of :func:`A_E_map`."""
-    base = _from_checked(DualPoint, x=omega.base.x, p=omega.wbar)
+    base = DualPoint._trusted(x=omega.base.x, p=omega.wbar)
     Cp = contract(A.structure_at(base.base), base.p)
     z = omega.base.y
     return ProlongVector(base, z, omega.sbar - Cp @ z)
@@ -186,7 +169,7 @@ def A_E_inverse(A: LieAlgebroid, omega: TEECovector) -> ProlongVector:
 
 def gamma_E_map(A: LieAlgebroid, omega: TEECovector) -> ProlongCovector:
     """(x, y; s, w) -> (x, w; -s, y); equals omega_flat ∘ A_E_inverse."""
-    base = _from_checked(DualPoint, x=omega.base.x, p=omega.wbar)
+    base = DualPoint._trusted(x=omega.base.x, p=omega.wbar)
     return ProlongCovector(base, -omega.sbar, omega.base.y)
 
 

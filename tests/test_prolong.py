@@ -305,3 +305,33 @@ def test_computed_components_are_checked_after_overflow():
     X = ProlongVector(DualPoint([], [1e200] * 3), [1e200] * 3, [0.0] * 3)
     with np.errstate(over="ignore"), pytest.raises(ValueError, match="must be finite"):
         omega_flat(A, X)
+
+
+FIELDS = {
+    "BasePoint": ("x",),
+    "FiberPoint": ("x", "y"),
+    "DualPoint": ("x", "p"),
+    "ProlongVector": ("base", "z", "u"),
+    "ProlongCovector": ("base", "r", "v"),
+    "TEEVector": ("base", "s", "w"),
+    "TEECovector": ("base", "sbar", "wbar"),
+    "State": ("x", "y", "p"),
+}
+
+
+@pytest.mark.parametrize("carrier", sorted(CARRIERS))
+def test_carriers_are_immutable_and_name_their_arrays(carrier):
+    obj = CARRIERS[carrier][0](OK2)
+    name = type(obj).__name__
+    fields = FIELDS[name]
+    before = {f: getattr(obj, f) for f in fields}
+    for f in (*fields, "extra"):
+        with pytest.raises(AttributeError):
+            setattr(obj, f, np.zeros(2))
+        with pytest.raises(AttributeError):
+            delattr(obj, f)
+    assert all(getattr(obj, f) is v for f, v in before.items())
+    assert not hasattr(obj, "extra")
+    body = ", ".join(f"{f}={getattr(obj, f)!r}" for f in fields)
+    assert repr(obj) == f"{name}({body})"
+
