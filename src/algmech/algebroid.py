@@ -182,7 +182,9 @@ class LieAlgebroid:
             self._anchor_jet = self._jets(self._rho_entries, (self.m, self.n), {})
         if _closed(self.structure.values()):
             self._structure_jet = self._structure_jet_from({})
-        self.constant = self._anchor_jet is not None and self._structure_jet is not None
+        self.constant_anchor = self._anchor_jet is not None
+        self.constant_structure = self._structure_jet is not None
+        self.constant = self.constant_anchor and self.constant_structure
 
     def _jets(self, entries: dict, shape: tuple, binding):
         """Values at ``binding`` of ``entries`` (index -> expression) in an

@@ -182,13 +182,14 @@ def cmd_dirac_check(args) -> int:
         points.append(DualPoint(x, p))
     bases = [dirac_generators(A, U, pt) for pt in points]
     worst_orth = max(map(check_self_orthogonal, bases))
-    rank_ok = all(np.linalg.matrix_rank(b.matrix(), tol=1e-9) == 2 * n for b in bases)
+    mats = [b.matrix() for b in bases]
+    rank_ok = all(np.linalg.matrix_rank(M, tol=1e-9) == 2 * n for M in mats)
     agree = True
     for k in range(args.pairs):
-        pt, basis = points[k % len(points)], bases[k % len(points)]
+        pt, M = points[k % len(points)], mats[k % len(points)]
         if rng.uniform() < 0.5:
             coeff = rng.standard_normal(2 * n)
-            v = coeff @ basis.matrix()
+            v = coeff @ M
         else:
             v = rng.standard_normal(4 * n)
         cand = DiracPair(

@@ -69,10 +69,10 @@ def lift_subbundle(A: LieAlgebroid, U: Subbundle, pt: DualPoint):
     """Basis of the lift of U to the prolongation: the span columns in
     the z-slot plus every momentum coordinate direction in the u-slot."""
     n = A.n
-    S = U.span_at(pt.base)
-    zero = np.zeros(n)
-    out = [ProlongVector(pt, S[:, a], zero) for a in range(U.r)]
-    out += [ProlongVector(pt, zero, np.eye(n)[a]) for a in range(n)]
+    S = U.span_at(pt.base)  # finite: span entries are evaluated with a check
+    zero, eye = np.zeros(n), np.eye(n)
+    out = [ProlongVector._trusted(base=pt, z=S[:, a], u=zero) for a in range(U.r)]
+    out += [ProlongVector._trusted(base=pt, z=zero, u=eye[a]) for a in range(n)]
     return out
 
 
@@ -120,33 +120,33 @@ def dirac_generators(
 ) -> DiracBasis:
     """2n generating pairs of the structure at ``pt``: one pair per
     orthonormal U direction, one per momentum direction, and one pure
-    annihilator covector per complementary direction."""
+    annihilator covector per complementary direction.
+
+    Only -(C·p) q is checked finite: it is the one row built from the
+    point's momenta; the others are zeros, unit rows or frame columns."""
     n = A.n
     frame = U.completion(pt.base, tol)
     Q, Qc = frame[:, : U.r], frame[:, U.r :]
     Cp = contract(A.structure_at(pt.base), pt.p)
     eye = np.eye(n)
     zero = np.zeros(n)
+    vector, covector = ProlongVector._trusted, ProlongCovector._trusted
     gens = []
     for a in range(U.r):
         q = Q[:, a]
         gens.append(
-            DiracPair(
-                ProlongVector(pt, q, zero), ProlongCovector(pt, -(Cp @ q), q)
-            )
+            DiracPair(vector(base=pt, z=q, u=zero), ProlongCovector(pt, -(Cp @ q), q))
         )
     for b in range(n):
         gens.append(
             DiracPair(
-                ProlongVector(pt, zero, eye[b]),
-                ProlongCovector(pt, -eye[b], zero),
+                vector(base=pt, z=zero, u=eye[b]), covector(base=pt, r=-eye[b], v=zero)
             )
         )
     for c in range(n - U.r):
         gens.append(
             DiracPair(
-                ProlongVector(pt, zero, zero),
-                ProlongCovector(pt, Qc[:, c], zero),
+                vector(base=pt, z=zero, u=zero), covector(base=pt, r=Qc[:, c], v=zero)
             )
         )
     return DiracBasis(pt, tuple(gens))

@@ -7,6 +7,7 @@ exact Jacobian and a halving line search), and energy monitoring.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
@@ -112,6 +113,31 @@ def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> Residual
     return ResidualReport(r_U, r_kin, r_leg, r_mom, passed)
 
 
+def _anchor_rows(rho: np.ndarray, r: int):
+    """The anchor restricted to U as float rows and as float columns."""
+    rho_a = rho[:, :r]
+    return rho_a.tolist(), rho_a.T.tolist()
+
+
+def _bracket_terms(C: np.ndarray, r: int) -> list:
+    """The nonzero bracket constants C^gamma_alpha,beta with alpha, beta < r
+    as (alpha, beta, gamma, C)."""
+    C_abg = C[:, :r, :r].transpose(1, 2, 0)
+    return [
+        (a, b, g, c)
+        for (a, b, g), c in zip(np.ndindex(C_abg.shape), C_abg.ravel().tolist())
+        if c != 0.0
+    ]
+
+
+def _sup_norm(v: list) -> float:
+    """max |v_i| of a float list as numpy gives it: 0 when empty, nan when
+    any entry is nan."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v), default=0.0)
+
+
 class _AdaptedField:
     """Right-hand side of the adapted reduction on Python floats at
     q = (x, ya), the base point followed by the U-components of the
@@ -136,24 +162,13 @@ class _AdaptedField:
         self._idx_xy = [[tri(i, m + a) for i in range(m)] for a in range(r)]
         self._data = None
         if A.constant:
-            origin = BasePoint(np.zeros(m))
-            self._data = self._unpack(A.anchor_at(origin), A.structure_at(origin))
+            self._data = self._unpack(BasePoint(np.zeros(m)))
         self._inv_key = None
         self._inv = None
 
-    def _unpack(self, rho, C):
-        """Anchor restricted to U as rows and as columns, and the nonzero
-        bracket constants C^gamma_alpha,beta with alpha, beta < r as
-        (alpha, m + beta, gamma, C), the second entry indexing q."""
-        m, r = self.m, self.r
-        rho_a = rho[:, :r]
-        C_abg = C[:, :r, :r].transpose(1, 2, 0)
-        terms = [
-            (a, m + b, g, c)
-            for (a, b, g), c in zip(np.ndindex(C_abg.shape), C_abg.ravel().tolist())
-            if c != 0.0
-        ]
-        return rho_a.tolist(), rho_a.T.tolist(), terms
+    def _unpack(self, bp: BasePoint):
+        A, r = self.sys.A, self.r
+        return (*_anchor_rows(A.anchor_at(bp), r), _bracket_terms(A.structure_at(bp), r))
 
     def _solve(self, key: tuple, rhs: list) -> list:
         if key != self._inv_key:
@@ -176,18 +191,14 @@ class _AdaptedField:
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvaluationFault(str(exc)) from exc
         Lx, Ly = g[:m], g[m:]
-        data = self._data
-        if data is None:
-            bp = BasePoint(q[:m])
-            data = self._unpack(self.sys.A.anchor_at(bp), self.sys.A.structure_at(bp))
-        rho_a, rho_aT, terms = data
+        rho_a, rho_aT, terms = self._data or self._unpack(BasePoint(q[:m]))
         ya = q[m:]
         xdot = [sum(map(mul, row, ya)) for row in rho_a]
         # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less
         # the mixed Hessian term that d/dt of dL/dy carries over
         rhs = [0.0] * self.r
-        for a, qb, gm, c in terms:
-            rhs[a] -= Ly[gm] * c * q[qb]
+        for a, b, gm, c in terms:
+            rhs[a] -= Ly[gm] * c * ya[b]
         if m:
             hx = h.__getitem__
             rhs = [
@@ -257,42 +268,92 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
 def _midpoint_step(sys: ImplicitSystem, h: float):
     """One implicit-midpoint step of size h as ``(prev, u) -> (F, jacobian)``:
     the residual F = (kin, mom, leg) at the end state u = (x1, ya1, p1) from
-    prev = (x0, ya0, p0), and the exact dF/du built from the same jets."""
+    prev = (x0, ya0, p0), and the exact dF/du built from the same jets.
+
+    F runs on Python floats.  The anchor and the structure are each
+    unpacked once here when constant and at every midpoint otherwise.  The
+    Jacobian is its live entries, assembled on floats, added to a template
+    J0 of the constant blocks."""
     A, Lg = sys.A, sys.Lg
     m, n, r = A.m, A.n, sys.U.r
-    eye_h, pad = np.eye(max(m, r)) / h, np.zeros(n - r)
+    pad, pad_n = [0.0] * (n - r), [0.0] * n
+    origin = BasePoint(np.zeros(m))
+    # rows kin | mom | leg, columns x1 | ya1 | p1
+    J0 = np.zeros((m + r + n, m + r + n))
+    J0[:m, :m] = np.eye(m) / h
+    J0[m : m + r, m + r : m + 2 * r] = np.eye(r) / h
+    J0[m + r :, m + r :] = np.eye(n)
+    if A.constant_anchor:
+        rho = A.anchor_at(origin)
+        fixed_rho = _anchor_rows(rho, r)
+        J0[:m, m : m + r] = -0.5 * rho[:, :r]
+    if A.constant_structure:
+        fixed_terms = _bracket_terms(A.structure_at(origin), r)
 
     def step(prev, u):
-        x0, ya0, p0 = prev
-        x1, ya1, p1 = u[:m], u[m : m + r], u[m + r :]
-        xm, pm = 0.5 * (x0 + x1), 0.5 * (p0 + p1)
-        ym = np.concatenate([0.5 * (ya0 + ya1), pad])
-        bm = BasePoint(xm)
-        rho, drho = A.anchor_jet_at(bm)
-        C, dC = A.structure_jet_at(bm)
-        _, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint(xm, ym))
-        _, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint(x1, np.concatenate([ya1, pad])))
-        rho_a = rho[:, :r]
-        Cp = contract(C, pm)[:r]
-        kin = (x1 - x0) / h - rho @ ym
-        mom = (p1[:r] - p0[:r]) / h + Cp @ ym - rho_a.T @ Lx
-        F = np.concatenate([kin, mom, p1 - Ly1])
+        x0, ya0, p0 = (a.tolist() for a in prev)
+        ul = u.tolist()
+        x1, ya1, p1 = ul[:m], ul[m : m + r], ul[m + r :]
+        xm = [0.5 * (a + b) for a, b in zip(x0, x1)]
+        ym = [0.5 * (a + b) for a, b in zip(ya0, ya1)]
+        pm = [0.5 * (a + b) for a, b in zip(p0, p1)]
+        if not all(map(math.isfinite, [*xm, *ym, *x1, *ya1])):
+            for name, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", ya1 + pad)):
+                _finite_vector(v, name)
+        xm_n, ym_n = np.array(xm), np.array(ym + pad)
+        if A.constant_anchor:
+            rho_rows, rho_cols = fixed_rho
+        else:
+            rho, drho = A.anchor_jet_at(BasePoint._trusted(x=xm_n))
+            rho_rows, rho_cols = _anchor_rows(rho, r)
+        if A.constant_structure:
+            terms = fixed_terms
+        else:
+            C, dC = A.structure_jet_at(BasePoint._trusted(x=xm_n))
+            terms = _bracket_terms(C, r)
+        _, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint._trusted(x=xm_n, y=ym_n))
+        _, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint._trusted(x=u[:m], y=np.array(ya1 + pad)))
+        Cp = [[0.0] * r for _ in range(r)]  # (C·p)_ab at the midpoint, a, b < r
+        for a, b, g, c in terms:
+            Cp[a][b] += pm[g] * c
+        Lxl = Lx.tolist()
+        kin = [(b - a) / h - sum(map(mul, row, ym)) for a, b, row in zip(x0, x1, rho_rows)]
+        mom = [
+            (b - a) / h + sum(map(mul, cp, ym)) - sum(map(mul, col, Lxl))
+            for a, b, cp, col in zip(p0, p1, Cp, rho_cols)
+        ]
+        F = np.array(kin + mom + [a - b for a, b in zip(p1, Ly1.tolist())])
 
         def jacobian():
-            # rows kin | mom | leg, columns x1 | ya1 | p1
-            J = np.zeros((len(u), len(u)))
-            kin, mom, leg = J[:m], J[m : m + r], J[m + r :]
-            kin[:, :m] = eye_h[:m, :m] - 0.5 * (ym @ drho)
-            kin[:, m : m + r] = -0.5 * rho_a
-            dCp = ym @ contract(dC, pm)
-            dLx = (Lx @ drho.reshape(m, n * m)).reshape(n, m)
-            mom[:, :m] = 0.5 * (dCp[:r] - dLx[:r] - rho_a.T @ Lxx)
-            mom[:, m : m + r] = 0.5 * (Cp[:, :r] - rho_a.T @ Lxy[:, :r])
-            mom[:, m + r :] = 0.5 * (C[:, :r] @ ym).T
-            mom[:, m + r : m + 2 * r] += eye_h[:r, :r]
-            leg[:, :m] = -Lxy1.T
-            leg[:, m : m + r] = -Lyy1[:, :r]
-            leg[:, m + r :] = np.eye(n)
+            # the live entries on floats, rows kin | mom | leg over columns
+            # x1 | ya1 | p1, added to the constant blocks of J0
+            kin = [[0.0] * (m + r + n)] * m
+            dx = np.zeros((r, m))  # d(C·p y - rho^T dL/dx)/dx1 through C and rho
+            if not A.constant_anchor:
+                kin = [
+                    [-0.5 * v for v in (*dr, *row)] + pad_n
+                    for dr, row in zip((ym_n @ drho).tolist(), rho_rows)
+                ]
+                dx -= (Lx @ drho.reshape(m, n * m)).reshape(n, m)[:r]
+            if not A.constant_structure:
+                dx += (ym_n @ contract(dC, np.array(pm)))[:r]
+            mom = [[*dr, *cp] for dr, cp in zip(dx.tolist(), Cp)]  # x1 | ya1 columns
+            if m:  # less rho^T times the columns of d2L/dx d(x, ya)
+                Hcols = Lxx.tolist() + Lxy[:, :r].T.tolist()
+                mom = [
+                    [d - sum(map(mul, col, hc)) for d, hc in zip(row, Hcols)]
+                    for row, col in zip(mom, rho_cols)
+                ]
+            Cy = [[0.0] * n for _ in range(r)]  # p1 columns: C^g_ab y^b at the midpoint
+            for a, b, g, c in terms:
+                Cy[a][g] += c * ym[b]
+            mom = [[0.5 * v for v in (*row, *cy)] for row, cy in zip(mom, Cy)]
+            leg = [
+                [-v for v in (*xc, *yr[:r])] + pad_n
+                for xc, yr in zip(Lxy1.T.tolist(), Lyy1.tolist())
+            ]
+            J = np.array(kin + mom + leg)
+            J += J0
             return J
 
         return F, jacobian
@@ -312,9 +373,10 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
         guess = us[-1]
         prev = (guess[:m], guess[m : m + r], guess[m + r :])
         F, jac = step(prev, guess)
-        nF = float(np.abs(F).max()) if F.size else 0.0
+        nF = _sup_norm(F.tolist())
         for _ in range(NEWTON_MAX_ITERS):
-            if nF <= 1e-11 * (1.0 + float(np.linalg.norm(guess))):
+            g = guess.tolist()  # |guess| as numpy's norm: inf once a square overflows
+            if nF <= 1e-11 * (1.0 + math.sqrt(sum(map(mul, g, g)))):
                 break
             try:
                 delta = np.linalg.solve(jac(), -F)
@@ -324,9 +386,9 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
             while t >= 1.0 / 1024.0:
                 trial = guess + t * delta
                 Ft, jac_t = step(prev, trial)
-                if float(np.abs(Ft).max()) < nF:
-                    guess, F, jac = trial, Ft, jac_t
-                    nF = float(np.abs(F).max())
+                nFt = _sup_norm(Ft.tolist())
+                if nFt < nF:
+                    guess, F, jac, nF = trial, Ft, jac_t, nFt
                     break
                 t *= 0.5
             else:

@@ -680,7 +680,9 @@ def _interpret_jet2(e: Expression, wrt):
 
 
 def _wrap_jet2(raw, k: int):
-    pairs = _pairs(k)
+    full = np.empty((k, k), dtype=np.intp)  # packed index of every Hessian entry
+    for i, (j, l) in enumerate(_pairs(k)):
+        full[j, l] = full[l, j] = i
 
     def checked(binding):
         try:
@@ -695,12 +697,7 @@ def _wrap_jet2(raw, k: int):
 
     def jet(binding):
         v, g, h = checked(binding)
-        grad = np.array(g, dtype=float)
-        hess = np.empty((k, k), dtype=float)
-        for (j, l), t in zip(pairs, h):
-            hess[j, l] = t
-            hess[l, j] = t
-        return v, grad, hess
+        return v, np.array(g, dtype=float), np.array(h, dtype=float)[full]
 
     # raw: tuples (grad, packed upper-triangle Hessian), errors unmapped;
     # checked: the same tuples with the errors and the finiteness check of jet

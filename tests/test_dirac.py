@@ -139,6 +139,21 @@ def test_generators_span_and_self_orthogonality():
                 assert dirac_member_symplectic(A, U, g, 1e-10).member
 
 
+def test_generator_row_built_from_momenta_is_checked_finite():
+    # rigid-body algebroid, skew rank-1 span q = (1, 1, 0)/sqrt(2): with
+    # |p| near 1e308 the covector row -(C·p) q overflows and is refused
+    A = get_model("rigid-body").system.A
+    U = Subbundle(A, 1, [["1"], ["1"], ["0"]])
+    pt = DualPoint([], [1.7e308, -1.7e308, 1.7e308])
+    with np.errstate(over="ignore"), pytest.raises(
+        ValueError, match="^components must be finite, got "
+    ):
+        dirac_generators(A, U, pt)
+    # the same point with moderate momenta builds every generator
+    basis = dirac_generators(A, U, DualPoint([], [1.7, -1.7, 1.7]))
+    assert len(basis.generators) == 6 and check_self_orthogonal(basis) <= 1e-12
+
+
 def test_self_orthogonality_detector():
     A = so3()
     U = Subbundle.adapted_rank(A, 2)

@@ -3,8 +3,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from algmech import dynamics
-from algmech.algebroid import LieAlgebroid, Subbundle
+from algmech import dynamics, expr
+from algmech.algebroid import BasePoint, FiberPoint, LieAlgebroid, Subbundle, contract
 from algmech.dynamics import (
     ImplicitSystem,
     State,
@@ -225,7 +225,7 @@ def _x_dependent_bracket():
     return ImplicitSystem(A, Lg, Subbundle.full(A))
 
 
-@pytest.mark.parametrize(
+MIDPOINT_SYSTEMS = pytest.mark.parametrize(
     "system",
     [
         lambda: get_model("pendulum").system,
@@ -241,6 +241,9 @@ def _x_dependent_bracket():
     ids=["pendulum", "harmonic-oscillator", "rigid-body", "affine-rank2",
          "suslov-coupled", "degenerate-demo", "x-dependent-bracket"],
 )
+
+
+@MIDPOINT_SYSTEMS
 def test_midpoint_jacobian_matches_central_differences(system):
     sys = system()
     m, n, r = sys.A.m, sys.A.n, sys.U.r
@@ -281,3 +284,106 @@ def test_rigid_body_newton_takes_at_most_three_iterations(monkeypatch):
     iterations = Counter(map(id, seen))
     assert len(traj.states) == 101 and len(iterations) == 100
     assert max(iterations.values()) <= 3
+
+
+def _numpy_midpoint_residual(sys, h, prev, u):
+    # the midpoint residual written out with numpy arrays, contract and @
+    A, Lg = sys.A, sys.Lg
+    m, n, r = A.m, A.n, sys.U.r
+    x0, ya0, p0 = prev
+    x1, ya1, p1 = u[:m], u[m : m + r], u[m + r :]
+    pad = np.zeros(n - r)
+    xm, pm = 0.5 * (x0 + x1), 0.5 * (p0 + p1)
+    ym = np.concatenate([0.5 * (ya0 + ya1), pad])
+    rho = A.anchor_at(BasePoint(xm))
+    C = A.structure_at(BasePoint(xm))
+    Lx = Lg.jet(FiberPoint(xm, ym))[1]
+    Ly1 = Lg.jet(FiberPoint(x1, np.concatenate([ya1, pad])))[2]
+    kin = (x1 - x0) / h - rho @ ym
+    mom = (p1[:r] - p0[:r]) / h + (contract(C, pm) @ ym)[:r] - (rho.T @ Lx)[:r]
+    return np.concatenate([kin, mom, p1 - Ly1])
+
+
+@MIDPOINT_SYSTEMS
+def test_midpoint_float_residual_matches_numpy(system):
+    sys = system()
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step = dynamics._midpoint_step(sys, 0.05)
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        prev = (rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n))
+        u = np.concatenate(prev) + 0.2 * rng.standard_normal(m + r + n)
+        F, ref = step(prev, u)[0], _numpy_midpoint_residual(sys, 0.05, prev, u)
+        assert F.shape == ref.shape
+        assert np.abs(F - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
+
+
+def _count_jets(monkeypatch):
+    """Counts of Lagrangian.jet calls and of midpoint residuals."""
+    counts = Counter()
+    jet = Lagrangian.jet
+    exact = dynamics._midpoint_step
+
+    def counted_jet(self, e):
+        counts["jet"] += 1
+        return jet(self, e)
+
+    def counting(sys, h):
+        step = exact(sys, h)
+
+        def counted(prev, u):
+            counts["residual"] += 1
+            return step(prev, u)
+
+        return counted
+
+    monkeypatch.setattr(Lagrangian, "jet", counted_jet)
+    monkeypatch.setattr(dynamics, "_midpoint_step", counting)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, init", [("pendulum", ([0.4], [0.6])), ("rigid-body", (NO_BASE, [0.7, -0.4, 0.5]))]
+)
+def test_midpoint_calls_lagrangian_jet_twice_per_residual(monkeypatch, name, init):
+    counts = _count_jets(monkeypatch)
+    traj = integrate(get_model(name).system, init, 1e-2, 0.3, method="implicit_midpoint")
+    steps = len(traj.states) - 1
+    # one jet for the initial Legendre image, then two per residual
+    assert counts["jet"] == 1 + 2 * counts["residual"]
+    assert counts["jet"] / steps > 2
+
+
+def test_midpoint_evaluates_an_x_dependent_anchor_on_every_residual(monkeypatch):
+    counts = _count_jets(monkeypatch)
+    anchor_jet_at, eval_jet2 = LieAlgebroid.anchor_jet_at, expr.eval_jet2
+
+    def counted_eval(*args):
+        counts["eval"] += 1
+        return eval_jet2(*args)
+
+    def counted_anchor(self, x):
+        before = counts["eval"]
+        out = anchor_jet_at(self, x)
+        counts["anchor_miss"] += counts["eval"] > before
+        return out
+
+    monkeypatch.setattr(LieAlgebroid, "anchor_jet_at", counted_anchor)
+    monkeypatch.setattr(expr, "eval_jet2", counted_eval)
+    integrate(get_model("affine-rank2").system, ([0.1], [0.5, -0.4]), 1e-2, 0.3,
+              method="implicit_midpoint")
+    assert counts["residual"] > 30
+    assert counts["anchor_miss"] == counts["residual"]
+
+
+@pytest.mark.parametrize(
+    "name, init, message",
+    [
+        ("rigid-body", (NO_BASE, (1e200,) * 3), "non-finite derivative result"),
+        ("pendulum", ([0.1], [1e200]), None),
+        ("affine-rank2", ([0.1], [1e155, 1e155]), None),
+    ],
+)
+def test_midpoint_overflow_is_an_evaluation_fault(name, init, message):
+    with pytest.raises(EvaluationFault, match=message):
+        integrate(get_model(name).system, init, 1e-2, 0.1, method="implicit_midpoint")
