@@ -11,6 +11,7 @@ infinite coordinate when it is constructed.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -36,6 +37,7 @@ __all__ = [
 ]
 
 
+@functools.cache
 def base_names(m: int):
     return tuple(f"x{i + 1}" for i in range(m))
 
@@ -44,6 +46,7 @@ def fiber_names(n: int):
     return tuple(f"y{a + 1}" for a in range(n))
 
 
+@functools.cache
 def momentum_names(n: int):
     return tuple(f"p{a + 1}" for a in range(n))
 
@@ -89,7 +92,7 @@ class BasePoint(_Carrier):
         self.__dict__["x"] = _finite_vector(x, "x")
 
     def binding(self) -> dict:
-        return {f"x{i + 1}": v for i, v in enumerate(self.x)}
+        return dict(zip(base_names(len(self.x)), self.x))
 
 
 class FiberPoint(_Carrier):
@@ -114,8 +117,8 @@ class DualPoint(_Carrier):
         return BasePoint._trusted(x=self.x)
 
     def binding(self) -> dict:
-        b = {f"x{i + 1}": v for i, v in enumerate(self.x)}
-        b.update({f"p{a + 1}": v for a, v in enumerate(self.p)})
+        b = dict(zip(base_names(len(self.x)), self.x))
+        b.update(zip(momentum_names(len(self.p)), self.p))
         return b
 
 
@@ -146,6 +149,18 @@ def _closed(expressions) -> bool:
     return not any(expr.free_variables(e) for e in expressions)
 
 
+def _antisymmetrized(structure: dict, n: int) -> expr.Array:
+    """The full structure array C[gamma, alpha, beta] in row order: the
+    stored entry where alpha < beta, 0.0 minus it where alpha > beta (so
+    the value keeps the sign of zero of 0.0 - v), and 0.0 elsewhere."""
+    zero = expr.Num(0.0)
+    full = []
+    for g, a, b in np.ndindex(n, n, n):
+        e = structure.get((g, min(a, b), max(a, b)), zero)
+        full.append(expr.BinOp("-", zero, e) if a > b and e is not zero else e)
+    return expr.Array(full)
+
+
 def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
     """(C·p)[a, b] = C^g_ab p_g, the structure array contracted with a
     covector on its upper index; trailing axes, as in dC, are kept."""
@@ -155,11 +170,12 @@ def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
 class LieAlgebroid:
     """Local-coordinate Lie algebroid: base dimension ``m``, rank ``n``,
     anchor matrix ``rho[i][alpha]`` and structure functions stored only for
-    ``alpha < beta`` (the full array is antisymmetrized on read, so the
-    antisymmetry of the bracket cannot be violated by construction).
+    ``alpha < beta`` (the full array is built from them by antisymmetry,
+    so the antisymmetry of the bracket cannot be violated by construction).
 
-    The anchor jet (rho, drho) and the structure jet (C, dC) are each
-    evaluated once here if no entry depends on x, else on every call.
+    The anchor jet (rho, drho) and the structure jet (C, dC) are each one
+    array jet call: made once here if no entry depends on x, else on every
+    call.
     """
 
     def __init__(self, m: int, n: int, anchor, structure):
@@ -174,34 +190,23 @@ class LieAlgebroid:
                 raise ValueError(f"bad structure index {(g, a, b)} (need alpha < beta)")
             self.structure[(g, a, b)] = _as_expression(e)
         self._x = base_names(self.m)
-        self._rho_entries = {
-            (i, a): e for i, row in enumerate(self.anchor) for a, e in enumerate(row)
-        }
+        self._rho_array = expr.Array(e for row in self.anchor for e in row)
+        self._structure_array = _antisymmetrized(self.structure, self.n)
         self._anchor_jet = self._structure_jet = None
-        if _closed(self._rho_entries.values()):
-            self._anchor_jet = self._jets(self._rho_entries, (self.m, self.n), {})
-        if _closed(self.structure.values()):
-            self._structure_jet = self._structure_jet_from({})
+        if _closed(self._rho_array):
+            self._anchor_jet = self._jets(self._rho_array, (self.m, self.n), {})
+        if _closed(self._structure_array):
+            self._structure_jet = self._jets(self._structure_array, (self.n,) * 3, {})
         self.constant_anchor = self._anchor_jet is not None
         self.constant_structure = self._structure_jet is not None
         self.constant = self.constant_anchor and self.constant_structure
 
-    def _jets(self, entries: dict, shape: tuple, binding):
-        """Values at ``binding`` of ``entries`` (index -> expression) in an
-        array of ``shape``, and their x-gradients in one of ``shape + (m,)``."""
-        val = np.zeros(shape)
-        grad = np.zeros(shape + (self.m,))
-        for idx, e in entries.items():
-            v, g, _ = expr.eval_jet2(e, binding, self._x)
-            val[idx] = v
-            grad[idx] = g
-        return val, grad
-
-    def _structure_jet_from(self, binding):
-        n = self.n
-        C, dC = self._jets(self.structure, (n, n, n), binding)
-        # only alpha < beta is filled, so each difference is v - 0 or 0 - v
-        return C - C.transpose(0, 2, 1), dC - dC.transpose(0, 2, 1, 3)
+    def _jets(self, array, shape: tuple, binding):
+        """Values at ``binding`` of ``array`` (expressions in row order) in
+        an array of ``shape``, and their x-gradients in one of
+        ``shape + (m,)``, from one jet call."""
+        val, grad, _ = expr.eval_jet2(array, binding, self._x)
+        return val.reshape(shape), grad.reshape(shape + (self.m,))
 
     # -- pointwise evaluation ------------------------------------------
 
@@ -213,7 +218,7 @@ class LieAlgebroid:
         """(rho, drho) with drho[i, alpha, j] = d rho^i_alpha / d x^j."""
         if self._anchor_jet is not None:
             return self._anchor_jet
-        return self._jets(self._rho_entries, (self.m, self.n), x.binding())
+        return self._jets(self._rho_array, (self.m, self.n), x.binding())
 
     def structure_at(self, x: BasePoint) -> np.ndarray:
         """Structure array C[gamma, alpha, beta], antisymmetric in (alpha, beta)."""
@@ -223,7 +228,7 @@ class LieAlgebroid:
         """(C, dC) with dC[gamma, alpha, beta, i] = d C^gamma_ab / d x^i."""
         if self._structure_jet is not None:
             return self._structure_jet
-        return self._structure_jet_from(x.binding())
+        return self._jets(self._structure_array, (self.n,) * 3, x.binding())
 
     # -- structure equations -------------------------------------------
 
@@ -269,7 +274,7 @@ class LieAlgebroid:
         theta = [_as_expression(t) for t in theta]
         if len(theta) != self.n:
             raise ValueError(f"theta must have {self.n} components")
-        vals, grads = self._jets(dict(enumerate(theta)), (self.n,), x.binding())
+        vals, grads = self._jets(tuple(theta), (self.n,), x.binding())
         rho = self.anchor_at(x)
         C = self.structure_at(x)
         a_mat = grads @ rho  # a[gamma, beta] = d theta_g / dx^i rho^i_b

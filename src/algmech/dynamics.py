@@ -142,9 +142,9 @@ class _AdaptedField:
     """Right-hand side of the adapted reduction on Python floats at
     q = (x, ya), the base point followed by the U-components of the
     velocity.  Keeps the raw compiled jet of L, index maps into its packed
-    Hessian, the unpacked data of a constant algebroid, and a cached
-    inverse of the restricted velocity Hessian, so a single evaluation
-    stays cheap inside the integrator loop."""
+    Hessian, the anchor and the structure each unpacked once when constant,
+    and a cached inverse of the restricted velocity Hessian, so a single
+    evaluation stays cheap inside the integrator loop."""
 
     def __init__(self, sys: ImplicitSystem):
         if not sys.U.adapted:
@@ -160,15 +160,11 @@ class _AdaptedField:
         tri = lambda j, l: packed[min(j, l), max(j, l)]
         self._idx_M = [tri(m + a, m + b) for a in range(r) for b in range(r)]
         self._idx_xy = [[tri(i, m + a) for i in range(m)] for a in range(r)]
-        self._data = None
-        if A.constant:
-            self._data = self._unpack(BasePoint(np.zeros(m)))
+        origin = BasePoint(np.zeros(m))
+        self._rho = _anchor_rows(A.anchor_at(origin), r) if A.constant_anchor else None
+        self._terms = _bracket_terms(A.structure_at(origin), r) if A.constant_structure else None
         self._inv_key = None
         self._inv = None
-
-    def _unpack(self, bp: BasePoint):
-        A, r = self.sys.A, self.r
-        return (*_anchor_rows(A.anchor_at(bp), r), _bracket_terms(A.structure_at(bp), r))
 
     def _solve(self, key: tuple, rhs: list) -> list:
         if key != self._inv_key:
@@ -191,12 +187,21 @@ class _AdaptedField:
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvaluationFault(str(exc)) from exc
         Lx, Ly = g[:m], g[m:]
-        rho_a, rho_aT, terms = self._data or self._unpack(BasePoint(q[:m]))
+        A, r = self.sys.A, self.r
+        if not A.constant:
+            xs = q[:m]
+            if not all(map(math.isfinite, xs)):
+                _finite_vector(xs, "x")
+            bp = BasePoint._trusted(x=np.array(xs))
+        rho_a, rho_aT = self._rho or _anchor_rows(A.anchor_at(bp), r)
+        terms = self._terms
+        if terms is None:
+            terms = _bracket_terms(A.structure_at(bp), r)
         ya = q[m:]
         xdot = [sum(map(mul, row, ya)) for row in rho_a]
         # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less
         # the mixed Hessian term that d/dt of dL/dy carries over
-        rhs = [0.0] * self.r
+        rhs = [0.0] * r
         for a, b, gm, c in terms:
             rhs[a] -= Ly[gm] * c * ya[b]
         if m:
@@ -375,8 +380,11 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
         F, jac = step(prev, guess)
         nF = _sup_norm(F.tolist())
         for _ in range(NEWTON_MAX_ITERS):
-            g = guess.tolist()  # |guess| as numpy's norm: inf once a square overflows
-            if nF <= 1e-11 * (1.0 + math.sqrt(sum(map(mul, g, g)))):
+            g = guess.tolist()
+            norm = math.sqrt(sum(map(mul, g, g)))
+            if norm == math.inf:  # a square overflowed; |guess| itself is finite
+                norm = math.hypot(*g)
+            if nF <= 1e-11 * (1.0 + norm):
                 break
             try:
                 delta = np.linalg.solve(jac(), -F)

@@ -16,6 +16,12 @@ variable-order) pair is compiled once into straight-line scalar Python and
 cached; the integrators call the compiled form millions of times.  The first
 ``eval_jet2`` of a pair walks the tree instead, with the same floats, so a
 one-off expression is never compiled.
+
+A tuple of expressions (vector forward mode) gets one straight-line
+function for all its entries, with the same floats as entry-by-entry
+jets.  Expression nodes are unhashable, so its compiled form is cached on
+the tuple itself: an :class:`Array`, held by the object that owns the
+array (an algebroid's anchor, a section's momentum part).
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ __all__ = [
     "Pow",
     "Fun",
     "Neg",
+    "Array",
     "parse",
     "evaluate",
     "eval_jet2",
@@ -614,15 +621,24 @@ def _chain(em, v, d1, d2, ug, uh, pairs):
     return v, g, h
 
 
-def _jet_cache(e: Expression) -> dict:
+class Array(tuple):
+    """A tuple of expressions that keeps the compiled jet of the whole
+    array.  Its owner holds it as long as it needs the array, so the cache
+    goes with the owner; a plain tuple cannot hold one."""
+
+
+def _jet_cache(e) -> dict:
     cache = getattr(e, "_jet_cache", None)
     if cache is None:
         cache = {}
-        e._jet_cache = cache
+        try:
+            e._jet_cache = cache
+        except AttributeError:  # a plain tuple: every call is a first call
+            pass
     return cache
 
 
-def compile_jet2(e: Expression, wrt, *, defer: bool = False):
+def compile_jet2(e, wrt, *, defer: bool = False):
     """Compile ``e`` into a callable ``binding -> (value, grad, hess)``.
 
     ``grad`` has one entry per name in ``wrt`` (in order); ``hess`` is the
@@ -631,6 +647,13 @@ def compile_jet2(e: Expression, wrt, *, defer: bool = False):
     (expression, variable-order) pair gets a jet that walks the tree
     instead, and compiling is left to the second request; both jets give
     the same floats.
+
+    ``e`` may also be a tuple of N expressions.  Its jet is one
+    straight-line function for all entries and returns arrays of shape
+    (N,), (N, k) and (N, k, k), bit-identical to the entries' own jets.
+    The cache then lives on the tuple, so an owner that evaluates the same
+    array repeatedly keeps it as an :class:`Array`; a plain tuple is
+    walked (or, without ``defer``, compiled) again on every call.
     """
     wrt = tuple(wrt)
     cache = _jet_cache(e)
@@ -644,45 +667,68 @@ def compile_jet2(e: Expression, wrt, *, defer: bool = False):
     return fn
 
 
-def _build_jet2(e: Expression, wrt):
-    index = {name: j for j, name in enumerate(wrt)}
-    k = len(wrt)
-    em = _Emitter()
-    header = ["def _jet2(_b):"]
-    for name in sorted(free_variables(e)):
-        header.append(f"    _v_{name} = _b[{name!r}]")
-    v, g, h = _emit(em, e, index, _pairs(k))
-    ret_h = ", ".join(h)
-    ret_g = ", ".join(g)
-    body = "\n".join(header + em.lines)
-    body += f"\n    return {v}, ({ret_g}{',' if k == 1 else ''}), ({ret_h}{',' if k == 1 else ''})"
-    ns = dict(_NS)
-    exec(compile(body, f"<jet2:{id(e)}>", "exec"), ns)
-    return _wrap_jet2(ns["_jet2"], k)
+def _entries(e):
+    """The expressions of ``e`` and the size of the array (None for one)."""
+    return (e, len(e)) if isinstance(e, tuple) else ((e,), None)
 
 
-def _interpret_jet2(e: Expression, wrt):
-    """The jet of ``e`` as :func:`compile_jet2` gives it, but computed by
-    walking the tree on every call instead of compiling it."""
+def _free_names(entries) -> list:
+    return sorted(frozenset().union(*map(free_variables, entries)))
+
+
+def _source_tuple(tokens) -> str:
+    return f"({', '.join(tokens)}{',' if len(tokens) == 1 else ''})"
+
+
+def _build_jet2(e, wrt):
+    entries, size = _entries(e)
     index = {name: j for j, name in enumerate(wrt)}
     pairs = _pairs(len(wrt))
-    names = sorted(free_variables(e))
+    em = _Emitter()
+    header = ["def _jet2(_b):"]
+    for name in _free_names(entries):
+        header.append(f"    _v_{name} = _b[{name!r}]")
+    jets = [_emit(em, x, index, pairs) for x in entries]
+    vs = [v for v, _, _ in jets]
+    g = _source_tuple([t for _, gx, _ in jets for t in gx])
+    h = _source_tuple([t for _, _, hx in jets for t in hx])
+    v = vs[0] if size is None else _source_tuple(vs)
+    body = "\n".join(header + em.lines) + f"\n    return {v}, {g}, {h}"
+    ns = dict(_NS)
+    exec(compile(body, f"<jet2:{id(e)}>", "exec"), ns)
+    return _wrap_jet2(ns["_jet2"], len(wrt), size)
+
+
+def _interpret_jet2(e, wrt):
+    """The jet of ``e`` as :func:`compile_jet2` gives it, but computed by
+    walking the tree on every call instead of compiling it."""
+    entries, size = _entries(e)
+    index = {name: j for j, name in enumerate(wrt)}
+    pairs = _pairs(len(wrt))
+    names = _free_names(entries)
 
     def plain(t):
         return 0.0 if t is _Z else t
 
     def raw(binding):
         em = _Evaluator({name: binding[name] for name in names})
-        v, g, h = _emit(em, e, index, pairs)
-        return plain(v), tuple(map(plain, g)), tuple(map(plain, h))
+        jets = [_emit(em, x, index, pairs) for x in entries]
+        vs = tuple(plain(v) for v, _, _ in jets)
+        g = tuple(plain(t) for _, gx, _ in jets for t in gx)
+        h = tuple(plain(t) for _, _, hx in jets for t in hx)
+        return (vs[0] if size is None else vs), g, h
 
-    return _wrap_jet2(raw, len(wrt))
+    return _wrap_jet2(raw, len(wrt), size)
 
 
-def _wrap_jet2(raw, k: int):
+def _wrap_jet2(raw, k: int, size):
+    """The public jet around ``raw``; ``size`` is the number of entries of
+    an array jet and None for a single expression."""
     full = np.empty((k, k), dtype=np.intp)  # packed index of every Hessian entry
     for i, (j, l) in enumerate(_pairs(k)):
         full[j, l] = full[l, j] = i
+    if size is not None:  # the same index into each entry's packed block
+        full = full + (k * (k + 1) // 2) * np.arange(size).reshape(size, 1, 1)
 
     def checked(binding):
         try:
@@ -691,22 +737,29 @@ def _wrap_jet2(raw, k: int):
             raise EvaluationFault(f"unbound variable {exc.args[0]!r}") from exc
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvaluationFault(str(exc)) from exc
-        if not all(map(math.isfinite, (v, *g, *h))):
+        if not all(map(math.isfinite, (v, *g, *h) if size is None else (*v, *g, *h))):
             raise EvaluationFault("non-finite derivative result")
         return v, g, h
 
     def jet(binding):
         v, g, h = checked(binding)
-        return v, np.array(g, dtype=float), np.array(h, dtype=float)[full]
+        if size is None:
+            return v, np.array(g, dtype=float), np.array(h, dtype=float)[full]
+        return (
+            np.array(v, dtype=float),
+            np.array(g, dtype=float).reshape(size, k),
+            np.array(h, dtype=float)[full],
+        )
 
-    # raw: tuples (grad, packed upper-triangle Hessian), errors unmapped;
-    # checked: the same tuples with the errors and the finiteness check of jet
+    # raw: the value (a tuple of values for an array) and the flat tuples
+    # of gradients and packed upper-triangle Hessians, errors unmapped;
+    # checked: the same with the errors and the finiteness check of jet
     jet.raw = raw
     jet.checked = checked
     return jet
 
 
-def eval_jet2(e: Expression, binding, wrt):
+def eval_jet2(e, binding, wrt):
     """Value, gradient and Hessian of ``e`` with respect to ``wrt``.
 
     Derivatives are exact (forward-mode second-order jets over the tree,
@@ -714,5 +767,10 @@ def eval_jet2(e: Expression, binding, wrt):
     the value agrees bit-for-bit with :func:`evaluate`.  The first call for
     an (expression, variable-order) pair walks the tree and later calls run
     the compiled form, so a one-off expression is never compiled.
+
+    For a tuple of N expressions the result is the arrays of values (N,),
+    gradients (N, k) and Hessians (N, k, k) from one call, equal bit for
+    bit to N scalar calls; see :func:`compile_jet2` for where its compiled
+    form is kept.
     """
     return compile_jet2(e, wrt, defer=True)(binding)

@@ -37,7 +37,7 @@ class HJSection:
 
     def __init__(self, n: int, m: int, gamma, gammabar):
         self.gamma = [_as_expression(e) for e in gamma]
-        self.gammabar = [_as_expression(e) for e in gammabar]
+        self.gammabar = expr.Array(_as_expression(e) for e in gammabar)
         if len(self.gamma) != n or len(self.gammabar) != n:
             raise ValueError(f"section needs {n} components per part")
         self.n = n
@@ -53,10 +53,7 @@ class HJSection:
 
     def momentum_jacobian(self, x: BasePoint) -> np.ndarray:
         """J[a, i] = d gammabar_a / d x^i."""
-        b = x.binding()
-        return np.array(
-            [expr.eval_jet2(e, b, self._x)[1] for e in self.gammabar]
-        ).reshape(self.n, len(self._x))
+        return expr.eval_jet2(self.gammabar, x.binding(), self._x)[1]
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ def test_constant_data_is_evaluated_once_at_construction(calls):
     U = Subbundle.adapted_rank(A, 2)
     skew = Subbundle(A, 2, [["1", "0"], ["1", "1"], ["0", "1"]])
     built = dict(calls)
-    assert A.constant and built["eval_jet2"] == len(SO3_STRUCTURE)
+    assert A.constant and built["eval_jet2"] == 2  # one per array: anchor, structure
     for _ in range(3):
         A.anchor_jet_at(ORIGIN)
         A.structure_jet_at(ORIGIN)
@@ -234,8 +234,23 @@ def test_x_dependent_anchor_is_evaluated_on_every_call(calls):
         for _ in range(2):
             before = calls["eval_jet2"]
             got, dgot = A.anchor_jet_at(pt)
-            assert calls["eval_jet2"] - before == 2  # one per anchor entry
+            assert calls["eval_jet2"] - before == 1  # one for the whole anchor
             assert np.array_equal(got, rho) and np.array_equal(dgot, drho)
+
+
+def test_x_dependent_structure_mirrors_each_entry_as_zero_minus_it():
+    A = LieAlgebroid(2, 3, [["1", "0", "x2"], ["0", "1", "0"]],
+                     {(0, 0, 1): "x1 * x2", (2, 1, 2): "sin(x1) - 1"})
+    for x in ([0.0, 1.0], [-0.0, 1.0], [0.3, -0.7]):
+        pt = BasePoint(x)
+        C, dC = A.structure_jet_at(pt)
+        ref, dref = np.zeros((3, 3, 3)), np.zeros((3, 3, 3, 2))
+        for (g, a, b), e in A.structure.items():
+            v, grad, _ = expr.eval_jet2(e, pt.binding(), ("x1", "x2"))
+            ref[g, a, b], ref[g, b, a] = v, 0.0 - v
+            dref[g, a, b], dref[g, b, a] = grad, 0.0 - grad
+        assert C.tobytes() == ref.tobytes()  # the sign of zero included
+        assert np.array_equal(dC, dref)
 
 
 def test_span_rank_is_checked_on_use_with_the_callers_tol():

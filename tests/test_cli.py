@@ -104,16 +104,25 @@ def test_simulate_implicit_midpoint_is_deterministic():
     ],
 )
 def test_bad_numeric_options_exit_6_with_one_error_line(args):
-    _assert_exit_6_with_one_error_line(args)
+    _assert_exit_with_one_error_line(args)
 
 
-def _assert_exit_6_with_one_error_line(args):
+def test_midpoint_on_a_huge_state_exits_4_with_one_error_line():
+    # the Newton stopping test once passed here because |u|^2 overflowed
+    _assert_exit_with_one_error_line(
+        ("simulate", "--model", "rigid-body", "--y0", "1.5e154,2e153,1e153",
+         "--h", "1e-2", "--T", "0.02", "--method", "implicit_midpoint"),
+        code=4,
+    )
+
+
+def _assert_exit_with_one_error_line(args, code=6):
     proc = subprocess.run(
         [sys.executable, "-m", "algmech.cli", *args], capture_output=True, text=True
     )
-    assert proc.returncode == 6
+    assert proc.returncode == code
     assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error: ")
-    assert "Traceback" not in proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 @pytest.mark.parametrize(
@@ -131,7 +140,7 @@ def test_bad_configs_exit_6_with_one_error_line(tmp_path, change, args):
     cfg.update(change)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    _assert_exit_6_with_one_error_line((*args, "--config", str(path)))
+    _assert_exit_with_one_error_line((*args, "--config", str(path)))
 
 
 def test_simulate_suslov_constant_csv(tmp_path):

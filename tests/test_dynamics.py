@@ -13,7 +13,7 @@ from algmech.dynamics import (
     integrate,
     residual,
 )
-from algmech.errors import Degenerate, EvaluationFault
+from algmech.errors import Degenerate, EvaluationFault, NewtonDivergence
 from algmech.models import get_model, oracle_trajectory
 from algmech.prolong import Lagrangian
 
@@ -374,6 +374,34 @@ def test_midpoint_evaluates_an_x_dependent_anchor_on_every_residual(monkeypatch)
               method="implicit_midpoint")
     assert counts["residual"] > 30
     assert counts["anchor_miss"] == counts["residual"]
+
+
+def test_adapted_field_evaluates_an_x_dependent_anchor_with_one_jet_call(monkeypatch):
+    counts = Counter()
+    eval_jet2, structure_jet_at = expr.eval_jet2, LieAlgebroid.structure_jet_at
+
+    def counted_eval(*args):
+        counts["eval"] += 1
+        return eval_jet2(*args)
+
+    def counted_structure(self, x):
+        counts["structure"] += 1
+        return structure_jet_at(self, x)
+
+    monkeypatch.setattr(expr, "eval_jet2", counted_eval)
+    monkeypatch.setattr(LieAlgebroid, "structure_jet_at", counted_structure)
+    field = dynamics._AdaptedField(get_model("affine-rank2").system)
+    counts.clear()
+    for k in range(1, 6):
+        field([0.1 * k, 0.5, -0.4])
+        assert counts == Counter(eval=k)  # the constant C is never read again
+
+
+def test_midpoint_stopping_test_does_not_pass_when_the_state_norm_overflows():
+    # |u|^2 overflows to inf here, which once let any finite residual pass
+    with pytest.raises(NewtonDivergence):
+        integrate(get_model("rigid-body").system, (NO_BASE, [1.5e154, 2e153, 1e153]),
+                  1e-2, 0.02, method="implicit_midpoint")
 
 
 @pytest.mark.parametrize(

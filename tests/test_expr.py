@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from algmech import expr
+from algmech.algebroid import base_names
 from algmech.errors import EvaluationFault, ParseError
+from algmech.models import get_model, model_names
 
 
 def test_round_trip_parsing():
@@ -205,3 +207,76 @@ def test_neg_function_node_negates():
         v, g, h = expr.eval_jet2(fun, b, ("x1",))
         assert (v, g.tolist(), h.tolist()) == (-16.0, [-8.0], [[-2.0]])
     assert expr.parse(str(fun)) == neg
+
+
+def _bits(*arrays) -> list:
+    return [float(t).hex() for a in arrays for t in np.ravel(a)]
+
+
+def _random_polynomial(rng, names) -> str:
+    terms = []
+    for _ in range(int(rng.integers(1, 4))):
+        coeff = float(rng.choice([0.0, -0.0, 1.0, -2.5, float(rng.normal())]))
+        factors = [f"{name}^{int(rng.integers(0, 4))}" for name in names if rng.random() < 0.6]
+        terms.append(" * ".join([f"({coeff!r})"] + factors))
+    return " + ".join(terms)
+
+
+def _arrays_and_points():
+    """(entries, wrt, bindings): every built-in model's anchor, full
+    structure and HJ momentum arrays at points of its box, then seeded
+    random polynomial arrays at points that include signed zeros."""
+    rng = np.random.default_rng(17)
+    for name in model_names():
+        b = get_model(name)
+        A = b.system.A
+        wrt = base_names(A.m)
+        points = [
+            {n: float(rng.uniform(lo, hi)) for n, (lo, hi) in zip(wrt, b.box)} for _ in range(3)
+        ]
+        arrays = [A._rho_array, A._structure_array]
+        arrays += [s.gammabar for s in b.hj_sections.values()]
+        for entries in arrays:
+            yield tuple(entries), wrt, points
+            yield tuple(entries), wrt[::-1] + ("y1",), points
+    names = ("x1", "x2", "x3")
+    for _ in range(20):
+        size = int(rng.integers(1, 7))
+        entries = tuple(expr.parse(_random_polynomial(rng, names)) for _ in range(size))
+        points = [
+            {n: float(rng.choice([0.0, -0.0, 1.0, float(rng.normal())])) for n in names}
+            for _ in range(3)
+        ]
+        yield entries, names[: int(rng.integers(0, 4))], points
+
+
+def test_array_jet_is_bit_identical_to_entry_by_entry_jets():
+    for entries, wrt, points in _arrays_and_points():
+        for b in points:
+            ref = [expr.eval_jet2(e, b, wrt) for e in entries]
+            ref_bits = _bits([r[0] for r in ref], [r[1] for r in ref], [r[2] for r in ref])
+            array = expr.Array(entries)
+            first = expr.eval_jet2(array, b, wrt)  # walks the trees
+            assert array._jet_cache[tuple(wrt)] is None
+            second = expr.eval_jet2(array, b, wrt)  # compiled
+            assert array._jet_cache[tuple(wrt)] is not None
+            k = len(wrt)
+            for v, g, h in (first, second):
+                assert (v.shape, g.shape, h.shape) == ((len(entries),), (len(entries), k), (len(entries), k, k))
+                assert _bits(v, g, h) == ref_bits
+            # a plain tuple keeps no cache and is walked every time
+            assert _bits(*expr.eval_jet2(entries, b, wrt)) == ref_bits
+
+
+@pytest.mark.parametrize(
+    "texts, binding, message",
+    [
+        (["x1", "1e308 * x1"], {"x1": 10.0}, "non-finite derivative result"),
+        (["x1", "x2 * x1"], {"x1": 1.0}, "unbound variable 'x2'"),
+    ],
+)
+def test_array_jet_faults_are_evaluation_faults(texts, binding, message):
+    array = expr.Array(expr.parse(t) for t in texts)
+    for _ in range(2):  # walked, then compiled
+        with pytest.raises(EvaluationFault, match=message):
+            expr.eval_jet2(array, binding, ("x1",))
