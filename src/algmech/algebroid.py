@@ -92,7 +92,7 @@ class BasePoint(_Carrier):
         self.__dict__["x"] = _finite_vector(x, "x")
 
     def binding(self) -> dict:
-        return dict(zip(base_names(len(self.x)), self.x))
+        return dict(zip(base_names(len(self.x)), self.x.tolist()))
 
 
 class FiberPoint(_Carrier):
@@ -117,8 +117,8 @@ class DualPoint(_Carrier):
         return BasePoint._trusted(x=self.x)
 
     def binding(self) -> dict:
-        b = dict(zip(base_names(len(self.x)), self.x))
-        b.update(zip(momentum_names(len(self.p)), self.p))
+        b = dict(zip(base_names(len(self.x)), self.x.tolist()))
+        b.update(zip(momentum_names(len(self.p)), self.p.tolist()))
         return b
 
 

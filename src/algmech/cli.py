@@ -16,7 +16,7 @@ import time
 
 import numpy as np
 
-from .algebroid import BasePoint, DualPoint, FiberPoint
+from .algebroid import BasePoint, DualPoint
 from .config import bundle_from_config, load_config
 from .dirac import (
     DiracPair,
@@ -25,20 +25,19 @@ from .dirac import (
     dirac_member_poisson,
     dirac_member_symplectic,
 )
-from .dynamics import _steps, energy_drift, integrate, residual
+from .dynamics import _energies, _lift_residuals, _steps, energy_drift, integrate
 from .errors import (
-    BadParams,
+    AlgmechError,
     ConfigError,
     Degenerate,
     EvaluationFault,
     HypothesisViolated,
     NewtonDivergence,
-    ParseError,
-    UnknownModel,
+    RankDeficient,
 )
-from .hj import _fd_derivatives, check_closedness, check_in_K, verify_theorem
+from .hj import check_closedness, check_in_K, verify_theorem
 from .models import get_model, model_names
-from .prolong import ProlongCovector, ProlongVector, energies
+from .prolong import ProlongCovector, ProlongVector
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -108,7 +107,7 @@ def cmd_validate(args) -> int:
     for pt in pts:
         try:
             bundle.system.U.completion(pt)
-        except Exception:
+        except RankDeficient:
             rank_ok = False
             break
     print(f"model: {bundle.name}")
@@ -136,9 +135,6 @@ def cmd_simulate(args) -> int:
     E0, drift = energy_drift(sys_, traj)
 
     if args.out:
-        xs = np.array([st.x for st in traj.states])
-        ps = np.array([st.p for st in traj.states])
-        xdots, pdots = _fd_derivatives(xs, args.h), _fd_derivatives(ps, args.h)
         cols = (
             ["t"]
             + [f"x{i + 1}" for i in range(m)]
@@ -147,16 +143,10 @@ def cmd_simulate(args) -> int:
             + ["E_L", "res_kin", "res_mom"]
         )
         lines = [",".join(cols)]
-        for k, st in enumerate(traj.states):
-            rep = residual(sys_, st, xdots[k], pdots[k], tol=np.inf)
-            E = energies(sys_.Lg, FiberPoint._trusted(x=st.x, y=st.y), st.p)[1]
-            row = (
-                [traj.times[k]]
-                + list(st.x)
-                + list(st.y)
-                + list(st.p)
-                + [E, rep.r_kin, rep.r_mom]
-            )
+        reports = _lift_residuals(sys_, traj.states, args.h, np.inf)
+        energies = _energies(sys_, traj.states)
+        for t, st, E, rep in zip(traj.times, traj.states, energies, reports):
+            row = [t, *st.x, *st.y, *st.p, E, rep.r_kin, rep.r_mom]
             lines.append(",".join(_g(v) for v in row))
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
@@ -303,11 +293,11 @@ def main(argv=None) -> int:
     except HypothesisViolated as e:
         print(f"error: hypothesis violated: {e}")
         code = EXIT_HYPOTHESIS
-    except (ConfigError, ParseError, UnknownModel, BadParams) as e:
-        print(f"error: {e}")
-        code = EXIT_CONFIG
     except EvaluationFault as e:
         print(f"error: evaluation failed: {e}")
+        code = EXIT_CONFIG
+    except AlgmechError as e:  # config, parse and option errors, FlowBlowUp, RankDeficient
+        print(f"error: {e}")
         code = EXIT_CONFIG
     print(f"wall_time_s: {time.perf_counter() - started:.3f}", file=sys.stderr)
     return code

@@ -14,6 +14,7 @@ Schema (all expressions are strings in the expression grammar):
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -67,6 +68,20 @@ def _expr_grid(rows, nrows, ncols, where):
     ]
 
 
+def _interval(pair):
+    """(lo, hi) as floats from a pair of JSON numbers with lo < hi and a
+    finite width, else None."""
+    if not isinstance(pair, list) or len(pair) != 2 or any(
+        isinstance(v, bool) or not isinstance(v, (int, float)) for v in pair
+    ):
+        return None
+    try:
+        lo, hi = float(pair[0]), float(pair[1])
+    except OverflowError:  # an integer beyond the float range
+        return None
+    return (lo, hi) if lo < hi and math.isfinite(hi - lo) else None
+
+
 def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
     m = _require(cfg, "m", int)
     n = _require(cfg, "n", int)
@@ -105,14 +120,16 @@ def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
     else:
         U = Subbundle(A, r, _expr_grid(sub, n, r, "subbundle"))
     box = cfg.get("box", [[-1.0, 1.0]] * m)
-    if (
-        not isinstance(box, list)
-        or len(box) != m
-        or any(len(b) != 2 or not b[0] < b[1] for b in box)
-    ):
-        raise ConfigError(f"box must be {m} pairs [lo, hi] with lo < hi")
+    box = [_interval(b) for b in box] if isinstance(box, list) else None
+    if box is None or len(box) != m or None in box:
+        raise ConfigError(
+            f"box must be {m} pairs [lo, hi] of numbers with lo < hi and finite hi - lo"
+        )
+    given = cfg.get("hj_sections", {})
+    if not isinstance(given, dict) or not all(isinstance(p, dict) for p in given.values()):
+        raise ConfigError("hj_sections must be an object of section objects")
     sections = {}
-    for sname, parts in cfg.get("hj_sections", {}).items():
+    for sname, parts in given.items():
         gamma = parts.get("gamma")
         gammabar = parts.get("gammabar")
         if (
@@ -134,9 +151,8 @@ def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
     return ModelBundle(
         name,
         sys,
-        tuple((float(lo), float(hi)) for lo, hi in box),
+        tuple(box),
         cfg.get("doc", "user-defined model"),
-        {},
         sections,
         None,
         None,

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, contract
+from .algebroid import DualPoint, LieAlgebroid, Subbundle, contract
 from .prolong import ProlongCovector, ProlongVector, omega_sharp, pair
 
 __all__ = [
@@ -76,14 +76,12 @@ def lift_subbundle(A: LieAlgebroid, U: Subbundle, pt: DualPoint):
     return out
 
 
-def _defect(A, U, dpair, tol):
-    X, alpha = dpair.X, dpair.alpha
-    x = X.base.base
-    span_res = U.member_distance(x, X.z, tol)
-    anchor_res = float(np.abs(alpha.v - X.z).max()) if A.n else 0.0
-    xi = alpha.r + X.u + contract(A.structure_at(x), X.base.p) @ X.z
-    ann_res = U.annihilator_residual(x, xi, tol)
-    return span_res, anchor_res, ann_res
+def _verdict(dpair, tol, span_res, anchor_res, ann_res) -> MembershipReport:
+    """The report of both membership tests: each defect is compared with
+    tol scaled by 1 + |coordinates of the pair|."""
+    scale = 1.0 + float(np.linalg.norm(dpair.coordinates()))
+    ok = max(span_res, anchor_res, ann_res) <= tol * scale
+    return MembershipReport(ok, span_res, anchor_res, ann_res)
 
 
 def dirac_member_symplectic(
@@ -91,10 +89,13 @@ def dirac_member_symplectic(
 ) -> MembershipReport:
     """Test membership via the symplectic characterization, reporting
     the three defects (z outside U, v != z, pairing with U) separately."""
-    span_res, anchor_res, ann_res = _defect(A, U, dpair, tol)
-    scale = 1.0 + float(np.linalg.norm(dpair.coordinates()))
-    ok = max(span_res, anchor_res, ann_res) <= tol * scale
-    return MembershipReport(ok, span_res, anchor_res, ann_res)
+    X, alpha = dpair.X, dpair.alpha
+    x = X.base.base
+    span_res = U.member_distance(x, X.z, tol)
+    anchor_res = float(np.abs(alpha.v - X.z).max()) if A.n else 0.0
+    xi = alpha.r + X.u + contract(A.structure_at(x), X.base.p) @ X.z
+    ann_res = U.annihilator_residual(x, xi, tol)
+    return _verdict(dpair, tol, span_res, anchor_res, ann_res)
 
 
 def dirac_member_poisson(
@@ -110,14 +111,10 @@ def dirac_member_poisson(
     du = X.u - Y.u
     anchor_res = float(np.abs(dz).max()) if A.n else 0.0
     ann_res = U.annihilator_residual(x, du, tol)
-    scale = 1.0 + float(np.linalg.norm(dpair.coordinates()))
-    ok = max(span_res, anchor_res, ann_res) <= tol * scale
-    return MembershipReport(ok, span_res, anchor_res, ann_res)
+    return _verdict(dpair, tol, span_res, anchor_res, ann_res)
 
 
-def dirac_generators(
-    A: LieAlgebroid, U: Subbundle, pt: DualPoint, tol: float = DEFAULT_RANK_TOL
-) -> DiracBasis:
+def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
     """2n generating pairs of the structure at ``pt``: one pair per
     orthonormal U direction, one per momentum direction, and one pure
     annihilator covector per complementary direction.
@@ -125,7 +122,7 @@ def dirac_generators(
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
     n = A.n
-    frame = U.completion(pt.base, tol)
+    frame = U.completion(pt.base)
     Q, Qc = frame[:, : U.r], frame[:, U.r :]
     Cp = contract(A.structure_at(pt.base), pt.p)
     eye = np.eye(n)

@@ -231,6 +231,25 @@ def _components(v, size: int, name: str) -> np.ndarray:
     return a
 
 
+def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
+    """Second-order differences along axis 0 (centered inside, one-sided
+    three-point stencils at the ends); zero below three samples."""
+    d = np.zeros_like(values)
+    if len(values) >= 3:
+        d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
+        d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
+        d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
+    return d
+
+
+def _lift_residuals(sys: ImplicitSystem, states, h: float, tol: float) -> list:
+    """The residual report of each of ``states``, samples of a curve at
+    step h, with the time derivatives of x and p from :func:`_fd_derivatives`."""
+    xdots = _fd_derivatives(np.array([st.x for st in states]), h)
+    pdots = _fd_derivatives(np.array([st.p for st in states]), h)
+    return [residual(sys, st, xd, pd, tol) for st, xd, pd in zip(states, xdots, pdots)]
+
+
 def _steps(h: float, T: float) -> int:
     """Number of uniform steps of size h that make up the horizon T."""
     if not (h > 0 and T > 0 and np.isfinite(T / h)):
@@ -426,12 +445,18 @@ def integrate(sys: ImplicitSystem, initial, h: float, T: float, method: str = "r
 def energy_drift(sys: ImplicitSystem, traj: Trajectory):
     """(E0, max_abs_drift) of the generalized energy p·y - L along the
     trajectory."""
-    names = base_names(sys.A.m) + fiber_names(sys.A.n)
-    jet = expr.compile_jet2(sys.Lg.L, names).checked
-    values = []
-    for st in traj.states:
-        L = jet(dict(zip(names, [*st.x.tolist(), *st.y.tolist()])))[0]
-        values.append(float(st.p @ st.y - L))
+    values = _energies(sys, traj.states)
     E0 = values[0]
     drift = max(abs(v - E0) for v in values)
     return E0, drift
+
+
+def _energies(sys: ImplicitSystem, states) -> list:
+    """The generalized energy p·y - L of each state, from the compiled
+    jet of L."""
+    names = base_names(sys.A.m) + fiber_names(sys.A.n)
+    jet = expr.compile_jet2(sys.Lg.L, names).checked
+    return [
+        float(st.p @ st.y - jet(dict(zip(names, [*st.x.tolist(), *st.y.tolist()])))[0])
+        for st in states
+    ]

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import expr
 from .algebroid import BasePoint, FiberPoint, _as_expression, base_names, contract
-from .dynamics import ImplicitSystem, State, _rk4_step, _steps, residual
+from .dynamics import ImplicitSystem, State, _lift_residuals, _rk4_step, _steps
 from .errors import BadParams, FlowBlowUp, HypothesisViolated
 
 FLOW_BOUND = 1e6
@@ -143,17 +143,6 @@ class TheoremReport:
     max_lift_residual: float
 
 
-def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
-    """Second-order differences along axis 0 (centered inside, one-sided
-    three-point stencils at the ends); zero below three samples."""
-    d = np.zeros_like(values)
-    if len(values) >= 3:
-        d[1:-1] = (values[2:] - values[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * values[0] + 4.0 * values[1] - values[2]) / (2.0 * h)
-        d[-1] = (3.0 * values[-1] - 4.0 * values[-2] + values[-3]) / (2.0 * h)
-    return d
-
-
 def verify_theorem(
     sys: ImplicitSystem,
     s: HJSection,
@@ -161,7 +150,6 @@ def verify_theorem(
     h: float,
     T: float,
     tol: float,
-    hypothesis_tol: float = DEFAULT_HYPOTHESIS_TOL,
 ) -> TheoremReport:
     """Check the equivalence: the Hamilton–Jacobi residual vanishes
     along the base flow iff the lifted curve solves the implicit
@@ -170,38 +158,33 @@ def verify_theorem(
         raise BadParams("the lift check needs a horizon of at least two steps")
     flow = base_flow(sys, s, x0, h, T)
     # each point is evaluated once and checked before the next is evaluated
-    ys, ps, res = [], [], []
+    states, res = [], []
     for x in flow.points:
         bp = BasePoint(x)
         g = s.velocity(bp)
         _, Lx, Ly, _, _, _ = sys.Lg.jet(FiberPoint(bp.x, g))
-        gb = s.momentum(bp)
-        rep = _in_K(sys, bp, hypothesis_tol, g, gb, Ly)
+        gb, J, _ = expr.eval_jet2(s.gammabar, bp.binding(), s._x)
+        rep = _in_K(sys, bp, DEFAULT_HYPOTHESIS_TOL, g, gb, Ly)
         if not rep.in_U:
             raise HypothesisViolated("velocity part outside U", bp.x, float("nan"))
-        if rep.legendre_gap > hypothesis_tol:
+        if rep.legendre_gap > DEFAULT_HYPOTHESIS_TOL:
             raise HypothesisViolated(
                 "momentum part is not the Legendre image", bp.x, rep.legendre_gap
             )
-        J, rho = s.momentum_jacobian(bp), sys.A.anchor_at(bp)
+        rho = sys.A.anchor_at(bp)
         closed = _closedness(sys, bp, J, gb, rho)
-        if closed > hypothesis_tol:
+        if closed > DEFAULT_HYPOTHESIS_TOL:
             raise HypothesisViolated("closedness on U-pairs", bp.x, closed)
-        ys.append(g)
-        ps.append(gb)
+        states.append(State._trusted(x=bp.x, y=g, p=gb))
         res.append(_hj_residual(sys, bp, g, J, Lx, rho))
     max_hj = max((float(np.abs(r).max()) if r.size else 0.0) for r in res)
     hj_pass = max_hj <= tol
 
-    xs, ys, ps = flow.points, np.array(ys), np.array(ps)
-    xdots, pdots = _fd_derivatives(xs, h), _fd_derivatives(ps, h)
-    scale = 1.0 + max(
-        float(np.abs(a).max()) if a.size else 0.0 for a in (xs, ys, ps)
-    )
+    mags = np.abs([np.concatenate([st.x, st.y, st.p]) for st in states])
+    scale = 1.0 + (float(mags.max()) if mags.size else 0.0)
     lift_tol = tol + 50.0 * h * h * scale
     max_lift = 0.0
-    for k, st in enumerate(State.stack(xs, ys, ps)):
-        rep = residual(sys, st, xdots[k], pdots[k], lift_tol)
+    for rep in _lift_residuals(sys, states, h, lift_tol):
         max_lift = max(max_lift, rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom)
     lift_pass = max_lift <= lift_tol
     return TheoremReport(hj_pass, lift_pass, hj_pass == lift_pass, max_hj, max_lift)

@@ -34,7 +34,6 @@ class ModelBundle:
     system: ImplicitSystem
     box: tuple  # per base coordinate: (lo, hi)
     doc: str
-    params: dict = field(default_factory=dict)
     hj_sections: dict = field(default_factory=dict)
     oracle: object = None
     perturb: object = None  # (rng, failing) -> HJSection
@@ -167,7 +166,6 @@ def _free_particle(params):
         sys,
         tuple((-1.0, 1.0) for _ in range(d)),
         f"Unconstrained free particle on a flat {d}-dimensional base.",
-        {"d": d},
         {"default": default},
         oracle,
         perturb,
@@ -200,7 +198,6 @@ def _pendulum(params):
         sys,
         ((-math.pi, math.pi),),
         "Planar pendulum as an unconstrained system on the tangent bundle of a circle chart.",
-        {},
         {},
         oracle,
         None,
@@ -243,7 +240,6 @@ def _harmonic_oscillator(params):
         ((-1.0, 1.0),),
         "Unit-frequency harmonic oscillator; its classical characteristic-function"
         " section sqrt(2E - x^2) is bundled for Hamilton-Jacobi checks.",
-        {},
         {"default": default},
         oracle,
         perturb,
@@ -282,7 +278,6 @@ def _rigid_body(params):
         sys,
         (),
         "Free rigid body reduced to its body angular velocity.",
-        {"inertia": I.tolist()},
         {},
         oracle,
         None,
@@ -330,7 +325,6 @@ def _suslov(params):
         (),
         "Rigid body with the body angular velocity constrained to a"
         " coordinate plane; oracle uses the Lagrange-multiplier form.",
-        {"inertia": I.tolist(), "axis": 3},
         {},
         oracle,
         None,
@@ -352,7 +346,6 @@ def _degenerate_demo(params):
         "Rank-two bundle with a Lagrangian that ignores one velocity;"
         " exercises the degeneracy guards.",
         {},
-        {},
         None,
         None,
     )
@@ -372,7 +365,6 @@ def _affine_rank2(params):
         ((-0.5, 0.5),),
         "Rank-two bundle over a line with base-dependent anchor and"
         " bracket; exercises derivative terms of the structure data.",
-        {},
         {},
         None,
         None,

@@ -136,9 +136,6 @@ class Lagrangian:
         self._names = base_names(m) + fiber_names(n)
         self._jet = expr.compile_jet2(self.L, self._names)
 
-    def value(self, e: FiberPoint) -> float:
-        return expr.evaluate(self.L, dict(zip(self._names, [*e.x.tolist(), *e.y.tolist()])))
-
     def jet(self, e: FiberPoint):
         """(L, Lx, Ly, Lxx, Lxy, Lyy) at e, via exact forward jets."""
         v, g, h = self._jet(dict(zip(self._names, [*e.x.tolist(), *e.y.tolist()])))

@@ -10,7 +10,7 @@ from algmech.algebroid import (
     Subbundle,
     contract,
 )
-from algmech.errors import RankDeficient
+from algmech.errors import EvaluationFault, RankDeficient
 from algmech.models import SO3_STRUCTURE
 
 
@@ -178,6 +178,14 @@ def test_subbundle_rank_deficiency_detected():
     U = Subbundle(A, 2, [["1", "2"], ["1", "2"], ["0", "0"]])
     with pytest.raises(RankDeficient):
         U.completion(ORIGIN)
+
+
+@pytest.mark.filterwarnings("error")
+def test_x_dependent_jets_run_on_python_floats():
+    # a numpy scalar binding would warn and report a non-finite derivative
+    A = LieAlgebroid(1, 1, [["1/x1"]], {})
+    with pytest.raises(EvaluationFault, match="float division by zero"):
+        A.anchor_at(BasePoint([0.0]))
 
 
 def test_base_dependent_subbundle():

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 
@@ -140,6 +141,38 @@ def test_bad_configs_exit_6_with_one_error_line(tmp_path, change, args):
     cfg.update(change)
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
+    _assert_exit_with_one_error_line((*args, "--config", str(path)))
+
+
+# a line (m = 1) with two velocity directions, the first free: its
+# section x1^2 + 1 moves the base along tan, which leaves every bound
+LINE = {
+    "m": 1, "n": 2, "r": 1, "anchor": [["1", "0"]], "structure": {},
+    "lagrangian": "0.5 * y1^2 + 0.5 * y2^2", "subbundle": "adapted:1",
+    "box": [[-1.0, 1.0]],
+    "hj_sections": {"blowup": {"gamma": ["x1^2 + 1", "0"], "gammabar": ["x1^2 + 1", "0"]}},
+}
+
+
+@pytest.mark.parametrize(
+    "change, args",
+    [
+        ({}, ("hj-check", "--section", "blowup", "--x0", "1", "--T", "2")),
+        ({"subbundle": [["x1 - x1"], ["0"]]}, ("dirac-check",)),
+        # an evaluation fault in the span is not a rank failure
+        ({"subbundle": [["1"], ["sqrt(x1)"]]}, ("validate",)),
+        ({"box": [["a", "b"]]}, ("validate",)),
+        ({"box": [[0, None]]}, ("validate",)),
+        ({"box": [[-math.inf, 1]]}, ("validate",)),
+        ({"box": [["10", "9"]]}, ("validate",)),
+        ({"box": [[-1e308, 1e308]]}, ("validate",)),
+        ({"hj_sections": {"s": [1, 2]}}, ("hj-check", "--section", "s", "--x0", "0")),
+        ({"hj_sections": [1]}, ("hj-check", "--x0", "0")),
+    ],
+)
+def test_bad_line_configs_exit_6_with_one_error_line(tmp_path, change, args):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps({**LINE, **change}))
     _assert_exit_with_one_error_line((*args, "--config", str(path)))
 
 

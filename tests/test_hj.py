@@ -172,6 +172,23 @@ def test_public_checks_evaluate_only_what_they_read():
     assert check_closedness(bf.system, undefined_velocity, BasePoint([0.0, 0.5])) == 0.0
 
 
+@pytest.mark.filterwarnings("error")
+def test_section_jets_run_on_python_floats():
+    # a numpy scalar binding would warn and report a non-finite derivative
+    s = HJSection(1, 1, ["1/x1"], ["1/x1"])
+    with pytest.raises(EvaluationFault, match="float division by zero"):
+        s.momentum_jacobian(ORIGIN1)
+
+
+def test_verify_theorem_evaluates_the_momentum_jet_before_the_hypotheses():
+    # one jet gives gammabar and its derivative at each flow point, so an
+    # undefined derivative is reported ahead of a Legendre gap there
+    b = get_model("free-particle", d=1)
+    s = HJSection(1, 1, ["0"], ["sqrt(x1) + 1"])
+    with pytest.raises(EvaluationFault):
+        verify_theorem(b.system, s, ORIGIN1, 5e-3, 1.0, 1e-8)
+
+
 def test_verify_theorem_refuses_a_single_step():
     # the lift check needs three samples for its difference stencils
     bh = get_model("harmonic-oscillator")
