@@ -368,13 +368,12 @@ class Subbundle:
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
-        v = np.asarray(v, dtype=float)
-        return self.member_distance(x, v, tol) <= tol * (1.0 + np.linalg.norm(v))
+        v = np.asarray(v, dtype=float).reshape(1, -1)
+        return bool(_within(self._frames(x, tol)[1], v, tol)[0])
 
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
-        v = np.asarray(v, dtype=float)
-        Q = self._frames(x, tol)[1]
-        return float(np.linalg.norm(v - Q @ (Q.T @ v)))
+        v = np.asarray(v, dtype=float).reshape(1, -1)
+        return float(_distances(self._frames(x, tol)[1], v)[0])
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
         xi = np.asarray(xi, dtype=float)
@@ -391,3 +390,25 @@ class Subbundle:
         if S.shape[1] == 0:
             return 0.0
         return float(np.abs(xi @ S).max())
+
+
+@np.errstate(over="ignore")
+def _norms(V: np.ndarray) -> np.ndarray:
+    """Euclidean norms of the rows of V as np.linalg.norm gives them, or
+    from math.hypot where the squares overflow."""
+    out = np.sqrt((V[:, None, :] @ V[:, :, None])[:, 0, 0])
+    for k, v in enumerate(out.tolist()):
+        if v == math.inf:
+            out[k] = math.hypot(*V[k].tolist())
+    return out
+
+
+def _distances(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Distance of each row of V from the span of the orthonormal columns
+    of Q, one (n, r) frame or a stack of N."""
+    return _norms(V - (Q @ (Q.swapaxes(-1, -2) @ V[:, :, None]))[:, :, 0])
+
+
+def _within(Q: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each row v of V is within tol (1 + |v|) of the span of Q."""
+    return _distances(Q, V) <= tol * (1.0 + _norms(V))

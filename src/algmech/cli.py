@@ -25,7 +25,7 @@ from .dirac import (
     dirac_member_poisson,
     dirac_member_symplectic,
 )
-from .dynamics import _energies, _lift_residuals, _steps, energy_drift, integrate
+from .dynamics import _drift, _energies, _lift_residuals, _steps, integrate
 from .errors import (
     AlgmechError,
     ConfigError,
@@ -35,7 +35,7 @@ from .errors import (
     NewtonDivergence,
     RankDeficient,
 )
-from .hj import check_closedness, check_in_K, verify_theorem
+from .hj import verify_theorem
 from .models import get_model, model_names
 from .prolong import ProlongCovector, ProlongVector
 
@@ -132,7 +132,8 @@ def cmd_simulate(args) -> int:
         traj = integrate(sys_, (x0, ya0), args.h, args.T, args.method)
     except ValueError as e:  # the states overflowed the floats
         raise ConfigError(f"--x0/--y0: {e}") from None
-    E0, drift = energy_drift(sys_, traj)
+    energies = _energies(sys_, traj.states)
+    E0, drift = _drift(energies)
 
     if args.out:
         cols = (
@@ -144,7 +145,6 @@ def cmd_simulate(args) -> int:
         )
         lines = [",".join(cols)]
         reports = _lift_residuals(sys_, traj.states, args.h, np.inf)
-        energies = _energies(sys_, traj.states)
         for t, st, E, rep in zip(traj.times, traj.states, energies, reports):
             row = [t, *st.x, *st.y, *st.p, E, rep.r_kin, rep.r_mom]
             lines.append(",".join(_g(v) for v in row))
@@ -210,12 +210,11 @@ def cmd_hj_check(args) -> int:
             f"model {bundle.name!r} has no section {args.section!r}"
         ) from None
     x0 = BasePoint(_parse_floats(args.x0, sys_.A.m, "--x0"))
-    start = check_in_K(sys_, section, x0, tol=1e-8)
-    closed = check_closedness(sys_, section, x0)
     report = verify_theorem(sys_, section, x0, args.h, args.T, args.tol)
+    start = report.at_x0
     print(f"model: {bundle.name}  section: {args.section}")
     print(f"in_U_at_x0: {start.in_U}  legendre_gap: {_g(start.legendre_gap)}")
-    print(f"closedness_at_x0: {_g(closed)}")
+    print(f"closedness_at_x0: {_g(report.closedness_at_x0)}")
     print(f"max_hj_residual: {_g(report.max_hj_residual)}")
     print(f"max_lift_residual: {_g(report.max_lift_residual)}")
     print(f"hj_pass: {report.hj_pass}  lift_pass: {report.lift_pass}")

@@ -15,11 +15,13 @@ import numpy as np
 
 from . import expr
 from .algebroid import (
+    DEFAULT_RANK_TOL,
     BasePoint,
     FiberPoint,
     LieAlgebroid,
     Subbundle,
     _Carrier,
+    _distances,
     _finite_vector,
     base_names,
     contract,
@@ -95,22 +97,66 @@ def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> Residual
     """Defects of a state with candidate time derivatives against the
     implicit equations: velocity in U, kinematics, Legendre relation and
     the momentum equation paired against the spanning columns of U."""
-    A, Lg, U = sys.A, sys.Lg, sys.U
-    x = BasePoint._trusted(x=st.x)
-    xdot = np.asarray(xdot, dtype=float).reshape(-1)
-    pdot = np.asarray(pdot, dtype=float).reshape(-1)
-    _, Lx, Ly, _, _, _ = Lg.jet(FiberPoint._trusted(x=st.x, y=st.y))
-    rho = A.anchor_at(x)
-    C = A.structure_at(x)
-    r_U = U.member_distance(x, st.y)
-    kin = xdot - rho @ st.y
-    r_kin = float(np.abs(kin).max()) if kin.size else 0.0
-    r_leg = float(np.abs(st.p - Ly).max()) if A.n else 0.0
-    force = pdot + contract(C, st.p) @ st.y - rho.T @ Lx
-    S = U.span_at(x)
-    r_mom = float(np.abs(force @ S).max()) if S.size else 0.0
-    passed = max(r_U, r_kin, r_leg, r_mom) <= tol
-    return ResidualReport(r_U, r_kin, r_leg, r_mom, passed)
+    xdot = np.asarray(xdot, dtype=float).reshape(1, -1)
+    pdot = np.asarray(pdot, dtype=float).reshape(1, -1)
+    return _residual_reports(sys, [st], xdot, pdot, tol)[0]
+
+
+def _residual_reports(sys: ImplicitSystem, states, xdots, pdots, tol: float) -> list:
+    """The residual report of each state against the rows of ``xdots``
+    and ``pdots``: per state one L-jet and the data that depends on x,
+    then one stacked pass."""
+    m, names, jet = sys.A.m, sys.Lg._names, sys.Lg._jet.checked
+    grads = np.array([jet(dict(zip(names, [*st.x.tolist(), *st.y.tolist()])))[1] for st in states])
+    data = [_point_data(sys, BasePoint._trusted(x=st.x), DEFAULT_RANK_TOL) for st in states]
+    along = _along(sys, BasePoint._trusted(x=states[0].x), data, DEFAULT_RANK_TOL)
+    Y, P = np.array([st.y for st in states]), np.array([st.p for st in states])
+    rows = _residual_rows(along, Y, P, xdots, pdots, grads[:, :m], grads[:, m:])
+    return [ResidualReport(*r, max(r) <= tol) for r in zip(*(a.tolist() for a in rows))]
+
+
+def _residual_rows(along, Y, P, Xdot, Pdot, Lx, Ly) -> tuple:
+    """(r_U, r_kin, r_leg, r_mom) of each row, with along = (rho, C, S, Q)."""
+    rho, C, S, Q = along
+    force = Pdot + _mv(_contract_rows(C, P), Y) - _mv(np.swapaxes(rho, -1, -2), Lx)
+    r_mom = _row_max(force[:, None, :] @ S)
+    return _distances(Q, Y), _row_max(Xdot - _mv(rho, Y)), _row_max(P - Ly), r_mom
+
+
+def _mv(M: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """M v for each row v of V, with one M or a stack of them."""
+    return (M @ V[:, :, None])[:, :, 0]
+
+
+def _row_max(a: np.ndarray) -> np.ndarray:
+    """max |a[k]| of each entry of a stack, 0 where it is empty."""
+    return np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
+
+
+def _contract_rows(C: np.ndarray, P: np.ndarray) -> np.ndarray:
+    """:func:`contract` of each row of P with C, or with its own C of a stack."""
+    N, n = P.shape
+    return (P[:, None, :] @ C.reshape(C.shape[:-3] + (n, n * n))).reshape(N, n, n)
+
+
+def _point_data(sys: ImplicitSystem, x: BasePoint, tol: float) -> tuple:
+    """(rho, C, S, Q) at x, None where constant; Q is an orthonormal basis
+    of U(x) once the rank of the span S is checked against tol."""
+    A, U = sys.A, sys.U
+    S, Q = (None, None) if U._fixed is not None else U._frames(x, tol)[:2]
+    rho = None if A.constant_anchor else A.anchor_at(x)
+    return rho, None if A.constant_structure else A.structure_at(x), S, Q
+
+
+def _along(sys: ImplicitSystem, x0: BasePoint, data: list, tol: float) -> tuple:
+    """(rho, C, S, Q) along a curve from x0: the rows of ``data`` stacked
+    where they depend on x, else the constant array, which broadcasts."""
+    A, U = sys.A, sys.U
+    rho, C, S, Q = (None if c[0] is None else np.array(c) for c in zip(*data))
+    if U._fixed is not None:
+        S, Q = U._frames(x0, tol)[:2]
+    rho = A.anchor_at(x0) if rho is None else rho
+    return rho, A.structure_at(x0) if C is None else C, S, Q
 
 
 def _anchor_rows(rho: np.ndarray, r: int):
@@ -247,7 +293,7 @@ def _lift_residuals(sys: ImplicitSystem, states, h: float, tol: float) -> list:
     step h, with the time derivatives of x and p from :func:`_fd_derivatives`."""
     xdots = _fd_derivatives(np.array([st.x for st in states]), h)
     pdots = _fd_derivatives(np.array([st.p for st in states]), h)
-    return [residual(sys, st, xd, pd, tol) for st, xd, pd in zip(states, xdots, pdots)]
+    return _residual_reports(sys, states, xdots, pdots, tol)
 
 
 def _steps(h: float, T: float) -> int:
@@ -445,10 +491,13 @@ def integrate(sys: ImplicitSystem, initial, h: float, T: float, method: str = "r
 def energy_drift(sys: ImplicitSystem, traj: Trajectory):
     """(E0, max_abs_drift) of the generalized energy p·y - L along the
     trajectory."""
-    values = _energies(sys, traj.states)
+    return _drift(_energies(sys, traj.states))
+
+
+def _drift(values: list):
+    """(E0, max_abs_drift) of a list of energies."""
     E0 = values[0]
-    drift = max(abs(v - E0) for v in values)
-    return E0, drift
+    return E0, max(abs(v - E0) for v in values)
 
 
 def _energies(sys: ImplicitSystem, states) -> list:

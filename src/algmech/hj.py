@@ -7,15 +7,17 @@ equivalence check.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
 from . import expr
-from .algebroid import BasePoint, FiberPoint, _as_expression, base_names, contract
-from .dynamics import ImplicitSystem, State, _lift_residuals, _rk4_step, _steps
-from .errors import BadParams, FlowBlowUp, HypothesisViolated
+from .algebroid import BasePoint, FiberPoint, _as_expression, _within, base_names
+from .dynamics import ImplicitSystem, _along, _contract_rows, _fd_derivatives, _point_data
+from .dynamics import _residual_rows, _rk4_step, _row_max, _steps
+from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 
 FLOW_BOUND = 1e6
 DEFAULT_HYPOTHESIS_TOL = 1e-8
@@ -36,7 +38,7 @@ class HJSection:
     and a momentum part, each n expressions of the base coordinates."""
 
     def __init__(self, n: int, m: int, gamma, gammabar):
-        self.gamma = [_as_expression(e) for e in gamma]
+        self.gamma = expr.Array(_as_expression(e) for e in gamma)
         self.gammabar = expr.Array(_as_expression(e) for e in gammabar)
         if len(self.gamma) != n or len(self.gammabar) != n:
             raise ValueError(f"section needs {n} components per part")
@@ -44,16 +46,20 @@ class HJSection:
         self._x = base_names(m)
 
     def velocity(self, x: BasePoint) -> np.ndarray:
-        b = x.binding()
-        return np.array([expr.evaluate(e, b) for e in self.gamma])
+        return np.array(_jet(self.gamma, x.binding())[0])
 
     def momentum(self, x: BasePoint) -> np.ndarray:
-        b = x.binding()
-        return np.array([expr.evaluate(e, b) for e in self.gammabar])
+        return np.array(_jet(self.gammabar, x.binding())[0])
 
     def momentum_jacobian(self, x: BasePoint) -> np.ndarray:
         """J[a, i] = d gammabar_a / d x^i."""
         return expr.eval_jet2(self.gammabar, x.binding(), self._x)[1]
+
+
+def _jet(part: expr.Array, binding: dict, wrt=()) -> tuple:
+    """The values of a section part at ``binding`` and their flat
+    gradients with respect to ``wrt``: float tuples from one array jet."""
+    return expr.compile_jet2(part, wrt, defer=True).checked(binding)[:2]
 
 
 @dataclass(frozen=True)
@@ -73,12 +79,14 @@ def check_in_K(sys: ImplicitSystem, s: HJSection, x: BasePoint, tol: float) -> S
     image of the velocity part."""
     g = s.velocity(x)
     _, _, Ly, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
-    return _in_K(sys, x, tol, g, s.momentum(x), Ly)
+    gb = s.momentum(x)
+    in_U, gap = _in_K(sys.U._frames(x, tol)[1], g[None], gb[None], Ly[None], tol)
+    return SectionReport(bool(in_U[0]), float(gap[0]))
 
 
-def _in_K(sys, x, tol, g, gb, Ly) -> SectionReport:
-    gap = float(np.abs(gb - Ly).max()) if sys.A.n else 0.0
-    return SectionReport(sys.U.member(x, g, tol), gap)
+def _in_K(Q, G, GB, Ly, tol: float) -> tuple:
+    """Per row: the velocity part within tol of U = span Q, and the Legendre gap."""
+    return _within(Q, G, tol), _row_max(GB - Ly)
 
 
 def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
@@ -86,16 +94,15 @@ def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
     antisymmetrized derivative condition on the momentum part:
     (rho^i_b d gammabar_d/dx^i - rho^i_d d gammabar_b/dx^i
      - gammabar_a C^a_bd) v^b w^d."""
-    return _closedness(sys, x, s.momentum_jacobian(x), s.momentum(x), sys.A.anchor_at(x))
+    J, gb, rho = s.momentum_jacobian(x), s.momentum(x), sys.A.anchor_at(x)
+    C, S = sys.A.structure_at(x), sys.U.span_at(x)
+    return float(_closedness(rho, C, S, J[None], gb[None])[0])
 
 
-def _closedness(sys, x, J, gb, rho) -> float:
-    R = rho.T @ J.T  # R[b, d] = rho^i_b d gammabar_d / dx^i
-    R = R - R.T - contract(sys.A.structure_at(x), gb)
-    S = sys.U.span_at(x)
-    if S.size == 0:
-        return 0.0
-    return float(np.abs(S.T @ R @ S).max())
+def _closedness(rho, C, S, J, GB) -> np.ndarray:
+    R = np.swapaxes(rho, -1, -2) @ np.swapaxes(J, -1, -2)  # rho^i_b dgammabar_d/dx^i
+    R = R - np.swapaxes(R, -1, -2) - _contract_rows(C, GB)
+    return _row_max((np.swapaxes(S, -1, -2) @ R) @ S)
 
 
 def hj_residual(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> np.ndarray:
@@ -103,12 +110,12 @@ def hj_residual(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> np.ndarray:
     (gamma^b d gammabar_b/dx^i - dL/dx^i(x, gamma(x))) rho^i_a v^a."""
     g, J = s.velocity(x), s.momentum_jacobian(x)
     _, Lx, _, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
-    return _hj_residual(sys, x, g, J, Lx, sys.A.anchor_at(x))
+    return _hj_residual(g[None], J[None], Lx[None], sys.A.anchor_at(x), sys.U.span_at(x))[0]
 
 
-def _hj_residual(sys, x, g, J, Lx, rho) -> np.ndarray:
-    grad = g @ J - Lx
-    return (grad @ rho) @ sys.U.span_at(x)
+def _hj_residual(G, J, Lx, rho, S) -> np.ndarray:
+    grad = (G[:, None, :] @ J)[:, 0] - Lx
+    return ((grad[:, None, :] @ rho) @ S)[:, 0]
 
 
 def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> BaseTrajectory:
@@ -116,17 +123,22 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     c' = rho(c) gamma(c), on floats."""
     A = sys.A
     N = _steps(h, T)
+    rho = A.anchor_at(x0).tolist() if A.constant_anchor else None
 
     def field(x):
-        bp = BasePoint(x)
-        g = s.velocity(bp).tolist()
-        return [sum(map(mul, row, g)) for row in A.anchor_at(bp).tolist()]
+        if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
+            return [math.nan] * len(x)
+        g = _jet(s.gamma, dict(zip(s._x, x)))[0]
+        rows = rho
+        if rows is None:
+            rows = A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
+        return [sum(map(mul, row, g)) for row in rows]
 
     x = x0.x.tolist()
     pts = [x]
     for k in range(N):
         x = _rk4_step(field, x, field(x), h)
-        if any(abs(v) > FLOW_BOUND for v in x):
+        if not all(abs(v) <= FLOW_BOUND for v in x):
             raise FlowBlowUp(
                 f"base flow left |x| <= {FLOW_BOUND:g} at t={(k + 1) * h:g}"
             )
@@ -141,6 +153,8 @@ class TheoremReport:
     consistent: bool
     max_hj_residual: float
     max_lift_residual: float
+    at_x0: SectionReport
+    closedness_at_x0: float
 
 
 def verify_theorem(
@@ -153,38 +167,52 @@ def verify_theorem(
 ) -> TheoremReport:
     """Check the equivalence: the Hamilton–Jacobi residual vanishes
     along the base flow iff the lifted curve solves the implicit
-    equations (with finite-difference time derivatives)."""
+    equations (with finite-difference time derivatives).  A failed
+    hypothesis is raised at the first flow point where one fails; at a
+    point, an evaluation fault comes first, then in-U, Legendre, closedness."""
     if _steps(h, T) < 2:
         raise BadParams("the lift check needs a horizon of at least two steps")
-    flow = base_flow(sys, s, x0, h, T)
-    # each point is evaluated once and checked before the next is evaluated
-    states, res = [], []
-    for x in flow.points:
-        bp = BasePoint(x)
-        g = s.velocity(bp)
-        _, Lx, Ly, _, _, _ = sys.Lg.jet(FiberPoint(bp.x, g))
-        gb, J, _ = expr.eval_jet2(s.gammabar, bp.binding(), s._x)
-        rep = _in_K(sys, bp, DEFAULT_HYPOTHESIS_TOL, g, gb, Ly)
-        if not rep.in_U:
-            raise HypothesisViolated("velocity part outside U", bp.x, float("nan"))
-        if rep.legendre_gap > DEFAULT_HYPOTHESIS_TOL:
-            raise HypothesisViolated(
-                "momentum part is not the Legendre image", bp.x, rep.legendre_gap
-            )
-        rho = sys.A.anchor_at(bp)
-        closed = _closedness(sys, bp, J, gb, rho)
-        if closed > DEFAULT_HYPOTHESIS_TOL:
-            raise HypothesisViolated("closedness on U-pairs", bp.x, closed)
-        states.append(State._trusted(x=bp.x, y=g, p=gb))
-        res.append(_hj_residual(sys, bp, g, J, Lx, rho))
-    max_hj = max((float(np.abs(r).max()) if r.size else 0.0) for r in res)
+    X = base_flow(sys, s, x0, h, T).points
+    Lg, m, tol_K = sys.Lg, sys.A.m, DEFAULT_HYPOTHESIS_TOL
+    rows, data, fault = [], [], None
+    for k, x in enumerate(X.tolist()):  # only the jets are evaluated point by point
+        b = dict(zip(s._x, x))
+        try:
+            g = _jet(s.gamma, b)[0]
+            grad = Lg._jet.checked(dict(zip(Lg._names, [*x, *g])))[1]
+            gb, J = _jet(s.gammabar, b, s._x)
+            data.append(_point_data(sys, BasePoint._trusted(x=X[k]), tol_K))
+        except (EvaluationFault, RankDeficient) as exc:
+            fault = exc
+            break
+        rows.append((g, grad, gb, J))
+    if rows:  # the points before a fault are checked first
+        G, grads, GB, J = (np.array(c) for c in zip(*rows))
+        J, Lx, Ly = J.reshape(len(rows), s.n, m), grads[:, :m], grads[:, m:]
+        along = rho, C, S, Q = _along(sys, x0, data, tol_K)
+        in_U, gap = _in_K(Q, G, GB, Ly, tol_K)
+        closed = _closedness(rho, C, S, J, GB)
+        bad = ~in_U | (gap > tol_K) | (closed > tol_K)
+        if bad.any():
+            j = int(bad.argmax())
+            if not in_U[j]:
+                raise HypothesisViolated("velocity part outside U", X[j], float("nan"))
+            if gap[j] > tol_K:
+                raise HypothesisViolated(
+                    "momentum part is not the Legendre image", X[j], gap[j]
+                )
+            raise HypothesisViolated("closedness on U-pairs", X[j], closed[j])
+    if fault is not None:
+        raise fault
+    max_hj = float(np.abs(_hj_residual(G, J, Lx, rho, S)).max(initial=0.0))
     hj_pass = max_hj <= tol
 
-    mags = np.abs([np.concatenate([st.x, st.y, st.p]) for st in states])
-    scale = 1.0 + (float(mags.max()) if mags.size else 0.0)
+    scale = 1.0 + float(np.abs(np.hstack([X, G, GB])).max(initial=0.0))
     lift_tol = tol + 50.0 * h * h * scale
-    max_lift = 0.0
-    for rep in _lift_residuals(sys, states, h, lift_tol):
-        max_lift = max(max_lift, rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom)
+    lift = _residual_rows(along, G, GB, _fd_derivatives(X, h), _fd_derivatives(GB, h), Lx, Ly)
+    max_lift = float(np.concatenate(lift).max(initial=0.0))
     lift_pass = max_lift <= lift_tol
-    return TheoremReport(hj_pass, lift_pass, hj_pass == lift_pass, max_hj, max_lift)
+    at_x0 = SectionReport(bool(in_U[0]), float(gap[0]))
+    return TheoremReport(
+        hj_pass, lift_pass, hj_pass == lift_pass, max_hj, max_lift, at_x0, float(closed[0])
+    )

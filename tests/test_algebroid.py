@@ -162,6 +162,16 @@ def test_subbundle_membership_and_annihilator():
     assert abs(abs(ann[0, 2]) - 1.0) < 1e-14
 
 
+@pytest.mark.filterwarnings("error")
+def test_subbundle_membership_does_not_overflow():
+    # the squares of these entries overflow; their norms do not
+    U = Subbundle.adapted_rank(so3(), 2)
+    assert U.member(ORIGIN, [1e300, 2e300, 0.0])
+    assert not U.member(ORIGIN, [1e300, 0.0, 1e300])
+    assert U.member_distance(ORIGIN, [0.0, 1e300, 1e300]) == 1e300
+    assert U.member_distance(ORIGIN, [3.0, 0.0, 4.0]) == 4.0
+
+
 def test_subbundle_completion_is_orthonormal():
     A = so3()
     U = Subbundle(A, 2, [["1", "0"], ["1", "1"], ["0", "1"]])

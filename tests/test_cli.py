@@ -2,9 +2,11 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 
 import pytest
 
+from algmech.cli import main
 from algmech.config import bundle_to_config
 from algmech.models import get_model
 
@@ -153,6 +155,12 @@ LINE = {
     "hj_sections": {"blowup": {"gamma": ["x1^2 + 1", "0"], "gammabar": ["x1^2 + 1", "0"]}},
 }
 
+# m = n = r = 1 with L = y1: gamma = 1e300 is in U and Legendre-consistent
+HUGE = {
+    "n": 1, "anchor": [["1"]], "lagrangian": "y1",
+    "hj_sections": {"huge": {"gamma": ["1e300"], "gammabar": ["1"]}},
+}
+
 
 @pytest.mark.parametrize(
     "change, args",
@@ -168,6 +176,8 @@ LINE = {
         ({"box": [[-1e308, 1e308]]}, ("validate",)),
         ({"hj_sections": {"s": [1, 2]}}, ("hj-check", "--section", "s", "--x0", "0")),
         ({"hj_sections": [1]}, ("hj-check", "--x0", "0")),
+        # an RK4 stage of the base flow overflows: a blow-up, not a traceback
+        (HUGE, ("hj-check", "--section", "huge", "--x0", "0", "--h", "1e9", "--T", "2e9")),
     ],
 )
 def test_bad_line_configs_exit_6_with_one_error_line(tmp_path, change, args):
@@ -259,3 +269,16 @@ def test_determinism_byte_identical(tmp_path):
         for _ in range(2)
     ]
     assert reports[0] == reports[1]
+
+
+def test_huge_section_prints_one_error_line_and_no_warning(tmp_path, capsys):
+    # the in-U norm of gamma = 1e300 must not overflow at x0
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({**LINE, **HUGE}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["hj-check", "--config", str(path), "--section", "huge", "--x0", "0",
+                     "--h", "1e-2", "--T", "2e-2"])
+    out = capsys.readouterr().out
+    assert code == 6
+    assert out.splitlines() == ["error: base flow left |x| <= 1e+06 at t=0.01"]

@@ -14,7 +14,7 @@ from algmech.dynamics import (
     residual,
 )
 from algmech.errors import Degenerate, EvaluationFault, NewtonDivergence
-from algmech.models import get_model, oracle_trajectory
+from algmech.models import get_model, model_names, oracle_trajectory
 from algmech.prolong import Lagrangian
 
 NO_BASE = np.zeros(0)
@@ -415,3 +415,46 @@ def test_midpoint_stopping_test_does_not_pass_when_the_state_norm_overflows():
 def test_midpoint_overflow_is_an_evaluation_fault(name, init, message):
     with pytest.raises(EvaluationFault, match=message):
         integrate(get_model(name).system, init, 1e-2, 0.1, method="implicit_midpoint")
+
+
+COUPLED_INERTIA = np.array([[2.0, 0.0, 0.3], [0.0, 1.5, 0.2], [0.3, 0.2, 1.0]])
+
+
+def _residual_written_out(sys, st, xdot, pdot):
+    """The four defects of one state, each formula written out on its own."""
+    x = BasePoint(st.x)
+    _, Lx, Ly, _, _, _ = sys.Lg.jet(FiberPoint(st.x, st.y))
+    rho, C, S = sys.A.anchor_at(x), sys.A.structure_at(x), sys.U.span_at(x)
+    Q = sys.U.completion(x)[:, : sys.U.r]
+    force = pdot + contract(C, st.p) @ st.y - rho.T @ Lx
+    return (
+        float(np.linalg.norm(st.y - Q @ (Q.T @ st.y))),
+        float(np.abs(xdot - rho @ st.y).max()) if sys.A.m else 0.0,
+        float(np.abs(st.p - Ly).max()),
+        float(np.abs(force @ S).max()) if S.size else 0.0,
+    )
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+@pytest.mark.parametrize(
+    "name, params",
+    [(name, {}) for name in model_names()] + [("suslov", {"inertia": COUPLED_INERTIA})],
+)
+def test_stacked_lift_pass_equals_the_residual_state_by_state(name, params, method):
+    # bit for bit: the stacked pass, the public one-state check and the
+    # formulas written out, on constant and x-dependent (affine-rank2) data
+    sys = get_model(name, **params).system
+    m, r = sys.A.m, sys.U.r
+    init = (np.linspace(-0.2, 0.3, m), np.linspace(0.3, 0.7, r))
+    try:
+        traj = integrate(sys, init, 1e-2, 0.5, method)
+    except Degenerate:
+        assert name == "degenerate-demo" and method == "rk4"
+        return
+    h = traj.h
+    xdots = dynamics._fd_derivatives(np.array([st.x for st in traj.states]), h)
+    pdots = dynamics._fd_derivatives(np.array([st.p for st in traj.states]), h)
+    stacked = dynamics._lift_residuals(sys, traj.states, h, 1e-6)
+    for st, xd, pd, rep in zip(traj.states, xdots, pdots, stacked):
+        assert rep == residual(sys, st, xd, pd, 1e-6)
+        assert (rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom) == _residual_written_out(sys, st, xd, pd)

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
+from algmech import dynamics
 from algmech.algebroid import BasePoint
 from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated
 from algmech.hj import (
     HJSection,
+    SectionReport,
     base_flow,
     check_closedness,
     check_in_K,
@@ -303,3 +305,78 @@ def test_verify_theorem_affine_rank2():
         assert not rep.hj_pass and not rep.lift_pass and rep.consistent, (a, c, rep)
         off = _affine(a, f"{a + delta!r} * x1 + {c!r}")
         assert _refused_as_not_closed(b, off, x.x) == pytest.approx(abs(delta), rel=1e-9)
+
+
+@pytest.mark.parametrize("name, x0", [("free-particle", [0.0, 0.0]), ("harmonic-oscillator", [-0.3])])
+def test_verify_theorem_fields_equal_the_pointwise_checks(name, x0):
+    # bit for bit: each field of the stacked pass against the public
+    # one-point checks at every flow point, for the default section, 20
+    # seeded perturbations (half of them failing the HJ equation, which
+    # on the oscillator peak at x0) and a Legendre gap and a closedness
+    # defect below tol that change along the flow
+    b = get_model(name)
+    sys, x0 = b.system, BasePoint(x0)
+    default = b.hj_sections["default"]
+    sections = [default]
+    sections += [b.perturb(np.random.default_rng(seed), seed % 2 == 0) for seed in range(20)]
+    m = sys.A.m
+    off = [f"{default.gammabar[0]} + 1e-9 * (2 + x1) * (1 + x{m})", *map(str, default.gammabar[1:])]
+    sections.append(HJSection(default.n, m, list(map(str, default.gamma)), off))
+    h = 5e-3
+    for s in sections:
+        rep = verify_theorem(sys, s, x0, h, 0.25, 1e-8)
+        points = [BasePoint(x) for x in base_flow(sys, s, x0, h, 0.25).points]
+        hyp = [check_in_K(sys, s, x, 1e-8) for x in points]
+        closed = [check_closedness(sys, s, x) for x in points]
+        assert all(k.in_U and k.legendre_gap <= 1e-8 for k in hyp)
+        assert max(closed) <= 1e-8
+        assert rep.at_x0 == hyp[0] and rep.closedness_at_x0 == closed[0]
+        hj = [float(np.abs(hj_residual(sys, s, x)).max()) for x in points]
+        assert rep.max_hj_residual == max(hj)
+        states = [dynamics.State(x.x, s.velocity(x), s.momentum(x)) for x in points]
+        xdots = dynamics._fd_derivatives(np.array([x.x for x in points]), h)
+        pdots = dynamics._fd_derivatives(np.array([st.p for st in states]), h)
+        lift = [dynamics.residual(sys, *args, 1e-8) for args in zip(states, xdots, pdots)]
+        assert rep.max_lift_residual == max(max(r.r_U, r.r_kin, r.r_leg, r.r_mom) for r in lift)
+
+
+@pytest.mark.filterwarnings("error")
+def test_in_U_test_does_not_overflow_on_a_huge_velocity():
+    # |gamma|^2 overflows at every flow point; a Lagrangian linear in y
+    # keeps the other checks finite, and the theorem holds
+    from algmech.algebroid import Subbundle
+    from algmech.dynamics import ImplicitSystem
+    from algmech.prolong import Lagrangian
+
+    A = get_model("suslov").system.A
+    sys = ImplicitSystem(A, Lagrangian(A, "y1 + 2 * y2"), Subbundle.adapted_rank(A, 2))
+    s = HJSection(3, 0, ["1e300", "2e300", "0"], ["1", "2", "0"])
+    assert check_in_K(sys, s, BasePoint([]), 1e-8) == SectionReport(True, 0.0)
+    rep = verify_theorem(sys, s, BasePoint([]), 5e-3, 0.5, 1e-8)
+    assert rep.hj_pass and rep.lift_pass and rep.at_x0 == SectionReport(True, 0.0)
+    off = HJSection(3, 0, ["1e300", "0", "1e300"], ["1", "2", "0"])
+    assert not check_in_K(sys, off, BasePoint([]), 1e-8).in_U
+    with pytest.raises(HypothesisViolated, match="velocity part outside U"):
+        verify_theorem(sys, off, BasePoint([]), 5e-3, 0.5, 1e-8)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma", ["1e300", "1e300 * (x1 + 1)"])
+def test_an_overflowing_base_flow_stage_is_a_blow_up(gamma):
+    # a stage point 1e9 * 1e300 / 2 is inf: the step fails its bound
+    b = get_model("free-particle", d=1)
+    s = HJSection(1, 1, [gamma], ["1"])
+    with pytest.raises(FlowBlowUp, match="at t=1e"):
+        base_flow(b.system, s, ORIGIN1, 1e9, 2e9)
+
+
+@pytest.mark.parametrize("gamma", ["1e300 * 1e300", "1e300 * (x1 + 1e10)"])
+def test_a_non_finite_section_value_is_reported_as_evaluate_reports_it(gamma):
+    # the value-only array jets of the two parts keep evaluate()'s message
+    b = get_model("free-particle", d=1)
+    s = HJSection(1, 1, [gamma], [gamma])
+    for read in (s.velocity, s.momentum):
+        with pytest.raises(EvaluationFault, match="non-finite result inf"):
+            read(ORIGIN1)
+    with pytest.raises(EvaluationFault, match="non-finite result inf"):
+        verify_theorem(b.system, s, ORIGIN1, 5e-3, 1.0, 1e-8)
