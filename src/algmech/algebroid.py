@@ -368,12 +368,13 @@ class Subbundle:
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
-        v = np.asarray(v, dtype=float).reshape(1, -1)
-        return bool(_within(self._frames(x, tol)[1], v, tol)[0])
+        v = np.asarray(v, dtype=float)
+        return self.member_distance(x, v, tol) <= tol * (1.0 + _norm(v))
 
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
-        v = np.asarray(v, dtype=float).reshape(1, -1)
-        return float(_distances(self._frames(x, tol)[1], v)[0])
+        v = np.asarray(v, dtype=float)
+        Q = self._frames(x, tol)[1]
+        return _norm(v - Q @ (Q.T @ v))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
         xi = np.asarray(xi, dtype=float)
@@ -390,6 +391,13 @@ class Subbundle:
         if S.shape[1] == 0:
             return 0.0
         return float(np.abs(xi @ S).max())
+
+
+@np.errstate(over="ignore")
+def _norm(v: np.ndarray) -> float:
+    """np.linalg.norm of the vector v, or math.hypot where its square overflows."""
+    out = float(np.linalg.norm(v))
+    return math.hypot(*v.tolist()) if out == math.inf else out
 
 
 @np.errstate(over="ignore")

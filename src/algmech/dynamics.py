@@ -118,14 +118,10 @@ def _residual_reports(sys: ImplicitSystem, states, xdots, pdots, tol: float) -> 
 def _residual_rows(along, Y, P, Xdot, Pdot, Lx, Ly) -> tuple:
     """(r_U, r_kin, r_leg, r_mom) of each row, with along = (rho, C, S, Q)."""
     rho, C, S, Q = along
-    force = Pdot + _mv(_contract_rows(C, P), Y) - _mv(np.swapaxes(rho, -1, -2), Lx)
+    Yc, Lxc = Y[:, :, None], Lx[:, :, None]  # the rows as columns
+    force = Pdot + (_contract_rows(C, P) @ Yc)[:, :, 0] - (np.swapaxes(rho, -1, -2) @ Lxc)[:, :, 0]
     r_mom = _row_max(force[:, None, :] @ S)
-    return _distances(Q, Y), _row_max(Xdot - _mv(rho, Y)), _row_max(P - Ly), r_mom
-
-
-def _mv(M: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """M v for each row v of V, with one M or a stack of them."""
-    return (M @ V[:, :, None])[:, :, 0]
+    return _distances(Q, Y), _row_max(Xdot - (rho @ Yc)[:, :, 0]), _row_max(P - Ly), r_mom
 
 
 def _row_max(a: np.ndarray) -> np.ndarray:

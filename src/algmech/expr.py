@@ -738,9 +738,6 @@ def _wrap_jet2(raw, k: int, size):
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvaluationFault(str(exc)) from exc
         if not all(map(math.isfinite, (v, *g, *h) if size is None else (*v, *g, *h))):
-            if not k:  # values only: reported as evaluate() reports them
-                bad = next(x for x in ((v,) if size is None else v) if not math.isfinite(x))
-                raise EvaluationFault(f"non-finite result {bad!r}")
             raise EvaluationFault("non-finite derivative result")
         return v, g, h
 

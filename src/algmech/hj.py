@@ -53,13 +53,19 @@ class HJSection:
 
     def momentum_jacobian(self, x: BasePoint) -> np.ndarray:
         """J[a, i] = d gammabar_a / d x^i."""
-        return expr.eval_jet2(self.gammabar, x.binding(), self._x)[1]
+        return np.array(_jet(self.gammabar, x.binding(), self._x)[1]).reshape(self.n, -1)
 
 
 def _jet(part: expr.Array, binding: dict, wrt=()) -> tuple:
     """The values of a section part at ``binding`` and their flat
     gradients with respect to ``wrt``: float tuples from one array jet."""
-    return expr.compile_jet2(part, wrt, defer=True).checked(binding)[:2]
+    try:
+        return expr.compile_jet2(part, wrt, defer=True).checked(binding)[:2]
+    except EvaluationFault:
+        if not wrt:  # values only: the fault as evaluate() reports it
+            for e in part:
+                expr.evaluate(e, binding)
+        raise
 
 
 @dataclass(frozen=True)
@@ -123,16 +129,13 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     c' = rho(c) gamma(c), on floats."""
     A = sys.A
     N = _steps(h, T)
-    rho = A.anchor_at(x0).tolist() if A.constant_anchor else None
 
     def field(x):
         if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
             return [math.nan] * len(x)
         g = _jet(s.gamma, dict(zip(s._x, x)))[0]
-        rows = rho
-        if rows is None:
-            rows = A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
-        return [sum(map(mul, row, g)) for row in rows]
+        rho = A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
+        return [sum(map(mul, row, g)) for row in rho]
 
     x = x0.x.tolist()
     pts = [x]

@@ -242,6 +242,14 @@ def test_constant_data_is_evaluated_once_at_construction(calls):
     assert calls == built
 
 
+def test_a_non_finite_constant_array_keeps_the_jet_message():
+    # with m = 0 the constant arrays come from jets with no variables
+    with pytest.raises(EvaluationFault, match="non-finite derivative result"):
+        LieAlgebroid(0, 2, [], {(0, 0, 1): "1e300 * 1e300"})
+    with pytest.raises(EvaluationFault, match="non-finite derivative result"):
+        LieAlgebroid(1, 1, [["1e300 * 1e300"]], {})
+
+
 def test_x_dependent_anchor_is_evaluated_on_every_call(calls):
     A = affine()
     assert not A.constant

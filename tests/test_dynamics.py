@@ -458,3 +458,23 @@ def test_stacked_lift_pass_equals_the_residual_state_by_state(name, params, meth
     for st, xd, pd, rep in zip(traj.states, xdots, pdots, stacked):
         assert rep == residual(sys, st, xd, pd, 1e-6)
         assert (rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom) == _residual_written_out(sys, st, xd, pd)
+
+
+@pytest.mark.parametrize(
+    "span", [[["1", "0"], ["0.3", "1"], ["0.2", "-0.4"]], [["1", "0"], ["x1", "1"], ["0.2", "sin(x1)"]]]
+)
+def test_stacked_lift_pass_equals_the_formulas_on_arbitrary_states(span):
+    # states off any solution give every defect, and the force term its
+    # full size, on a span that is not adapted (constant or x-dependent)
+    A = LieAlgebroid(1, 3, [["1", "x1", "0"]], {(2, 0, 1): "1", (0, 1, 2): "x1"})
+    Lg = Lagrangian(A, "0.5*y1^2 + y2^2 + 0.7*y3^2 + x1*y1*y3 + cos(x1)")
+    sys = ImplicitSystem(A, Lg, Subbundle(A, 2, span))
+    rng = np.random.default_rng(3)
+    xs = np.sin(np.arange(41) * 1e-2)[:, None] * 0.5 + 0.1
+    ys = rng.standard_normal((41, 3)) * 0.1 + np.array([0.3, 0.2, -0.1])
+    states = State.stack(xs, ys, rng.standard_normal((41, 3)) * 0.1)
+    xdots = dynamics._fd_derivatives(xs, 1e-2)
+    pdots = dynamics._fd_derivatives(np.array([st.p for st in states]), 1e-2)
+    stacked = dynamics._lift_residuals(sys, states, 1e-2, 1e-6)
+    for st, xd, pd, rep in zip(states, xdots, pdots, stacked):
+        assert (rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom) == _residual_written_out(sys, st, xd, pd)
