@@ -37,6 +37,7 @@ from .errors import (
     FlowBlowUp,
     HypothesisViolated,
     NewtonDivergence,
+    NonFinite,
     ParseError,
     RankDeficient,
     UnknownModel,

@@ -14,11 +14,12 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 
 import numpy as np
 
 from . import expr
-from .errors import RankDeficient
+from .errors import NonFinite, RankDeficient
 
 DEFAULT_RANK_TOL = 1e-9
 
@@ -53,10 +54,11 @@ def momentum_names(n: int):
 
 def _finite_vector(v, name: str, message: str = "{} must be finite, got {}") -> np.ndarray:
     """``v`` as a flat float array: the finiteness check of every carrier.
-    A nan or infinite entry raises ValueError(message.format(name, array))."""
+    A nan or infinite entry raises NonFinite(message.format(name, array)),
+    which is a ValueError."""
     a = np.asarray(v, dtype=float).reshape(-1)
     if not all(map(math.isfinite, a.tolist())):
-        raise ValueError(message.format(name, a))
+        raise NonFinite(message.format(name, a))
     return a
 
 
@@ -161,6 +163,17 @@ def _antisymmetrized(structure: dict, n: int) -> expr.Array:
     return expr.Array(full)
 
 
+def _bracket_terms(C: np.ndarray, r: int) -> list:
+    """The nonzero bracket constants C^gamma_alpha,beta with alpha, beta < r
+    as (alpha, beta, gamma, C)."""
+    C_abg = C[:, :r, :r].transpose(1, 2, 0)
+    return [
+        (a, b, g, c)
+        for (a, b, g), c in zip(np.ndindex(C_abg.shape), C_abg.ravel().tolist())
+        if c != 0.0
+    ]
+
+
 def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
     """(C·p)[a, b] = C^g_ab p_g, the structure array contracted with a
     covector on its upper index; trailing axes, as in dC, are kept."""
@@ -200,6 +213,8 @@ class LieAlgebroid:
         self.constant_anchor = self._anchor_jet is not None
         self.constant_structure = self._structure_jet is not None
         self.constant = self.constant_anchor and self.constant_structure
+        C = self._structure_jet  # its nonzero terms, for cp_dot
+        self._terms = None if C is None else _bracket_terms(C[0], self.n)
 
     def _jets(self, array, shape: tuple, binding):
         """Values at ``binding`` of ``array`` (expressions in row order) in
@@ -230,14 +245,26 @@ class LieAlgebroid:
             return self._structure_jet
         return self._jets(self._structure_array, (self.n,) * 3, x.binding())
 
+    def cp_dot(self, pt: DualPoint, zs) -> list:
+        """(C·p) z on floats at the dual point ``pt`` for each float list z
+        of ``zs``, summed over the nonzero terms of C in row order."""
+        terms = self._terms
+        if terms is None:
+            terms = _bracket_terms(self.structure_at(pt.base), self.n)
+        p = pt.p.tolist()
+        out = [[0.0] * self.n for _ in zs]
+        for w, z in zip(out, zs):
+            for a, b, g, c in terms:
+                w[a] += p[g] * c * z[b]
+        return out
+
     # -- structure equations -------------------------------------------
 
     def validate_structure(self, points, tol: float) -> StructureReport:
         """Check both structure equations at the given sample points."""
         if not points:
             raise ValueError("need at least one sample point")
-        r1 = 0.0
-        r2 = 0.0
+        r1 = r2 = 0.0
         for pt in points:
             rho, drho = self.anchor_jet_at(pt)
             C, dC = self.structure_jet_at(pt)
@@ -245,15 +272,11 @@ class LieAlgebroid:
             lhs = np.einsum("ja,ibj->iab", rho, drho)
             lhs = lhs - lhs.transpose(0, 2, 1)
             rhs = np.einsum("ig,gab->iab", rho, C)
-            if lhs.size:
-                r1 = max(r1, float(np.abs(lhs - rhs).max()))
+            r1 = max(r1, float(np.abs(lhs - rhs).max(initial=0.0)))
             # eq2: cyclic sum over (a,b,g) of rho^i_a d_i C^d_bg + C^d_an C^n_bg
-            T = np.einsum("ia,dbgi->dabg", rho, dC) + np.einsum(
-                "dan,nbg->dabg", C, C
-            )
+            T = np.einsum("ia,dbgi->dabg", rho, dC) + np.einsum("dan,nbg->dabg", C, C)
             cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-            if cyc.size:
-                r2 = max(r2, float(np.abs(cyc).max()))
+            r2 = max(r2, float(np.abs(cyc).max(initial=0.0)))
         return StructureReport(r1, r2, passed=(r1 <= tol and r2 <= tol))
 
     # -- differential calculus -----------------------------------------
@@ -333,13 +356,15 @@ class Subbundle:
         return np.array([[expr.evaluate(e, binding) for e in row] for row in self.span])
 
     def _decompose(self, binding):
-        """(S, W, s): the span at ``binding``, the left factor of its full
-        SVD and its singular values."""
+        """(S, Q, Qc, s): the span at ``binding``, the two column blocks of
+        the left factor of its full SVD and its singular values as floats."""
         S = self._span(binding)
         if self.r == 0:
-            return S, np.eye(self.parent.n), np.zeros(0)
-        W, s, _ = np.linalg.svd(S, full_matrices=True)
-        return S, W, s
+            W, s = np.eye(self.parent.n), []
+        else:
+            W, s, _ = np.linalg.svd(S, full_matrices=True)
+            s = s.tolist()
+        return S, W[:, : self.r], W[:, self.r :], s
 
     def span_at(self, x: BasePoint) -> np.ndarray:
         if self._fixed is not None:
@@ -349,14 +374,13 @@ class Subbundle:
     def _frames(self, x: BasePoint, tol: float):
         """(S, Q, Qc): the span at x and orthonormal bases of U(x) and of
         its complement, once the numerical rank is checked against tol."""
-        S, W, s = self._fixed if self._fixed is not None else self._decompose(x.binding())
-        smax = s[0] if s.size else 0.0
-        rank = int(np.sum(s > tol * max(smax, 1.0)))
+        S, Q, Qc, s = self._fixed if self._fixed is not None else self._decompose(x.binding())
+        rank = sum(map((tol * max(s[0] if s else 0.0, 1.0)).__lt__, s))
         if rank != self.r:
             raise RankDeficient(
                 f"span has numerical rank {rank}, expected {self.r} at x={x.x}"
             )
-        return S, W[:, : self.r], W[:, self.r :]
+        return S, Q, Qc
 
     def annihilator(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """(n - r) orthonormal covectors spanning the annihilator (rows)."""
@@ -368,7 +392,6 @@ class Subbundle:
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
-        v = np.asarray(v, dtype=float)
         return self.member_distance(x, v, tol) <= tol * (1.0 + _norm(v))
 
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
@@ -377,27 +400,21 @@ class Subbundle:
         return _norm(v - Q @ (Q.T @ v))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
-        xi = np.asarray(xi, dtype=float)
-        return self.annihilator_residual(x, xi, tol) <= tol * (
-            1.0 + np.linalg.norm(xi)
-        )
+        return self.annihilator_residual(x, xi, tol) <= tol * (1.0 + _norm(xi))
 
-    def annihilator_residual(
-        self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL
-    ) -> float:
+    def annihilator_residual(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> float:
         """Largest pairing of ``xi`` with the spanning columns of U(x)."""
-        xi = np.asarray(xi, dtype=float)
         S = self._frames(x, tol)[0]
-        if S.shape[1] == 0:
-            return 0.0
-        return float(np.abs(xi @ S).max())
+        return float(np.abs(np.asarray(xi, dtype=float) @ S).max(initial=0.0))
 
 
-@np.errstate(over="ignore")
-def _norm(v: np.ndarray) -> float:
-    """np.linalg.norm of the vector v, or math.hypot where its square overflows."""
-    out = float(np.linalg.norm(v))
-    return math.hypot(*v.tolist()) if out == math.inf else out
+def _norm(v) -> float:
+    """Euclidean norm of the vector v (an array or a sequence of numbers)
+    as the square root of its float sum of squares, or math.hypot where
+    the squares overflow."""
+    v = v.tolist() if isinstance(v, np.ndarray) else v
+    out = math.sqrt(sum(map(mul, v, v)))
+    return math.hypot(*v) if out == math.inf else out
 
 
 @np.errstate(over="ignore")

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebroid import DualPoint, LieAlgebroid, Subbundle, contract
-from .prolong import ProlongCovector, ProlongVector, omega_sharp, pair
+from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _norm
+from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
 
 __all__ = [
     "DiracPair",
@@ -68,18 +68,24 @@ class MembershipReport:
 def lift_subbundle(A: LieAlgebroid, U: Subbundle, pt: DualPoint):
     """Basis of the lift of U to the prolongation: the span columns in
     the z-slot plus every momentum coordinate direction in the u-slot."""
-    n = A.n
     S = U.span_at(pt.base)  # finite: span entries are evaluated with a check
-    zero, eye = np.zeros(n), np.eye(n)
-    out = [ProlongVector._trusted(base=pt, z=S[:, a], u=zero) for a in range(U.r)]
-    out += [ProlongVector._trusted(base=pt, z=zero, u=eye[a]) for a in range(n)]
-    return out
+    zero, vector = np.zeros(A.n), ProlongVector._trusted
+    return [vector(base=pt, z=s, u=zero) for s in S.T] + [
+        vector(base=pt, z=zero, u=e) for e in np.eye(A.n)
+    ]
 
 
-def _verdict(dpair, tol, span_res, anchor_res, ann_res) -> MembershipReport:
-    """The report of both membership tests: each defect is compared with
-    tol scaled by 1 + |coordinates of the pair|."""
-    scale = 1.0 + float(np.linalg.norm(dpair.coordinates()))
+def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> MembershipReport:
+    """The report of a membership test: the distance of ``in_U`` from U,
+    the largest |v - z| and the largest pairing of ``ann`` with U, each
+    compared with tol scaled by 1 + |(z, u, r, v)|."""
+    X, alpha = dpair.X, dpair.alpha
+    x = X.base.base
+    z, v = X.z.tolist(), alpha.v.tolist()
+    span_res = U.member_distance(x, in_U, tol)
+    anchor_res = max([abs(a - b) for a, b in zip(v, z)], default=0.0)
+    ann_res = U.annihilator_residual(x, ann, tol)
+    scale = 1.0 + _norm([*z, *X.u.tolist(), *alpha.r.tolist(), *v])
     ok = max(span_res, anchor_res, ann_res) <= tol * scale
     return MembershipReport(ok, span_res, anchor_res, ann_res)
 
@@ -90,12 +96,9 @@ def dirac_member_symplectic(
     """Test membership via the symplectic characterization, reporting
     the three defects (z outside U, v != z, pairing with U) separately."""
     X, alpha = dpair.X, dpair.alpha
-    x = X.base.base
-    span_res = U.member_distance(x, X.z, tol)
-    anchor_res = float(np.abs(alpha.v - X.z).max()) if A.n else 0.0
-    xi = alpha.r + X.u + contract(A.structure_at(x), X.base.p) @ X.z
-    ann_res = U.annihilator_residual(x, xi, tol)
-    return _verdict(dpair, tol, span_res, anchor_res, ann_res)
+    (w,) = A.cp_dot(X.base, [X.z.tolist()])
+    xi = [a + b + c for a, b, c in zip(alpha.r.tolist(), X.u.tolist(), w)]
+    return _verdict(U, dpair, tol, X.z, xi)
 
 
 def dirac_member_poisson(
@@ -103,15 +106,9 @@ def dirac_member_poisson(
 ) -> MembershipReport:
     """Test membership via the fiberwise Poisson map: the covector's
     v-slot must lie in U and X - ♯(alpha) must annihilate the lift."""
-    X, alpha = dpair.X, dpair.alpha
-    x = X.base.base
-    span_res = U.member_distance(x, alpha.v, tol)
-    Y = omega_sharp(A, alpha)
-    dz = X.z - Y.z
-    du = X.u - Y.u
-    anchor_res = float(np.abs(dz).max()) if A.n else 0.0
-    ann_res = U.annihilator_residual(x, du, tol)
-    return _verdict(dpair, tol, span_res, anchor_res, ann_res)
+    Y = omega_sharp(A, dpair.alpha)  # Y.z is v, so X.z - Y.z is the anchor defect
+    du = [a - b for a, b in zip(dpair.X.u.tolist(), Y.u.tolist())]
+    return _verdict(U, dpair, tol, dpair.alpha.v, du)
 
 
 def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
@@ -121,42 +118,28 @@ def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis
 
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
-    n = A.n
-    frame = U.completion(pt.base)
-    Q, Qc = frame[:, : U.r], frame[:, U.r :]
-    Cp = contract(A.structure_at(pt.base), pt.p)
-    eye = np.eye(n)
-    zero = np.zeros(n)
-    vector, covector = ProlongVector._trusted, ProlongCovector._trusted
-    gens = []
-    for a in range(U.r):
-        q = Q[:, a]
-        gens.append(
-            DiracPair(vector(base=pt, z=q, u=zero), ProlongCovector(pt, -(Cp @ q), q))
-        )
-    for b in range(n):
-        gens.append(
-            DiracPair(
-                vector(base=pt, z=zero, u=eye[b]), covector(base=pt, r=-eye[b], v=zero)
-            )
-        )
-    for c in range(n - U.r):
-        gens.append(
-            DiracPair(
-                vector(base=pt, z=zero, u=zero), covector(base=pt, r=Qc[:, c], v=zero)
-            )
-        )
+    zero = np.zeros(A.n)
+    _, Q, Qc = U._frames(pt.base, DEFAULT_RANK_TOL)
+
+    def gen(z, u, r, v):
+        vector = ProlongVector._trusted(base=pt, z=z, u=u)
+        return DiracPair(vector, ProlongCovector._trusted(base=pt, r=r, v=v))
+
+    rows = A.cp_dot(pt, Q.T.tolist())
+    gens = [gen(q, zero, _checked([-t for t in w]), q) for q, w in zip(Q.T, rows)]
+    gens += [gen(zero, e, -e, zero) for e in np.eye(A.n)]
+    gens += [gen(zero, zero, c, zero) for c in Qc.T]
     return DiracBasis(pt, tuple(gens))
 
 
 def check_self_orthogonal(basis: DiracBasis) -> float:
     """Largest symmetrized pairing |alpha_i(X_j) + alpha_j(X_i)| over
-    all generator pairs; zero certifies isotropy of the span."""
-    gens = basis.generators
-    worst = 0.0
-    for i, gi in enumerate(gens):
-        for gj in gens[i:]:
-            worst = max(
-                worst, abs(pair(gi.alpha, gj.X) + pair(gj.alpha, gi.X))
-            )
-    return worst
+    all generator pairs; zero certifies isotropy of the span.  With the
+    generators as rows (z, u, r, v) of M, alpha_i(X_j) is P[i, j] for
+    P = M[:, 2n:] @ M[:, :2n]ᵀ."""
+    M = basis.matrix()
+    if not M.size:
+        return 0.0
+    k = M.shape[1] // 2
+    P = M[:, k:] @ M[:, :k].T
+    return float(np.abs(P + P.T).max())

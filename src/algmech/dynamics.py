@@ -20,6 +20,7 @@ from .algebroid import (
     FiberPoint,
     LieAlgebroid,
     Subbundle,
+    _bracket_terms,
     _Carrier,
     _distances,
     _finite_vector,
@@ -27,7 +28,7 @@ from .algebroid import (
     contract,
     fiber_names,
 )
-from .errors import Degenerate, EvaluationFault, NewtonDivergence
+from .errors import Degenerate, EvaluationFault, NewtonDivergence, NonFinite
 from .prolong import Lagrangian, energies  # noqa: F401  (kept as dynamics.energies)
 
 HESSIAN_CONDITION_LIMIT = 1e12
@@ -71,7 +72,7 @@ class State(_Carrier):
         for name, rows in (("x", xs), ("y", ys), ("p", ps)):
             a = np.array(rows, dtype=float)
             if not np.isfinite(a).all():
-                raise ValueError(f"state component {name} must be finite")
+                raise NonFinite(f"state component {name} must be finite")
             stacked.append(a)
         return tuple(cls._trusted(x=x, y=y, p=p) for x, y, p in zip(*stacked))
 
@@ -161,17 +162,6 @@ def _anchor_rows(rho: np.ndarray, r: int):
     return rho_a.tolist(), rho_a.T.tolist()
 
 
-def _bracket_terms(C: np.ndarray, r: int) -> list:
-    """The nonzero bracket constants C^gamma_alpha,beta with alpha, beta < r
-    as (alpha, beta, gamma, C)."""
-    C_abg = C[:, :r, :r].transpose(1, 2, 0)
-    return [
-        (a, b, g, c)
-        for (a, b, g), c in zip(np.ndindex(C_abg.shape), C_abg.ravel().tolist())
-        if c != 0.0
-    ]
-
-
 def _sup_norm(v: list) -> float:
     """max |v_i| of a float list as numpy gives it: 0 when empty, nan when
     any entry is nan."""
@@ -204,7 +194,7 @@ class _AdaptedField:
         self._idx_xy = [[tri(i, m + a) for i in range(m)] for a in range(r)]
         origin = BasePoint(np.zeros(m))
         self._rho = _anchor_rows(A.anchor_at(origin), r) if A.constant_anchor else None
-        self._terms = _bracket_terms(A.structure_at(origin), r) if A.constant_structure else None
+        self._terms = [t for t in A._terms if max(t[:2]) < r] if A.constant_structure else None
         self._inv_key = None
         self._inv = None
 
@@ -354,7 +344,7 @@ def _midpoint_step(sys: ImplicitSystem, h: float):
         fixed_rho = _anchor_rows(rho, r)
         J0[:m, m : m + r] = -0.5 * rho[:, :r]
     if A.constant_structure:
-        fixed_terms = _bracket_terms(A.structure_at(origin), r)
+        fixed_terms = [t for t in A._terms if max(t[:2]) < r]
 
     def step(prev, u):
         x0, ya0, p0 = (a.tolist() for a in prev)

@@ -23,6 +23,10 @@ class EvaluationFault(AlgmechError):
     """
 
 
+class NonFinite(AlgmechError, ValueError):
+    """A coordinate array holds a nan or an infinite entry, given or computed."""
+
+
 class RankDeficient(AlgmechError):
     """A spanning map lost rank at the probed point."""
 

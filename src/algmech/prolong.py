@@ -7,10 +7,14 @@ covectors carry (x, p; r, v).  Vectors/covectors on the prolongation
 over E carry (x, y; s, w), and every component is checked finite when a
 vector or covector is constructed.  All maps below are the pinned local forms;
 the only contract tying the sign conventions together is the exact
-composition identity  gamma_E = omega_flat ∘ A_E_inverse.
+composition identity  gamma_E = omega_flat ∘ A_E_inverse.  The maps run
+on Python floats and check each computed component list once.
 """
 
 from __future__ import annotations
+
+import math
+from operator import mul
 
 import numpy as np
 
@@ -49,36 +53,30 @@ __all__ = [
 ]
 
 
-class ProlongVector(_Carrier):
-    def __init__(self, base, z, u):
-        d = self.__dict__
+class _Prolonged(_Carrier):
+    """A point and two component arrays, named by ``_fields``, each checked."""
+
+    def __init__(self, base, first, second):
+        d, (f1, f2) = self.__dict__, self._fields
         d["base"] = base
-        d["z"] = _finite_vector(z, "components")
-        d["u"] = _finite_vector(u, "components")
+        d[f1] = _finite_vector(first, "components")
+        d[f2] = _finite_vector(second, "components")
 
 
-class ProlongCovector(_Carrier):
-    def __init__(self, base, r, v):
-        d = self.__dict__
-        d["base"] = base
-        d["r"] = _finite_vector(r, "components")
-        d["v"] = _finite_vector(v, "components")
+class ProlongVector(_Prolonged):
+    _fields = ("z", "u")
 
 
-class TEEVector(_Carrier):
-    def __init__(self, base, s, w):
-        d = self.__dict__
-        d["base"] = base
-        d["s"] = _finite_vector(s, "components")
-        d["w"] = _finite_vector(w, "components")
+class ProlongCovector(_Prolonged):
+    _fields = ("r", "v")
 
 
-class TEECovector(_Carrier):
-    def __init__(self, base, sbar, wbar):
-        d = self.__dict__
-        d["base"] = base
-        d["sbar"] = _finite_vector(sbar, "components")
-        d["wbar"] = _finite_vector(wbar, "components")
+class TEEVector(_Prolonged):
+    _fields = ("s", "w")
+
+
+class TEECovector(_Prolonged):
+    _fields = ("sbar", "wbar")
 
 
 def pair(alpha: ProlongCovector, X: ProlongVector) -> float:
@@ -86,17 +84,24 @@ def pair(alpha: ProlongCovector, X: ProlongVector) -> float:
     return float(alpha.r @ X.z + alpha.v @ X.u)
 
 
+def _checked(v: list) -> np.ndarray:
+    """A computed float list as an array, refused as a carrier refuses it."""
+    return np.array(v) if all(map(math.isfinite, v)) else _finite_vector(v, "components")
+
+
 def omega_flat(A: LieAlgebroid, X: ProlongVector) -> ProlongCovector:
     """Lower an index with the canonical symplectic 2-section:
     r = -u - (C·p) z,  v = z."""
-    Cp = contract(A.structure_at(X.base.base), X.base.p)
-    return ProlongCovector(X.base, -X.u - Cp @ X.z, X.z)
+    (w,) = A.cp_dot(X.base, [X.z.tolist()])
+    r = _checked([-a - b for a, b in zip(X.u.tolist(), w)])
+    return ProlongCovector._trusted(base=X.base, r=r, v=X.z)
 
 
 def omega_sharp(A: LieAlgebroid, alpha: ProlongCovector) -> ProlongVector:
     """Exact inverse of :func:`omega_flat`: z = v,  u = -r - (C·p) v."""
-    Cp = contract(A.structure_at(alpha.base.base), alpha.base.p)
-    return ProlongVector(alpha.base, alpha.v, -alpha.r - Cp @ alpha.v)
+    (w,) = A.cp_dot(alpha.base, [alpha.v.tolist()])
+    u = _checked([-a - b for a, b in zip(alpha.r.tolist(), w)])
+    return ProlongVector._trusted(base=alpha.base, z=alpha.v, u=u)
 
 
 def symplectic_matrix(A: LieAlgebroid, pt: DualPoint) -> np.ndarray:
@@ -104,11 +109,7 @@ def symplectic_matrix(A: LieAlgebroid, pt: DualPoint) -> np.ndarray:
     block form [[C·p, I], [-I, 0]]; the covector of X is Xᵀ·M."""
     n = A.n
     Cp = contract(A.structure_at(pt.base), pt.p)
-    M = np.zeros((2 * n, 2 * n))
-    M[:n, :n] = Cp
-    M[:n, n:] = np.eye(n)
-    M[n:, :n] = -np.eye(n)
-    return M
+    return np.block([[Cp, np.eye(n)], [-np.eye(n), np.zeros((n, n))]])
 
 
 def liouville(A: LieAlgebroid, pt: DualPoint) -> ProlongCovector:
@@ -120,9 +121,7 @@ def euler_and_S(A: LieAlgebroid, X: TEEVector):
     """Euler section at the base of X and the vertical endomorphism
     applied to X: Delta = (0, y), S X = (0, s)."""
     zero = np.zeros(A.n)
-    delta = TEEVector(X.base, zero, X.base.y)
-    SX = TEEVector(X.base, zero, X.s)
-    return delta, SX
+    return TEEVector(X.base, zero, X.base.y), TEEVector(X.base, zero, X.s)
 
 
 class Lagrangian:
@@ -132,8 +131,7 @@ class Lagrangian:
     def __init__(self, algebroid: LieAlgebroid, L):
         self.algebroid = algebroid
         self.L = _as_expression(L)
-        m, n = algebroid.m, algebroid.n
-        self._names = base_names(m) + fiber_names(n)
+        self._names = base_names(algebroid.m) + fiber_names(algebroid.n)
         self._jet = expr.compile_jet2(self.L, self._names)
 
     def jet(self, e: FiberPoint):
@@ -151,40 +149,47 @@ def legendre(Lg: Lagrangian, e: FiberPoint) -> DualPoint:
 
 def A_E_map(A: LieAlgebroid, X: ProlongVector) -> TEECovector:
     """(x, p; z, u) -> (x, z; u + (C·p) z, p)."""
-    Cp = contract(A.structure_at(X.base.base), X.base.p)
+    (w,) = A.cp_dot(X.base, [X.z.tolist()])
+    sbar = _checked([a + b for a, b in zip(X.u.tolist(), w)])
     e = FiberPoint._trusted(x=X.base.x, y=X.z)
-    return TEECovector(e, X.u + Cp @ X.z, X.base.p)
+    return TEECovector._trusted(base=e, sbar=sbar, wbar=X.base.p)
 
 
 def A_E_inverse(A: LieAlgebroid, omega: TEECovector) -> ProlongVector:
     """Exact inverse of :func:`A_E_map`."""
     base = DualPoint._trusted(x=omega.base.x, p=omega.wbar)
-    Cp = contract(A.structure_at(base.base), base.p)
     z = omega.base.y
-    return ProlongVector(base, z, omega.sbar - Cp @ z)
+    (w,) = A.cp_dot(base, [z.tolist()])
+    u = _checked([a - b for a, b in zip(omega.sbar.tolist(), w)])
+    return ProlongVector._trusted(base=base, z=z, u=u)
 
 
 def gamma_E_map(A: LieAlgebroid, omega: TEECovector) -> ProlongCovector:
     """(x, y; s, w) -> (x, w; -s, y); equals omega_flat ∘ A_E_inverse."""
     base = DualPoint._trusted(x=omega.base.x, p=omega.wbar)
-    return ProlongCovector(base, -omega.sbar, omega.base.y)
+    return ProlongCovector._trusted(base=base, r=-omega.sbar, v=omega.base.y)
+
+
+def _anchored(Lg: Lagrangian, e: FiberPoint):
+    """(ρᵀ ∂L/∂x as a float list, ∂L/∂y) at e, from the float gradient of
+    one jet call, which checks it finite."""
+    g = Lg._jet.checked(dict(zip(Lg._names, [*e.x.tolist(), *e.y.tolist()])))[1]
+    m, cols = Lg.algebroid.m, Lg.algebroid.anchor_at(e.base).T.tolist()
+    return [sum(map(mul, col, g[:m]), 0.0) for col in cols], np.array(g[m:])
 
 
 def d_TEE_L(Lg: Lagrangian, e: FiberPoint) -> TEECovector:
     """Differential of L on the prolongation over E:
     (x, y; ρᵀ ∂L/∂x, ∂L/∂y)."""
-    A = Lg.algebroid
-    _, Lx, Ly, _, _, _ = Lg.jet(e)
-    rho = A.anchor_at(e.base)
-    return TEECovector(e, rho.T @ Lx, Ly)
+    s, Ly = _anchored(Lg, e)
+    return TEECovector._trusted(base=e, sbar=_checked(s), wbar=Ly)
 
 
 def dirac_differential(Lg: Lagrangian, e: FiberPoint) -> ProlongCovector:
     """Dirac differential of L: (x, ∂L/∂y; -ρᵀ ∂L/∂x, y)."""
-    A = Lg.algebroid
-    _, Lx, Ly, _, _, _ = Lg.jet(e)
-    rho = A.anchor_at(e.base)
-    return ProlongCovector(DualPoint(e.x, Ly), -(rho.T @ Lx), e.y)
+    s, Ly = _anchored(Lg, e)
+    base = DualPoint._trusted(x=e.x, p=Ly)
+    return ProlongCovector._trusted(base=base, r=_checked([-a for a in s]), v=e.y)
 
 
 def energies(Lg: Lagrangian, e: FiberPoint, p=None):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -302,3 +304,28 @@ def test_contract_matches_einsum_on_antisymmetric_arrays():
         assert np.allclose(contract(C, p), np.einsum("gab,g->ab", C, p), rtol=0, atol=1e-14)
         dC = rng.standard_normal((n, n, n, 2))
         assert np.allclose(contract(dC, p), np.einsum("gabi,g->abi", dC, p), rtol=0, atol=1e-14)
+
+
+def test_member_annihilator_does_not_overflow():
+    # the square of 1e300 overflows; the scale of the test does not
+    from algmech.models import get_model
+
+    U = get_model("suslov").system.U
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert U.member_annihilator(ORIGIN, [0, 0, 1e300])
+        assert not U.member_annihilator(ORIGIN, [1e300, 0, 1e300])
+
+
+def test_constant_span_rank_uses_the_callers_tol_at_its_singular_values():
+    # singular values 1 and 1e-6: a tol on either side of their ratio
+    # keeps or cuts the second one, on every call
+    V = Subbundle(so3(), 2, [["1", "0"], ["0", "1e-6"], ["0", "0"]])
+    for _ in range(2):
+        assert V.completion(ORIGIN, tol=0.9e-6).shape == (3, 3)
+        with pytest.raises(RankDeficient, match="numerical rank 1, expected 2"):
+            V.completion(ORIGIN, tol=1.1e-6)
+        with pytest.raises(RankDeficient):
+            V.member(ORIGIN, [1.0, 0.0, 0.0], tol=1.1e-6)
+    # a rank-0 span has no singular values and is never deficient
+    assert Subbundle(so3(), 0, [[], [], []]).annihilator(ORIGIN, tol=10.0).shape == (3, 3)

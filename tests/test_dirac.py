@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -199,3 +201,51 @@ def test_membership_invariant_under_span_recombination():
         m1 = dirac_member_symplectic(A, U1, dp, 1e-8).member
         m2 = dirac_member_symplectic(A, U2, dp, 1e-8).member
         assert m1 == m2
+
+
+def pairwise_self_orthogonality(basis):
+    """The definition: max |alpha_i(X_j) + alpha_j(X_i)| over all pairs."""
+    from algmech.prolong import pair
+
+    gens = basis.generators
+    return max(
+        abs(pair(gi.alpha, gj.X) + pair(gj.alpha, gi.X))
+        for i, gi in enumerate(gens)
+        for gj in gens[i:]
+    )
+
+
+def test_stacked_self_orthogonality_matches_the_pairwise_definition():
+    from algmech.dirac import DiracBasis
+    from algmech.models import model_names
+
+    rng = np.random.default_rng(8)
+    for name in model_names():
+        sys_ = get_model(name).system
+        A, U = sys_.A, sys_.U
+        for _ in range(20):
+            pt = DualPoint(rng.uniform(-1, 1, A.m), rng.standard_normal(A.n))
+            basis = dirac_generators(A, U, pt)
+            assert abs(check_self_orthogonal(basis) - pairwise_self_orthogonality(basis)) <= 1e-15
+            # a basis that is not isotropic scores the same both ways
+            g = basis.generators
+            bad = DiracBasis(pt, (DiracPair(g[-1].X, g[0].alpha),) + g[1:])
+            worst = pairwise_self_orthogonality(bad)
+            assert worst > 0.0
+            assert abs(check_self_orthogonal(bad) - worst) <= 1e-15 * (1.0 + worst)
+    # no generators at all: nothing to pair
+    assert check_self_orthogonal(DiracBasis(DualPoint([], []), ())) == 0.0
+
+
+def test_membership_scale_does_not_overflow():
+    # |(z, u, r, v)|^2 overflows; the norm and the verdict do not warn
+    A = get_model("rigid-body").system.A
+    U = Subbundle.full(A)
+    pt = DualPoint([], [0.0, 0.0, 0.0])
+    big = [1e300, 0.0, 0.0]
+    dp = DiracPair(ProlongVector(pt, big, np.zeros(3)), ProlongCovector(pt, np.zeros(3), big))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = dirac_member_symplectic(A, U, dp)
+        assert rep.member and rep.anchor_residual == 0.0
+        assert dirac_member_poisson(A, U, dp).member

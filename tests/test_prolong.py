@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from algmech.algebroid import BasePoint, DualPoint, FiberPoint, LieAlgebroid
+from algmech.algebroid import BasePoint, DualPoint, FiberPoint, LieAlgebroid, contract
 from algmech.dynamics import State
+from algmech.errors import AlgmechError, NonFinite
 from algmech.models import SO3_STRUCTURE, get_model
 from algmech.prolong import (
     A_E_inverse,
@@ -335,3 +336,56 @@ def test_carriers_are_immutable_and_name_their_arrays(carrier):
     body = ", ".join(f"{f}={getattr(obj, f)!r}" for f in fields)
     assert repr(obj) == f"{name}({body})"
 
+
+
+# x-dependent structure, so the maps also read C through structure_at
+VARIABLE_C = lambda: LieAlgebroid(1, 2, [["1", "0"]], {(1, 0, 1): "x1"})
+
+
+def test_float_maps_match_their_numpy_formulas():
+    # each map against its formula evaluated with numpy, to 1e-15 of the
+    # magnitudes summed, on the built-in models and an x-dependent C
+    rng = np.random.default_rng(12)
+    bundles = [get_model(name).system for name in ("rigid-body", "suslov", "affine-rank2")]
+    cases = [(s.A, s.Lg) for s in bundles] + [(VARIABLE_C(), None)]
+    for A, Lg in cases:
+        n = A.n
+        for _ in range(50):
+            pt = DualPoint(rng.uniform(-1, 1, A.m), 10.0 ** rng.integers(-3, 4) * rng.standard_normal(n))
+            z, u = rng.standard_normal(n), rng.standard_normal(n)
+            Cp = contract(A.structure_at(pt.base), pt.p)
+            bound = 1e-15 * (np.abs(u) + np.abs(Cp) @ np.abs(z))
+            X = ProlongVector(pt, z, u)
+            w = A_E_map(A, X)
+            alpha = ProlongCovector(pt, u, z)
+            for got, ref in (
+                (omega_flat(A, X).r, -u - Cp @ z),
+                (omega_sharp(A, alpha).u, -u - Cp @ z),
+                (w.sbar, u + Cp @ z),
+                (A_E_inverse(A, TEECovector(FiberPoint(pt.x, z), u, pt.p)).u, u - Cp @ z),
+            ):
+                assert np.all(np.abs(got - ref) <= bound)
+            assert np.array_equal(omega_flat(A, X).v, z) and np.array_equal(w.wbar, pt.p)
+            if Lg is None:
+                continue
+            e = FiberPoint(pt.x, rng.standard_normal(n))
+            _, Lx, Ly, _, _, _ = Lg.jet(e)
+            rho = A.anchor_at(e.base)
+            ref, bound = rho.T @ Lx, 1e-15 * (np.abs(rho).T @ np.abs(Lx))
+            assert np.all(np.abs(d_TEE_L(Lg, e).sbar - ref) <= bound)
+            DL = dirac_differential(Lg, e)
+            assert np.all(np.abs(DL.r + ref) <= bound)
+            assert np.array_equal(DL.base.p, Ly) and np.array_equal(DL.v, e.y)
+
+
+def test_non_finite_coordinates_raise_one_library_error():
+    # NonFinite is both the package's error and a ValueError, same text
+    with pytest.raises(NonFinite, match=r"^p must be finite, got \[ 1. nan\]$") as info:
+        DualPoint([0.0], [1.0, np.nan])
+    assert isinstance(info.value, AlgmechError) and isinstance(info.value, ValueError)
+    A = get_model("rigid-body").system.A
+    X = ProlongVector(DualPoint([], [1e200] * 3), [1e200] * 3, [0.0] * 3)
+    with pytest.raises(NonFinite, match="^components must be finite, got "):
+        A_E_map(A, X)
+    with pytest.raises(NonFinite, match="^state component y must be finite$"):
+        State.stack([[0.0]], [[np.inf]], [[0.0]])
