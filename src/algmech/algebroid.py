@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -89,6 +88,24 @@ class _Carrier:
         return obj
 
 
+class _Record(_Carrier):
+    """Base of the immutable records: the values named by ``_fields``,
+    given positionally in that order, compared and hashed by value."""
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
+        self.__dict__.update(zip(self._fields, values))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return tuple(vars(self).values()) == tuple(vars(other).values())
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+
 class BasePoint(_Carrier):
     def __init__(self, x):
         self.__dict__["x"] = _finite_vector(x, "x")
@@ -140,11 +157,8 @@ class ScalarField:
         return str(self.expression)
 
 
-@dataclass(frozen=True)
-class StructureReport:
-    max_residual_eq1: float
-    max_residual_eq2: float
-    passed: bool
+class StructureReport(_Record):
+    _fields = ("max_residual_eq1", "max_residual_eq2", "passed")
 
 
 def _closed(expressions) -> bool:
@@ -264,7 +278,7 @@ class LieAlgebroid:
         """Check both structure equations at the given sample points."""
         if not points:
             raise ValueError("need at least one sample point")
-        r1 = r2 = 0.0
+        e1, e2 = [], []
         for pt in points:
             rho, drho = self.anchor_jet_at(pt)
             C, dC = self.structure_jet_at(pt)
@@ -272,12 +286,13 @@ class LieAlgebroid:
             lhs = np.einsum("ja,ibj->iab", rho, drho)
             lhs = lhs - lhs.transpose(0, 2, 1)
             rhs = np.einsum("ig,gab->iab", rho, C)
-            r1 = max(r1, float(np.abs(lhs - rhs).max(initial=0.0)))
+            e1.append(np.abs(lhs - rhs).max(initial=0.0))
             # eq2: cyclic sum over (a,b,g) of rho^i_a d_i C^d_bg + C^d_an C^n_bg
             T = np.einsum("ia,dbgi->dabg", rho, dC) + np.einsum("dan,nbg->dabg", C, C)
             cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-            r2 = max(r2, float(np.abs(cyc).max(initial=0.0)))
-        return StructureReport(r1, r2, passed=(r1 <= tol and r2 <= tol))
+            e2.append(np.abs(cyc).max(initial=0.0))
+        r1, r2 = float(np.max(e1)), float(np.max(e2))  # nan, if any, is kept
+        return StructureReport(r1, r2, r1 <= tol and r2 <= tol)
 
     # -- differential calculus -----------------------------------------
 

@@ -171,7 +171,7 @@ def cmd_dirac_check(args) -> int:
         p = rng.standard_normal(n)
         points.append(DualPoint(x, p))
     bases = [dirac_generators(A, U, pt) for pt in points]
-    worst_orth = max(map(check_self_orthogonal, bases))
+    worst_orth = float(np.max([check_self_orthogonal(b) for b in bases]))  # keeps nan
     mats = [b.matrix() for b in bases]
     rank_ok = all(np.linalg.matrix_rank(M, tol=1e-9) == 2 * n for M in mats)
     agree = True
@@ -282,7 +282,8 @@ def main(argv=None) -> int:
     started = time.perf_counter()
     try:
         _check_args(args)
-        code = _COMMANDS[args.command](args)
+        with np.errstate(all="ignore"):  # an overflow ends in a check or an error: line
+            code = _COMMANDS[args.command](args)
     except Degenerate as e:
         print(f"error: degenerate system: {e}")
         code = EXIT_DEGENERATE

@@ -13,11 +13,9 @@ U(x), giving 2n pairs that span the structure and pair to zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _norm
+from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _norm, _Record
 from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
 
 __all__ = [
@@ -32,37 +30,30 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, eq=False)
-class DiracPair:
-    X: ProlongVector
-    alpha: ProlongCovector
+class DiracPair(_Record):
+    _fields = ("X", "alpha")
 
-    def __post_init__(self):
-        bx, ba = self.X.base, self.alpha.base
+    def __init__(self, X: ProlongVector, alpha: ProlongCovector):
+        bx, ba = X.base, alpha.base
         if bx is not ba and not (np.array_equal(bx.x, ba.x) and np.array_equal(bx.p, ba.p)):
             raise ValueError("vector and covector must share a base point")
+        super().__init__(X, alpha)
 
     def coordinates(self) -> np.ndarray:
         """Flat (z, u, r, v) coordinates in R^{4n}."""
         return np.concatenate([self.X.z, self.X.u, self.alpha.r, self.alpha.v])
 
 
-@dataclass(frozen=True, eq=False)
-class DiracBasis:
-    base: DualPoint
-    generators: tuple
+class DiracBasis(_Record):
+    _fields = ("base", "generators")
 
     def matrix(self) -> np.ndarray:
         """Generators stacked as rows of a (2n, 4n) matrix."""
         return np.array([g.coordinates() for g in self.generators])
 
 
-@dataclass(frozen=True)
-class MembershipReport:
-    member: bool
-    span_residual: float
-    anchor_residual: float
-    annihilator_residual: float
+class MembershipReport(_Record):
+    _fields = ("member", "span_residual", "anchor_residual", "annihilator_residual")
 
 
 def lift_subbundle(A: LieAlgebroid, U: Subbundle, pt: DualPoint):
@@ -86,7 +77,8 @@ def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> Membership
     anchor_res = max([abs(a - b) for a, b in zip(v, z)], default=0.0)
     ann_res = U.annihilator_residual(x, ann, tol)
     scale = 1.0 + _norm([*z, *X.u.tolist(), *alpha.r.tolist(), *v])
-    ok = max(span_res, anchor_res, ann_res) <= tol * scale
+    bound = tol * scale
+    ok = span_res <= bound and anchor_res <= bound and ann_res <= bound  # nan fails
     return MembershipReport(ok, span_res, anchor_res, ann_res)
 
 

@@ -8,7 +8,6 @@ exact Jacobian and a halving line search), and energy monitoring.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -24,6 +23,7 @@ from .algebroid import (
     _Carrier,
     _distances,
     _finite_vector,
+    _Record,
     base_names,
     contract,
     fiber_names,
@@ -46,15 +46,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ImplicitSystem:
-    A: LieAlgebroid
-    Lg: Lagrangian
-    U: Subbundle
+class ImplicitSystem(_Record):
+    _fields = ("A", "Lg", "U")
 
-    def __post_init__(self):
-        if self.Lg.algebroid is not self.A or self.U.parent is not self.A:
+    def __init__(self, A: LieAlgebroid, Lg: Lagrangian, U: Subbundle):
+        if Lg.algebroid is not A or U.parent is not A:
             raise ValueError("Lagrangian and subbundle must share the algebroid")
+        super().__init__(A, Lg, U)
 
 
 class State(_Carrier):
@@ -77,21 +75,12 @@ class State(_Carrier):
         return tuple(cls._trusted(x=x, y=y, p=p) for x, y, p in zip(*stacked))
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    times: np.ndarray
-    states: tuple
-    h: float
-    method: str
+class Trajectory(_Record):
+    _fields = ("times", "states", "h", "method")
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    r_U: float
-    r_kin: float
-    r_leg: float
-    r_mom: float
-    passed: bool
+class ResidualReport(_Record):
+    _fields = ("r_U", "r_kin", "r_leg", "r_mom", "passed")
 
 
 def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> ResidualReport:
@@ -113,7 +102,8 @@ def _residual_reports(sys: ImplicitSystem, states, xdots, pdots, tol: float) -> 
     along = _along(sys, BasePoint._trusted(x=states[0].x), data, DEFAULT_RANK_TOL)
     Y, P = np.array([st.y for st in states]), np.array([st.p for st in states])
     rows = _residual_rows(along, Y, P, xdots, pdots, grads[:, :m], grads[:, m:])
-    return [ResidualReport(*r, max(r) <= tol) for r in zip(*(a.tolist() for a in rows))]
+    per_state = zip(*(a.tolist() for a in rows))
+    return [ResidualReport(*r, all(v <= tol for v in r)) for r in per_state]  # nan fails
 
 
 def _residual_rows(along, Y, P, Xdot, Pdot, Lx, Ly) -> tuple:
@@ -195,8 +185,7 @@ class _AdaptedField:
         origin = BasePoint(np.zeros(m))
         self._rho = _anchor_rows(A.anchor_at(origin), r) if A.constant_anchor else None
         self._terms = [t for t in A._terms if max(t[:2]) < r] if A.constant_structure else None
-        self._inv_key = None
-        self._inv = None
+        self._inv_key, self._inv = (), []  # the inverse of the empty Hessian when r = 0
 
     def _solve(self, key: tuple, rhs: list) -> list:
         if key != self._inv_key:
@@ -283,10 +272,17 @@ def _lift_residuals(sys: ImplicitSystem, states, h: float, tol: float) -> list:
 
 
 def _steps(h: float, T: float) -> int:
-    """Number of uniform steps of size h that make up the horizon T."""
-    if not (h > 0 and T > 0 and np.isfinite(T / h)):
+    """Number of uniform steps of size h that make up the horizon T: at
+    most 2^53, beyond which floats cannot tell whether T is a multiple of
+    h, and of a step whose reciprocal is finite."""
+    h, T = float(h), float(T)
+    if not (h > 0 and T > 0 and math.isfinite(T / h)):
         raise ValueError("step and horizon must be positive and finite")
+    if not math.isfinite(1.0 / h):
+        raise ValueError(f"step {h} has no finite reciprocal")
     N = int(round(T / h))
+    if N > 2**53:
+        raise ValueError(f"horizon {T} is more than 2^53 steps of {h}")
     if N < 1 or abs(N * h - T) > 1e-9 * max(1.0, T):
         raise ValueError(f"horizon {T} is not a multiple of step {h}")
     return N
@@ -491,7 +487,10 @@ def _energies(sys: ImplicitSystem, states) -> list:
     jet of L."""
     names = base_names(sys.A.m) + fiber_names(sys.A.n)
     jet = expr.compile_jet2(sys.Lg.L, names).checked
-    return [
+    out = [
         float(st.p @ st.y - jet(dict(zip(names, [*st.x.tolist(), *st.y.tolist()])))[0])
         for st in states
     ]
+    if not all(map(math.isfinite, out)):
+        raise NonFinite("the generalized energy p.y - L overflowed")
+    return out

@@ -11,11 +11,10 @@ than a tautology.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebroid import LieAlgebroid, Subbundle
+from .algebroid import LieAlgebroid, Subbundle, _Record
 from .dynamics import ImplicitSystem, State, Trajectory, _steps
 from .errors import BadParams, UnknownModel
 from .hj import HJSection
@@ -28,15 +27,10 @@ __all__ = ["ModelBundle", "get_model", "oracle_trajectory", "model_names"]
 SO3_STRUCTURE = {(2, 0, 1): "1", (1, 0, 2): "-1", (0, 1, 2): "1"}
 
 
-@dataclass(frozen=True)
-class ModelBundle:
-    name: str
-    system: ImplicitSystem
-    box: tuple  # per base coordinate: (lo, hi)
-    doc: str
-    hj_sections: dict = field(default_factory=dict)
-    oracle: object = None
-    perturb: object = None  # (rng, failing) -> HJSection
+class ModelBundle(_Record):
+    """box: per base coordinate (lo, hi); perturb: (rng, failing) -> HJSection."""
+
+    _fields = ("name", "system", "box", "doc", "hj_sections", "oracle", "perturb")
 
 
 def _rk4(f, q0, h, N):

@@ -329,3 +329,19 @@ def test_constant_span_rank_uses_the_callers_tol_at_its_singular_values():
             V.member(ORIGIN, [1.0, 0.0, 0.0], tol=1.1e-6)
     # a rank-0 span has no singular values and is never deficient
     assert Subbundle(so3(), 0, [[], [], []]).annihilator(ORIGIN, tol=10.0).shape == (3, 3)
+
+
+def test_an_overflowing_jacobi_defect_fails_validation():
+    # C·C overflows and the cyclic sum of the infinities is nan, which the
+    # largest residual keeps: it must not pass (with all constants 1, the
+    # same bracket fails with residual 1)
+    keys = [(0, 0, 1), (0, 1, 2), (1, 1, 2), (2, 0, 1)]
+    pts = [BasePoint([])] * 3
+    assert LieAlgebroid(0, 3, [], dict.fromkeys(keys, "1")).validate_structure(
+        pts, 1e-10
+    ).max_residual_eq2 == 1.0
+    A = LieAlgebroid(0, 3, [], dict.fromkeys(keys, "1e300"))
+    with np.errstate(all="ignore"):
+        rep = A.validate_structure(pts, 1e-10)
+    assert rep.max_residual_eq1 == 0.0 and np.isnan(rep.max_residual_eq2)
+    assert not rep.passed

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import subprocess
 import sys
 import warnings
@@ -282,3 +283,84 @@ def test_huge_section_prints_one_error_line_and_no_warning(tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 6
     assert out.splitlines() == ["error: base flow left |x| <= 1e+06 at t=0.01"]
+
+
+def _main(capsys, *argv):
+    """Exit code and stdout of an in-process run with every warning an
+    error; stderr must hold nothing but the wall time."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main([str(a) for a in argv])
+    out, err = capsys.readouterr()
+    assert re.fullmatch(r"wall_time_s: \d+\.\d{3}\n", err)
+    return code, out
+
+
+def _config_file(tmp_path, cfg):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(cfg))
+    return path
+
+
+def test_validate_fails_on_a_nan_jacobi_defect(tmp_path, capsys):
+    # C·C overflows and the cyclic sum is nan: once "residual_eq2: 0", pass
+    keys = ["1,1,2", "1,2,3", "2,2,3", "3,1,2"]
+    cfg = {"m": 0, "n": 3, "r": 3, "anchor": [], "lagrangian": "0.5 * y1^2"}
+    code, out = _main(capsys, "validate", "--config", _config_file(
+        tmp_path, {**cfg, "structure": dict.fromkeys(keys, "1")}))
+    assert code == 2 and "residual_eq2: 1" in out.splitlines()
+    code, out = _main(capsys, "validate", "--config", _config_file(
+        tmp_path, {**cfg, "structure": dict.fromkeys(keys, "1e300")}))
+    assert code == 2
+    assert "residual_eq2: nan" in out.splitlines() and out.endswith("verdict: fail\n")
+
+
+def test_hj_check_exits_5_on_a_nan_closedness(tmp_path, capsys):
+    cfg = {
+        "m": 1, "n": 2, "r": 2, "anchor": [["1", "0"]], "structure": {"2,1,2": "1e300"},
+        "lagrangian": "y1 + 1e300 * y2",
+        "hj_sections": {"s": {"gamma": ["0", "0"], "gammabar": ["1", "1e300"]}},
+    }
+    code, out = _main(capsys, "hj-check", "--config", _config_file(tmp_path, cfg),
+                      "--section", "s", "--x0", "0", "--h", "1e-2", "--T", "0.02")
+    assert code == 5
+    assert out.splitlines() == [
+        "error: hypothesis violated: hypothesis closedness on U-pairs violated at [0.]"
+        " (residual nan)"
+    ]
+
+
+def test_rk4_runs_on_a_rank_zero_subbundle(tmp_path, capsys):
+    cfg = {"m": 0, "n": 1, "r": 0, "anchor": [], "structure": {},
+           "lagrangian": "0.5 * y1^2", "subbundle": "adapted:0"}
+    path = _config_file(tmp_path, cfg)
+    outs = []
+    for method in ("rk4", "implicit_midpoint"):
+        code, out = _main(capsys, "simulate", "--config", path, "--h", "1e-2", "--T", "0.02",
+                          "--method", method)
+        assert code == 0
+        outs.append(out.replace(f"method: {method}", "method: -"))
+    assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        # p·y overflows: E0 was inf and the drift nan
+        ("--model", "free-particle", "--x0=0,0", "--y0=1e154,1e154", "--h", "0.5", "--T", "1"),
+        # the midpoint's I/h overflowed before Newton diverged
+        ("--model", "pendulum", "--x0=0", "--y0=1", "--h", "5e-324", "--T", "1e-323",
+         "--method", "implicit_midpoint"),
+    ],
+)
+def test_simulate_at_the_float_limits_exits_6_with_one_error_line(capsys, args):
+    code, out = _main(capsys, "simulate", *args)
+    assert code == 6 and len(out.splitlines()) == 1 and out.startswith("error: ")
+
+
+def test_csv_residuals_at_the_float_limits_print_no_warning(tmp_path, capsys):
+    # the finite-difference stencil of x ~ 1e308 overflows inside the CSV pass
+    out_csv = tmp_path / "o.csv"
+    code, out = _main(capsys, "simulate", "--model", "pendulum", "--x0=1e308", "--y0=1",
+                      "--h", "1e-2", "--T", "0.04", "--out", out_csv)
+    assert code == 0 and len(out_csv.read_text().splitlines()) == 6

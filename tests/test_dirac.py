@@ -249,3 +249,19 @@ def test_membership_scale_does_not_overflow():
         rep = dirac_member_symplectic(A, U, dp)
         assert rep.member and rep.anchor_residual == 0.0
         assert dirac_member_poisson(A, U, dp).member
+
+
+def test_a_nan_annihilator_pairing_is_not_a_member():
+    # (C·p) z overflows to (inf, -inf), whose pairing with the span column
+    # (1, 1) is nan; max() once dropped it behind the two zero defects, so
+    # this pair (u pairs to 1 with U) passed as a member
+    A = LieAlgebroid(0, 2, [], {(0, 0, 1): "1e300"})
+    U = Subbundle(A, 1, [["1"], ["1"]])
+    pt = DualPoint([], [1e10, 0.0])
+    dp = DiracPair(
+        ProlongVector(pt, [1.0, 1.0], [1.0, 0.0]), ProlongCovector(pt, [0.0, 0.0], [1.0, 1.0])
+    )
+    with np.errstate(all="ignore"):
+        rep = dirac_member_symplectic(A, U, dp, 1e-8)
+    assert rep.span_residual < 1e-15 and rep.anchor_residual == 0.0
+    assert np.isnan(rep.annihilator_residual) and not rep.member

@@ -13,7 +13,7 @@ from algmech.dynamics import (
     integrate,
     residual,
 )
-from algmech.errors import Degenerate, EvaluationFault, NewtonDivergence
+from algmech.errors import Degenerate, EvaluationFault, NewtonDivergence, NonFinite
 from algmech.models import get_model, model_names, oracle_trajectory
 from algmech.prolong import Lagrangian
 
@@ -478,3 +478,53 @@ def test_stacked_lift_pass_equals_the_formulas_on_arbitrary_states(span):
     stacked = dynamics._lift_residuals(sys, states, 1e-2, 1e-6)
     for st, xd, pd, rep in zip(states, xdots, pdots, stacked):
         assert (rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom) == _residual_written_out(sys, st, xd, pd)
+
+
+@pytest.mark.parametrize(
+    "h, T, message",
+    [
+        (1e-2, 1e300, "more than 2\\^53 steps"),  # 1e302 steps: runs out of memory
+        (2.0**-54, 1.0, "more than 2\\^53 steps"),
+        (5e-324, 1e-323, "no finite reciprocal"),  # the midpoint's I/h overflows
+        (1e-310, 2e-310, "no finite reciprocal"),
+    ],
+)
+def test_step_counts_are_bounded(h, T, message):
+    with pytest.raises(ValueError, match=message):
+        dynamics._steps(h, T)
+
+
+def test_step_count_limits_still_run():
+    assert dynamics._steps(2.0**-53, 1.0) == 2**53
+    assert dynamics._steps(2.2e-308, 4.4e-308) == 2
+    assert dynamics._steps(1e-2, 0.02) == 2
+
+
+def test_rk4_runs_on_a_rank_zero_subbundle():
+    # the restricted velocity Hessian is 0 x 0; its inverse is empty
+    A = LieAlgebroid(0, 1, [], {})
+    sys = ImplicitSystem(A, Lagrangian(A, "0.5 * y1^2"), Subbundle.adapted_rank(A, 0))
+    rk4 = integrate(sys, ([], []), 1e-2, 0.02)
+    mid = integrate(sys, ([], []), 1e-2, 0.02, method="implicit_midpoint")
+    assert len(rk4.states) == len(mid.states) == 3
+    for a, b in zip(rk4.states, mid.states):
+        for name in ("x", "y", "p"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
+def test_an_overflowing_energy_is_refused():
+    # p·y overflows at y = (1e154, 1e154), so E0 was inf and the drift nan
+    b = get_model("free-particle")
+    traj = integrate(b.system, ([0.0, 0.0], [1e154, 1e154]), 0.5, 1.0)
+    with np.errstate(all="ignore"), pytest.raises(NonFinite, match="energy"):
+        energy_drift(b.system, traj)
+
+
+def test_a_nan_residual_does_not_pass():
+    # max() of the four residuals dropped a nan that was not the first
+    b = get_model("rigid-body")
+    st = State([], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0])
+    good = residual(b.system, st, [], [0.0, 0.0, 0.0], np.inf)
+    assert good.passed
+    rep = residual(b.system, st, [], [np.nan, 0.0, 0.0], np.inf)
+    assert np.isnan(rep.r_mom) and not rep.passed

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from algmech import dynamics
-from algmech.algebroid import BasePoint
+from algmech.algebroid import BasePoint, LieAlgebroid, Subbundle
 from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated
 from algmech.hj import (
     HJSection,
@@ -16,6 +16,7 @@ from algmech.hj import (
     verify_theorem,
 )
 from algmech.models import get_model
+from algmech.prolong import Lagrangian
 
 ORIGIN1 = BasePoint([0.0])
 
@@ -380,3 +381,18 @@ def test_a_non_finite_section_value_is_reported_as_evaluate_reports_it(gamma):
             read(ORIGIN1)
     with pytest.raises(EvaluationFault, match="non-finite result inf"):
         verify_theorem(b.system, s, ORIGIN1, 5e-3, 1.0, 1e-8)
+
+
+def test_a_nan_closedness_defect_is_a_violated_hypothesis():
+    # gammabar_2 C^2_12 overflows against the anchor term, so closedness is
+    # nan at x0; it once passed the hypothesis checks because nan > tol is False
+    A = LieAlgebroid(1, 2, [["1", "0"]], {(1, 0, 1): "1e300"})
+    sys = dynamics.ImplicitSystem(
+        A, Lagrangian(A, "y1 + 1e300 * y2"), Subbundle.adapted_rank(A, 2)
+    )
+    s = HJSection(2, 1, ["0", "0"], ["1", "1e300"])
+    with np.errstate(all="ignore"):
+        assert math.isnan(check_closedness(sys, s, BasePoint([0.0])))
+        with pytest.raises(HypothesisViolated, match="closedness") as info:
+            verify_theorem(sys, s, BasePoint([0.0]), 1e-2, 0.02, 1e-8)
+    assert math.isnan(info.value.value)
