@@ -188,6 +188,12 @@ def _bracket_terms(C: np.ndarray, r: int) -> list:
     ]
 
 
+def _stacked(jets) -> tuple:
+    """The (value, gradient) pairs of ``jets`` as two stacked arrays."""
+    values, grads = zip(*jets)
+    return np.array(values), np.array(grads)
+
+
 def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
     """(C·p)[a, b] = C^g_ab p_g, the structure array contracted with a
     covector on its upper index; trailing axes, as in dC, are kept."""
@@ -275,23 +281,24 @@ class LieAlgebroid:
     # -- structure equations -------------------------------------------
 
     def validate_structure(self, points, tol: float) -> StructureReport:
-        """Check both structure equations at the given sample points."""
+        """Check both structure equations at the given sample points in one
+        stacked pass.  Data that depends on x is evaluated at every point
+        and constant data once; a constant algebroid is checked at one
+        point, since every point gives it the same residuals."""
         if not points:
             raise ValueError("need at least one sample point")
-        e1, e2 = [], []
-        for pt in points:
-            rho, drho = self.anchor_jet_at(pt)
-            C, dC = self.structure_jet_at(pt)
-            # eq1: rho^j_a d_j rho^i_b - rho^j_b d_j rho^i_a = rho^i_g C^g_ab
-            lhs = np.einsum("ja,ibj->iab", rho, drho)
-            lhs = lhs - lhs.transpose(0, 2, 1)
-            rhs = np.einsum("ig,gab->iab", rho, C)
-            e1.append(np.abs(lhs - rhs).max(initial=0.0))
-            # eq2: cyclic sum over (a,b,g) of rho^i_a d_i C^d_bg + C^d_an C^n_bg
-            T = np.einsum("ia,dbgi->dabg", rho, dC) + np.einsum("dan,nbg->dabg", C, C)
-            cyc = T + T.transpose(0, 2, 3, 1) + T.transpose(0, 3, 1, 2)
-            e2.append(np.abs(cyc).max(initial=0.0))
-        r1, r2 = float(np.max(e1)), float(np.max(e2))  # nan, if any, is kept
+        points = points[:1] if self.constant else points
+        rho, drho = self._anchor_jet or _stacked(map(self.anchor_jet_at, points))
+        C, dC = self._structure_jet or _stacked(map(self.structure_jet_at, points))
+        # eq1: rho^j_a d_j rho^i_b - rho^j_b d_j rho^i_a = rho^i_g C^g_ab
+        lhs = np.einsum("...ja,...ibj->...iab", rho, drho)
+        lhs = lhs - np.swapaxes(lhs, -1, -2)
+        rhs = np.einsum("...ig,...gab->...iab", rho, C)
+        # eq2: cyclic sum over (a,b,g) of rho^i_a d_i C^d_bg + C^d_an C^n_bg
+        T = np.einsum("...ia,...dbgi->...dabg", rho, dC) + np.einsum("...dan,...nbg->...dabg", C, C)
+        cyc = T + np.moveaxis(T, -3, -1) + np.moveaxis(T, -1, -3)
+        r1 = float(np.abs(lhs - rhs).max(initial=0.0))  # nan, if any, is kept
+        r2 = float(np.abs(cyc).max(initial=0.0))
         return StructureReport(r1, r2, r1 <= tol and r2 <= tol)
 
     # -- differential calculus -----------------------------------------
@@ -407,20 +414,28 @@ class Subbundle:
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
-        return self.member_distance(x, v, tol) <= tol * (1.0 + _norm(v))
+        return _passes(self.member_distance(x, v, tol), tol * (1.0 + _norm(v)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
         v = np.asarray(v, dtype=float)
         Q = self._frames(x, tol)[1]
         return _norm(v - Q @ (Q.T @ v))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
-        return self.annihilator_residual(x, xi, tol) <= tol * (1.0 + _norm(xi))
+        return _passes(self.annihilator_residual(x, xi, tol), tol * (1.0 + _norm(xi)))
 
+    @np.errstate(over="ignore", invalid="ignore")
     def annihilator_residual(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> float:
         """Largest pairing of ``xi`` with the spanning columns of U(x)."""
         S = self._frames(x, tol)[0]
         return float(np.abs(np.asarray(xi, dtype=float) @ S).max(initial=0.0))
+
+
+def _passes(residual: float, bound: float) -> bool:
+    """Whether a residual is finite and within the bound: one that
+    overflowed fails also where the bound overflowed with it, and nan fails."""
+    return residual <= bound and residual != math.inf
 
 
 def _norm(v) -> float:

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _norm, _Record
+from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _norm, _passes, _Record
 from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
 
 __all__ = [
@@ -69,7 +69,8 @@ def lift_subbundle(A: LieAlgebroid, U: Subbundle, pt: DualPoint):
 def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> MembershipReport:
     """The report of a membership test: the distance of ``in_U`` from U,
     the largest |v - z| and the largest pairing of ``ann`` with U, each
-    compared with tol scaled by 1 + |(z, u, r, v)|."""
+    compared with tol scaled by 1 + |(z, u, r, v)|; one that is not
+    finite fails, also where that bound overflowed."""
     X, alpha = dpair.X, dpair.alpha
     x = X.base.base
     z, v = X.z.tolist(), alpha.v.tolist()
@@ -78,7 +79,7 @@ def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> Membership
     ann_res = U.annihilator_residual(x, ann, tol)
     scale = 1.0 + _norm([*z, *X.u.tolist(), *alpha.r.tolist(), *v])
     bound = tol * scale
-    ok = span_res <= bound and anchor_res <= bound and ann_res <= bound  # nan fails
+    ok = _passes(span_res, bound) and _passes(anchor_res, bound) and _passes(ann_res, bound)
     return MembershipReport(ok, span_res, anchor_res, ann_res)
 
 

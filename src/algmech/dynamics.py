@@ -160,78 +160,101 @@ def _sup_norm(v: list) -> float:
     return max(map(abs, v), default=0.0)
 
 
-class _AdaptedField:
-    """Right-hand side of the adapted reduction on Python floats at
-    q = (x, ya), the base point followed by the U-components of the
-    velocity.  Keeps the raw compiled jet of L, index maps into its packed
-    Hessian, the anchor and the structure each unpacked once when constant,
-    and a cached inverse of the restricted velocity Hessian, so a single
-    evaluation stays cheap inside the integrator loop."""
+def _adapted_field(sys: ImplicitSystem):
+    """Right-hand side of the adapted reduction as a function q -> (qdot,
+    p) on Python floats, at q = (x, ya), the base point followed by the
+    U-components of the velocity, with p the full Legendre image.
 
-    def __init__(self, sys: ImplicitSystem):
-        if not sys.U.adapted:
-            raise ValueError("explicit path needs the subbundle in adapted form")
-        self.sys = sys
-        A = sys.A
-        self.m, self.r = A.m, sys.U.r
-        m, r = self.m, self.r
-        self._names = base_names(m) + fiber_names(A.n)
-        self._pad = [0.0] * (A.n - r)
-        self._raw = expr.compile_jet2(sys.Lg.L, self._names).raw
-        packed = {jl: i for i, jl in enumerate(expr._pairs(m + A.n))}
-        tri = lambda j, l: packed[min(j, l), max(j, l)]
-        self._idx_M = [tri(m + a, m + b) for a in range(r) for b in range(r)]
-        self._idx_xy = [[tri(i, m + a) for i in range(m)] for a in range(r)]
-        origin = BasePoint(np.zeros(m))
-        self._rho = _anchor_rows(A.anchor_at(origin), r) if A.constant_anchor else None
-        self._terms = [t for t in A._terms if max(t[:2]) < r] if A.constant_structure else None
-        self._inv_key, self._inv = (), []  # the inverse of the empty Hessian when r = 0
+    The function is straight-line source, emitted and compiled once per
+    Lagrangian and rank of U on first use and kept on the Lagrangian
+    beside its compiled jet.  Each call here binds it to a fresh cache of
+    the inverse restricted velocity Hessian."""
+    if not sys.U.adapted:
+        raise ValueError("explicit path needs the subbundle in adapted form")
+    Lg, r = sys.Lg, sys.U.r
+    bind = Lg._fields.get(r)
+    if bind is None:
+        bind = Lg._fields[r] = _emit_field(Lg, r)
+    return bind()
 
-    def _solve(self, key: tuple, rhs: list) -> list:
-        if key != self._inv_key:
-            M = np.array(key).reshape(self.r, self.r)
-            s = np.linalg.svd(M, compute_uv=False)
-            cond = np.inf if s[-1] == 0.0 else s[0] / s[-1]
-            if cond >= HESSIAN_CONDITION_LIMIT:
-                raise Degenerate(
-                    f"restricted velocity Hessian has condition number {cond:.3g}"
-                )
-            self._inv_key = key
-            self._inv = np.linalg.inv(M).tolist()
-        return [sum(map(mul, row, rhs)) for row in self._inv]
 
-    def __call__(self, q: list):
-        """(qdot, p) as float lists, with p the full Legendre image."""
-        m = self.m
-        try:
-            _, g, h = self._raw(dict(zip(self._names, [*q, *self._pad])))
-        except (ZeroDivisionError, ValueError, OverflowError) as exc:
-            raise EvaluationFault(str(exc)) from exc
-        Lx, Ly = g[:m], g[m:]
-        A, r = self.sys.A, self.r
-        if not A.constant:
-            xs = q[:m]
-            if not all(map(math.isfinite, xs)):
-                _finite_vector(xs, "x")
-            bp = BasePoint._trusted(x=np.array(xs))
-        rho_a, rho_aT = self._rho or _anchor_rows(A.anchor_at(bp), r)
-        terms = self._terms
-        if terms is None:
-            terms = _bracket_terms(A.structure_at(bp), r)
-        ya = q[m:]
-        xdot = [sum(map(mul, row, ya)) for row in rho_a]
-        # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less
-        # the mixed Hessian term that d/dt of dL/dy carries over
-        rhs = [0.0] * r
-        for a, b, gm, c in terms:
-            rhs[a] -= Ly[gm] * c * ya[b]
-        if m:
-            hx = h.__getitem__
-            rhs = [
-                pa + sum(map(mul, col, Lx)) - sum(map(mul, map(hx, idx), xdot))
-                for pa, col, idx in zip(rhs, rho_aT, self._idx_xy)
-            ]
-        return xdot + self._solve(tuple(map(h.__getitem__, self._idx_M)), rhs), Ly
+def _fold(products: list) -> str:
+    """Source of ``sum(products)``: a literal left fold from the int 0 up
+    to two terms, and ``sum`` itself from three on, since Python 3.12 and
+    later compensate its rounding."""
+    if len(products) < 3:
+        return " + ".join(["0", *products])
+    return f"sum(({', '.join(products)}))"
+
+
+def _inverse(key: tuple, r: int) -> list:
+    """Rows of the inverse of the restricted velocity Hessian given row by
+    row in ``key``, once its condition number is below the limit."""
+    M = np.array(key).reshape(r, r)
+    s = np.linalg.svd(M, compute_uv=False)
+    cond = np.inf if s[-1] == 0.0 else s[0] / s[-1]
+    if cond >= HESSIAN_CONDITION_LIMIT:
+        raise Degenerate(f"restricted velocity Hessian has condition number {cond:.3g}")
+    return np.linalg.inv(M).tolist()
+
+
+def _emit_field(Lg: Lagrangian, r: int):
+    """The adapted field of ``Lg`` on a rank-r adapted U, compiled from
+    source as a function that returns it bound to a fresh inverse cache.
+
+    A constant anchor and the nonzero constants of a constant structure
+    are float literals; one that depends on x is read through
+    ``anchor_at`` or ``structure_at`` at every call.  Every contraction
+    keeps the term order of ``sum(map(mul, row, v))``."""
+    A = Lg.algebroid
+    m, n = A.m, A.n
+    q, s = [f"q{k}" for k in range(m + r)], [f"s{a}" for a in range(r)]
+    ya, xd = q[m:], [f"xd{i}" for i in range(m)]
+    packed = {jl: k for k, jl in enumerate(expr._pairs(m + n))}
+    hess = lambda j, l: f"h[{packed[min(j, l), max(j, l)]}]"
+    binding = ", ".join(f"{k!r}: {v}" for k, v in zip(Lg._names, q + ["0.0"] * (n - r)))
+    body = ["nonlocal key, inv"] + ([f"{', '.join(q)}, = q"] if q else [])
+    body += ["try:", f"    _, g, h = raw({{{binding}}})",
+             "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+             "    raise EvaluationFault(str(exc)) from exc"]
+    if not A.constant:
+        body += [f"xs = q[:{m}]", "if not all(map(isfinite, xs)):", "    _finite_vector(xs, 'x')",
+                 "bp = BasePoint._trusted(x=np.array(xs))"]
+    if A.constant_anchor:
+        rho = [[repr(v) for v in row] for row in A.anchor_at(BasePoint(np.zeros(m))).tolist()]
+    else:
+        body.append("rho = A.anchor_at(bp).tolist()")
+        rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
+    body += [f"{xd[i]} = {_fold([f'{rho[i][a]} * {ya[a]}' for a in range(r)])}" for i in range(m)]
+    # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
+    # mixed Hessian term that d/dt of dL/dy carries over
+    rhs = s
+    if A.constant_structure:
+        terms = [(a, f"g[{m + gm}] * {c!r} * {ya[b]}") for a, b, gm, c in A._terms if max(a, b) < r]
+        rhs = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
+    elif r:
+        body += [f"s = [0.0] * {r}", f"for a, b, gm, c in _bracket_terms(A.structure_at(bp), {r}):",
+                 f"    s[a] -= g[{m} + gm] * c * q[{m} + b]", f"{', '.join(s)}, = s"]
+    if m:
+        rhs = [f"{t} + ({_fold([f'{rho[i][a]} * g[{i}]' for i in range(m)])})"
+               f" - ({_fold([f'{hess(i, m + a)} * {xd[i]}' for i in range(m)])})"
+               for a, t in enumerate(rhs)]
+    body += [f"{v} = {t}" for v, t in zip(s, rhs)]
+    ydot = []
+    if r:
+        inv = [[f"i{a}_{b}" for b in range(r)] for a in range(r)]
+        key = ", ".join(hess(m + a, m + b) for a in range(r) for b in range(r))
+        body += [f"k = ({key},)", "if k != key:", f"    inv, key = _inverse(k, {r}), k",
+                 ", ".join(f"({', '.join(row)},)" for row in inv) + ", = inv"]
+        ydot = [_fold([f"{v} * {t}" for v, t in zip(row, s)]) for row in inv]
+    body.append(f"return [{', '.join(xd + ydot)}], g[{m}:]")
+    head = ["def _bind():", "    key = inv = None", "    def field(q):"]
+    src = "\n".join([*head, *(f"        {t}" for t in body), "    return field"])
+    ns = dict(raw=Lg._jet.raw, A=A, np=np, isfinite=math.isfinite, BasePoint=BasePoint,
+              EvaluationFault=EvaluationFault, _finite_vector=_finite_vector,
+              _bracket_terms=_bracket_terms, _inverse=_inverse)
+    exec(compile(src, f"<adapted field:{id(Lg)}>", "exec"), ns)
+    return ns["_bind"]
 
 
 def adapted_rhs(sys: ImplicitSystem, x, ya):
@@ -241,7 +264,7 @@ def adapted_rhs(sys: ImplicitSystem, x, ya):
     m = sys.A.m
     x = _components(x, m, "x")
     ya = _components(ya, sys.U.r, "ya")
-    qdot, p = _AdaptedField(sys)([*x.tolist(), *ya.tolist()])
+    qdot, p = _adapted_field(sys)([*x.tolist(), *ya.tolist()])
     return np.array(qdot[:m]), np.array(qdot[m:]), np.array(p)
 
 
@@ -299,7 +322,7 @@ def _rk4_step(f, q: list, k1: list, h: float) -> list:
 
 
 def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
-    field = _AdaptedField(sys)
+    field = _adapted_field(sys)
     qdot = lambda v: field(v)[0]
     N = _steps(h, T)
     m = sys.A.m

@@ -124,12 +124,13 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     c' = rho(c) gamma(c), on floats."""
     A = sys.A
     N = _steps(h, T)
+    fixed = A.anchor_at(x0).tolist() if A.constant_anchor else None
 
     def field(x):
         if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
             return [math.nan] * len(x)
         g = _jet(s.gamma, dict(zip(s._x, x)))[0]
-        rho = A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
+        rho = fixed or A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
         return [sum(map(mul, row, g)) for row in rho]
 
     x = x0.x.tolist()

@@ -265,3 +265,24 @@ def test_a_nan_annihilator_pairing_is_not_a_member():
         rep = dirac_member_symplectic(A, U, dp, 1e-8)
     assert rep.span_residual < 1e-15 and rep.anchor_residual == 0.0
     assert np.isnan(rep.annihilator_residual) and not rep.member
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_an_overflowing_residual_is_not_a_member():
+    # |(z, u, r, v)| overflows, so the bound tol (1 + |(z, u, r, v)|) is
+    # inf; the pairing of r with the span column (2, -2) overflows too, and
+    # an inf residual once passed against that bound, with a numpy warning
+    A = LieAlgebroid(0, 2, [], {})
+    U = Subbundle(A, 1, [["2"], ["-2"]])
+    pt = DualPoint([], [0.0, 0.0])
+    r, zero = [1e308, 1.5e308], np.zeros(2)
+    dp = DiracPair(ProlongVector(pt, zero, zero), ProlongCovector(pt, r, zero))
+    for test in (dirac_member_symplectic, dirac_member_poisson):
+        rep = test(A, U, dp)
+        assert rep.annihilator_residual == np.inf and not rep.member
+    assert not U.member_annihilator(pt.base, r)
+    # the same for the in-U test: the distance of (1.5e308, 1.5e308) from
+    # span (1, 1) overflows, and is not certified as 0
+    W = Subbundle(A, 1, [["1"], ["1"]])
+    assert W.member_distance(pt.base, [1.5e308] * 2) == np.inf
+    assert not W.member(pt.base, [1.5e308] * 2)

@@ -1,10 +1,22 @@
+import builtins
 from collections import Counter
+from operator import mul
 
 import numpy as np
 import pytest
 
 from algmech import dynamics, expr
-from algmech.algebroid import BasePoint, FiberPoint, LieAlgebroid, Subbundle, contract
+from algmech.algebroid import (
+    BasePoint,
+    FiberPoint,
+    LieAlgebroid,
+    Subbundle,
+    _bracket_terms,
+    base_names,
+    contract,
+    fiber_names,
+)
+from algmech.config import bundle_from_config
 from algmech.dynamics import (
     ImplicitSystem,
     State,
@@ -390,11 +402,115 @@ def test_adapted_field_evaluates_an_x_dependent_anchor_with_one_jet_call(monkeyp
 
     monkeypatch.setattr(expr, "eval_jet2", counted_eval)
     monkeypatch.setattr(LieAlgebroid, "structure_jet_at", counted_structure)
-    field = dynamics._AdaptedField(get_model("affine-rank2").system)
+    field = dynamics._adapted_field(get_model("affine-rank2").system)
     counts.clear()
     for k in range(1, 6):
         field([0.1 * k, 0.5, -0.4])
         assert counts == Counter(eval=k)  # the constant C is never read again
+
+
+def _generic_field(sys, q):
+    """The adapted field as a generic loop over float rows, the way it was
+    computed before it was emitted as straight-line source: the reference
+    the emitted field must equal bit for bit."""
+    A, m, r = sys.A, sys.A.m, sys.U.r
+    names = base_names(m) + fiber_names(A.n)
+    _, g, h = expr.compile_jet2(sys.Lg.L, names).raw(dict(zip(names, [*q, *[0.0] * (A.n - r)])))
+    packed = {jl: k for k, jl in enumerate(expr._pairs(m + A.n))}
+    hess = lambda j, l: h[packed[min(j, l), max(j, l)]]
+    Lx, Ly, ya = g[:m], g[m:], q[m:]
+    x = BasePoint(q[:m])
+    rho = A.anchor_at(x)[:, :r]
+    xdot = [sum(map(mul, row, ya)) for row in rho.tolist()]
+    rhs = [0.0] * r
+    for a, b, gm, c in _bracket_terms(A.structure_at(x), r):
+        rhs[a] -= Ly[gm] * c * ya[b]
+    if m:
+        rhs = [
+            pa + sum(map(mul, col, Lx)) - sum(map(mul, [hess(i, m + a) for i in range(m)], xdot))
+            for a, (pa, col) in enumerate(zip(rhs, rho.T.tolist()))
+        ]
+    inv = np.linalg.inv(np.array([[hess(m + a, m + b) for b in range(r)] for a in range(r)]))
+    return xdot + [sum(map(mul, row, rhs)) for row in inv.tolist()], Ly
+
+
+def _x_dependent_config():
+    # anchor and bracket both depend on x; the field formula does not need
+    # the structure equations to hold
+    return bundle_from_config({
+        "m": 1, "n": 2, "r": 2, "anchor": [["1 + x1^2", "x1"]],
+        "structure": {"1,1,2": "sin(x1)", "2,1,2": "x1^2 - 1"},
+        "lagrangian": "0.5 * y1^2 + 0.5 * (1 + x1^2) * y2^2 + x1 * y1 * y2 - cos(x1)",
+    })
+
+
+def _constant_config(r):
+    # constant data with rounding in every product and three-term sums,
+    # so that any change in term order or grouping shows
+    return bundle_from_config({
+        "m": 3, "n": 3, "r": r,
+        "anchor": [["0.7", "-1.3", "0.2"], ["0.1", "2.5", "-0.9"], ["1.1", "0.3", "0.6"]],
+        "structure": {"1,1,2": "0.3", "2,1,3": "-1.7", "3,2,3": "2.9", "1,2,3": "0.45"},
+        "lagrangian": "0.5 * y1^2 + 0.7 * y2^2 + 0.9 * y3^2 + 0.3 * y1 * y2"
+                      " + x1 * y1 * y3 + sin(x2) * y2 - cos(x1) * x3",
+        "subbundle": f"adapted:{r}",
+    })
+
+
+FIELD_BUNDLES = {
+    **{name: lambda name=name: get_model(name) for name in model_names()},
+    "free-particle-3d": lambda: get_model("free-particle", d=3),
+    "suslov-coupled": lambda: get_model("suslov", inertia=COUPLED_INERTIA),
+    "x-dependent-config": _x_dependent_config,
+    "constant-config": lambda: _constant_config(3),
+    "constant-config-rank-2": lambda: _constant_config(2),
+}
+
+
+@pytest.mark.parametrize("label", sorted(FIELD_BUNDLES))
+def test_emitted_field_equals_the_generic_formula_bit_for_bit(label):
+    bundle = FIELD_BUNDLES[label]()
+    sys = bundle.system
+    field = dynamics._adapted_field(sys)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        x = [rng.uniform(lo, hi) for lo, hi in bundle.box]
+        q = x + rng.standard_normal(sys.U.r).tolist()
+        if label == "degenerate-demo":  # L ignores y2: the restricted Hessian is singular
+            with pytest.raises(Degenerate):
+                field(q)
+            continue
+        qdot, p = field(q)
+        ref_qdot, ref_p = _generic_field(sys, q)
+        assert list(map(repr, qdot)) == list(map(repr, ref_qdot))
+        assert list(map(repr, p)) == list(map(repr, ref_p))
+
+
+def test_emitted_field_keeps_its_error_mapping():
+    field = dynamics._adapted_field(get_model("pendulum").system)
+    with pytest.raises(EvaluationFault):  # y1^2 overflows in the jet
+        field([0.1, 1e200])
+    field = dynamics._adapted_field(get_model("degenerate-demo").system)
+    with pytest.raises(Degenerate, match="condition number"):
+        field([0.1, 0.5, 0.5])
+
+
+def test_a_second_integrate_emits_and_compiles_nothing(monkeypatch):
+    sys = get_model("rigid-body").system
+    assert not sys.Lg._fields  # nothing is emitted when the model is built
+    first = integrate(sys, (NO_BASE, [1.0, 0.5, 0.2]), 1e-2, 0.1)
+    bind = sys.Lg._fields[sys.U.r]
+    compiles = Counter()
+    compile_ = builtins.compile
+
+    def counted(*args, **kwargs):
+        compiles["compile"] += 1
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    second = integrate(sys, (NO_BASE, [1.0, 0.5, 0.2]), 1e-2, 0.1)
+    assert compiles == Counter() and sys.Lg._fields[sys.U.r] is bind
+    assert [st.y.tolist() for st in second.states] == [st.y.tolist() for st in first.states]
 
 
 def test_midpoint_stopping_test_does_not_pass_when_the_state_norm_overflows():
