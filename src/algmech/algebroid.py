@@ -414,7 +414,9 @@ class Subbundle:
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
-        return _passes(self.member_distance(x, v, tol), tol * (1.0 + _norm(v)))
+        residual = self.member_distance(x, v, tol)
+        s, bound = _scaled_bound(tol, v)
+        return _passes(residual / s, bound)
 
     @np.errstate(over="ignore", invalid="ignore")
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
@@ -423,7 +425,9 @@ class Subbundle:
         return _norm(v - Q @ (Q.T @ v))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
-        return _passes(self.annihilator_residual(x, xi, tol), tol * (1.0 + _norm(xi)))
+        residual = self.annihilator_residual(x, xi, tol)
+        s, bound = _scaled_bound(tol, xi)
+        return _passes(residual / s, bound)
 
     @np.errstate(over="ignore", invalid="ignore")
     def annihilator_residual(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> float:
@@ -436,6 +440,20 @@ def _passes(residual: float, bound: float) -> bool:
     """Whether a residual is finite and within the bound: one that
     overflowed fails also where the bound overflowed with it, and nan fails."""
     return residual <= bound and residual != math.inf
+
+
+def _scaled_bound(tol: float, v) -> tuple:
+    """(s, bound) of the membership test residual / s <= bound: s = 1 and
+    bound = tol·(1 + |v|), or, where that bound is not finite because |v|
+    overflowed, s = max |v_i| and the same bound for v / s."""
+    bound = tol * (1.0 + _norm(v))
+    if math.isfinite(bound):
+        return 1.0, bound
+    v = np.asarray(v, dtype=float).reshape(-1).tolist()
+    s = max(map(abs, v), default=0.0)
+    if not 0.0 < s < math.inf:
+        return 1.0, bound
+    return s, tol * (1.0 / s + _norm([a / s for a in v]))
 
 
 def _norm(v) -> float:

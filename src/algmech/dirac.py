@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _norm, _passes, _Record
+from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _Record
+from .algebroid import _passes, _scaled_bound
 from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
 
 __all__ = [
@@ -70,16 +71,17 @@ def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> Membership
     """The report of a membership test: the distance of ``in_U`` from U,
     the largest |v - z| and the largest pairing of ``ann`` with U, each
     compared with tol scaled by 1 + |(z, u, r, v)|; one that is not
-    finite fails, also where that bound overflowed."""
+    finite fails, and where that bound overflowed all are compared
+    after dividing by the largest entry of (z, u, r, v)."""
     X, alpha = dpair.X, dpair.alpha
     x = X.base.base
     z, v = X.z.tolist(), alpha.v.tolist()
     span_res = U.member_distance(x, in_U, tol)
     anchor_res = max([abs(a - b) for a, b in zip(v, z)], default=0.0)
     ann_res = U.annihilator_residual(x, ann, tol)
-    scale = 1.0 + _norm([*z, *X.u.tolist(), *alpha.r.tolist(), *v])
-    bound = tol * scale
-    ok = _passes(span_res, bound) and _passes(anchor_res, bound) and _passes(ann_res, bound)
+    s, bound = _scaled_bound(tol, [*z, *X.u.tolist(), *alpha.r.tolist(), *v])
+    ok = (_passes(span_res / s, bound) and _passes(anchor_res / s, bound)
+          and _passes(ann_res / s, bound))
     return MembershipReport(ok, span_res, anchor_res, ann_res)
 
 

@@ -146,12 +146,6 @@ def _along(sys: ImplicitSystem, x0: BasePoint, data: list, tol: float) -> tuple:
     return rho, A.structure_at(x0) if C is None else C, S, Q
 
 
-def _anchor_rows(rho: np.ndarray, r: int):
-    """The anchor restricted to U as float rows and as float columns."""
-    rho_a = rho[:, :r]
-    return rho_a.tolist(), rho_a.T.tolist()
-
-
 def _sup_norm(v: list) -> float:
     """max |v_i| of a float list as numpy gives it: 0 when empty, nan when
     any entry is nan."""
@@ -171,17 +165,32 @@ def _adapted_field(sys: ImplicitSystem):
     the inverse restricted velocity Hessian."""
     if not sys.U.adapted:
         raise ValueError("explicit path needs the subbundle in adapted form")
-    Lg, r = sys.Lg, sys.U.r
-    bind = Lg._fields.get(r)
+    return _emitted(sys.Lg, "rk4", sys.U.r, _emit_field)()
+
+
+def _emitted(Lg: Lagrangian, method: str, r: int, emit):
+    """What ``emit(Lg, r)`` compiles for ``method`` on a rank-r U: made on
+    first use and kept on the Lagrangian."""
+    bind = Lg._fields.get((method, r))
     if bind is None:
-        bind = Lg._fields[r] = _emit_field(Lg, r)
-    return bind()
+        bind = Lg._fields[method, r] = emit(Lg, r)
+    return bind
 
 
-def _fold(products: list) -> str:
-    """Source of ``sum(products)``: a literal left fold from the int 0 up
-    to two terms, and ``sum`` itself from three on, since Python 3.12 and
-    later compensate its rounding."""
+def _compiled(head: list, body: list, tail: str, label: str, ns: dict):
+    """``_bind`` compiled in the namespace ``ns`` from the lines of
+    ``head``, which end in the ``def`` of an inner function, that
+    function's ``body`` and the ``tail`` line after it."""
+    src = "\n".join([*head, *(f"        {t}" for t in body), tail])
+    exec(compile(src, f"<{label}>", "exec"), ns)
+    return ns["_bind"]
+
+
+def _dot(u: list, v: list) -> str:
+    """Source of ``sum(map(mul, u, v))`` over the terms of u and v: a
+    literal left fold from the int 0 up to two products, and ``sum`` itself
+    from three on, since Python 3.12 and later compensate its rounding."""
+    products = [f"{a} * {b}" for a, b in zip(u, v)]
     if len(products) < 3:
         return " + ".join(["0", *products])
     return f"sum(({', '.join(products)}))"
@@ -225,7 +234,7 @@ def _emit_field(Lg: Lagrangian, r: int):
     else:
         body.append("rho = A.anchor_at(bp).tolist()")
         rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
-    body += [f"{xd[i]} = {_fold([f'{rho[i][a]} * {ya[a]}' for a in range(r)])}" for i in range(m)]
+    body += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
     # mixed Hessian term that d/dt of dL/dy carries over
     rhs = s
@@ -236,9 +245,9 @@ def _emit_field(Lg: Lagrangian, r: int):
         body += [f"s = [0.0] * {r}", f"for a, b, gm, c in _bracket_terms(A.structure_at(bp), {r}):",
                  f"    s[a] -= g[{m} + gm] * c * q[{m} + b]", f"{', '.join(s)}, = s"]
     if m:
-        rhs = [f"{t} + ({_fold([f'{rho[i][a]} * g[{i}]' for i in range(m)])})"
-               f" - ({_fold([f'{hess(i, m + a)} * {xd[i]}' for i in range(m)])})"
-               for a, t in enumerate(rhs)]
+        g = [f"g[{i}]" for i in range(m)]
+        rhs = [f"{t} + ({_dot([row[a] for row in rho], g)})"
+               f" - ({_dot([hess(i, m + a) for i in range(m)], xd)})" for a, t in enumerate(rhs)]
     body += [f"{v} = {t}" for v, t in zip(s, rhs)]
     ydot = []
     if r:
@@ -246,15 +255,13 @@ def _emit_field(Lg: Lagrangian, r: int):
         key = ", ".join(hess(m + a, m + b) for a in range(r) for b in range(r))
         body += [f"k = ({key},)", "if k != key:", f"    inv, key = _inverse(k, {r}), k",
                  ", ".join(f"({', '.join(row)},)" for row in inv) + ", = inv"]
-        ydot = [_fold([f"{v} * {t}" for v, t in zip(row, s)]) for row in inv]
+        ydot = [_dot(row, s) for row in inv]
     body.append(f"return [{', '.join(xd + ydot)}], g[{m}:]")
     head = ["def _bind():", "    key = inv = None", "    def field(q):"]
-    src = "\n".join([*head, *(f"        {t}" for t in body), "    return field"])
     ns = dict(raw=Lg._jet.raw, A=A, np=np, isfinite=math.isfinite, BasePoint=BasePoint,
               EvaluationFault=EvaluationFault, _finite_vector=_finite_vector,
               _bracket_terms=_bracket_terms, _inverse=_inverse)
-    exec(compile(src, f"<adapted field:{id(Lg)}>", "exec"), ns)
-    return ns["_bind"]
+    return _compiled(head, body, "    return field", f"adapted field:{id(Lg)}", ns)
 
 
 def adapted_rhs(sys: ImplicitSystem, x, ya):
@@ -341,99 +348,123 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
 
 
 def _midpoint_step(sys: ImplicitSystem, h: float):
-    """One implicit-midpoint step of size h as ``(prev, u) -> (F, jacobian)``:
-    the residual F = (kin, mom, leg) at the end state u = (x1, ya1, p1) from
-    prev = (x0, ya0, p0), and the exact dF/du built from the same jets.
+    """One implicit-midpoint step of size h as ``(prev, u) -> (F, jacobian)``
+    on float lists: the residual F = (kin, mom, leg) at the end state
+    u = (x1, ya1, p1) from prev = (x0, ya0, p0), and ``jacobian()``, the
+    exact dF/du as float rows built from the same jets.
 
-    F runs on Python floats.  The anchor and the structure are each
-    unpacked once here when constant and at every midpoint otherwise.  The
-    Jacobian is its live entries, assembled on floats, added to a template
-    J0 of the constant blocks."""
-    A, Lg = sys.A, sys.Lg
-    m, n, r = A.m, A.n, sys.U.r
-    pad, pad_n = [0.0] * (n - r), [0.0] * n
-    origin = BasePoint(np.zeros(m))
-    # rows kin | mom | leg, columns x1 | ya1 | p1
-    J0 = np.zeros((m + r + n, m + r + n))
-    J0[:m, :m] = np.eye(m) / h
-    J0[m : m + r, m + r : m + 2 * r] = np.eye(r) / h
-    J0[m + r :, m + r :] = np.eye(n)
+    The step is straight-line source, emitted and compiled once per
+    Lagrangian and rank of U on first use and kept on the Lagrangian
+    beside the adapted field; h is bound here."""
+    return _emitted(sys.Lg, "implicit_midpoint", sys.U.r, _emit_midpoint)(sys.Lg, h)
+
+
+def _emit_midpoint(Lg: Lagrangian, r: int):
+    """The midpoint step of ``Lg`` on a rank-r adapted U, compiled from
+    source as a function of (Lg, h) that returns it.
+
+    Each residual makes its two ``Lg.jet`` calls, at the midpoint and at
+    the end point, and reads an x-dependent anchor or structure through
+    ``anchor_jet_at`` or ``structure_jet_at`` at the midpoint; constant
+    ones are float literals, as in the adapted field.  The x-derivative
+    blocks of J are numpy products.  Every contraction keeps the term
+    order of ``sum(map(mul, row, v))``, and every entry of J is its live
+    part plus the entry of the constant blocks (I/h, -rho/2, I), which
+    keeps the signs of zeros."""
+    A = Lg.algebroid
+    m, n = A.m, A.n
+    names = lambda s, size: [f"{s}{i}" for i in range(size)]
+    x0, y0, p0 = names("x0_", m), names("y0_", r), names("p0_", n)
+    x1, y1, p1 = names("x1_", m), names("y1_", r), names("p1_", n)
+    xm, ym, pm = names("xm", m), names("ym", r), names("pm", n)
+    lx, ly = names("lx", m), names("ly", n)
+    pad = ["0.0"] * (n - r)
+    vec = lambda terms: f"[{', '.join(terms)}]"
+    start, end, mid = x0 + y0 + p0, x1 + y1 + p1, xm + ym + pm
+    body = [f"{', '.join(start)}, = prev", f"{', '.join(end)}, = u"] if start else []
+    body += [f"{c} = 0.5 * ({a} + {b})" for a, b, c in zip(start, end, mid)]
+    if m + r:
+        body += [f"if not all(map(isfinite, ({', '.join(xm + ym + x1 + y1)},))):"]
+        body += [f"    _finite_vector({vec(v)}, {s!r})"
+                 for s, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", y1 + pad)) if v]
+    body += [f"xm, ym = np.array({vec(xm)}), np.array({vec(ym + pad)})"]
+    if not A.constant:
+        body.append("bp = BasePoint._trusted(x=xm)")
     if A.constant_anchor:
-        rho = A.anchor_at(origin)
-        fixed_rho = _anchor_rows(rho, r)
-        J0[:m, m : m + r] = -0.5 * rho[:, :r]
+        rho_f = A.anchor_at(BasePoint(np.zeros(m))).tolist()
+        rho = [[repr(v) for v in row[:r]] for row in rho_f]
+    else:
+        body += ["rho, drho = A.anchor_jet_at(bp)", "rho = rho.tolist()"]
+        rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
+    rho_cols = [[row[a] for row in rho] for a in range(r)]
+    # (C·p)_ab and C^g_ab y^b at the midpoint, summed term by term from 0.0
     if A.constant_structure:
-        fixed_terms = [t for t in A._terms if max(t[:2]) < r]
-
-    def step(prev, u):
-        x0, ya0, p0 = (a.tolist() for a in prev)
-        ul = u.tolist()
-        x1, ya1, p1 = ul[:m], ul[m : m + r], ul[m + r :]
-        xm = [0.5 * (a + b) for a, b in zip(x0, x1)]
-        ym = [0.5 * (a + b) for a, b in zip(ya0, ya1)]
-        pm = [0.5 * (a + b) for a, b in zip(p0, p1)]
-        if not all(map(math.isfinite, [*xm, *ym, *x1, *ya1])):
-            for name, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", ya1 + pad)):
-                _finite_vector(v, name)
-        xm_n, ym_n = np.array(xm), np.array(ym + pad)
+        terms = [t for t in A._terms if max(t[:2]) < r]
+        cp = [[" + ".join(["0.0"] + [f"{pm[g]} * {c!r}" for a2, b2, g, c in terms
+                                     if (a2, b2) == (a, b)]) for b in range(r)] for a in range(r)]
+        cy = [[" + ".join(["0.0"] + [f"{c!r} * {ym[b]}" for a2, b, g2, c in terms
+                                     if (a2, g2) == (a, g)]) for g in range(n)] for a in range(r)]
+        body += [f"cp{a}_{b} = {t}" for a, row in enumerate(cp)
+                 for b, t in enumerate(row) if t != "0.0"]
+        cp = [[t if t == "0.0" else f"cp{a}_{b}" for b, t in enumerate(row)]
+              for a, row in enumerate(cp)]
+        cy = [[t if t == "0.0" else f"({t})" for t in row] for row in cy]
+    else:
+        body += ["C, dC = A.structure_jet_at(bp)", f"terms = _bracket_terms(C, {r})",
+                 f"cp = [[0.0] * {r} for _ in range({r})]", f"pms = {vec(pm)}",
+                 "for a, b, g, c in terms:", "    cp[a][b] += pms[g] * c"]
+        cp = [[f"cp[{a}][{b}]" for b in range(r)] for a in range(r)]
+        cy = [[f"cy[{a}][{g}]" for g in range(n)] for a in range(r)]
+    body += ["_, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint._trusted(x=xm, y=ym))",
+             f"_, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint._trusted(x=np.array({vec(x1)}),"
+             f" y=np.array({vec(y1 + pad)})))"]
+    body += [f"{', '.join(v)}, = {a}.tolist()" for v, a in ((lx, "Lx"), (ly, "Ly1")) if v]
+    F = [f"({x1[i]} - {x0[i]}) / h - ({_dot(rho[i], ym)})" for i in range(m)]
+    F += [f"({p1[a]} - {p0[a]}) / h + ({_dot(cp[a], ym)}) - ({_dot(rho_cols[a], lx)})"
+          for a in range(r)]
+    F += [f"{p1[g]} - {ly[g]}" for g in range(n)]
+    # J: rows kin | mom | leg over columns x1 | ya1 | p1
+    jac = ["hxx, hxy, hey = Lxx.tolist(), Lxy.tolist(), Lxy1.tolist()"] if m else []
+    jac += ["hyy = Lyy1.tolist()"] if r else []
+    dx = [["0.0"] * m for _ in range(r)]  # d(C·p y - rho^T dL/dx)/dx1 through C and rho
+    if not A.constant_anchor:
+        jac += ["dr = (ym @ drho).tolist()",
+                f"dxa = (Lx @ drho.reshape({m}, {n * m})).reshape({n}, {m}).tolist()"]
+        dx = [[f"(0.0 - dxa[{a}][{j}])" for j in range(m)] for a in range(r)]
+    if not A.constant_structure:
+        jac += [f"cy = [[0.0] * {n} for _ in range({r})]", f"yms = {vec(ym)}",
+                "for a, b, g, c in terms:", "    cy[a][g] += c * yms[b]",
+                "dxc = (ym @ contract(dC, np.array(pms))).tolist()"]
+        dx = [[f"({t} + dxc[{a}][{j}])" for j, t in enumerate(row)] for a, row in enumerate(dx)]
+    # the columns of d2L/dx d(x, ya) at the midpoint, less rho^T times them
+    hcols = [[f"hxx[{j}][{i}]" for i in range(m)] for j in range(m)]
+    hcols += [[f"hxy[{i}][{b}]" for i in range(m)] for b in range(r)]
+    diag = lambda i, j, one: one if i == j else "0.0"
+    rows = []
+    for i in range(m):
         if A.constant_anchor:
-            rho_rows, rho_cols = fixed_rho
+            rows.append([diag(i, j, "ih") for j in range(m)]
+                        + [repr(0.0 + -0.5 * v) for v in rho_f[i][:r]])
         else:
-            rho, drho = A.anchor_jet_at(BasePoint._trusted(x=xm_n))
-            rho_rows, rho_cols = _anchor_rows(rho, r)
-        if A.constant_structure:
-            terms = fixed_terms
-        else:
-            C, dC = A.structure_jet_at(BasePoint._trusted(x=xm_n))
-            terms = _bracket_terms(C, r)
-        _, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint._trusted(x=xm_n, y=ym_n))
-        _, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint._trusted(x=u[:m], y=np.array(ya1 + pad)))
-        Cp = [[0.0] * r for _ in range(r)]  # (C·p)_ab at the midpoint, a, b < r
-        for a, b, g, c in terms:
-            Cp[a][b] += pm[g] * c
-        Lxl = Lx.tolist()
-        kin = [(b - a) / h - sum(map(mul, row, ym)) for a, b, row in zip(x0, x1, rho_rows)]
-        mom = [
-            (b - a) / h + sum(map(mul, cp, ym)) - sum(map(mul, col, Lxl))
-            for a, b, cp, col in zip(p0, p1, Cp, rho_cols)
-        ]
-        F = np.array(kin + mom + [a - b for a, b in zip(p1, Ly1.tolist())])
-
-        def jacobian():
-            # the live entries on floats, rows kin | mom | leg over columns
-            # x1 | ya1 | p1, added to the constant blocks of J0
-            kin = [[0.0] * (m + r + n)] * m
-            dx = np.zeros((r, m))  # d(C·p y - rho^T dL/dx)/dx1 through C and rho
-            if not A.constant_anchor:
-                kin = [
-                    [-0.5 * v for v in (*dr, *row)] + pad_n
-                    for dr, row in zip((ym_n @ drho).tolist(), rho_rows)
-                ]
-                dx -= (Lx @ drho.reshape(m, n * m)).reshape(n, m)[:r]
-            if not A.constant_structure:
-                dx += (ym_n @ contract(dC, np.array(pm)))[:r]
-            mom = [[*dr, *cp] for dr, cp in zip(dx.tolist(), Cp)]  # x1 | ya1 columns
-            if m:  # less rho^T times the columns of d2L/dx d(x, ya)
-                Hcols = Lxx.tolist() + Lxy[:, :r].T.tolist()
-                mom = [
-                    [d - sum(map(mul, col, hc)) for d, hc in zip(row, Hcols)]
-                    for row, col in zip(mom, rho_cols)
-                ]
-            Cy = [[0.0] * n for _ in range(r)]  # p1 columns: C^g_ab y^b at the midpoint
-            for a, b, g, c in terms:
-                Cy[a][g] += c * ym[b]
-            mom = [[0.5 * v for v in (*row, *cy)] for row, cy in zip(mom, Cy)]
-            leg = [
-                [-v for v in (*xc, *yr[:r])] + pad_n
-                for xc, yr in zip(Lxy1.T.tolist(), Lyy1.tolist())
-            ]
-            J = np.array(kin + mom + leg)
-            J += J0
-            return J
-
-        return F, jacobian
-
-    return step
+            rows.append([f"-0.5 * dr[{i}][{j}] + {diag(i, j, 'ih')}" for j in range(m)]
+                        + [f"-0.5 * {t} + 0.0" for t in rho[i]])
+        rows[-1] += ["0.0"] * n
+    for a in range(r):
+        live = [f"{d} - ({_dot(rho_cols[a], hc)})" if m else d
+                for d, hc in zip(dx[a] + cp[a], hcols)]
+        rows.append(["0.0" if t == "0.0" else f"0.5 * ({t}) + 0.0" for t in live]
+                    + [diag(a, g, "ih") if cy[a][g] == "0.0"
+                       else f"0.5 * {cy[a][g]} + {diag(a, g, 'ih')}" for g in range(n)])
+    for g in range(n):
+        rows.append([f"-hey[{i}][{g}] + 0.0" for i in range(m)]
+                    + [f"-hyy[{g}][{a}] + 0.0" for a in range(r)]
+                    + [diag(g, l, "1.0") for l in range(n)])
+    jac.append(f"return [{', '.join(map(vec, rows))}]")
+    body += ["def jacobian():", *(f"    {t}" for t in jac), f"return {vec(F)}, jacobian"]
+    head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h", "    def step(prev, u):"]
+    ns = dict(np=np, isfinite=math.isfinite, BasePoint=BasePoint, FiberPoint=FiberPoint,
+              _finite_vector=_finite_vector, _bracket_terms=_bracket_terms, contract=contract)
+    return _compiled(head, body, "    return step", f"midpoint step:{id(Lg)}", ns)
 
 
 def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
@@ -443,28 +474,26 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     N = _steps(h, T)
     step = _midpoint_step(sys, h)
     y0 = np.concatenate([ya0, np.zeros(n - r)])
-    us = [np.concatenate([x0, ya0, sys.Lg.jet(FiberPoint(x0, y0))[2]])]
+    us = [[*x0.tolist(), *ya0.tolist(), *sys.Lg.jet(FiberPoint(x0, y0))[2].tolist()]]
     for k in range(N):
-        guess = us[-1]
-        prev = (guess[:m], guess[m : m + r], guess[m + r :])
+        prev = guess = us[-1]
         F, jac = step(prev, guess)
-        nF = _sup_norm(F.tolist())
+        nF = _sup_norm(F)
         for _ in range(NEWTON_MAX_ITERS):
-            g = guess.tolist()
-            norm = math.sqrt(sum(map(mul, g, g)))
+            norm = math.sqrt(sum(map(mul, guess, guess)))
             if norm == math.inf:  # a square overflowed; |guess| itself is finite
-                norm = math.hypot(*g)
+                norm = math.hypot(*guess)
             if nF <= 1e-11 * (1.0 + norm):
                 break
             try:
-                delta = np.linalg.solve(jac(), -F)
+                delta = np.linalg.solve(np.array(jac()), [-v for v in F]).tolist()
             except np.linalg.LinAlgError:
                 raise NewtonDivergence(k, nF) from None
             t = 1.0
             while t >= 1.0 / 1024.0:
-                trial = guess + t * delta
+                trial = [a + t * b for a, b in zip(guess, delta)]
                 Ft, jac_t = step(prev, trial)
-                nFt = _sup_norm(Ft.tolist())
+                nFt = _sup_norm(Ft)
                 if nFt < nF:
                     guess, F, jac, nF = trial, Ft, jac_t, nFt
                     break

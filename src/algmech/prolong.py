@@ -133,7 +133,7 @@ class Lagrangian:
         self.L = _as_expression(L)
         self._names = base_names(algebroid.m) + fiber_names(algebroid.n)
         self._jet = expr.compile_jet2(self.L, self._names)
-        self._fields = {}  # the emitted adapted field per rank of U, see dynamics
+        self._fields = {}  # the emitted RK4 field and midpoint step per rank of U, see dynamics
 
     def jet(self, e: FiberPoint):
         """(L, Lx, Ly, Lxx, Lxy, Lyy) at e, via exact forward jets."""

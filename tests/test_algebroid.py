@@ -317,6 +317,25 @@ def test_member_annihilator_does_not_overflow():
         assert not U.member_annihilator(ORIGIN, [1e300, 0, 1e300])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_membership_bounds_that_overflow_are_scaled():
+    # |xi| overflows, so tol (1 + |xi|) is inf, and the finite pairing
+    # 1e308 of xi with (1, 0) once passed against it
+    A = LieAlgebroid(0, 2, [], {})
+    U = Subbundle(A, 1, [["1"], ["0"]])
+    assert U.annihilator_residual(ORIGIN, [1e308, 1.5e308]) == 1e308
+    assert not U.member_annihilator(ORIGIN, [1e308, 1.5e308])
+    assert U.member_annihilator(ORIGIN, [0.0, 1.5e308])
+    # the same where the scale of a member overflows: it still passes
+    B = LieAlgebroid(0, 3, [], {})
+    V = Subbundle(B, 2, [["1", "0"], ["0", "1"], ["0", "0"]])
+    W = Subbundle(B, 1, [["1"], ["0"], ["0"]])
+    assert V.member(ORIGIN, [1.5e308, 1.5e308, 0.0])
+    assert not V.member(ORIGIN, [1.5e308, 0.0, 1.5e308])
+    assert W.member_annihilator(ORIGIN, [0.0, 1.5e308, 1.5e308])
+    assert not W.member_annihilator(ORIGIN, [1.5e308, 0.0, 1.5e308])
+
+
 def test_constant_span_rank_uses_the_callers_tol_at_its_singular_values():
     # singular values 1 and 1e-6: a tol on either side of their ratio
     # keeps or cuts the second one, on every call

@@ -286,3 +286,24 @@ def test_an_overflowing_residual_is_not_a_member():
     W = Subbundle(A, 1, [["1"], ["1"]])
     assert W.member_distance(pt.base, [1.5e308] * 2) == np.inf
     assert not W.member(pt.base, [1.5e308] * 2)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_a_finite_residual_is_held_to_the_scale_of_an_overflowing_pair():
+    # |(z, u, r, v)| overflows, so the bound tol (1 + |(z, u, r, v)|) is
+    # inf; the pairing 1e308 of r with the span column (1, 0) is finite,
+    # more than half of |r|, and once passed against that bound
+    A = LieAlgebroid(0, 2, [], {})
+    U = Subbundle(A, 1, [["1"], ["0"]])
+    pt, zero = DualPoint([], [0.0, 0.0]), np.zeros(2)
+    for r, member in (([1e308, 1.5e308], False), ([0.0, 1.5e308], True)):
+        dp = DiracPair(ProlongVector(pt, zero, zero), ProlongCovector(pt, r, zero))
+        for test in (dirac_member_symplectic, dirac_member_poisson):
+            rep = test(A, U, dp)
+            assert rep.annihilator_residual == r[0] and rep.member is member
+    # a huge member whose scale overflows still passes
+    B = LieAlgebroid(0, 3, [], {})
+    V = Subbundle(B, 1, [["1"], ["0"], ["0"]])
+    pt, zero = DualPoint([], [0.0] * 3), np.zeros(3)
+    dp = DiracPair(ProlongVector(pt, zero, zero), ProlongCovector(pt, [0.0, 1.5e308, 1.5e308], zero))
+    assert dirac_member_symplectic(B, V, dp).member and dirac_member_poisson(B, V, dp).member

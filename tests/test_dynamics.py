@@ -249,9 +249,13 @@ MIDPOINT_SYSTEMS = pytest.mark.parametrize(
         ).system,
         lambda: get_model("degenerate-demo").system,
         _x_dependent_bracket,
+        lambda: get_model("free-particle", d=3).system,
+        lambda: _constant_config(3).system,
+        lambda: _constant_config(2).system,
     ],
     ids=["pendulum", "harmonic-oscillator", "rigid-body", "affine-rank2",
-         "suslov-coupled", "degenerate-demo", "x-dependent-bracket"],
+         "suslov-coupled", "degenerate-demo", "x-dependent-bracket",
+         "free-particle-3d", "constant-config", "constant-config-rank-2"],
 )
 
 
@@ -263,15 +267,11 @@ def test_midpoint_jacobian_matches_central_differences(system):
     rng = np.random.default_rng(17)
     eps = 1e-6
     for _ in range(4):
-        prev = (rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n))
-        u = np.concatenate(prev) + 0.2 * rng.standard_normal(m + r + n)
-        J = step(prev, u)[1]()
-        fd = np.column_stack(
-            [
-                (step(prev, u + eps * e)[0] - step(prev, u - eps * e)[0]) / (2 * eps)
-                for e in np.eye(u.size)
-            ]
-        )
+        prev = np.concatenate([rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n)])
+        u = prev + 0.2 * rng.standard_normal(m + r + n)
+        F = lambda v: np.array(step(prev.tolist(), v.tolist())[0])
+        J = np.array(step(prev.tolist(), u.tolist())[1]())
+        fd = np.column_stack([(F(u + eps * e) - F(u - eps * e)) / (2 * eps) for e in np.eye(u.size)])
         assert np.abs(J - fd).max() <= 1e-7 * (1.0 + np.abs(J).max())
 
 
@@ -296,6 +296,75 @@ def test_rigid_body_newton_takes_at_most_three_iterations(monkeypatch):
     iterations = Counter(map(id, seen))
     assert len(traj.states) == 101 and len(iterations) == 100
     assert max(iterations.values()) <= 3
+
+
+def _generic_midpoint(sys, h, prev, u):
+    """F and J of the midpoint step as generic loops over float rows with
+    numpy blocks, the way they were computed before the step was emitted
+    as straight-line source: the reference the emitted step must equal
+    bit for bit, signs of zeros included."""
+    A, Lg = sys.A, sys.Lg
+    m, n, r = A.m, A.n, sys.U.r
+    x0, ya0, p0 = prev[:m], prev[m : m + r], prev[m + r :]
+    x1, ya1, p1 = u[:m], u[m : m + r], u[m + r :]
+    pad, pad_n = [0.0] * (n - r), [0.0] * n
+    J0 = np.zeros((m + r + n, m + r + n))
+    J0[:m, :m] = np.eye(m) / h
+    J0[m : m + r, m + r : m + 2 * r] = np.eye(r) / h
+    J0[m + r :, m + r :] = np.eye(n)
+    xm = [0.5 * (a + b) for a, b in zip(x0, x1)]
+    ym = [0.5 * (a + b) for a, b in zip(ya0, ya1)]
+    pm = [0.5 * (a + b) for a, b in zip(p0, p1)]
+    xm_n, ym_n = np.array(xm), np.array(ym + pad)
+    rho, drho = A.anchor_jet_at(BasePoint(xm_n))
+    C, dC = A.structure_jet_at(BasePoint(xm_n))
+    if A.constant_anchor:
+        J0[:m, m : m + r] = -0.5 * rho[:, :r]
+    rho_rows, rho_cols = rho[:, :r].tolist(), rho[:, :r].T.tolist()
+    terms = _bracket_terms(C, r)
+    _, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint(xm_n, ym_n))
+    _, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint(np.array(x1), np.array(ya1 + pad)))
+    Cp = [[0.0] * r for _ in range(r)]
+    for a, b, g, c in terms:
+        Cp[a][b] += pm[g] * c
+    kin = [(b - a) / h - sum(map(mul, row, ym)) for a, b, row in zip(x0, x1, rho_rows)]
+    mom = [(b - a) / h + sum(map(mul, cp, ym)) - sum(map(mul, col, Lx.tolist()))
+           for a, b, cp, col in zip(p0, p1, Cp, rho_cols)]
+    F = kin + mom + [a - b for a, b in zip(p1, Ly1.tolist())]
+    kin = [[0.0] * (m + r + n)] * m
+    dx = np.zeros((r, m))
+    if not A.constant_anchor:
+        kin = [[-0.5 * v for v in (*dr, *row)] + pad_n for dr, row in zip((ym_n @ drho).tolist(), rho_rows)]
+        dx -= (Lx @ drho.reshape(m, n * m)).reshape(n, m)[:r]
+    if not A.constant_structure:
+        dx += (ym_n @ contract(dC, np.array(pm)))[:r]
+    mom = [[*dr, *cp] for dr, cp in zip(dx.tolist(), Cp)]
+    if m:
+        Hcols = Lxx.tolist() + Lxy[:, :r].T.tolist()
+        mom = [[d - sum(map(mul, col, hc)) for d, hc in zip(row, Hcols)] for row, col in zip(mom, rho_cols)]
+    Cy = [[0.0] * n for _ in range(r)]
+    for a, b, g, c in terms:
+        Cy[a][g] += c * ym[b]
+    mom = [[0.5 * v for v in (*row, *cy)] for row, cy in zip(mom, Cy)]
+    leg = [[-v for v in (*xc, *yr[:r])] + pad_n for xc, yr in zip(Lxy1.T.tolist(), Lyy1.tolist())]
+    J = np.array(kin + mom + leg)
+    J += J0
+    return F, J.tolist()
+
+
+@MIDPOINT_SYSTEMS
+def test_emitted_midpoint_equals_the_generic_step_bit_for_bit(system):
+    sys = system()
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step = dynamics._midpoint_step(sys, 0.05)
+    rng = np.random.default_rng(41)
+    for _ in range(10):
+        prev = np.concatenate([rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n)])
+        u = (prev + 0.2 * rng.standard_normal(m + r + n)).tolist()
+        F, jac = step(prev.tolist(), u)
+        ref_F, ref_J = _generic_midpoint(sys, 0.05, prev.tolist(), u)
+        assert list(map(repr, F)) == list(map(repr, ref_F))
+        assert [list(map(repr, row)) for row in jac()] == [list(map(repr, row)) for row in ref_J]
 
 
 def _numpy_midpoint_residual(sys, h, prev, u):
@@ -325,7 +394,8 @@ def test_midpoint_float_residual_matches_numpy(system):
     for _ in range(20):
         prev = (rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n))
         u = np.concatenate(prev) + 0.2 * rng.standard_normal(m + r + n)
-        F, ref = step(prev, u)[0], _numpy_midpoint_residual(sys, 0.05, prev, u)
+        F = np.array(step(np.concatenate(prev).tolist(), u.tolist())[0])
+        ref = _numpy_midpoint_residual(sys, 0.05, prev, u)
         assert F.shape == ref.shape
         assert np.abs(F - ref).max() <= 1e-14 * max(1.0, np.abs(ref).max())
 
@@ -499,7 +569,7 @@ def test_a_second_integrate_emits_and_compiles_nothing(monkeypatch):
     sys = get_model("rigid-body").system
     assert not sys.Lg._fields  # nothing is emitted when the model is built
     first = integrate(sys, (NO_BASE, [1.0, 0.5, 0.2]), 1e-2, 0.1)
-    bind = sys.Lg._fields[sys.U.r]
+    bind = sys.Lg._fields["rk4", sys.U.r]
     compiles = Counter()
     compile_ = builtins.compile
 
@@ -509,8 +579,29 @@ def test_a_second_integrate_emits_and_compiles_nothing(monkeypatch):
 
     monkeypatch.setattr(builtins, "compile", counted)
     second = integrate(sys, (NO_BASE, [1.0, 0.5, 0.2]), 1e-2, 0.1)
-    assert compiles == Counter() and sys.Lg._fields[sys.U.r] is bind
+    assert compiles == Counter() and sys.Lg._fields["rk4", sys.U.r] is bind
     assert [st.y.tolist() for st in second.states] == [st.y.tolist() for st in first.states]
+
+
+def test_a_second_midpoint_run_emits_and_compiles_nothing(monkeypatch):
+    sys = get_model("rigid-body").system
+    assert not sys.Lg._fields  # nothing is emitted when the model is built
+    init = (NO_BASE, [1.0, 0.5, 0.2])
+    first = integrate(sys, init, 1e-2, 0.1, method="implicit_midpoint")
+    bind = sys.Lg._fields["implicit_midpoint", sys.U.r]
+    compiles = Counter()
+    compile_ = builtins.compile
+
+    def counted(*args, **kwargs):
+        compiles["compile"] += 1
+        return compile_(*args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", counted)
+    second = integrate(sys, init, 1e-2, 0.1, method="implicit_midpoint")
+    other_h = integrate(sys, init, 5e-3, 0.1, method="implicit_midpoint")
+    assert compiles == Counter() and sys.Lg._fields["implicit_midpoint", sys.U.r] is bind
+    assert [st.y.tolist() for st in second.states] == [st.y.tolist() for st in first.states]
+    assert len(other_h.states) == 21
 
 
 def test_midpoint_stopping_test_does_not_pass_when_the_state_norm_overflows():
