@@ -59,12 +59,8 @@ def _load_bundle(args):
     return get_model(args.model)
 
 
-def _sample_base(bundle, rng, count):
-    pts = []
-    for _ in range(count):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in bundle.box])
-        pts.append(BasePoint(x))
-    return pts
+def _sample_x(bundle, rng) -> np.ndarray:
+    return np.array([rng.uniform(lo, hi) for lo, hi in bundle.box])
 
 
 def _parse_floats(text, count, what):
@@ -82,9 +78,12 @@ def _parse_floats(text, count, what):
 
 def _check_args(args):
     """Refuse option values no command can run with, before any work."""
-    for opt in ("samples", "points"):
-        if getattr(args, opt, 1) < 1:
-            raise ConfigError(f"--{opt} must be at least 1")
+    for name, v in vars(args).items():
+        if isinstance(v, list):  # "--opt=--", which argparse may read as []
+            raise ConfigError(f"--{name} needs a value")
+    for opt, low in (("samples", 1), ("points", 1), ("seed", 0)):
+        if getattr(args, opt, low) < low:
+            raise ConfigError(f"--{opt} must be at least {low}")
     if hasattr(args, "h"):
         try:
             _steps(args.h, args.T)
@@ -101,7 +100,7 @@ def cmd_list_models(args) -> int:
 def cmd_validate(args) -> int:
     bundle = _load_bundle(args)
     rng = np.random.default_rng(args.seed)
-    pts = _sample_base(bundle, rng, args.samples)
+    pts = [BasePoint(_sample_x(bundle, rng)) for _ in range(args.samples)]
     report = bundle.system.A.validate_structure(pts, args.tol)
     rank_ok = True
     for pt in pts:
@@ -128,10 +127,7 @@ def cmd_simulate(args) -> int:
     m, n, r = sys_.A.m, sys_.A.n, sys_.U.r
     x0 = _parse_floats(args.x0, m, "--x0")
     ya0 = _parse_floats(args.y0, r, "--y0")
-    try:
-        traj = integrate(sys_, (x0, ya0), args.h, args.T, args.method)
-    except ValueError as e:  # the states overflowed the floats
-        raise ConfigError(f"--x0/--y0: {e}") from None
+    traj = integrate(sys_, (x0, ya0), args.h, args.T, args.method)
     energies = _energies(sys_, traj.states)
     E0, drift = _drift(energies)
 
@@ -148,8 +144,11 @@ def cmd_simulate(args) -> int:
         for t, st, E, rep in zip(traj.times, traj.states, energies, reports):
             row = [t, *st.x, *st.y, *st.p, E, rep.r_kin, rep.r_mom]
             lines.append(",".join(_g(v) for v in row))
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write("\n".join(lines) + "\n")
+        except OSError as e:
+            raise ConfigError(f"cannot write --out {args.out!r}: {e}") from None
     print(f"model: {bundle.name}  method: {args.method}")
     print(f"h: {_g(args.h)}  T: {_g(args.T)}  steps: {len(traj.states) - 1}")
     print(f"E0: {_g(E0)}")
@@ -165,11 +164,7 @@ def cmd_dirac_check(args) -> int:
     A, U = sys_.A, sys_.U
     n = A.n
     rng = np.random.default_rng(args.seed)
-    points = []
-    for _ in range(args.points):
-        x = np.array([rng.uniform(lo, hi) for lo, hi in bundle.box])
-        p = rng.standard_normal(n)
-        points.append(DualPoint(x, p))
+    points = [DualPoint(_sample_x(bundle, rng), rng.standard_normal(n)) for _ in range(args.points)]
     bases = [dirac_generators(A, U, pt) for pt in points]
     worst_orth = float(np.max([check_self_orthogonal(b) for b in bases]))  # keeps nan
     mats = [b.matrix() for b in bases]
@@ -224,8 +219,19 @@ def cmd_hj_check(args) -> int:
     return EXIT_PASS if ok else EXIT_FAIL
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ConfigError (exit 6 on one error: line); no flag
+    is abbreviated, so ``--h`` cannot stand for ``--help``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="algmech",
         description="Constrained implicit Lagrangian mechanics toolkit.",
     )
@@ -278,9 +284,9 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     started = time.perf_counter()
     try:
+        args = build_parser().parse_args(argv)
         _check_args(args)
         with np.errstate(all="ignore"):  # an overflow ends in a check or an error: line
             code = _COMMANDS[args.command](args)
@@ -296,7 +302,7 @@ def main(argv=None) -> int:
     except EvaluationFault as e:
         print(f"error: evaluation failed: {e}")
         code = EXIT_CONFIG
-    except AlgmechError as e:  # config, parse and option errors, FlowBlowUp, RankDeficient
+    except AlgmechError as e:  # usage, config, parse and option errors, FlowBlowUp, RankDeficient
         print(f"error: {e}")
         code = EXIT_CONFIG
     print(f"wall_time_s: {time.perf_counter() - started:.3f}", file=sys.stderr)

@@ -16,8 +16,6 @@ from __future__ import annotations
 import json
 import math
 
-import numpy as np
-
 from . import expr
 from .algebroid import LieAlgebroid, Subbundle
 from .dynamics import ImplicitSystem
@@ -35,8 +33,8 @@ def load_config(path: str) -> dict:
             return json.load(fh)
     except OSError as e:
         raise ConfigError(f"cannot read config {path!r}: {e}") from None
-    except json.JSONDecodeError as e:
-        raise ConfigError(f"config {path!r} is not valid JSON: {e}") from None
+    except ValueError as e:  # not UTF-8, or not JSON
+        raise ConfigError(f"config {path!r} is not valid UTF-8 JSON: {e}") from None
 
 
 def _require(cfg, key, kind):
@@ -83,6 +81,8 @@ def _interval(pair):
 
 
 def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
     m = _require(cfg, "m", int)
     n = _require(cfg, "n", int)
     r = _require(cfg, "r", int)

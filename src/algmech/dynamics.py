@@ -8,7 +8,6 @@ exact Jacobian and a halving line search), and energy monitoring.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 
@@ -23,10 +22,9 @@ from .algebroid import (
     _Carrier,
     _distances,
     _finite_vector,
+    _norm,
     _Record,
-    base_names,
     contract,
-    fiber_names,
 )
 from .errors import Degenerate, EvaluationFault, NewtonDivergence, NonFinite
 from .prolong import Lagrangian, energies  # noqa: F401  (kept as dynamics.energies)
@@ -96,8 +94,8 @@ def _residual_reports(sys: ImplicitSystem, states, xdots, pdots, tol: float) -> 
     """The residual report of each state against the rows of ``xdots``
     and ``pdots``: per state one L-jet and the data that depends on x,
     then one stacked pass."""
-    m, names, jet = sys.A.m, sys.Lg._names, sys.Lg._jet.checked
-    grads = np.array([jet(dict(zip(names, [*st.x.tolist(), *st.y.tolist()])))[1] for st in states])
+    m, jet = sys.A.m, sys.Lg._flat
+    grads = np.array([jet([*st.x.tolist(), *st.y.tolist()])[1] for st in states])
     data = [_point_data(sys, BasePoint._trusted(x=st.x), DEFAULT_RANK_TOL) for st in states]
     along = _along(sys, BasePoint._trusted(x=states[0].x), data, DEFAULT_RANK_TOL)
     Y, P = np.array([st.y for st in states]), np.array([st.p for st in states])
@@ -480,10 +478,7 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
         F, jac = step(prev, guess)
         nF = _sup_norm(F)
         for _ in range(NEWTON_MAX_ITERS):
-            norm = math.sqrt(sum(map(mul, guess, guess)))
-            if norm == math.inf:  # a square overflowed; |guess| itself is finite
-                norm = math.hypot(*guess)
-            if nF <= 1e-11 * (1.0 + norm):
+            if nF <= 1e-11 * (1.0 + _norm(guess)):
                 break
             try:
                 delta = np.linalg.solve(np.array(jac()), [-v for v in F]).tolist()
@@ -537,12 +532,8 @@ def _drift(values: list):
 def _energies(sys: ImplicitSystem, states) -> list:
     """The generalized energy p·y - L of each state, from the compiled
     jet of L."""
-    names = base_names(sys.A.m) + fiber_names(sys.A.n)
-    jet = expr.compile_jet2(sys.Lg.L, names).checked
-    out = [
-        float(st.p @ st.y - jet(dict(zip(names, [*st.x.tolist(), *st.y.tolist()])))[0])
-        for st in states
-    ]
+    jet = sys.Lg._flat
+    out = [float(st.p @ st.y - jet([*st.x.tolist(), *st.y.tolist()])[0]) for st in states]
     if not all(map(math.isfinite, out)):
         raise NonFinite("the generalized energy p.y - L overflowed")
     return out

@@ -154,23 +154,17 @@ class Neg(Expression):
 
 
 def free_variables(e: Expression) -> frozenset:
-    cached = getattr(e, "_fv", None)
-    if cached is not None:
-        return cached
     if isinstance(e, Num):
-        fv = frozenset()
-    elif isinstance(e, Var):
-        fv = frozenset((e.name,))
-    elif isinstance(e, BinOp):
-        fv = free_variables(e.lhs) | free_variables(e.rhs)
-    elif isinstance(e, Pow):
-        fv = free_variables(e.base)
-    elif isinstance(e, (Fun, Neg)):
-        fv = free_variables(e.arg)
-    else:  # pragma: no cover
-        raise TypeError(f"not an expression node: {e!r}")
-    e._fv = fv
-    return fv
+        return frozenset()
+    if isinstance(e, Var):
+        return frozenset((e.name,))
+    if isinstance(e, BinOp):
+        return free_variables(e.lhs) | free_variables(e.rhs)
+    if isinstance(e, Pow):
+        return free_variables(e.base)
+    if isinstance(e, (Fun, Neg)):
+        return free_variables(e.arg)
+    raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
 
 
 # ---------------------------------------------------------------------------

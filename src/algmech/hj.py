@@ -45,26 +45,28 @@ class HJSection:
         self._x = base_names(m)
 
     def velocity(self, x: BasePoint) -> np.ndarray:
-        return np.array(_jet(self.gamma, x.binding())[0])
+        return np.array(self._part(self.gamma, x.x.tolist())[0])
 
     def momentum(self, x: BasePoint) -> np.ndarray:
-        return np.array(_jet(self.gammabar, x.binding())[0])
+        return np.array(self._part(self.gammabar, x.x.tolist())[0])
 
     def momentum_jacobian(self, x: BasePoint) -> np.ndarray:
         """J[a, i] = d gammabar_a / d x^i."""
-        return np.array(_jet(self.gammabar, x.binding(), self._x)[1]).reshape(self.n, -1)
+        J = self._part(self.gammabar, x.x.tolist(), True)[1]
+        return np.array(J).reshape(self.n, -1)
 
-
-def _jet(part: expr.Array, binding: dict, wrt=()) -> tuple:
-    """The values of a section part at ``binding`` and their flat
-    gradients with respect to ``wrt``: float tuples from one array jet."""
-    try:
-        return expr.compile_jet2(part, wrt, defer=True).checked(binding)[:2]
-    except EvaluationFault:
-        if not wrt:  # values only: the fault as evaluate() reports it
-            for e in part:
-                expr.evaluate(e, binding)
-        raise
+    def _part(self, part: expr.Array, x: list, gradients: bool = False) -> tuple:
+        """The values of ``part`` (gamma or gammabar) at the floats of x
+        and, with ``gradients``, their flat gradients in x: float tuples
+        from one array jet."""
+        b, wrt = dict(zip(self._x, x)), self._x if gradients else ()
+        try:
+            return expr.compile_jet2(part, wrt, defer=True).checked(b)[:2]
+        except EvaluationFault:
+            if not wrt:  # values only: the fault as evaluate() reports it
+                for e in part:
+                    expr.evaluate(e, b)
+            raise
 
 
 class BaseTrajectory(_Record):
@@ -129,7 +131,7 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     def field(x):
         if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
             return [math.nan] * len(x)
-        g = _jet(s.gamma, dict(zip(s._x, x)))[0]
+        g = s._part(s.gamma, x)[0]
         rho = fixed or A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
         return [sum(map(mul, row, g)) for row in rho]
 
@@ -171,11 +173,10 @@ def verify_theorem(
     Lg, m, tol_K = sys.Lg, sys.A.m, DEFAULT_HYPOTHESIS_TOL
     rows, data, fault = [], [], None
     for k, x in enumerate(X.tolist()):  # only the jets are evaluated point by point
-        b = dict(zip(s._x, x))
         try:
-            g = _jet(s.gamma, b)[0]
-            grad = Lg._jet.checked(dict(zip(Lg._names, [*x, *g])))[1]
-            gb, J = _jet(s.gammabar, b, s._x)
+            g = s._part(s.gamma, x)[0]
+            grad = Lg._flat([*x, *g])[1]
+            gb, J = s._part(s.gammabar, x, True)
             data.append(_point_data(sys, BasePoint._trusted(x=X[k]), tol_K))
         except (EvaluationFault, RankDeficient) as exc:
             fault = exc

@@ -141,6 +141,11 @@ class Lagrangian:
         m = self.algebroid.m
         return v, g[:m], g[m:], h[:m, :m], h[:m, m:], h[m:, m:]
 
+    def _flat(self, values: list) -> tuple:
+        """The checked flat (L, gradient, packed Hessian) at the floats of
+        (x, y) in order."""
+        return self._jet.checked(dict(zip(self._names, values)))
+
 
 def legendre(Lg: Lagrangian, e: FiberPoint) -> DualPoint:
     """Legendre transform: (x, y) -> (x, ∂L/∂y)."""
@@ -174,7 +179,7 @@ def gamma_E_map(A: LieAlgebroid, omega: TEECovector) -> ProlongCovector:
 def _anchored(Lg: Lagrangian, e: FiberPoint):
     """(ρᵀ ∂L/∂x as a float list, ∂L/∂y) at e, from the float gradient of
     one jet call, which checks it finite."""
-    g = Lg._jet.checked(dict(zip(Lg._names, [*e.x.tolist(), *e.y.tolist()])))[1]
+    g = Lg._flat([*e.x.tolist(), *e.y.tolist()])[1]
     m, cols = Lg.algebroid.m, Lg.algebroid.anchor_at(e.base).T.tolist()
     return [sum(map(mul, col, g[:m]), 0.0) for col in cols], np.array(g[m:])
 

@@ -249,6 +249,58 @@ def test_config_error_exit_code(tmp_path):
     assert code == 6 and "error:" in out
 
 
+PENDULUM = ("simulate", "--model", "pendulum", "--x0", "0.1", "--y0", "0.2")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        (*PENDULUM, "--h", "abc"),
+        ("simulate", "--model", "pendulum", "--bogus"),
+        ("validate", "--model", "rigid-body", "--samples", "x"),
+        (*PENDULUM, "--method", "euler"),
+        ("nope",),
+        (),
+        # --h once abbreviated --help here and exited 0 without running
+        ("dirac-check", "--model", "rigid-body", "--h", "1e-3"),
+        # argparse on Python 3.10-3.12 reads "--h=--" as an empty list
+        (*PENDULUM, "--h=--"),
+        # a negative seed once reached numpy as a traceback
+        ("validate", "--model", "rigid-body", "--seed", "-1"),
+    ],
+)
+def test_usage_errors_exit_6_with_one_error_line(capsys, argv):
+    # argparse once printed usage text on stderr and exited 2
+    code, out = _main(capsys, *argv)
+    assert code == 6 and len(out.splitlines()) == 1 and out.startswith("error: ")
+
+
+def test_help_still_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--help"])
+    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: algmech simulate")
+
+
+def test_out_under_a_missing_directory_exits_6_with_one_error_line(tmp_path, capsys):
+    code, out = _main(capsys, *PENDULUM, "--T", "0.01", "--out", tmp_path / "missing" / "x.csv")
+    assert code == 6 and out.startswith("error: cannot write --out") and len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [(b"\xff\xfe{}", "is not valid UTF-8 JSON"), (b"5", "must be a JSON object")],
+)
+def test_config_that_is_not_a_utf8_json_object_exits_6_with_one_error_line(
+    tmp_path, capsys, data, message
+):
+    # both once ended in a traceback
+    path = tmp_path / "model.json"
+    path.write_bytes(data)
+    code, out = _main(capsys, "validate", "--config", path)
+    assert code == 6 and len(out.splitlines()) == 1 and out.startswith("error: ")
+    assert message in out
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     csvs = []

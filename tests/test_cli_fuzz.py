@@ -147,3 +147,75 @@ def test_cli_error_contract_holds_on_random_inputs(tmp_path):
         codes.append(code)
     # the draw reaches every exit code
     assert set(codes) == {0, 2, 3, 4, 5, 6}
+
+
+MALFORMED_CASES = 400
+MALFORMED_SEED = 20261019
+
+# tokens for a numeric option: not numbers, numbers of the wrong kind,
+# and numbers out of every range an option accepts
+MALFORMED = [
+    "abc", "", "1e", "0x10", "1,2", "1..2", "--", "-", "+-1", "nan", "-inf", "1e999",
+    "1e-400", "-1", "-5e-324", "0.0", "1_0", " 2", "2.5", "١", "9" * 40,
+]
+NUMERIC = ["--seed", "--samples", "--points", "--pairs", "--h", "--T", "--tol", "--x0", "--y0"]
+UNKNOWN = ["--bogus", "-q", "--h5", "--out-dir=x", "extra", "--model=nope", "--section=nope"]
+
+
+def _bytes_of(rng, cfg):
+    """The config as JSON, truncated, as random bytes, or as a JSON value
+    that is not an object."""
+    text = json.dumps(cfg).encode()
+    u = rng.uniform()
+    if u < 0.5:
+        return text[: int(rng.integers(len(text)))]
+    if u < 0.75:
+        return rng.bytes(int(rng.integers(1, 40)))
+    return _pick(rng, [b"5", b"null", b'"m"', b"[]", b"\xff\xfe{}", b"{}"])
+
+
+def _malformed(rng, argv, path):
+    """``argv`` with one or two of: a malformed token for one of its own
+    numeric options, an unknown or repeated flag, a flag missing its
+    value, a bad --method, and an --out under a missing directory."""
+    argv = list(argv)
+    numeric = [a.split("=")[0] for a in argv[2:] if a.split("=")[0] in NUMERIC]
+    for _ in range(int(rng.integers(1, 3))):
+        u = rng.uniform()
+        if u < 0.4:
+            argv.append(f"{_pick(rng, numeric)}={_pick(rng, MALFORMED)}")
+        elif u < 0.55:
+            argv.insert(int(rng.integers(1, len(argv) + 1)), _pick(rng, UNKNOWN))
+        elif u < 0.65:
+            argv.append(_pick(rng, argv[1:]))
+        elif u < 0.75:
+            argv.append(_pick(rng, NUMERIC))
+        elif u < 0.85:
+            argv.append(f"--method={_pick(rng, ['euler', 'RK4', '', 'implicit'])}")
+        else:
+            argv.append(f"--out={path.parent / 'missing' / 'x.csv'}")
+    return argv
+
+
+def test_cli_error_contract_holds_on_malformed_inputs(tmp_path):
+    rng = np.random.default_rng(MALFORMED_SEED)
+    path = tmp_path / "model.json"
+    for case in range(MALFORMED_CASES):
+        cfg, m, r = _config(rng)
+        argv = _argv(rng, path, m, r)
+        if rng.uniform() < 0.4:  # a config that cannot be read, with a usable argv
+            data = _bytes_of(rng, cfg)
+        else:
+            data, argv = json.dumps(cfg).encode(), _malformed(rng, argv, path)
+        path.write_bytes(data)
+        out, err = io.StringIO(), io.StringIO()
+        with warnings.catch_warnings(), contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(err):
+            warnings.simplefilter("error")
+            code = main(argv)
+        where = f"case {case}: {data!r} {argv[0]} {argv[2:]}"
+        assert code in (0, 2, 3, 4, 5, 6), where
+        if code >= 3:
+            lines = out.getvalue().splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), where
+        assert WALL_TIME.fullmatch(err.getvalue()), where

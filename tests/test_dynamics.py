@@ -98,6 +98,19 @@ def test_pendulum_matches_second_order_oracle():
     assert err <= 1e-6
 
 
+def test_harmonic_oscillator_matches_closed_form_oracle():
+    b = get_model("harmonic-oscillator")
+    init = ([0.3], [1.1])
+    traj = integrate(b.system, init, 1e-3, 2.0)
+    ref = oracle_trajectory(b, init, 1e-3, 2.0)
+    assert len(ref.states) == len(traj.states) == 2001
+    err = max(
+        np.abs(np.concatenate([st.x - o.x, st.y - o.y, st.p - o.p])).max()
+        for st, o in zip(traj.states, ref.states)
+    )
+    assert err <= 1e-12
+
+
 def test_suslov_constant_solutions():
     b = get_model("suslov", inertia=(2.0, 1.5, 1.0))
     traj = integrate(b.system, (NO_BASE, [0.3, 0.4]), 1e-3, 2.0)
@@ -602,6 +615,31 @@ def test_a_second_midpoint_run_emits_and_compiles_nothing(monkeypatch):
     assert compiles == Counter() and sys.Lg._fields["implicit_midpoint", sys.U.r] is bind
     assert [st.y.tolist() for st in second.states] == [st.y.tolist() for st in first.states]
     assert len(other_h.states) == 21
+
+
+def test_midpoint_line_search_exhaustion_raises_with_the_step_index(monkeypatch):
+    # from step 2 on the residual never decreases, so every halving of the
+    # Newton step down to 1/1024 is refused
+    exact, starts, trials = dynamics._midpoint_step, [], Counter()
+
+    def stalling(sys, h):
+        step = exact(sys, h)
+
+        def stalled(prev, u):
+            if not starts or starts[-1] is not prev:
+                starts.append(prev)
+            trials[len(starts) - 1] += 1
+            F, jac = step(prev, u)
+            return ([1.0] * len(F) if len(starts) > 2 else F), jac
+
+        return stalled
+
+    monkeypatch.setattr(dynamics, "_midpoint_step", stalling)
+    with pytest.raises(NewtonDivergence) as exc:
+        integrate(get_model("pendulum").system, ([0.1], [0.2]), 1e-2, 0.1,
+                  method="implicit_midpoint")
+    assert exc.value.step_index == 2 and exc.value.last_residual == 1.0
+    assert trials[2] == 1 + 11  # the start and one trial per t = 1, 1/2, ..., 1/1024
 
 
 def test_midpoint_stopping_test_does_not_pass_when_the_state_norm_overflows():
