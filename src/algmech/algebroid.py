@@ -11,6 +11,7 @@ infinite coordinate when it is constructed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from operator import mul
@@ -394,15 +395,17 @@ class Subbundle:
         return self._span(x.binding())
 
     def _frames(self, x: BasePoint, tol: float):
-        """(S, Q, Qc): the span at x and orthonormal bases of U(x) and of
-        its complement, once the numerical rank is checked against tol."""
-        S, Q, Qc, s = self._fixed if self._fixed is not None else self._decompose(x.binding())
+        """(S, Q, Qc, s): the span at x, orthonormal bases of U(x) and of
+        its complement and the singular values of S, once the numerical
+        rank is checked against tol."""
+        frames = self._fixed if self._fixed is not None else self._decompose(x.binding())
+        s = frames[3]
         rank = sum(map((tol * max(s[0] if s else 0.0, 1.0)).__lt__, s))
         if rank != self.r:
             raise RankDeficient(
                 f"span has numerical rank {rank}, expected {self.r} at x={x.x}"
             )
-        return S, Q, Qc
+        return frames
 
     def annihilator(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """(n - r) orthonormal covectors spanning the annihilator (rows)."""
@@ -410,7 +413,7 @@ class Subbundle:
 
     def completion(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """Orthonormal n x n frame whose first r columns span U(x)."""
-        _, Q, Qc = self._frames(x, tol)
+        _, Q, Qc, _ = self._frames(x, tol)
         return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -418,22 +421,36 @@ class Subbundle:
         s, bound = _scaled_bound(tol, v)
         return _passes(residual / s, bound)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
         v = np.asarray(v, dtype=float)
         Q = self._frames(x, tol)[1]
-        return _norm(v - Q @ (Q.T @ v))
+        # |Q| <= 1 entrywise: no sum below exceeds (1 + r) sum |v_a|
+        with _quiet((1 + self.r) * sum(map(abs, v.tolist()))):
+            return _norm(v - Q @ (Q.T @ v))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
         residual = self.annihilator_residual(x, xi, tol)
         s, bound = _scaled_bound(tol, xi)
         return _passes(residual / s, bound)
 
-    @np.errstate(over="ignore", invalid="ignore")
     def annihilator_residual(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> float:
         """Largest pairing of ``xi`` with the spanning columns of U(x)."""
-        S = self._frames(x, tol)[0]
-        return float(np.abs(np.asarray(xi, dtype=float) @ S).max(initial=0.0))
+        S, _, _, s = self._frames(x, tol)
+        xi = np.asarray(xi, dtype=float)
+        # |S_ab| <= s[0]: no sum below exceeds s[0] sum |xi_a|
+        with _quiet((s[0] if s else 0.0) * sum(map(abs, xi.tolist()))):
+            return float(np.abs(xi @ S).max(initial=0.0))
+
+
+_CALM = 1e300  # partial sums below this cannot overflow
+_NO_GUARD = contextlib.nullcontext()
+
+
+def _quiet(bound: float):
+    """An np.errstate silencing overflow and invalid warnings in a numpy
+    product whose partial sums are at most ``bound``, or, where the bound
+    is below _CALM (nan and inf are not), a no-op that costs less."""
+    return _NO_GUARD if bound < _CALM else np.errstate(over="ignore", invalid="ignore")
 
 
 def _passes(residual: float, bound: float) -> bool:

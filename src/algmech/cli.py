@@ -11,6 +11,7 @@ keep stdout deterministic.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 
@@ -51,8 +52,13 @@ def _g(v: float) -> str:
     return format(float(v), ".17g")
 
 
+_FIELD = "%.17g"  # one CSV field: the same text as _g
+
+
 def _load_bundle(args):
     if args.config is not None:
+        if args.model is not None:
+            raise ConfigError("give --model or --config, not both")
         return bundle_from_config(load_config(args.config), name=args.config)
     if args.model is None:
         raise ConfigError("need --model or --config")
@@ -140,10 +146,10 @@ def cmd_simulate(args) -> int:
             + ["E_L", "res_kin", "res_mom"]
         )
         lines = [",".join(cols)]
+        fmt = ",".join([_FIELD] * len(cols))
         reports = _lift_residuals(sys_, traj.states, args.h, np.inf)
         for t, st, E, rep in zip(traj.times, traj.states, energies, reports):
-            row = [t, *st.x, *st.y, *st.p, E, rep.r_kin, rep.r_mom]
-            lines.append(",".join(_g(v) for v in row))
+            lines.append(fmt % (t, *st.x, *st.y, *st.p, E, rep.r_kin, rep.r_mom))
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")
@@ -274,6 +280,13 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call shares: parsing fills a fresh
+    namespace each time and leaves the parser as it was."""
+    return build_parser()
+
+
 _COMMANDS = {
     "list-models": cmd_list_models,
     "validate": cmd_validate,
@@ -286,7 +299,10 @@ _COMMANDS = {
 def main(argv=None) -> int:
     started = time.perf_counter()
     try:
-        args = build_parser().parse_args(argv)
+        try:
+            args = _parser().parse_args(argv)
+        except SystemExit as e:  # --help printed the usage
+            return e.code
         _check_args(args)
         with np.errstate(all="ignore"):  # an overflow ends in a check or an error: line
             code = _COMMANDS[args.command](args)

@@ -114,7 +114,7 @@ def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
     zero = np.zeros(A.n)
-    _, Q, Qc = U._frames(pt.base, DEFAULT_RANK_TOL)
+    _, Q, Qc, _ = U._frames(pt.base, DEFAULT_RANK_TOL)
 
     def gen(z, u, r, v):
         vector = ProlongVector._trusted(base=pt, z=z, u=u)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
 
-from algmech.cli import main
+from algmech.cli import _FIELD, _g, main
 from algmech.config import bundle_to_config
 from algmech.models import get_model
 
@@ -276,9 +277,16 @@ def test_usage_errors_exit_6_with_one_error_line(capsys, argv):
 
 
 def test_help_still_exits_0(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--help"])
-    assert exc.value.code == 0 and capsys.readouterr().out.startswith("usage: algmech simulate")
+    # --help once raised argparse's SystemExit(0) out of main
+    assert main(["simulate", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: algmech simulate")
+
+
+def test_model_with_config_exits_6_with_one_error_line(tmp_path, capsys):
+    # --model was once ignored without a word when --config was given
+    path = _config_file(tmp_path, LINE)
+    code, out = _main(capsys, "validate", "--model=nope", "--config", path)
+    assert code == 6 and out == "error: give --model or --config, not both\n"
 
 
 def test_out_under_a_missing_directory_exits_6_with_one_error_line(tmp_path, capsys):
@@ -416,3 +424,17 @@ def test_csv_residuals_at_the_float_limits_print_no_warning(tmp_path, capsys):
     code, out = _main(capsys, "simulate", "--model", "pendulum", "--x0=1e308", "--y0=1",
                       "--h", "1e-2", "--T", "0.04", "--out", out_csv)
     assert code == 0 and len(out_csv.read_text().splitlines()) == 6
+
+
+def test_csv_rows_format_each_value_as_g_does(tmp_path, capsys):
+    values = [-0.0, 5e-324, 1e22, 1e-300, 0.1, math.pi, -1.5e308, math.nan, math.inf, -math.inf,
+              np.float64(-0.0), np.float64(5e-324), np.float64(1e22), np.float64(1e-300),
+              np.float64(1 / 3)]
+    row = ",".join([_FIELD] * len(values))
+    assert row % tuple(values) == ",".join(map(_g, values))
+    out_csv = tmp_path / "o.csv"
+    code, _ = _main(capsys, "simulate", "--model", "rigid-body", "--y0=1e-300,-0.0,5e-324",
+                    "--h", "1e-2", "--T", "0.05", "--out", out_csv)
+    fields = [f for line in out_csv.read_text().splitlines()[1:] for f in line.split(",")]
+    assert code == 0 and len(fields) == 6 * 10
+    assert all(_g(float(f)) == f for f in fields)
