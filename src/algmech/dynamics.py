@@ -15,7 +15,6 @@ from . import expr
 from .algebroid import (
     DEFAULT_RANK_TOL,
     BasePoint,
-    FiberPoint,
     LieAlgebroid,
     Subbundle,
     _bracket_terms,
@@ -195,6 +194,13 @@ def _dot(u: list, v: list) -> str:
     return f"sum(({', '.join(products)}))"
 
 
+def _packed(h: str, k: int):
+    """Source of the (j, l) entry of the packed upper-triangle Hessian
+    ``h`` over k variables, as a function of (j, l)."""
+    index = {jl: i for i, jl in enumerate(expr._pairs(k))}
+    return lambda j, l: f"{h}[{index[min(j, l), max(j, l)]}]"
+
+
 def _inverse(key: tuple, r: int) -> list:
     """Rows of the inverse of the restricted velocity Hessian given row by
     row in ``key``, once its condition number is below the limit."""
@@ -218,8 +224,7 @@ def _emit_field(Lg: Lagrangian, r: int):
     m, n = A.m, A.n
     q, s = [f"q{k}" for k in range(m + r)], [f"s{a}" for a in range(r)]
     ya, xd = q[m:], [f"xd{i}" for i in range(m)]
-    packed = {jl: k for k, jl in enumerate(expr._pairs(m + n))}
-    hess = lambda j, l: f"h[{packed[min(j, l), max(j, l)]}]"
+    hess = _packed("h", m + n)
     binding = ", ".join(f"{k!r}: {v}" for k, v in zip(Lg._names, q + ["0.0"] * (n - r)))
     body = ["nonlocal key, inv"] + ([f"{', '.join(q)}, = q"] if q else [])
     body += ["try:", f"    _, g, h = raw({{{binding}}})",
@@ -362,21 +367,23 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     """The midpoint step of ``Lg`` on a rank-r adapted U, compiled from
     source as a function of (Lg, h) that returns it.
 
-    Each residual makes its two ``Lg.jet`` calls, at the midpoint and at
-    the end point, and reads an x-dependent anchor or structure through
-    ``anchor_jet_at`` or ``structure_jet_at`` at the midpoint; constant
-    ones are float literals, as in the adapted field.  The x-derivative
-    blocks of J are numpy products.  Every contraction keeps the term
-    order of ``sum(map(mul, row, v))``, and every entry of J is its live
-    part plus the entry of the constant blocks (I/h, -rho/2, I), which
-    keeps the signs of zeros."""
+    Each residual makes its two ``Lg.jet`` calls on float lists, at the
+    midpoint and at the end point, and reads an x-dependent anchor or
+    structure through ``anchor_jet_at`` or ``structure_jet_at`` at the
+    midpoint; constant ones are float literals, as in the adapted field.
+    The x-derivative blocks of J are numpy products, and its Hessian
+    entries are read from the jets' packed tuples.  Every contraction
+    keeps the term order of ``sum(map(mul, row, v))``, and every entry of
+    J is its live part plus the entry of the constant blocks (I/h,
+    -rho/2, I), which keeps the signs of zeros."""
     A = Lg.algebroid
     m, n = A.m, A.n
     names = lambda s, size: [f"{s}{i}" for i in range(size)]
     x0, y0, p0 = names("x0_", m), names("y0_", r), names("p0_", n)
     x1, y1, p1 = names("x1_", m), names("y1_", r), names("p1_", n)
     xm, ym, pm = names("xm", m), names("ym", r), names("pm", n)
-    lx, ly = names("lx", m), names("ly", n)
+    lx, ly = [f"gm[{i}]" for i in range(m)], [f"g1[{m + g}]" for g in range(n)]
+    hm, h1 = _packed("hm", m + n), _packed("h1", m + n)
     pad = ["0.0"] * (n - r)
     vec = lambda terms: f"[{', '.join(terms)}]"
     start, end, mid = x0 + y0 + p0, x1 + y1 + p1, xm + ym + pm
@@ -386,9 +393,9 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
         body += [f"if not all(map(isfinite, ({', '.join(xm + ym + x1 + y1)},))):"]
         body += [f"    _finite_vector({vec(v)}, {s!r})"
                  for s, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", y1 + pad)) if v]
-    body += [f"xm, ym = np.array({vec(xm)}), np.array({vec(ym + pad)})"]
     if not A.constant:
-        body.append("bp = BasePoint._trusted(x=xm)")
+        body += [f"xm, ym = np.array({vec(xm)}), np.array({vec(ym + pad)})",
+                 "bp = BasePoint._trusted(x=xm)"]
     if A.constant_anchor:
         rho_f = A.anchor_at(BasePoint(np.zeros(m))).tolist()
         rho = [[repr(v) for v in row[:r]] for row in rho_f]
@@ -414,21 +421,19 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
                  "for a, b, g, c in terms:", "    cp[a][b] += pms[g] * c"]
         cp = [[f"cp[{a}][{b}]" for b in range(r)] for a in range(r)]
         cy = [[f"cy[{a}][{g}]" for g in range(n)] for a in range(r)]
-    body += ["_, Lx, _, Lxx, Lxy, _ = Lg.jet(FiberPoint._trusted(x=xm, y=ym))",
-             f"_, _, Ly1, _, Lxy1, Lyy1 = Lg.jet(FiberPoint._trusted(x=np.array({vec(x1)}),"
-             f" y=np.array({vec(y1 + pad)})))"]
-    body += [f"{', '.join(v)}, = {a}.tolist()" for v, a in ((lx, "Lx"), (ly, "Ly1")) if v]
+    body += [f"_, gm, hm = Lg.jet({vec(xm + ym + pad)})",
+             f"_, g1, h1 = Lg.jet({vec(x1 + y1 + pad)})"]
     F = [f"({x1[i]} - {x0[i]}) / h - ({_dot(rho[i], ym)})" for i in range(m)]
     F += [f"({p1[a]} - {p0[a]}) / h + ({_dot(cp[a], ym)}) - ({_dot(rho_cols[a], lx)})"
           for a in range(r)]
     F += [f"{p1[g]} - {ly[g]}" for g in range(n)]
     # J: rows kin | mom | leg over columns x1 | ya1 | p1
-    jac = ["hxx, hxy, hey = Lxx.tolist(), Lxy.tolist(), Lxy1.tolist()"] if m else []
-    jac += ["hyy = Lyy1.tolist()"] if r else []
+    jac = []
     dx = [["0.0"] * m for _ in range(r)]  # d(C·p y - rho^T dL/dx)/dx1 through C and rho
     if not A.constant_anchor:
         jac += ["dr = (ym @ drho).tolist()",
-                f"dxa = (Lx @ drho.reshape({m}, {n * m})).reshape({n}, {m}).tolist()"]
+                f"dxa = (np.array(gm[:{m}]) @ drho.reshape({m}, {n * m}))"
+                f".reshape({n}, {m}).tolist()"]
         dx = [[f"(0.0 - dxa[{a}][{j}])" for j in range(m)] for a in range(r)]
     if not A.constant_structure:
         jac += [f"cy = [[0.0] * {n} for _ in range({r})]", f"yms = {vec(ym)}",
@@ -436,8 +441,7 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
                 "dxc = (ym @ contract(dC, np.array(pms))).tolist()"]
         dx = [[f"({t} + dxc[{a}][{j}])" for j, t in enumerate(row)] for a, row in enumerate(dx)]
     # the columns of d2L/dx d(x, ya) at the midpoint, less rho^T times them
-    hcols = [[f"hxx[{j}][{i}]" for i in range(m)] for j in range(m)]
-    hcols += [[f"hxy[{i}][{b}]" for i in range(m)] for b in range(r)]
+    hcols = [[hm(j, i) for i in range(m)] for j in range(m + r)]
     diag = lambda i, j, one: one if i == j else "0.0"
     rows = []
     for i in range(m):
@@ -455,14 +459,14 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
                     + [diag(a, g, "ih") if cy[a][g] == "0.0"
                        else f"0.5 * {cy[a][g]} + {diag(a, g, 'ih')}" for g in range(n)])
     for g in range(n):
-        rows.append([f"-hey[{i}][{g}] + 0.0" for i in range(m)]
-                    + [f"-hyy[{g}][{a}] + 0.0" for a in range(r)]
+        rows.append([f"-{h1(i, m + g)} + 0.0" for i in range(m)]
+                    + [f"-{h1(m + g, m + a)} + 0.0" for a in range(r)]
                     + [diag(g, l, "1.0") for l in range(n)])
     jac.append(f"return [{', '.join(map(vec, rows))}]")
     body += ["def jacobian():", *(f"    {t}" for t in jac), f"return {vec(F)}, jacobian"]
     head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h", "    def step(prev, u):"]
-    ns = dict(np=np, isfinite=math.isfinite, BasePoint=BasePoint, FiberPoint=FiberPoint,
-              _finite_vector=_finite_vector, _bracket_terms=_bracket_terms, contract=contract)
+    ns = dict(np=np, isfinite=math.isfinite, BasePoint=BasePoint, _finite_vector=_finite_vector,
+              _bracket_terms=_bracket_terms, contract=contract)
     return _compiled(head, body, "    return step", "midpoint step", ns)
 
 
@@ -473,7 +477,8 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     N = _steps(h, T)
     step = _midpoint_step(sys, h)
     y0 = np.concatenate([ya0, np.zeros(n - r)])
-    us = [[*x0.tolist(), *ya0.tolist(), *sys.Lg.jet(FiberPoint(x0, y0))[2].tolist()]]
+    e0 = [*_finite_vector(x0, "x").tolist(), *_finite_vector(y0, "y").tolist()]  # as FiberPoint
+    us = [[*x0.tolist(), *ya0.tolist(), *sys.Lg.jet(e0)[1][m:]]]
     for k in range(N):
         prev = guess = us[-1]
         F, jac = step(prev, guess)

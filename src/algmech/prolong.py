@@ -135,8 +135,13 @@ class Lagrangian:
         self._jet = expr.compile_jet2(self.L, self._names)
         self._fields = {}  # the emitted RK4 field and midpoint step per rank of U, see dynamics
 
-    def jet(self, e: FiberPoint):
-        """(L, Lx, Ly, Lxx, Lxy, Lyy) at e, via exact forward jets."""
+    def jet(self, e):
+        """(L, Lx, Ly, Lxx, Lxy, Lyy) as arrays at a FiberPoint e, via exact
+        forward jets.  At a list of the floats of (x, y) in ``_names`` order,
+        the floats of :meth:`_flat` instead: the checked flat (L, gradient,
+        packed upper-triangle Hessian)."""
+        if isinstance(e, list):
+            return self._flat(e)
         v, g, h = self._jet(dict(zip(self._names, [*e.x.tolist(), *e.y.tolist()])))
         m = self.algebroid.m
         return v, g[:m], g[m:], h[:m, :m], h[:m, m:], h[m:, m:]

@@ -12,6 +12,7 @@ from algmech.algebroid import (
     LieAlgebroid,
     Subbundle,
     _bracket_terms,
+    _Carrier,
     base_names,
     contract,
     fiber_names,
@@ -236,6 +237,12 @@ def test_integrate_refuses_non_finite_states():
         integrate(b.system, (NO_BASE, (1e200,) * 3), 1e-3, 0.01)
 
 
+def test_midpoint_refuses_a_non_finite_start_as_a_fiber_point_does():
+    b = get_model("pendulum")
+    with pytest.raises(NonFinite, match=r"^x must be finite, got \[nan\]$"):
+        integrate(b.system, ([np.nan], [0.5]), 1e-2, 0.1, method="implicit_midpoint")
+
+
 def test_power_overflow_in_field_is_an_evaluation_fault():
     b = get_model("pendulum")
     with pytest.raises(EvaluationFault):
@@ -378,6 +385,36 @@ def test_emitted_midpoint_equals_the_generic_step_bit_for_bit(system):
         ref_F, ref_J = _generic_midpoint(sys, 0.05, prev.tolist(), u)
         assert list(map(repr, F)) == list(map(repr, ref_F))
         assert [list(map(repr, row)) for row in jac()] == [list(map(repr, row)) for row in ref_J]
+
+
+@pytest.mark.parametrize(
+    "name, per_residual",
+    [("pendulum", {}), ("rigid-body", {}), ("suslov", {}), ("affine-rank2", {"BasePoint": 1})],
+)
+def test_midpoint_residual_builds_no_carrier_on_constant_data(monkeypatch, name, per_residual):
+    # the residual and J read their jets on float lists; only an
+    # x-dependent algebroid needs a BasePoint, one per residual
+    sys = get_model(name).system
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step = dynamics._midpoint_step(sys, 0.05)
+    counts, trusted, init = Counter(), _Carrier._trusted.__func__, FiberPoint.__init__
+
+    def counted_trusted(cls, **arrays):
+        counts[cls.__name__] += 1
+        return trusted(cls, **arrays)
+
+    def counted_init(self, x, y):
+        counts["FiberPoint.__init__"] += 1
+        init(self, x, y)
+
+    monkeypatch.setattr(_Carrier, "_trusted", classmethod(counted_trusted))
+    monkeypatch.setattr(FiberPoint, "__init__", counted_init)
+    rng = np.random.default_rng(18)
+    for _ in range(3):
+        prev = rng.uniform(-0.5, 0.5, m + r + n)
+        u = prev + 0.1 * rng.standard_normal(m + r + n)
+        step(prev.tolist(), u.tolist())[1]()
+    assert counts == Counter({k: 3 * v for k, v in per_residual.items()})
 
 
 def _numpy_midpoint_residual(sys, h, prev, u):

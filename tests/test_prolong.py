@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from algmech import expr
 from algmech.algebroid import BasePoint, DualPoint, FiberPoint, LieAlgebroid, contract
 from algmech.dynamics import State
-from algmech.errors import AlgmechError, NonFinite
-from algmech.models import SO3_STRUCTURE, get_model
+from algmech.errors import AlgmechError, EvaluationFault, NonFinite
+from algmech.models import SO3_STRUCTURE, get_model, model_names
 from algmech.prolong import (
     A_E_inverse,
     A_E_map,
@@ -389,3 +390,32 @@ def test_non_finite_coordinates_raise_one_library_error():
         A_E_map(A, X)
     with pytest.raises(NonFinite, match="^state component y must be finite$"):
         State.stack([[0.0]], [[np.inf]], [[0.0]])
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_float_jet_equals_the_carrier_jet_bit_for_bit(name):
+    # Lagrangian.jet on a float list is the flat form of the FiberPoint form
+    b = get_model(name)
+    Lg = b.system.Lg
+    m, n = Lg.algebroid.m, Lg.algebroid.n
+    rng = np.random.default_rng(18)
+    for _ in range(10):
+        x = np.array([rng.uniform(lo, hi) for lo, hi in b.box])
+        y = rng.uniform(-1, 1, n)
+        v, g, h = Lg.jet([*x.tolist(), *y.tolist()])
+        L, Lx, Ly, Lxx, Lxy, Lyy = Lg.jet(FiberPoint(x, y))
+        full = np.block([[Lxx, Lxy], [Lxy.T, Lyy]]).tolist()
+        assert repr(v) == repr(L)
+        assert list(map(repr, g)) == list(map(repr, (*Lx.tolist(), *Ly.tolist())))
+        assert list(map(repr, h)) == [repr(full[j][l]) for j, l in expr._pairs(m + n)]
+
+
+@pytest.mark.parametrize("L, y1", [("exp(y1)", 1000.0), ("y1 * y1", 1e200)])
+def test_float_jet_faults_as_the_carrier_jet(L, y1):
+    # an OverflowError and an inf product both end in the same EvaluationFault
+    Lg = Lagrangian(tangent(1), L)
+    with pytest.raises(EvaluationFault) as carrier:
+        Lg.jet(FiberPoint([0.0], [y1]))
+    with pytest.raises(EvaluationFault) as flat:
+        Lg.jet([0.0, y1])
+    assert str(flat.value) == str(carrier.value)
