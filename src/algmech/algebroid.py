@@ -497,8 +497,3 @@ def _distances(Q: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Distance of each row of V from the span of the orthonormal columns
     of Q, one (n, r) frame or a stack of N."""
     return _norms(V - (Q @ (Q.swapaxes(-1, -2) @ V[:, :, None]))[:, :, 0])
-
-
-def _within(Q: np.ndarray, V: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each row v of V is within tol (1 + |v|) of the span of Q."""
-    return _distances(Q, V) <= tol * (1.0 + _norms(V))

@@ -87,8 +87,8 @@ def _check_args(args):
     for name, v in vars(args).items():
         if isinstance(v, list):  # "--opt=--", which argparse may read as []
             raise ConfigError(f"--{name} needs a value")
-    for opt, low in (("samples", 1), ("points", 1), ("seed", 0)):
-        if getattr(args, opt, low) < low:
+    for opt, low in (("samples", 1), ("points", 1), ("pairs", 0), ("seed", 0), ("tol", 0)):
+        if not getattr(args, opt, low) >= low:  # nan is not
             raise ConfigError(f"--{opt} must be at least {low}")
     if hasattr(args, "h"):
         try:

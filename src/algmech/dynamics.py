@@ -17,13 +17,11 @@ from .algebroid import (
     BasePoint,
     LieAlgebroid,
     Subbundle,
-    _bracket_terms,
     _Carrier,
     _distances,
     _finite_vector,
     _norm,
     _Record,
-    contract,
 )
 from .errors import Degenerate, EvaluationFault, NewtonDivergence, NonFinite
 from .prolong import Lagrangian, energies  # noqa: F401  (kept as dynamics.energies)
@@ -212,14 +210,42 @@ def _inverse(key: tuple, r: int) -> list:
     return np.linalg.inv(M).tolist()
 
 
+def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
+    """(reads, rho, drho, terms): the source of the anchor and bracket on
+    the first r sections for a kernel at the base point with coordinate
+    list ``x``.  rho[i][a] is rho^i_a and drho[i][a] its x-derivatives;
+    terms are (a, b, g, C^g_ab, its x-derivatives) in row order.  Constant
+    data is float literals, less its zero bracket constants, with no
+    derivatives; data that depends on x is subscripts into the lists made
+    by the lines of ``reads``, one jet call each (derivatives if ``jets``)."""
+    m, reads = A.m, []
+    read = ("{0}, d{0} = map(tolist, A.{1}_jet_at(bp))" if jets
+            else "{0} = A.{1}_at(bp).tolist()")
+    d = lambda t: [f"d{t}[{j}]" for j in range(m if jets else 0)]
+    if A.constant_anchor:
+        rho = [[repr(v) for v in row[:r]] for row in A._anchor_jet[0].tolist()]
+        drho = [[[]] * r for _ in range(m)]
+    else:
+        reads += [read.format("rho", "anchor")] * bool(r)
+        rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
+        drho = [list(map(d, row)) for row in rho]
+    if A.constant_structure:
+        terms = [(a, b, g, repr(c), []) for a, b, g, c in A._terms if max(a, b) < r]
+    else:
+        C = lambda a, b, g: f"C[{g}][{a}][{b}]"
+        terms = [(a, b, g, C(a, b, g), d(C(a, b, g))) for a, b, g in np.ndindex(r, r, A.n)
+                 if (g, min(a, b), max(a, b)) in A.structure]
+        reads += [read.format("C", "structure")] * bool(terms)
+    return [f"bp = BasePoint._trusted(x=np.array({x}))"] * bool(reads) + reads, rho, drho, terms
+
+
 def _emit_field(Lg: Lagrangian, r: int):
     """The adapted field of ``Lg`` on a rank-r adapted U, compiled from
     source as a function that returns it bound to a fresh inverse cache.
 
-    A constant anchor and the nonzero constants of a constant structure
-    are float literals; one that depends on x is read through
-    ``anchor_at`` or ``structure_at`` at every call.  Every contraction
-    keeps the term order of ``sum(map(mul, row, v))``."""
+    The anchor and bracket are the tokens of :func:`_algebroid_source`,
+    read through ``anchor_at`` and ``structure_at`` where they depend on
+    x.  Every contraction keeps the term order of ``sum(map(mul, row, v))``."""
     A = Lg.algebroid
     m, n = A.m, A.n
     q, s = [f"q{k}" for k in range(m + r)], [f"s{a}" for a in range(r)]
@@ -230,24 +256,14 @@ def _emit_field(Lg: Lagrangian, r: int):
     body += ["try:", f"    _, g, h = raw({{{binding}}})",
              "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
              "    raise EvaluationFault(str(exc)) from exc"]
-    if not A.constant:
-        body += [f"xs = q[:{m}]", "if not all(map(isfinite, xs)):", "    _finite_vector(xs, 'x')",
-                 "bp = BasePoint._trusted(x=np.array(xs))"]
-    if A.constant_anchor:
-        rho = [[repr(v) for v in row] for row in A.anchor_at(BasePoint(np.zeros(m))).tolist()]
-    else:
-        body.append("rho = A.anchor_at(bp).tolist()")
-        rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
+    reads, rho, _, terms = _algebroid_source(A, r, "xs", jets=False)
+    check = [f"xs = q[:{m}]", "if not all(map(isfinite, xs)):", "    _finite_vector(xs, 'x')"]
+    body += check * bool(reads) + reads  # a BasePoint is built only on a finite x
     body += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
     # mixed Hessian term that d/dt of dL/dy carries over
-    rhs = s
-    if A.constant_structure:
-        terms = [(a, f"g[{m + gm}] * {c!r} * {ya[b]}") for a, b, gm, c in A._terms if max(a, b) < r]
-        rhs = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
-    elif r:
-        body += [f"s = [0.0] * {r}", f"for a, b, gm, c in _bracket_terms(A.structure_at(bp), {r}):",
-                 f"    s[a] -= g[{m} + gm] * c * q[{m} + b]", f"{', '.join(s)}, = s"]
+    terms = [(a, f"g[{m + gm}] * {c} * {ya[b]}") for a, b, gm, c, _ in terms]
+    rhs = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
     if m:
         g = [f"g[{i}]" for i in range(m)]
         rhs = [f"{t} + ({_dot([row[a] for row in rho], g)})"
@@ -263,8 +279,7 @@ def _emit_field(Lg: Lagrangian, r: int):
     body.append(f"return [{', '.join(xd + ydot)}], g[{m}:]")
     head = ["def _bind():", "    key = inv = None", "    def field(q):"]
     ns = dict(raw=Lg._jet.raw, A=A, np=np, isfinite=math.isfinite, BasePoint=BasePoint,
-              EvaluationFault=EvaluationFault, _finite_vector=_finite_vector,
-              _bracket_terms=_bracket_terms, _inverse=_inverse)
+              EvaluationFault=EvaluationFault, _finite_vector=_finite_vector, _inverse=_inverse)
     return _compiled(head, body, "    return field", "adapted field", ns)
 
 
@@ -368,14 +383,12 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     source as a function of (Lg, h) that returns it.
 
     Each residual makes its two ``Lg.jet`` calls on float lists, at the
-    midpoint and at the end point, and reads an x-dependent anchor or
-    structure through ``anchor_jet_at`` or ``structure_jet_at`` at the
-    midpoint; constant ones are float literals, as in the adapted field.
-    The x-derivative blocks of J are numpy products, and its Hessian
-    entries are read from the jets' packed tuples.  Every contraction
-    keeps the term order of ``sum(map(mul, row, v))``, and every entry of
-    J is its live part plus the entry of the constant blocks (I/h,
-    -rho/2, I), which keeps the signs of zeros."""
+    midpoint and at the end point.  F and J, x-derivative blocks included,
+    are emitted from the jets' packed tuples and the tokens of
+    :func:`_algebroid_source` at the midpoint.  Every contraction keeps the
+    term order of ``sum(map(mul, row, v))``, and every entry of J is its
+    live part plus the entry of the constant blocks (I/h, -rho/2, I),
+    which keeps the signs of zeros."""
     A = Lg.algebroid
     m, n = A.m, A.n
     names = lambda s, size: [f"{s}{i}" for i in range(size)]
@@ -393,34 +406,19 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
         body += [f"if not all(map(isfinite, ({', '.join(xm + ym + x1 + y1)},))):"]
         body += [f"    _finite_vector({vec(v)}, {s!r})"
                  for s, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", y1 + pad)) if v]
-    if not A.constant:
-        body += [f"xm, ym = np.array({vec(xm)}), np.array({vec(ym + pad)})",
-                 "bp = BasePoint._trusted(x=xm)"]
-    if A.constant_anchor:
-        rho_f = A.anchor_at(BasePoint(np.zeros(m))).tolist()
-        rho = [[repr(v) for v in row[:r]] for row in rho_f]
-    else:
-        body += ["rho, drho = A.anchor_jet_at(bp)", "rho = rho.tolist()"]
-        rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
+    reads, rho, drho, terms = _algebroid_source(A, r, vec(xm), jets=True)
+    body += reads
     rho_cols = [[row[a] for row in rho] for a in range(r)]
-    # (C·p)_ab and C^g_ab y^b at the midpoint, summed term by term from 0.0
-    if A.constant_structure:
-        terms = [t for t in A._terms if max(t[:2]) < r]
-        cp = [[" + ".join(["0.0"] + [f"{pm[g]} * {c!r}" for a2, b2, g, c in terms
-                                     if (a2, b2) == (a, b)]) for b in range(r)] for a in range(r)]
-        cy = [[" + ".join(["0.0"] + [f"{c!r} * {ym[b]}" for a2, b, g2, c in terms
-                                     if (a2, g2) == (a, g)]) for g in range(n)] for a in range(r)]
-        body += [f"cp{a}_{b} = {t}" for a, row in enumerate(cp)
-                 for b, t in enumerate(row) if t != "0.0"]
-        cp = [[t if t == "0.0" else f"cp{a}_{b}" for b, t in enumerate(row)]
-              for a, row in enumerate(cp)]
-        cy = [[t if t == "0.0" else f"({t})" for t in row] for row in cy]
-    else:
-        body += ["C, dC = A.structure_jet_at(bp)", f"terms = _bracket_terms(C, {r})",
-                 f"cp = [[0.0] * {r} for _ in range({r})]", f"pms = {vec(pm)}",
-                 "for a, b, g, c in terms:", "    cp[a][b] += pms[g] * c"]
-        cp = [[f"cp[{a}][{b}]" for b in range(r)] for a in range(r)]
-        cy = [[f"cy[{a}][{g}]" for g in range(n)] for a in range(r)]
+    # (C·p)_ab (k = 0) and its x^k-derivatives, and C^g_ab y^b, at the
+    # midpoint, each summed term by term from 0.0, or "0.0" with no term
+    fold = lambda ts: f"({' + '.join(['0.0', *ts])})" if ts else "0.0"
+    cpk = lambda a, b, k: fold([f"{pm[g]} * {[c, *dc][k]}" for a2, b2, g, c, dc in terms
+                                if (a2, b2) == (a, b) and k <= len(dc)])
+    cp = [[cpk(a, b, 0) for b in range(r)] for a in range(r)]
+    cy = [[fold([f"{c} * {ym[b]}" for a2, b, g2, c, _ in terms if (a2, g2) == (a, g)])
+           for g in range(n)] for a in range(r)]
+    body += [f"cp{a}_{b} = {cp[a][b]}" for a, b in np.ndindex(r, r) if cp[a][b] != "0.0"]
+    cp = [[f"cp{a}_{b}" if cp[a][b] != "0.0" else "0.0" for b in range(r)] for a in range(r)]
     body += [f"_, gm, hm = Lg.jet({vec(xm + ym + pad)})",
              f"_, g1, h1 = Lg.jet({vec(x1 + y1 + pad)})"]
     F = [f"({x1[i]} - {x0[i]}) / h - ({_dot(rho[i], ym)})" for i in range(m)]
@@ -428,33 +426,25 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
           for a in range(r)]
     F += [f"{p1[g]} - {ly[g]}" for g in range(n)]
     # J: rows kin | mom | leg over columns x1 | ya1 | p1
-    jac = []
-    dx = [["0.0"] * m for _ in range(r)]  # d(C·p y - rho^T dL/dx)/dx1 through C and rho
-    if not A.constant_anchor:
-        jac += ["dr = (ym @ drho).tolist()",
-                f"dxa = (np.array(gm[:{m}]) @ drho.reshape({m}, {n * m}))"
-                f".reshape({n}, {m}).tolist()"]
-        dx = [[f"(0.0 - dxa[{a}][{j}])" for j in range(m)] for a in range(r)]
-    if not A.constant_structure:
-        jac += [f"cy = [[0.0] * {n} for _ in range({r})]", f"yms = {vec(ym)}",
-                "for a, b, g, c in terms:", "    cy[a][g] += c * yms[b]",
-                "dxc = (ym @ contract(dC, np.array(pms))).tolist()"]
-        dx = [[f"({t} + dxc[{a}][{j}])" for j, t in enumerate(row)] for a, row in enumerate(dx)]
+    sparse = lambda pairs: f"({_dot(*zip(*pairs))})" if pairs else "0.0"  # of the terms there are
+
+    def dx(a, j):  # d(C·p y - rho^T dL/dx)/dx1^j through rho and C, from 0.0
+        dl = sparse([(v, d[a][j]) for v, d in zip(lx, drho) if d[a]])
+        dc = sparse([(v, t) for b, v in enumerate(ym) if (t := cpk(a, b, 1 + j)) != "0.0"])
+        t = "0.0" if dl == "0.0" else f"(0.0 - {dl})"
+        return t if dc == "0.0" else f"({t} + {dc})"
     # the columns of d2L/dx d(x, ya) at the midpoint, less rho^T times them
     hcols = [[hm(j, i) for i in range(m)] for j in range(m + r)]
     diag = lambda i, j, one: one if i == j else "0.0"
     rows = []
     for i in range(m):
-        if A.constant_anchor:
-            rows.append([diag(i, j, "ih") for j in range(m)]
-                        + [repr(0.0 + -0.5 * v) for v in rho_f[i][:r]])
-        else:
-            rows.append([f"-0.5 * dr[{i}][{j}] + {diag(i, j, 'ih')}" for j in range(m)]
-                        + [f"-0.5 * {t} + 0.0" for t in rho[i]])
+        dr = [sparse([(v, d[j]) for v, d in zip(ym, drho[i]) if d]) for j in range(m)]
+        rows.append([diag(i, j, "ih") if t == "0.0" else f"-0.5 * {t} + {diag(i, j, 'ih')}"
+                     for j, t in enumerate(dr)] + [f"-0.5 * {t} + 0.0" for t in rho[i]])
         rows[-1] += ["0.0"] * n
     for a in range(r):
         live = [f"{d} - ({_dot(rho_cols[a], hc)})" if m else d
-                for d, hc in zip(dx[a] + cp[a], hcols)]
+                for d, hc in zip([dx(a, j) for j in range(m)] + cp[a], hcols)]
         rows.append(["0.0" if t == "0.0" else f"0.5 * ({t}) + 0.0" for t in live]
                     + [diag(a, g, "ih") if cy[a][g] == "0.0"
                        else f"0.5 * {cy[a][g]} + {diag(a, g, 'ih')}" for g in range(n)])
@@ -462,11 +452,11 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
         rows.append([f"-{h1(i, m + g)} + 0.0" for i in range(m)]
                     + [f"-{h1(m + g, m + a)} + 0.0" for a in range(r)]
                     + [diag(g, l, "1.0") for l in range(n)])
-    jac.append(f"return [{', '.join(map(vec, rows))}]")
-    body += ["def jacobian():", *(f"    {t}" for t in jac), f"return {vec(F)}, jacobian"]
+    body += ["def jacobian():", f"    return [{', '.join(map(vec, rows))}]",
+             f"return {vec(F)}, jacobian"]
     head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h", "    def step(prev, u):"]
     ns = dict(np=np, isfinite=math.isfinite, BasePoint=BasePoint, _finite_vector=_finite_vector,
-              _bracket_terms=_bracket_terms, contract=contract)
+              tolist=np.ndarray.tolist)
     return _compiled(head, body, "    return step", "midpoint step", ns)
 
 

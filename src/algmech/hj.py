@@ -13,7 +13,8 @@ from operator import mul
 import numpy as np
 
 from . import expr
-from .algebroid import BasePoint, FiberPoint, _as_expression, _Record, _within, base_names
+from .algebroid import BasePoint, FiberPoint, _as_expression, _distances, _passes, _Record
+from .algebroid import _scaled_bound, base_names
 from .dynamics import ImplicitSystem, _along, _contract_rows, _fd_derivatives, _point_data
 from .dynamics import _residual_rows, _rk4_step, _row_max, _steps
 from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
@@ -88,8 +89,11 @@ def check_in_K(sys: ImplicitSystem, s: HJSection, x: BasePoint, tol: float) -> S
 
 
 def _in_K(Q, G, GB, Ly, tol: float) -> tuple:
-    """Per row: the velocity part within tol of U = span Q, and the Legendre gap."""
-    return _within(Q, G, tol), _row_max(GB - Ly)
+    """Per row: the velocity part in U = span Q, by the scaled test of
+    ``Subbundle.member``, and the Legendre gap."""
+    bounds = (_scaled_bound(tol, g) for g in G.tolist())
+    in_U = [_passes(d / s, bound) for d, (s, bound) in zip(_distances(Q, G).tolist(), bounds)]
+    return np.array(in_U, dtype=bool), _row_max(GB - Ly)
 
 
 def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:

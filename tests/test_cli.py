@@ -268,6 +268,11 @@ PENDULUM = ("simulate", "--model", "pendulum", "--x0", "0.1", "--y0", "0.2")
         (*PENDULUM, "--h=--"),
         # a negative seed once reached numpy as a traceback
         ("validate", "--model", "rigid-body", "--seed", "-1"),
+        # these once ran: a negative pair count tested nothing and passed,
+        # and a nan or negative tolerance failed the check with exit 2
+        ("dirac-check", "--model", "rigid-body", "--pairs", "-3"),
+        ("validate", "--model", "rigid-body", "--tol", "nan"),
+        ("hj-check", "--model", "harmonic-oscillator", "--tol", "-1"),
     ],
 )
 def test_usage_errors_exit_6_with_one_error_line(capsys, argv):

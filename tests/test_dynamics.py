@@ -272,10 +272,13 @@ MIDPOINT_SYSTEMS = pytest.mark.parametrize(
         lambda: get_model("free-particle", d=3).system,
         lambda: _constant_config(3).system,
         lambda: _constant_config(2).system,
+        lambda: _x_dependent_config().system,
+        lambda: _x_dependent_config_rank_2_of_3().system,
     ],
     ids=["pendulum", "harmonic-oscillator", "rigid-body", "affine-rank2",
          "suslov-coupled", "degenerate-demo", "x-dependent-bracket",
-         "free-particle-3d", "constant-config", "constant-config-rank-2"],
+         "free-particle-3d", "constant-config", "constant-config-rank-2",
+         "x-dependent-config", "x-dependent-config-rank-2-of-3"],
 )
 
 
@@ -564,6 +567,18 @@ def _x_dependent_config():
     })
 
 
+def _x_dependent_config_rank_2_of_3():
+    # r < n with data that depends on x: the pinned third velocity and its
+    # momentum enter the jets, and that momentum enters C·p through C^3_12
+    return bundle_from_config({
+        "m": 1, "n": 3, "r": 2, "anchor": [["1", "x1", "x1^2"]],
+        "structure": {"1,1,2": "1 + x1", "3,1,2": "sin(x1)", "2,2,3": "x1"},
+        "lagrangian": "0.5 * y1^2 + 0.5 * (2 + x1^2) * y2^2 + 0.5 * y3^2"
+                      " + 0.3 * x1 * y1 * y2 + 0.2 * y2 * y3 - cos(x1)",
+        "subbundle": "adapted:2",
+    })
+
+
 def _constant_config(r):
     # constant data with rounding in every product and three-term sums,
     # so that any change in term order or grouping shows
@@ -582,6 +597,7 @@ FIELD_BUNDLES = {
     "free-particle-3d": lambda: get_model("free-particle", d=3),
     "suslov-coupled": lambda: get_model("suslov", inertia=COUPLED_INERTIA),
     "x-dependent-config": _x_dependent_config,
+    "x-dependent-config-rank-2-of-3": _x_dependent_config_rank_2_of_3,
     "constant-config": lambda: _constant_config(3),
     "constant-config-rank-2": lambda: _constant_config(2),
 }

@@ -362,6 +362,20 @@ def test_in_U_test_does_not_overflow_on_a_huge_velocity():
 
 
 @pytest.mark.filterwarnings("error")
+def test_a_velocity_part_whose_norm_overflows_is_not_in_U():
+    # |gamma| overflows: an unscaled bound tol (1 + |gamma|) is inf and
+    # once let a distance of 1.5e308 from U pass; Subbundle.member, which
+    # scales its bound, must agree
+    A = get_model("rigid-body").system.A
+    sys = dynamics.ImplicitSystem(A, Lagrangian(A, "y1 - y3 + y2"), Subbundle.adapted_rank(A, 2))
+    s = HJSection(3, 0, ["1.5e308", "0", "1.5e308"], ["1", "1", "-1"])
+    assert not check_in_K(sys, s, BasePoint([]), 1e-8).in_U
+    assert not sys.U.member(BasePoint([]), s.velocity(BasePoint([])), 1e-8)
+    with pytest.raises(HypothesisViolated, match="velocity part outside U"):
+        verify_theorem(sys, s, BasePoint([]), 5e-3, 0.5, 1e-8)
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("gamma", ["1e300", "1e300 * (x1 + 1)"])
 def test_an_overflowing_base_flow_stage_is_a_blow_up(gamma):
     # a stage point 1e9 * 1e300 / 2 is inf: the step fails its bound
