@@ -7,6 +7,7 @@ exact Jacobian and a halving line search), and energy monitoring.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -212,31 +213,31 @@ def _inverse(key: tuple, r: int) -> list:
 
 def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
     """(reads, rho, drho, terms): the source of the anchor and bracket on
-    the first r sections for a kernel at the base point with coordinate
-    list ``x``.  rho[i][a] is rho^i_a and drho[i][a] its x-derivatives;
-    terms are (a, b, g, C^g_ab, its x-derivatives) in row order.  Constant
-    data is float literals, less its zero bracket constants, with no
-    derivatives; data that depends on x is subscripts into the lists made
-    by the lines of ``reads``, one jet call each (derivatives if ``jets``)."""
-    m, reads = A.m, []
-    read = ("{0}, d{0} = map(tolist, A.{1}_jet_at(bp))" if jets
-            else "{0} = A.{1}_at(bp).tolist()")
-    d = lambda t: [f"d{t}[{j}]" for j in range(m if jets else 0)]
+    the first r sections for a kernel at the base point with float list
+    ``x``.  rho[i][a] is rho^i_a and drho[i][a] its x-derivatives; terms
+    are (a, b, g, C^g_ab, its x-derivatives) in row order.  Constant data
+    is float literals, less its zero bracket constants, with no derivatives;
+    data that depends on x is subscripts into the flat lists made by the
+    lines of ``reads``, one ``*_jet_at(x)`` call each (derivatives if ``jets``)."""
+    m, n, reads = A.m, A.n, []
+    read = lambda v, data: (f"{v}, d{v} = A.{data}_jet_at({x})" if jets
+                            else f"{v} = A.{data}_jet_at({x})[0]")
+    d = lambda v, k: [f"d{v}[{k * m + j}]" for j in range(m if jets else 0)]
     if A.constant_anchor:
         rho = [[repr(v) for v in row[:r]] for row in A._anchor_jet[0].tolist()]
         drho = [[[]] * r for _ in range(m)]
     else:
-        reads += [read.format("rho", "anchor")] * bool(r)
-        rho = [[f"rho[{i}][{a}]" for a in range(r)] for i in range(m)]
-        drho = [list(map(d, row)) for row in rho]
+        reads += [read("rho", "anchor")] * bool(r)
+        rho = [[f"rho[{i * n + a}]" for a in range(r)] for i in range(m)]
+        drho = [[d("rho", i * n + a) for a in range(r)] for i in range(m)]
     if A.constant_structure:
         terms = [(a, b, g, repr(c), []) for a, b, g, c in A._terms if max(a, b) < r]
     else:
-        C = lambda a, b, g: f"C[{g}][{a}][{b}]"
-        terms = [(a, b, g, C(a, b, g), d(C(a, b, g))) for a, b, g in np.ndindex(r, r, A.n)
-                 if (g, min(a, b), max(a, b)) in A.structure]
-        reads += [read.format("C", "structure")] * bool(terms)
-    return [f"bp = BasePoint._trusted(x=np.array({x}))"] * bool(reads) + reads, rho, drho, terms
+        k = lambda a, b, g: (g * n + a) * n + b  # of C^g_ab in C[g, a, b]
+        terms = [(a, b, g, f"C[{k(a, b, g)}]", d("C", k(a, b, g)))
+                 for a, b, g in np.ndindex(r, r, n) if (g, min(a, b), max(a, b)) in A.structure]
+        reads += [read("C", "structure")] * bool(terms)
+    return reads, rho, drho, terms
 
 
 def _emit_field(Lg: Lagrangian, r: int):
@@ -244,8 +245,8 @@ def _emit_field(Lg: Lagrangian, r: int):
     source as a function that returns it bound to a fresh inverse cache.
 
     The anchor and bracket are the tokens of :func:`_algebroid_source`,
-    read through ``anchor_at`` and ``structure_at`` where they depend on
-    x.  Every contraction keeps the term order of ``sum(map(mul, row, v))``."""
+    read as float lists where they depend on x.  Every contraction keeps
+    the term order of ``sum(map(mul, row, v))``."""
     A = Lg.algebroid
     m, n = A.m, A.n
     q, s = [f"q{k}" for k in range(m + r)], [f"s{a}" for a in range(r)]
@@ -258,7 +259,7 @@ def _emit_field(Lg: Lagrangian, r: int):
              "    raise EvaluationFault(str(exc)) from exc"]
     reads, rho, _, terms = _algebroid_source(A, r, "xs", jets=False)
     check = [f"xs = q[:{m}]", "if not all(map(isfinite, xs)):", "    _finite_vector(xs, 'x')"]
-    body += check * bool(reads) + reads  # a BasePoint is built only on a finite x
+    body += check * bool(reads) + reads  # rho and C are read only at a finite x
     body += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
     # mixed Hessian term that d/dt of dL/dy carries over
@@ -278,8 +279,8 @@ def _emit_field(Lg: Lagrangian, r: int):
         ydot = [_dot(row, s) for row in inv]
     body.append(f"return [{', '.join(xd + ydot)}], g[{m}:]")
     head = ["def _bind():", "    key = inv = None", "    def field(q):"]
-    ns = dict(raw=Lg._jet.raw, A=A, np=np, isfinite=math.isfinite, BasePoint=BasePoint,
-              EvaluationFault=EvaluationFault, _finite_vector=_finite_vector, _inverse=_inverse)
+    ns = dict(raw=Lg._jet.raw, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
+              _finite_vector=_finite_vector, _inverse=_inverse)
     return _compiled(head, body, "    return field", "adapted field", ns)
 
 
@@ -339,12 +340,23 @@ def _steps(h: float, T: float) -> int:
 
 def _rk4_step(f, q: list, k1: list, h: float) -> list:
     """One classical RK4 step of q' = f(q) on float lists, from k1 = f(q)."""
-    hh, h6 = 0.5 * h, h / 6.0
-    k2 = f([a + hh * b for a, b in zip(q, k1)])
-    k3 = f([a + hh * b for a, b in zip(q, k2)])
-    k4 = f([a + h * b for a, b in zip(q, k3)])
-    stages = zip(q, k1, k2, k3, k4)
-    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in stages]
+    return _rk4_kernel(len(q))(f, q, k1, h)
+
+
+@functools.cache
+def _rk4_kernel(M: int):
+    """:func:`_rk4_step` on M floats as straight-line source, emitted and
+    compiled on first use; at M = 0 it still calls f three times."""
+    q, a, b, c, d = ([f"{v}{i}" for i in range(M)] for v in "qabcd")
+    vec = lambda terms: f"[{', '.join(terms)}]"
+    stage = lambda hs, k: f"f({vec([f'{v} + {hs} * {t}' for v, t in zip(q, k)])})"
+    update = [f"{v} + h6 * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+              for v, k1, k2, k3, k4 in zip(q, a, b, c, d)]
+    body = [f"{vec(q)} = q", f"{vec(a)} = k1", "hh, h6 = 0.5 * h, h / 6.0",
+            f"{vec(b)} = {stage('hh', a)}", f"{vec(c)} = {stage('hh', b)}",
+            f"{vec(d)} = {stage('h', c)}", f"return {vec(update)}"]
+    return _compiled(["def _bind():", "    def step(f, q, k1, h):"], body,
+                     "    return step", "rk4 step", {})()
 
 
 def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
@@ -354,13 +366,17 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     m = sys.A.m
     q = [*x0.tolist(), *ya0.tolist()]
     qs, ps = [], []
-    for _ in range(N):
-        k1, p = field(q)
+    try:
+        for _ in range(N):
+            qs.append(q)
+            k1, p = field(q)
+            ps.append(p)
+            q = _rk4_step(qdot, q, k1, h)
         qs.append(q)
-        ps.append(p)
-        q = _rk4_step(qdot, q, k1, h)
-    qs.append(q)
-    ps.append(field(q)[1])
+        ps.append(field(q)[1])
+    except Degenerate as exc:  # a solution that blows up in finite time ends here: say where
+        x = np.array(qs[-1][:m])
+        raise Degenerate(f"{exc} in the RK4 step from t={(len(qs) - 1) * h:g} at x={x}") from exc
     pad = [0.0] * (sys.A.n - sys.U.r)
     states = State.stack([q[:m] for q in qs], [q[m:] + pad for q in qs], ps)
     return Trajectory(np.arange(N + 1) * h, states, h, "rk4")
@@ -455,8 +471,7 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     body += ["def jacobian():", f"    return [{', '.join(map(vec, rows))}]",
              f"return {vec(F)}, jacobian"]
     head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h", "    def step(prev, u):"]
-    ns = dict(np=np, isfinite=math.isfinite, BasePoint=BasePoint, _finite_vector=_finite_vector,
-              tolist=np.ndarray.tolist)
+    ns = dict(isfinite=math.isfinite, _finite_vector=_finite_vector)
     return _compiled(head, body, "    return step", "midpoint step", ns)
 
 
@@ -526,10 +541,12 @@ def _drift(values: list):
 
 
 def _energies(sys: ImplicitSystem, states) -> list:
-    """The generalized energy p·y - L of each state, from the compiled
-    jet of L."""
+    """The generalized energy p·y - L of each state: L from its compiled
+    jet, p·y from one stacked product whose rows are ``st.p @ st.y``."""
     jet = sys.Lg._flat
-    out = [float(st.p @ st.y - jet([*st.x.tolist(), *st.y.tolist()])[0]) for st in states]
+    P, Y = np.array([st.p for st in states]), np.array([st.y for st in states])
+    py = (P[:, None, :] @ Y[:, :, None]).ravel().tolist()
+    out = [v - jet([*st.x.tolist(), *st.y.tolist()])[0] for v, st in zip(py, states)]
     if not all(map(math.isfinite, out)):
         raise NonFinite("the generalized energy p.y - L overflowed")
     return out

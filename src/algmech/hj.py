@@ -128,16 +128,15 @@ def _hj_residual(G, J, Lx, rho, S) -> np.ndarray:
 def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> BaseTrajectory:
     """Fourth-order integration of the induced base field
     c' = rho(c) gamma(c), on floats."""
-    A = sys.A
+    A, n = sys.A, sys.A.n
     N = _steps(h, T)
-    fixed = A.anchor_at(x0).tolist() if A.constant_anchor else None
+    fixed = A.constant_anchor and A.anchor_jet_at(x0.x.tolist())[0]
 
     def field(x):
         if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
             return [math.nan] * len(x)
-        g = s._part(s.gamma, x)[0]
-        rho = fixed or A.anchor_at(BasePoint._trusted(x=np.array(x))).tolist()
-        return [sum(map(mul, row, g)) for row in rho]
+        g, rho = s._part(s.gamma, x)[0], fixed or A.anchor_jet_at(x)[0]
+        return [sum(map(mul, rho[i * n : i * n + n], g)) for i in range(len(x))]
 
     x = x0.x.tolist()
     pts = [x]

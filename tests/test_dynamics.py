@@ -1,4 +1,5 @@
 import builtins
+import math
 from collections import Counter
 from operator import mul
 
@@ -390,34 +391,53 @@ def test_emitted_midpoint_equals_the_generic_step_bit_for_bit(system):
         assert [list(map(repr, row)) for row in jac()] == [list(map(repr, row)) for row in ref_J]
 
 
-@pytest.mark.parametrize(
-    "name, per_residual",
-    [("pendulum", {}), ("rigid-body", {}), ("suslov", {}), ("affine-rank2", {"BasePoint": 1})],
-)
-def test_midpoint_residual_builds_no_carrier_on_constant_data(monkeypatch, name, per_residual):
-    # the residual and J read their jets on float lists; only an
-    # x-dependent algebroid needs a BasePoint, one per residual
-    sys = get_model(name).system
-    m, n, r = sys.A.m, sys.A.n, sys.U.r
-    step = dynamics._midpoint_step(sys, 0.05)
-    counts, trusted, init = Counter(), _Carrier._trusted.__func__, FiberPoint.__init__
+def _count_carriers(monkeypatch) -> Counter:
+    """Counts of the carriers built while the test runs: trusted ones by
+    class name, checked ones by ``BasePoint.__init__`` and
+    ``FiberPoint.__init__``."""
+    counts, trusted = Counter(), _Carrier._trusted.__func__
 
     def counted_trusted(cls, **arrays):
         counts[cls.__name__] += 1
         return trusted(cls, **arrays)
 
-    def counted_init(self, x, y):
-        counts["FiberPoint.__init__"] += 1
-        init(self, x, y)
-
     monkeypatch.setattr(_Carrier, "_trusted", classmethod(counted_trusted))
-    monkeypatch.setattr(FiberPoint, "__init__", counted_init)
+    for cls in (BasePoint, FiberPoint):
+        def counted_init(self, *args, init=cls.__init__, name=f"{cls.__name__}.__init__"):
+            counts[name] += 1
+            init(self, *args)
+
+        monkeypatch.setattr(cls, "__init__", counted_init)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "name, per_residual",
+    [("pendulum", {}), ("rigid-body", {}), ("suslov", {}), ("affine-rank2", {})],
+)
+def test_midpoint_residual_builds_no_carrier_on_constant_data(monkeypatch, name, per_residual):
+    # the residual and J read their jets, and an x-dependent algebroid its
+    # rho and C, on float lists: no model builds a carrier per residual
+    sys = get_model(name).system
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step = dynamics._midpoint_step(sys, 0.05)
+    counts = _count_carriers(monkeypatch)
     rng = np.random.default_rng(18)
     for _ in range(3):
         prev = rng.uniform(-0.5, 0.5, m + r + n)
         u = prev + 0.1 * rng.standard_normal(m + r + n)
         step(prev.tolist(), u.tolist())[1]()
     assert counts == Counter({k: 3 * v for k, v in per_residual.items()})
+
+
+def test_rk4_field_builds_no_carrier_on_x_dependent_data(monkeypatch):
+    # affine-rank2's field reads its x-dependent anchor as a float list
+    field = dynamics._adapted_field(get_model("affine-rank2").system)
+    counts = _count_carriers(monkeypatch)
+    rng = np.random.default_rng(19)
+    for _ in range(100):
+        field([rng.uniform(-0.5, 0.5), *rng.standard_normal(2).tolist()])
+    assert counts == Counter()
 
 
 def _numpy_midpoint_residual(sys, h, prev, u):
@@ -826,3 +846,117 @@ def test_a_nan_residual_does_not_pass():
     assert good.passed
     rep = residual(b.system, st, [], [np.nan, 0.0, 0.0], np.inf)
     assert np.isnan(rep.r_mom) and not rep.passed
+
+
+def _generic_rk4_step(f, q, k1, h):
+    """One RK4 step as the comprehensions that computed it before it was
+    emitted as straight-line source: the reference the emitted step must
+    equal bit for bit."""
+    hh, h6 = 0.5 * h, h / 6.0
+    k2 = f([a + hh * b for a, b in zip(q, k1)])
+    k3 = f([a + hh * b for a, b in zip(q, k2)])
+    k4 = f([a + h * b for a, b in zip(q, k3)])
+    stages = zip(q, k1, k2, k3, k4)
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in stages]
+
+
+@pytest.mark.parametrize("M", range(8))
+def test_emitted_rk4_step_equals_the_generic_step_bit_for_bit(M):
+    rng = np.random.default_rng(M)
+    rows = rng.standard_normal((M, M)).tolist()
+
+    def recording(calls):
+        def f(v):  # nonlinear, so that every stage input shows
+            calls.append(list(map(repr, v)))
+            return [math.sin(sum(map(mul, row, v))) + 0.3 * a * a for row, a in zip(rows, v)]
+
+        return f
+
+    for h in (1e-2, 1.0 / 3.0, 0.7) * 10:
+        q = rng.standard_normal(M).tolist()
+        emitted, generic = [], []
+        k1 = recording([])(q)
+        got = dynamics._rk4_step(recording(emitted), q, k1, h)
+        ref = _generic_rk4_step(recording(generic), q, k1, h)
+        assert len(emitted) == 3 and emitted == generic
+        assert list(map(repr, got)) == list(map(repr, ref))
+
+
+def _x_dependent_config_on_a_plane():
+    # m = 2, so that the gradients' axis order shows in the flat lists
+    return bundle_from_config({
+        "m": 2, "n": 2, "r": 2, "anchor": [["1", "x1 * x2"], ["sin(x2)", "x1^2"]],
+        "structure": {"1,1,2": "x1 + x2^3", "2,1,2": "cos(x1 * x2)"},
+        "lagrangian": "0.5 * y1^2 + 0.5 * y2^2",
+    })
+
+
+X_DEPENDENT_ALGEBROIDS = pytest.mark.parametrize(
+    "bundle",
+    [lambda: get_model("affine-rank2"), _x_dependent_config, _x_dependent_config_rank_2_of_3,
+     _x_dependent_config_on_a_plane],
+    ids=["affine-rank2", "x-dependent-config", "x-dependent-config-rank-2-of-3",
+         "x-dependent-config-on-a-plane"],
+)
+
+
+@X_DEPENDENT_ALGEBROIDS
+@pytest.mark.parametrize("method", [LieAlgebroid.anchor_jet_at, LieAlgebroid.structure_jet_at],
+                         ids=["anchor", "structure"])
+def test_list_form_of_the_algebroid_jets_equals_the_array_form(bundle, method):
+    b = bundle()
+    A = b.system.A
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        x = [rng.uniform(lo, hi) for lo, hi in b.box]
+        flat, arrays = method(A, x), method(A, BasePoint(x))
+        assert [list(map(repr, v)) for v in flat] == [
+            list(map(repr, a.ravel().tolist())) for a in arrays
+        ]
+
+
+@pytest.mark.parametrize("method", [LieAlgebroid.anchor_jet_at, LieAlgebroid.structure_jet_at],
+                         ids=["anchor", "structure"])
+def test_list_form_of_the_algebroid_jets_faults_as_the_array_form(method):
+    A = LieAlgebroid(1, 2, [["ln(x1)", "1"]], {(0, 0, 1): "sqrt(x1)"})
+    for _ in range(2):  # the first call walks the tree, later ones run the compiled jet
+        with pytest.raises(EvaluationFault) as arrays:
+            method(A, BasePoint([-1.0]))
+        with pytest.raises(EvaluationFault) as flat:
+            method(A, [-1.0])
+        assert str(flat.value) == str(arrays.value)
+
+
+def test_list_form_on_a_constant_algebroid_evaluates_nothing(monkeypatch):
+    A = _constant_config(3).system.A
+    x = [0.3, -1.2, 2.5]
+    calls = Counter()
+    eval_jet2 = expr.eval_jet2
+
+    def counted_eval(*args):
+        calls["eval"] += 1
+        return eval_jet2(*args)
+
+    monkeypatch.setattr(expr, "eval_jet2", counted_eval)
+    for method in (LieAlgebroid.anchor_jet_at, LieAlgebroid.structure_jet_at):
+        flat = method(A, x)
+        assert method(A, [0.0, 0.0, 0.0]) == flat
+        assert [list(map(repr, v)) for v in flat] == [
+            list(map(repr, a.ravel().tolist())) for a in method(A, BasePoint(x))
+        ]
+    assert calls == Counter()
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_stacked_energies_equal_the_per_state_products_bit_for_bit(name):
+    b = get_model(name)
+    sys = b.system
+    m, n = sys.A.m, sys.A.n
+    rng = np.random.default_rng(31)
+    N = 60
+    xs = np.array([[rng.uniform(lo, hi) for lo, hi in b.box] for _ in range(N)]).reshape(N, m)
+    scale = 10.0 ** rng.integers(-3, 4, size=(N, 1))  # rounding at every magnitude
+    states = State.stack(xs, rng.standard_normal((N, n)) * scale, rng.standard_normal((N, n)))
+    jet = sys.Lg._flat
+    ref = [float(st.p @ st.y - jet([*st.x.tolist(), *st.y.tolist()])[0]) for st in states]
+    assert list(map(repr, dynamics._energies(sys, states))) == list(map(repr, ref))
