@@ -253,8 +253,9 @@ class LieAlgebroid:
 
     # -- pointwise evaluation ------------------------------------------
 
-    def anchor_at(self, x: BasePoint) -> np.ndarray:
-        """Anchor matrix rho[i, alpha], shape (m, n)."""
+    def anchor_at(self, x: BasePoint | list):
+        """Anchor matrix rho[i, alpha], shape (m, n); at a list of the
+        floats of x, its entries as one flat float list in row order."""
         return self.anchor_jet_at(x)[0]
 
     def anchor_jet_at(self, x: BasePoint | list):
@@ -266,8 +267,10 @@ class LieAlgebroid:
             return self._anchor_jet
         return self._jets(self._rho_array, (self.m, self.n), x.binding())
 
-    def structure_at(self, x: BasePoint) -> np.ndarray:
-        """Structure array C[gamma, alpha, beta], antisymmetric in (alpha, beta)."""
+    def structure_at(self, x: BasePoint | list):
+        """Structure array C[gamma, alpha, beta], antisymmetric in (alpha,
+        beta); at a list of the floats of x, its entries as one flat float
+        list in row order."""
         return self.structure_jet_at(x)[0]
 
     def structure_jet_at(self, x: BasePoint | list):

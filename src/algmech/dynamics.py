@@ -422,8 +422,8 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
         body += [f"if not all(map(isfinite, ({', '.join(xm + ym + x1 + y1)},))):"]
         body += [f"    _finite_vector({vec(v)}, {s!r})"
                  for s, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", y1 + pad)) if v]
-    reads, rho, drho, terms = _algebroid_source(A, r, vec(xm), jets=True)
-    body += reads
+    reads, rho, drho, terms = _algebroid_source(A, r, "xs", jets=True)
+    body += [f"xs = {vec(xm)}"] * bool(reads) + reads  # one list for both reads
     rho_cols = [[row[a] for row in rho] for a in range(r)]
     # (C·p)_ab (k = 0) and its x^k-derivatives, and C^g_ab y^b, at the
     # midpoint, each summed term by term from 0.0, or "0.0" with no term
@@ -475,40 +475,92 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     return _compiled(head, body, "    return step", "midpoint step", ns)
 
 
+@functools.cache
+def _newton_kernel(m: int, r: int, n: int):
+    """The Newton step ``delta(F, J)`` = -J^-1 F as straight-line source,
+    emitted and compiled on first use for J's shape.  J's rows are (kin,
+    mom, leg) over the columns (q, p1), q = (x1, ya1); its Legendre rows
+    are exactly [L | I], L = -H1 over q, and its kinematic rows have no p1
+    columns.  So dp = -F_leg - L dq drops out through the identity block,
+    and (A - B L) dq = B F_leg - F_top, A and B the other rows over q and
+    p1, is solved by elimination with partial pivoting: a row swap wherever
+    a later row's entry is strictly larger in magnitude, so ties keep the
+    first row, as in LAPACK.  A pivot that is exactly 0.0 raises
+    ZeroDivisionError."""
+    s = m + r
+    tup = lambda v: f"({', '.join(v)},)"
+    dot = lambda u, v: " + ".join(map("{} * {}".format, u, v)) or "0.0"
+    a = [[f"a{i}_{j}" for j in range(s)] + [f"c{i}"] for i in range(s)]  # [A - B L | rhs]
+    b = [[f"b{i}_{g}" if i >= m else "_" for g in range(n)] for i in range(s)]
+    lg, f = [[f"l{g}_{j}" for j in range(s)] for g in range(n)], [f"f{i}" for i in range(s + n)]
+    rows = [row[:s] + bi for row, bi in zip(a, b)] + [row + ["_"] * n for row in lg]
+    body = [f"{tup(map(tup, rows))} = J", f"{tup(f)} = F"] if f else []
+    body += [f"{a[i][s]} = -{f[i]}" for i in range(m)]
+    for i in range(m, s):  # a momentum row less B times the Legendre rows
+        body += [f"{v} = {v} - ({dot(b[i], col)})" for v, col in zip(a[i], zip(*lg))]
+        body.append(f"{a[i][s]} = ({dot(b[i], f[s:])}) - {f[i]}")
+    for k in range(s):
+        for i in range(k + 1, s):
+            body += [f"if abs({a[i][k]}) > abs({a[k][k]}):",
+                     f"    {tup(a[k][k:] + a[i][k:])} = {tup(a[i][k:] + a[k][k:])}"]
+        body.append(f"d{k} = 1.0 / {a[k][k]}")
+        for i in range(k + 1, s):
+            body += [f"e = {a[i][k]} * d{k}"]
+            body += [f"{v} = {v} - e * {w}" for v, w in zip(a[i][k + 1:], a[k][k + 1:])]
+    z = [f"z{k}" for k in range(s)]
+    for k in reversed(range(s)):
+        terms = [a[k][s], *(f"{a[k][j]} * {z[j]}" for j in reversed(range(k + 1, s)))]
+        body.append(f"{z[k]} = ({' - '.join(terms)}) * d{k}")
+    dp = [f"-{fg} - ({dot(row, z)})" for fg, row in zip(f[s:], lg)]
+    body.append(f"return [{', '.join(z + dp)}]")
+    return _compiled(["def _bind():", "    def delta(F, J):"], body,
+                     "    return delta", "midpoint step", {})()
+
+
+def _newton(step, delta, prev: list):
+    """(u, |F(u)|), u the root of ``step(prev, .)`` by Newton's method from
+    prev with each step halved until |F| decreases, or None and the last |F|."""
+    guess = prev
+    F, jac = step(prev, guess)
+    nF = _sup_norm(F)
+    for _ in range(NEWTON_MAX_ITERS):
+        if nF <= 1e-11 * (1.0 + _norm(guess)):
+            return guess, nF
+        try:
+            d = delta(F, jac())
+        except ZeroDivisionError:  # J is singular
+            break
+        t = 1.0
+        while t >= 1.0 / 1024.0:
+            trial = [a + t * b for a, b in zip(guess, d)]
+            Ft, jac_t = step(prev, trial)
+            nFt = _sup_norm(Ft)
+            if nFt < nF:
+                guess, F, jac, nF = trial, Ft, jac_t, nFt
+                break
+            t *= 0.5
+        else:
+            break
+    return None, nF
+
+
 def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
+    """Midpoint steps, each solved by :func:`_newton` with the exact J; each
+    Newton step eliminates p1 through J's Legendre rows and solves the
+    reduced (m + r) system over (x1, ya1) (:func:`_newton_kernel`)."""
     if not sys.U.adapted:
         raise ValueError("implicit path needs the subbundle in adapted form")
     m, n, r = sys.A.m, sys.A.n, sys.U.r
     N = _steps(h, T)
-    step = _midpoint_step(sys, h)
+    step, delta = _midpoint_step(sys, h), _newton_kernel(m, r, n)
     y0 = np.concatenate([ya0, np.zeros(n - r)])
     e0 = [*_finite_vector(x0, "x").tolist(), *_finite_vector(y0, "y").tolist()]  # as FiberPoint
     us = [[*x0.tolist(), *ya0.tolist(), *sys.Lg.jet(e0)[1][m:]]]
     for k in range(N):
-        prev = guess = us[-1]
-        F, jac = step(prev, guess)
-        nF = _sup_norm(F)
-        for _ in range(NEWTON_MAX_ITERS):
-            if nF <= 1e-11 * (1.0 + _norm(guess)):
-                break
-            try:
-                delta = np.linalg.solve(np.array(jac()), [-v for v in F]).tolist()
-            except np.linalg.LinAlgError:
-                raise NewtonDivergence(k, nF) from None
-            t = 1.0
-            while t >= 1.0 / 1024.0:
-                trial = [a + t * b for a, b in zip(guess, delta)]
-                Ft, jac_t = step(prev, trial)
-                nFt = _sup_norm(Ft)
-                if nFt < nF:
-                    guess, F, jac, nF = trial, Ft, jac_t, nFt
-                    break
-                t *= 0.5
-            else:
-                raise NewtonDivergence(k, nF)
-        else:
-            raise NewtonDivergence(k, nF)
-        us.append(guess)
+        u, nF = _newton(step, delta, us[-1])
+        if u is None:
+            raise NewtonDivergence(k, nF, k * h, np.array(us[-1][:m]))
+        us.append(u)
     us = np.array(us)
     ys = np.hstack([us[:, m : m + r], np.zeros((N + 1, n - r))])
     states = State.stack(us[:, :m], ys, us[:, m + r :])

@@ -36,10 +36,10 @@ class Degenerate(AlgmechError):
 
 
 class NewtonDivergence(AlgmechError):
-    def __init__(self, step_index: int, last_residual: float):
+    def __init__(self, step_index: int, last_residual: float, t: float, x):
         super().__init__(
             f"Newton failed to converge at step {step_index} "
-            f"(last residual {last_residual:.3e})"
+            f"(last residual {last_residual:.3e}) in the midpoint step from t={t:g} at x={x}"
         )
         self.step_index = step_index
         self.last_residual = last_residual

@@ -445,18 +445,34 @@ def test_csv_rows_format_each_value_as_g_does(tmp_path, capsys):
     assert all(_g(float(f)) == f for f in fields)
 
 
-def test_rk4_blow_up_exits_3_naming_the_step_and_the_point(tmp_path, capsys):
-    # the config of test_dynamics._x_dependent_config: with anchor 1 + x1^2,
-    # x' grows like x1^2 and x blows up near t = 0.26.  The restricted
-    # Hessian has determinant 1 everywhere, so the error names where x went
-    cfg = {
+# the config of test_dynamics._x_dependent_config: with anchor 1 + x1^2,
+# x' grows like x1^2, and from this start x blows up near t = 0.26
+BLOW_UP = (
+    {
         "m": 1, "n": 2, "r": 2, "anchor": [["1 + x1^2", "x1"]],
         "structure": {"1,1,2": "sin(x1)", "2,1,2": "x1^2 - 1"},
         "lagrangian": "0.5 * y1^2 + 0.5 * (1 + x1^2) * y2^2 + x1 * y1 * y2 - cos(x1)",
-    }
-    code, out = _main(capsys, "simulate", "--config", _config_file(tmp_path, cfg),
-                      "--x0=-0.8287016657127513", "--y0=-1.2778325156570909,0.20904942336288942",
-                      "--h", "1e-2", "--T", "0.3")
+    },
+    "--x0=-0.8287016657127513", "--y0=-1.2778325156570909,0.20904942336288942",
+    "--h", "1e-2", "--T", "0.3",
+)
+
+
+def test_rk4_blow_up_exits_3_naming_the_step_and_the_point(tmp_path, capsys):
+    # the restricted Hessian has determinant 1 everywhere, so the error
+    # names where x went
+    cfg, *argv = BLOW_UP
+    code, out = _main(capsys, "simulate", "--config", _config_file(tmp_path, cfg), *argv)
     assert code == 3
     assert re.fullmatch(r"error: degenerate system: restricted velocity Hessian has condition"
                         r" number \S+ in the RK4 step from t=0\.25 at x=\[-7\.99\d*\]\n", out)
+
+
+def test_midpoint_blow_up_exits_4_naming_the_step_and_the_point(tmp_path, capsys):
+    cfg, *argv = BLOW_UP
+    code, out = _main(capsys, "simulate", "--config", _config_file(tmp_path, cfg), *argv,
+                      "--method", "implicit_midpoint")
+    assert code == 4
+    assert re.fullmatch(r"error: implicit solver diverged: Newton failed to converge at step 24"
+                        r" \(last residual \S+\) in the midpoint step from t=0\.24"
+                        r" at x=\[-4\.56\d*\]\n", out)

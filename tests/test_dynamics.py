@@ -299,6 +299,63 @@ def test_midpoint_jacobian_matches_central_differences(system):
         assert np.abs(J - fd).max() <= 1e-7 * (1.0 + np.abs(J).max())
 
 
+@MIDPOINT_SYSTEMS
+def test_newton_step_matches_numpy_solve_on_the_full_jacobian(system):
+    # the kernel eliminates p1 and solves the reduced (m + r) system;
+    # numpy solves the full J as the reference, and both refuse a singular J
+    sys = system()
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step, delta = dynamics._midpoint_step(sys, 0.05), dynamics._newton_kernel(m, r, n)
+    rng = np.random.default_rng(23)
+    for _ in range(10):
+        prev = np.concatenate([rng.uniform(-1, 1, m), rng.uniform(-1, 1, r), rng.uniform(-1, 1, n)])
+        u = prev + 0.2 * rng.standard_normal(m + r + n)
+        F, jac = step(prev.tolist(), u.tolist())
+        J = jac()
+        try:
+            ref = np.linalg.solve(np.array(J), -np.array(F))
+        except np.linalg.LinAlgError:  # degenerate-demo: L has no y2, so J's ya2 column is 0
+            with pytest.raises(ZeroDivisionError):
+                delta(F, J)
+            continue
+        assert np.abs(np.array(delta(F, J)) - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_newton_step_swaps_rows_to_the_largest_pivot():
+    # J's leading entry is 0.0, so without a row swap the first pivot is 0
+    J, F = [[0.0, 2.0, 1.0], [1.0, 1.0, 0.0], [3.0, 0.0, 1.0]], [1.0, -2.0, 0.5]
+    ref = np.linalg.solve(np.array(J), -np.array(F))
+    assert np.abs(np.array(dynamics._newton_kernel(3, 0, 0)(F, J)) - ref).max() <= 1e-15
+
+
+def test_midpoint_singular_jacobian_raises_with_the_step_index(monkeypatch):
+    # from step 2 on J's kinematic row is zero, so the reduced system meets
+    # a pivot that is exactly 0.0 before any trial step
+    exact, starts, trials = dynamics._midpoint_step, [], Counter()
+
+    def singular(sys, h):
+        step = exact(sys, h)
+
+        def stepped(prev, u):
+            if not starts or starts[-1] is not prev:
+                starts.append(prev)
+            trials[len(starts) - 1] += 1
+            F, jac = step(prev, u)
+            if len(starts) > 2:
+                return F, lambda: [[0.0] * len(F), *jac()[1:]]
+            return F, jac
+
+        return stepped
+
+    monkeypatch.setattr(dynamics, "_midpoint_step", singular)
+    with pytest.raises(NewtonDivergence, match=r"^Newton failed to converge at step 2 .*"
+                       r" in the midpoint step from t=0\.02 at x=\[\S+\]$") as exc:
+        integrate(get_model("pendulum").system, ([0.1], [0.2]), 1e-2, 0.1,
+                  method="implicit_midpoint")
+    assert exc.value.step_index == 2 and exc.value.last_residual > 0.0
+    assert trials[2] == 1
+
+
 def test_rigid_body_newton_takes_at_most_three_iterations(monkeypatch):
     # one Jacobian is built per Newton iteration; keep every prev alive
     # so the ids that key the steps stay distinct
