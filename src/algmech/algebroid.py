@@ -209,7 +209,7 @@ class LieAlgebroid:
 
     The anchor jet (rho, drho) and the structure jet (C, dC) are each one
     array jet call: made once here if no entry depends on x, else on every
-    call.
+    call.  At a list of floats x both are flat float tuples either way.
     """
 
     def __init__(self, m: int, n: int, anchor, structure):
@@ -236,7 +236,7 @@ class LieAlgebroid:
         self.constant = self.constant_anchor and self.constant_structure
         C = self._structure_jet  # its nonzero terms, for cp_dot
         self._terms = None if C is None else _bracket_terms(C[0], self.n)
-        flat = lambda jet: jet and tuple(a.ravel().tolist() for a in jet)  # the list form
+        flat = lambda jet: jet and tuple(tuple(a.ravel().tolist()) for a in jet)  # the list form
         self._anchor_flat, self._structure_flat = flat(self._anchor_jet), flat(C)
 
     def _jets(self, array, shape: tuple, binding):
@@ -246,41 +246,32 @@ class LieAlgebroid:
         val, grad, _ = expr.eval_jet2(array, binding, self._x)
         return val.reshape(shape), grad.reshape(shape + (self.m,))
 
-    def _flat_jets(self, array, x: list) -> tuple:
-        """:meth:`_jets` at the floats of x, both as flat float lists."""
-        val, grad, _ = expr.eval_jet2(array, dict(zip(self._x, x)), self._x)
-        return val.tolist(), grad.ravel().tolist()
-
     # -- pointwise evaluation ------------------------------------------
 
     def anchor_at(self, x: BasePoint | list):
         """Anchor matrix rho[i, alpha], shape (m, n); at a list of the
-        floats of x, its entries as one flat float list in row order."""
+        floats of x, its entries as one flat float tuple in row order."""
         return self.anchor_jet_at(x)[0]
 
     def anchor_jet_at(self, x: BasePoint | list):
         """(rho, drho) with drho[i, alpha, j] = d rho^i_alpha / d x^j; at a
-        list of the floats of x, both as flat float lists in row order."""
+        list of the floats of x, both as flat float tuples in row order."""
         if isinstance(x, list):
-            return self._anchor_flat or self._flat_jets(self._rho_array, x)
-        if self._anchor_jet is not None:
-            return self._anchor_jet
-        return self._jets(self._rho_array, (self.m, self.n), x.binding())
+            return self._anchor_flat or expr.eval_jet2(self._rho_array, x, self._x)[:2]
+        return self._anchor_jet or self._jets(self._rho_array, (self.m, self.n), x.binding())
 
     def structure_at(self, x: BasePoint | list):
         """Structure array C[gamma, alpha, beta], antisymmetric in (alpha,
         beta); at a list of the floats of x, its entries as one flat float
-        list in row order."""
+        tuple in row order."""
         return self.structure_jet_at(x)[0]
 
     def structure_jet_at(self, x: BasePoint | list):
         """(C, dC) with dC[gamma, alpha, beta, i] = d C^gamma_ab / d x^i; at
-        a list of the floats of x, both as flat float lists in row order."""
+        a list of the floats of x, both as flat float tuples in row order."""
         if isinstance(x, list):
-            return self._structure_flat or self._flat_jets(self._structure_array, x)
-        if self._structure_jet is not None:
-            return self._structure_jet
-        return self._jets(self._structure_array, (self.n,) * 3, x.binding())
+            return self._structure_flat or expr.eval_jet2(self._structure_array, x, self._x)[:2]
+        return self._structure_jet or self._jets(self._structure_array, (self.n,) * 3, x.binding())
 
     def cp_dot(self, pt: DualPoint, zs) -> list:
         """(C·p) z on floats at the dual point ``pt`` for each float list z

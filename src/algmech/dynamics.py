@@ -202,7 +202,9 @@ def _packed(h: str, k: int):
 
 def _inverse(key: tuple, r: int) -> list:
     """Rows of the inverse of the restricted velocity Hessian given row by
-    row in ``key``, once its condition number is below the limit."""
+    row in ``key``, once it is finite and its condition is below the limit."""
+    if not all(map(math.isfinite, key)):
+        raise EvaluationFault("non-finite derivative result")
     M = np.array(key).reshape(r, r)
     s = np.linalg.svd(M, compute_uv=False)
     cond = np.inf if s[-1] == 0.0 else s[0] / s[-1]
@@ -217,7 +219,7 @@ def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
     ``x``.  rho[i][a] is rho^i_a and drho[i][a] its x-derivatives; terms
     are (a, b, g, C^g_ab, its x-derivatives) in row order.  Constant data
     is float literals, less its zero bracket constants, with no derivatives;
-    data that depends on x is subscripts into the flat lists made by the
+    data that depends on x is subscripts into the flat tuples made by the
     lines of ``reads``, one ``*_jet_at(x)`` call each (derivatives if ``jets``)."""
     m, n, reads = A.m, A.n, []
     read = lambda v, data: (f"{v}, d{v} = A.{data}_jet_at({x})" if jets
@@ -245,7 +247,7 @@ def _emit_field(Lg: Lagrangian, r: int):
     source as a function that returns it bound to a fresh inverse cache.
 
     The anchor and bracket are the tokens of :func:`_algebroid_source`,
-    read as float lists where they depend on x.  Every contraction keeps
+    read as float tuples where they depend on x.  Every contraction keeps
     the term order of ``sum(map(mul, row, v))``."""
     A = Lg.algebroid
     m, n = A.m, A.n

@@ -17,7 +17,8 @@ cached; the integrators call the compiled form millions of times.  The code
 object of a source text is kept for the process, so an expression built
 again from the same text runs its jet without compiling it again.  The first
 ``eval_jet2`` of a pair walks the tree instead, with the same floats, so a
-one-off expression is never compiled.
+one-off expression is never compiled.  Bound by a list of floats rather than
+a mapping, ``eval_jet2`` returns flat float tuples, not arrays.
 
 A tuple of expressions (vector forward mode) gets one straight-line
 function for all its entries, with the same floats as entry-by-entry
@@ -780,5 +781,11 @@ def eval_jet2(e, binding, wrt):
     gradients (N, k) and Hessians (N, k, k) from one call, equal bit for
     bit to N scalar calls; see :func:`compile_jet2` for where its compiled
     form is kept.
+
+    Bound by a list of the floats of ``wrt``, it returns the value(s) and
+    the flat gradient and packed Hessian tuples, with the same faults.
     """
-    return compile_jet2(e, wrt, defer=True)(binding)
+    jet = compile_jet2(e, wrt, defer=True)
+    if isinstance(binding, list):
+        return jet.checked(dict(zip(wrt, binding)))
+    return jet(binding)

@@ -130,12 +130,11 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     c' = rho(c) gamma(c), on floats."""
     A, n = sys.A, sys.A.n
     N = _steps(h, T)
-    fixed = A.constant_anchor and A.anchor_jet_at(x0.x.tolist())[0]
 
     def field(x):
         if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
             return [math.nan] * len(x)
-        g, rho = s._part(s.gamma, x)[0], fixed or A.anchor_jet_at(x)[0]
+        g, rho = s._part(s.gamma, x)[0], A.anchor_jet_at(x)[0]
         return [sum(map(mul, rho[i * n : i * n + n], g)) for i in range(len(x))]
 
     x = x0.x.tolist()

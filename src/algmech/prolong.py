@@ -184,9 +184,9 @@ def gamma_E_map(A: LieAlgebroid, omega: TEECovector) -> ProlongCovector:
 def _anchored(Lg: Lagrangian, e: FiberPoint):
     """(ρᵀ ∂L/∂x as a float list, ∂L/∂y) at e, from the float gradient of
     one jet call, which checks it finite."""
-    g = Lg._flat([*e.x.tolist(), *e.y.tolist()])[1]
-    m, cols = Lg.algebroid.m, Lg.algebroid.anchor_at(e.base).T.tolist()
-    return [sum(map(mul, col, g[:m]), 0.0) for col in cols], np.array(g[m:])
+    x, m, n = e.x.tolist(), Lg.algebroid.m, Lg.algebroid.n
+    g, rho = Lg._flat([*x, *e.y.tolist()])[1], Lg.algebroid.anchor_at(x)
+    return [sum(map(mul, rho[a::n], g[:m]), 0.0) for a in range(n)], np.array(g[m:])
 
 
 def d_TEE_L(Lg: Lagrangian, e: FiberPoint) -> TEECovector:

@@ -423,6 +423,22 @@ def test_simulate_at_the_float_limits_exits_6_with_one_error_line(capsys, args):
     assert code == 6 and len(out.splitlines()) == 1 and out.startswith("error: ")
 
 
+# 1e300 * 1e300 overflows to inf and inf - inf is nan, so the restricted
+# velocity Hessian is nan: RK4's field reads it unchecked, the midpoint checked
+NAN_HESSIAN = {
+    "m": 1, "n": 1, "r": 1, "anchor": [["1"]], "box": [[-1, 1]],
+    "lagrangian": "0.5 * y1^2 + 1e300 * 1e300 * y1^2 - 1e300 * 1e300 * y1^2",
+}
+
+
+@pytest.mark.parametrize("method", ["rk4", "implicit_midpoint"])
+def test_a_nan_velocity_hessian_exits_6_with_one_error_line(tmp_path, capsys, method):
+    code, out = _main(capsys, "simulate", "--config", _config_file(tmp_path, NAN_HESSIAN),
+                      "--x0", "0.1", "--y0", "0.2", "--h", "1e-2", "--T", "0.02",
+                      "--method", method)
+    assert code == 6 and out == "error: evaluation failed: non-finite derivative result\n"
+
+
 def test_csv_residuals_at_the_float_limits_print_no_warning(tmp_path, capsys):
     # the finite-difference stencil of x ~ 1e308 overflows inside the CSV pass
     out_csv = tmp_path / "o.csv"

@@ -6,7 +6,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from algmech import dynamics, expr
+from algmech import dynamics, expr, prolong
 from algmech.algebroid import (
     BasePoint,
     FiberPoint,
@@ -948,12 +948,14 @@ def _x_dependent_config_on_a_plane():
     })
 
 
+X_DEPENDENT = {
+    "affine-rank2": lambda: get_model("affine-rank2"),
+    "x-dependent-config": _x_dependent_config,
+    "x-dependent-config-rank-2-of-3": _x_dependent_config_rank_2_of_3,
+    "x-dependent-config-on-a-plane": _x_dependent_config_on_a_plane,
+}
 X_DEPENDENT_ALGEBROIDS = pytest.mark.parametrize(
-    "bundle",
-    [lambda: get_model("affine-rank2"), _x_dependent_config, _x_dependent_config_rank_2_of_3,
-     _x_dependent_config_on_a_plane],
-    ids=["affine-rank2", "x-dependent-config", "x-dependent-config-rank-2-of-3",
-         "x-dependent-config-on-a-plane"],
+    "bundle", list(X_DEPENDENT.values()), ids=list(X_DEPENDENT)
 )
 
 
@@ -1002,6 +1004,27 @@ def test_list_form_on_a_constant_algebroid_evaluates_nothing(monkeypatch):
             list(map(repr, a.ravel().tolist())) for a in method(A, BasePoint(x))
         ]
     assert calls == Counter()
+
+
+# m = 3, so that the sums of three products show their term order
+ANCHORED = {**X_DEPENDENT, "constant-config": lambda: _constant_config(3)}
+
+
+@pytest.mark.parametrize("name", sorted({*model_names(), *ANCHORED}))
+def test_the_dirac_maps_contract_the_columns_of_the_anchor_array_bit_for_bit(name):
+    # both maps read the anchor as a flat float tuple; the reference reads
+    # the columns of the (m, n) array of the BasePoint form
+    b = ANCHORED.get(name, lambda: get_model(name))()
+    Lg, A = b.system.Lg, b.system.A
+    rng = np.random.default_rng(29)
+    for _ in range(10):
+        x = [rng.uniform(lo, hi) for lo, hi in b.box]
+        e = FiberPoint(x, rng.uniform(-1, 1, A.n))
+        Lx = Lg.jet(e)[1].tolist()
+        ref = [sum(map(mul, col, Lx), 0.0) for col in A.anchor_at(BasePoint(x)).T.tolist()]
+        sbar, r = prolong.d_TEE_L(Lg, e).sbar, prolong.dirac_differential(Lg, e).r
+        assert list(map(float.hex, sbar.tolist())) == [v.hex() for v in ref]
+        assert list(map(float.hex, r.tolist())) == [(-v).hex() for v in ref]
 
 
 @pytest.mark.parametrize("name", model_names())

@@ -266,6 +266,20 @@ def test_array_jet_is_bit_identical_to_entry_by_entry_jets():
                 assert _bits(v, g, h) == ref_bits
             # a plain tuple keeps no cache and is walked every time
             assert _bits(*expr.eval_jet2(entries, b, wrt)) == ref_bits
+            if set(b) <= set(wrt):  # a list binds wrt only, in either order
+                for order in (tuple(wrt), tuple(wrt[::-1])):
+                    values = [b.get(name, 0.5) for name in order]
+                    flat = expr.Array(entries)
+                    walked = expr.eval_jet2(flat, values, order)
+                    compiled = expr.eval_jet2(flat, values, order)
+                    assert flat._jet_cache[order] is not None
+                    v, g, h = expr.eval_jet2(expr.Array(entries), b, order)  # the mapping form
+                    jet = expr.compile_jet2(expr.Array(entries), order)
+                    checked = jet.checked(dict(zip(order, values)))
+                    packed = [hx[j, l] for hx in h for j, l in expr._pairs(k)]
+                    for got in (walked, compiled):
+                        assert all(type(t) is tuple for t in got)
+                        assert _bits(*got) == _bits(*checked) == _bits(v, g, packed)
 
 
 @pytest.mark.parametrize(
@@ -277,6 +291,11 @@ def test_array_jet_is_bit_identical_to_entry_by_entry_jets():
 )
 def test_array_jet_faults_are_evaluation_faults(texts, binding, message):
     array = expr.Array(expr.parse(t) for t in texts)
+    flat = expr.Array(array)  # the list form, walked and compiled on its own
     for _ in range(2):  # walked, then compiled
-        with pytest.raises(EvaluationFault, match=message):
+        with pytest.raises(EvaluationFault, match=message) as mapped:
             expr.eval_jet2(array, binding, ("x1",))
+        with pytest.raises(EvaluationFault) as listed:
+            expr.eval_jet2(flat, [binding["x1"]], ("x1",))
+        assert str(listed.value) == str(mapped.value)
+    assert flat._jet_cache[("x1",)] is not None
