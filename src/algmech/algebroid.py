@@ -189,10 +189,12 @@ def _bracket_terms(C: np.ndarray, r: int) -> list:
     ]
 
 
-def _stacked(jets) -> tuple:
-    """The (value, gradient) pairs of ``jets`` as two stacked arrays."""
+def _stacked(jets, shape: tuple) -> tuple:
+    """The flat (value, gradient) tuples of ``jets``, one pair per point,
+    as arrays of shape (N,) + ``shape`` and (N,) + ``shape`` + (m,)."""
     values, grads = zip(*jets)
-    return np.array(values), np.array(grads)
+    values = np.array(values).reshape((-1, *shape))
+    return values, np.array(grads).reshape(values.shape + (-1,))
 
 
 def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -295,9 +297,9 @@ class LieAlgebroid:
         point, since every point gives it the same residuals."""
         if not points:
             raise ValueError("need at least one sample point")
-        points = points[:1] if self.constant else points
-        rho, drho = self._anchor_jet or _stacked(map(self.anchor_jet_at, points))
-        C, dC = self._structure_jet or _stacked(map(self.structure_jet_at, points))
+        xs = [pt.x.tolist() for pt in (points[:1] if self.constant else points)]
+        rho, drho = self._anchor_jet or _stacked(map(self.anchor_jet_at, xs), (self.m, self.n))
+        C, dC = self._structure_jet or _stacked(map(self.structure_jet_at, xs), (self.n,) * 3)
         # eq1: rho^j_a d_j rho^i_b - rho^j_b d_j rho^i_a = rho^i_g C^g_ab
         lhs = np.einsum("...ja,...ibj->...iab", rho, drho)
         lhs = lhs - np.swapaxes(lhs, -1, -2)
@@ -373,6 +375,12 @@ class Subbundle:
         self._fixed = None
         if _closed(e for row in self.span for e in row):
             self._fixed = self._decompose({})
+
+    @property
+    def constant(self) -> bool:
+        """Whether no span entry depends on x, so U and its rank are the
+        same at every point."""
+        return self._fixed is not None
 
     @classmethod
     def full(cls, parent: LieAlgebroid) -> "Subbundle":

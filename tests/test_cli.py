@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
+from algmech.algebroid import Subbundle
 from algmech.cli import _FIELD, _g, main
 from algmech.config import bundle_to_config
 from algmech.models import get_model
@@ -492,3 +493,47 @@ def test_midpoint_blow_up_exits_4_naming_the_step_and_the_point(tmp_path, capsys
     assert re.fullmatch(r"error: implicit solver diverged: Newton failed to converge at step 24"
                         r" \(last residual \S+\) in the midpoint step from t=0\.24"
                         r" at x=\[-4\.56\d*\]\n", out)
+
+
+def _counting_completions(monkeypatch):
+    calls = []
+    real = Subbundle.completion
+
+    def counted(self, x, *args, **kwargs):
+        calls.append(x.x.tolist())
+        return real(self, x, *args, **kwargs)
+
+    monkeypatch.setattr(Subbundle, "completion", counted)
+    return calls
+
+
+# a rank-one span in a rank-two bundle over a line
+SPAN = {"m": 1, "n": 2, "r": 1, "anchor": [["1", "0"]], "structure": {},
+        "lagrangian": "0.5 * y1^2 + 0.5 * y2^2", "box": [[-1, 1]]}
+
+
+@pytest.mark.parametrize("span, rank_ok", [([["1"], ["1"]], True), ([["0"], ["0"]], False)])
+def test_validate_checks_the_rank_of_a_constant_span_once(tmp_path, capsys, monkeypatch,
+                                                           span, rank_ok):
+    calls = _counting_completions(monkeypatch)
+    code, out = _main(capsys, "validate", "--config",
+                      _config_file(tmp_path, {**SPAN, "subbundle": span}), "--samples", "5")
+    assert len(calls) == 1
+    assert f"subbundle_rank_ok: {rank_ok}" in out.splitlines()
+    assert code == (0 if rank_ok else 2)
+
+
+def test_validate_checks_an_x_dependent_span_at_every_sample(tmp_path, capsys, monkeypatch):
+    # the validate samples of seed 7 on the box [-1, 1]
+    xs = np.random.default_rng(7).uniform(-1.0, 1.0, size=5).tolist()
+    calls = _counting_completions(monkeypatch)
+    path = _config_file(tmp_path, {**SPAN, "subbundle": [["1"], ["x1"]]})
+    code, out = _main(capsys, "validate", "--config", path, "--samples", "5", "--seed", "7")
+    assert code == 0 and "subbundle_rank_ok: True" in out.splitlines()
+    assert calls == [[x] for x in xs]
+    # a span that vanishes at the fourth sample only
+    calls.clear()
+    path = _config_file(tmp_path, {**SPAN, "subbundle": [[f"x1 - {xs[3]!r}"], ["0"]]})
+    code, out = _main(capsys, "validate", "--config", path, "--samples", "5", "--seed", "7")
+    assert code == 2 and "subbundle_rank_ok: False" in out.splitlines()
+    assert calls == [[x] for x in xs[:4]]
