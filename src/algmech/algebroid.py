@@ -178,17 +178,6 @@ def _antisymmetrized(structure: dict, n: int) -> expr.Array:
     return expr.Array(full)
 
 
-def _bracket_terms(C: np.ndarray, r: int) -> list:
-    """The nonzero bracket constants C^gamma_alpha,beta with alpha, beta < r
-    as (alpha, beta, gamma, C)."""
-    C_abg = C[:, :r, :r].transpose(1, 2, 0)
-    return [
-        (a, b, g, c)
-        for (a, b, g), c in zip(np.ndindex(C_abg.shape), C_abg.ravel().tolist())
-        if c != 0.0
-    ]
-
-
 def _stacked(jets, shape: tuple) -> tuple:
     """The flat (value, gradient) tuples of ``jets``, one pair per point,
     as arrays of shape (N,) + ``shape`` and (N,) + ``shape`` + (m,)."""
@@ -198,9 +187,11 @@ def _stacked(jets, shape: tuple) -> tuple:
 
 
 def contract(C: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """(C·p)[a, b] = C^g_ab p_g, the structure array contracted with a
-    covector on its upper index; trailing axes, as in dC, are kept."""
-    return (p @ C.reshape(len(p), -1)).reshape(C.shape[1:])
+    """(C·p)[..., a, b] = C^g_ab p_g, the structure array C[g, a, b] contracted
+    on its upper index with one covector p (n,) or a stack of rows (..., n),
+    against one C or a stack of C (..., n, n, n), one per row."""
+    n = p.shape[-1]
+    return (p[..., None, :] @ C.reshape(C.shape[:-3] + (n, n * n))).reshape(p.shape[:-1] + (n, n))
 
 
 class LieAlgebroid:
@@ -236,10 +227,15 @@ class LieAlgebroid:
         self.constant_anchor = self._anchor_jet is not None
         self.constant_structure = self._structure_jet is not None
         self.constant = self.constant_anchor and self.constant_structure
-        C = self._structure_jet  # its nonzero terms, for cp_dot
-        self._terms = None if C is None else _bracket_terms(C[0], self.n)
         flat = lambda jet: jet and tuple(tuple(a.ravel().tolist()) for a in jet)  # the list form
-        self._anchor_flat, self._structure_flat = flat(self._anchor_jet), flat(C)
+        self._anchor_flat, self._structure_flat = flat(self._anchor_jet), flat(self._structure_jet)
+        # the bracket table of cp_dot and the emitted kernels: (alpha, beta,
+        # gamma, k) in row order for each stored entry and its antisymmetric
+        # twin, less the constant zeros, with C^gamma_alpha,beta = flat C[k]
+        n, C = self.n, self._structure_flat
+        self._bracket = tuple(sorted(
+            (a, b, g, k) for k, (g, a, b) in enumerate(np.ndindex(n, n, n))
+            if (g, min(a, b), max(a, b)) in self.structure and (not C or C[0][k] != 0.0)))
 
     def _jets(self, array, shape: tuple, binding):
         """Values at ``binding`` of ``array`` (expressions in row order) in
@@ -277,15 +273,14 @@ class LieAlgebroid:
 
     def cp_dot(self, pt: DualPoint, zs) -> list:
         """(C·p) z on floats at the dual point ``pt`` for each float list z
-        of ``zs``, summed over the nonzero terms of C in row order."""
-        terms = self._terms
-        if terms is None:
-            terms = _bracket_terms(self.structure_at(pt.base), self.n)
+        of ``zs``, summed over the bracket table from C as a flat float tuple:
+        held since construction, or one list-form structure jet call at x."""
+        C = (self._structure_flat or self.structure_jet_at(pt.x.tolist()))[0]
         p = pt.p.tolist()
         out = [[0.0] * self.n for _ in zs]
         for w, z in zip(out, zs):
-            for a, b, g, c in terms:
-                w[a] += p[g] * c * z[b]
+            for a, b, g, k in self._bracket:
+                w[a] += p[g] * C[k] * z[b]
         return out
 
     # -- structure equations -------------------------------------------

@@ -345,6 +345,9 @@ def main(argv=None) -> int:
     except AlgmechError as e:  # usage, config, parse and option errors, FlowBlowUp, RankDeficient
         print(f"error: {e}")
         code = EXIT_CONFIG
+    except RecursionError as e:  # JSON, an expression or its jet nested past the stack
+        print(f"error: input nested too deeply: {e}")
+        code = EXIT_CONFIG
     print(f"wall_time_s: {time.perf_counter() - started:.3f}", file=sys.stderr)
     return code
 

@@ -23,6 +23,7 @@ from .algebroid import (
     _finite_vector,
     _norm,
     _Record,
+    contract,
 )
 from .errors import Degenerate, EvaluationFault, NewtonDivergence, NonFinite
 from .prolong import Lagrangian, energies  # noqa: F401  (kept as dynamics.energies)
@@ -106,7 +107,7 @@ def _residual_rows(along, Y, P, Xdot, Pdot, Lx, Ly) -> tuple:
     """(r_U, r_kin, r_leg, r_mom) of each row, with along = (rho, C, S, Q)."""
     rho, C, S, Q = along
     Yc, Lxc = Y[:, :, None], Lx[:, :, None]  # the rows as columns
-    force = Pdot + (_contract_rows(C, P) @ Yc)[:, :, 0] - (np.swapaxes(rho, -1, -2) @ Lxc)[:, :, 0]
+    force = Pdot + (contract(C, P) @ Yc)[:, :, 0] - (np.swapaxes(rho, -1, -2) @ Lxc)[:, :, 0]
     r_mom = _row_max(force[:, None, :] @ S)
     return _distances(Q, Y), _row_max(Xdot - (rho @ Yc)[:, :, 0]), _row_max(P - Ly), r_mom
 
@@ -114,12 +115,6 @@ def _residual_rows(along, Y, P, Xdot, Pdot, Lx, Ly) -> tuple:
 def _row_max(a: np.ndarray) -> np.ndarray:
     """max |a[k]| of each entry of a stack, 0 where it is empty."""
     return np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
-
-
-def _contract_rows(C: np.ndarray, P: np.ndarray) -> np.ndarray:
-    """:func:`contract` of each row of P with C, or with its own C of a stack."""
-    N, n = P.shape
-    return (P[:, None, :] @ C.reshape(C.shape[:-3] + (n, n * n))).reshape(N, n, n)
 
 
 def _point_data(sys: ImplicitSystem, x: BasePoint, tol: float) -> tuple:
@@ -217,10 +212,11 @@ def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
     """(reads, rho, drho, terms): the source of the anchor and bracket on
     the first r sections for a kernel at the base point with float list
     ``x``.  rho[i][a] is rho^i_a and drho[i][a] its x-derivatives; terms
-    are (a, b, g, C^g_ab, its x-derivatives) in row order.  Constant data
-    is float literals, less its zero bracket constants, with no derivatives;
-    data that depends on x is subscripts into the flat tuples made by the
-    lines of ``reads``, one ``*_jet_at(x)`` call each (derivatives if ``jets``)."""
+    are (a, b, g, C^g_ab, its x-derivatives) over ``A._bracket``, the table
+    ``cp_dot`` sums over, with a, b < r.  Constant data is float literals
+    with no derivatives; data that depends on x is subscripts into the flat
+    tuples made by the lines of ``reads``, one ``*_jet_at(x)`` call each
+    (derivatives if ``jets``)."""
     m, n, reads = A.m, A.n, []
     read = lambda v, data: (f"{v}, d{v} = A.{data}_jet_at({x})" if jets
                             else f"{v} = A.{data}_jet_at({x})[0]")
@@ -232,13 +228,10 @@ def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
         reads += [read("rho", "anchor")] * bool(r)
         rho = [[f"rho[{i * n + a}]" for a in range(r)] for i in range(m)]
         drho = [[d("rho", i * n + a) for a in range(r)] for i in range(m)]
-    if A.constant_structure:
-        terms = [(a, b, g, repr(c), []) for a, b, g, c in A._terms if max(a, b) < r]
-    else:
-        k = lambda a, b, g: (g * n + a) * n + b  # of C^g_ab in C[g, a, b]
-        terms = [(a, b, g, f"C[{k(a, b, g)}]", d("C", k(a, b, g)))
-                 for a, b, g in np.ndindex(r, r, n) if (g, min(a, b), max(a, b)) in A.structure]
-        reads += [read("C", "structure")] * bool(terms)
+    C = A._structure_flat
+    terms = [(a, b, g, repr(C[0][k]), []) if C else (a, b, g, f"C[{k}]", d("C", k))
+             for a, b, g, k in A._bracket if max(a, b) < r]
+    reads += [read("C", "structure")] * bool(terms and not C)
     return reads, rho, drho, terms
 
 
@@ -368,6 +361,7 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     m = sys.A.m
     q = [*x0.tolist(), *ya0.tolist()]
     qs, ps = [], []
+    where = lambda k: f"in the RK4 step from t={k * h:g} at x={np.array(qs[k][:m])}"
     try:
         for _ in range(N):
             qs.append(q)
@@ -377,10 +371,17 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
         qs.append(q)
         ps.append(field(q)[1])
     except Degenerate as exc:  # a solution that blows up in finite time ends here: say where
-        x = np.array(qs[-1][:m])
-        raise Degenerate(f"{exc} in the RK4 step from t={(len(qs) - 1) * h:g} at x={x}") from exc
+        raise Degenerate(f"{exc} {where(len(qs) - 1)}") from exc
     pad = [0.0] * (sys.A.n - sys.U.r)
-    states = State.stack([q[:m] for q in qs], [q[m:] + pad for q in qs], ps)
+    try:
+        states = State.stack([q[:m] for q in qs], [q[m:] + pad for q in qs], ps)
+    except NonFinite:  # a nan or inf the field read unchecked: name the step that made it
+        for k, (q, p) in enumerate(zip(qs, ps)):
+            try:
+                State(q[:m], q[m:] + pad, p)
+            except NonFinite as exc:
+                raise NonFinite(f"{exc} {where(max(k - 1, 0))}") from exc
+        raise
     return Trajectory(np.arange(N + 1) * h, states, h, "rk4")
 
 

@@ -14,8 +14,8 @@ import numpy as np
 
 from . import expr
 from .algebroid import BasePoint, FiberPoint, _as_expression, _distances, _passes, _Record
-from .algebroid import _scaled_bound, base_names
-from .dynamics import ImplicitSystem, _along, _contract_rows, _fd_derivatives, _point_data
+from .algebroid import _scaled_bound, base_names, contract
+from .dynamics import ImplicitSystem, _along, _fd_derivatives, _point_data
 from .dynamics import _residual_rows, _rk4_step, _row_max, _steps
 from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 
@@ -108,7 +108,7 @@ def check_closedness(sys: ImplicitSystem, s: HJSection, x: BasePoint) -> float:
 
 def _closedness(rho, C, S, J, GB) -> np.ndarray:
     R = np.swapaxes(rho, -1, -2) @ np.swapaxes(J, -1, -2)  # rho^i_b dgammabar_d/dx^i
-    R = R - np.swapaxes(R, -1, -2) - _contract_rows(C, GB)
+    R = R - np.swapaxes(R, -1, -2) - contract(C, GB)
     return _row_max((np.swapaxes(S, -1, -2) @ R) @ S)
 
 

@@ -302,8 +302,13 @@ def test_contract_matches_einsum_on_antisymmetric_arrays():
         C = C - C.transpose(0, 2, 1)
         p = rng.standard_normal(n)
         assert np.allclose(contract(C, p), np.einsum("gab,g->ab", C, p), rtol=0, atol=1e-14)
-        dC = rng.standard_normal((n, n, n, 2))
-        assert np.allclose(contract(dC, p), np.einsum("gabi,g->abi", dC, p), rtol=0, atol=1e-14)
+        # a stack of N rows against one C, and against a stack of N
+        P = rng.standard_normal((4, n))
+        Cs = rng.standard_normal((4, n, n, n))
+        Cs = Cs - Cs.transpose(0, 1, 3, 2)
+        assert contract(C, P).shape == contract(Cs, P).shape == (4, n, n)
+        assert np.allclose(contract(C, P), np.einsum("gab,kg->kab", C, P), rtol=0, atol=1e-14)
+        assert np.allclose(contract(Cs, P), np.einsum("kgab,kg->kab", Cs, P), rtol=0, atol=1e-14)
 
 
 def test_member_annihilator_does_not_overflow():

@@ -129,6 +129,7 @@ def _assert_exit_with_one_error_line(args, code=6):
     assert proc.returncode == code
     assert len(proc.stdout.splitlines()) == 1 and proc.stdout.startswith("error: ")
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    return proc.stdout
 
 
 @pytest.mark.parametrize(
@@ -315,6 +316,26 @@ def test_config_that_is_not_a_utf8_json_object_exits_6_with_one_error_line(
     assert message in out
 
 
+@pytest.mark.parametrize(
+    "entries",
+    [
+        # the parser's recursive descent, four frames a level
+        '"lagrangian": "' + "(" * 250 + "0.5 * y1^2" + ")" * 250 + '"',
+        # json.load
+        '"lagrangian": "0.5 * y1^2", "doc": ' + "[" * 990 + "]" * 990,
+        # parsed in a loop, but the jet compiler recurses into the sum
+        '"lagrangian": "0.5 * y1^2' + " + x1" * 3000 + '"',
+    ],
+    ids=["parentheses", "doc", "sum"],
+)
+def test_deep_input_exits_6_with_one_error_line(tmp_path, entries):
+    # each once ended in a RecursionError traceback
+    path = tmp_path / "model.json"
+    path.write_text('{"m": 1, "n": 1, "r": 1, "anchor": [["1"]], ' + entries + "}")
+    out = _assert_exit_with_one_error_line(("validate", "--config", str(path)))
+    assert out.startswith("error: input nested too deeply: maximum recursion depth exceeded")
+
+
 def test_determinism_byte_identical(tmp_path):
     outs = []
     csvs = []
@@ -438,6 +459,16 @@ def test_a_nan_velocity_hessian_exits_6_with_one_error_line(tmp_path, capsys, me
                       "--x0", "0.1", "--y0", "0.2", "--h", "1e-2", "--T", "0.02",
                       "--method", method)
     assert code == 6 and out == "error: evaluation failed: non-finite derivative result\n"
+
+
+def test_a_nan_gradient_under_rk4_exits_6_naming_the_step_that_made_it(tmp_path, capsys):
+    # dL/dx is nan and the velocity Hessian finite: RK4 integrates nan
+    # states to T, and the refusal names the step where they began
+    cfg = dict(NAN_HESSIAN, lagrangian="0.5 * y1^2 + (1e300 * 1e300 - 1e300 * 1e300) * x1")
+    code, out = _main(capsys, "simulate", "--config", _config_file(tmp_path, cfg),
+                      "--x0", "0.1", "--y0", "0.2", "--h", "1e-2", "--T", "0.02")
+    assert code == 6
+    assert out == "error: state component x must be finite in the RK4 step from t=0 at x=[0.1]\n"
 
 
 def test_csv_residuals_at_the_float_limits_print_no_warning(tmp_path, capsys):

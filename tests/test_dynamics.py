@@ -9,10 +9,10 @@ import pytest
 from algmech import dynamics, expr, prolong
 from algmech.algebroid import (
     BasePoint,
+    DualPoint,
     FiberPoint,
     LieAlgebroid,
     Subbundle,
-    _bracket_terms,
     _Carrier,
     base_names,
     contract,
@@ -32,6 +32,18 @@ from algmech.models import get_model, model_names, oracle_trajectory
 from algmech.prolong import Lagrangian
 
 NO_BASE = np.zeros(0)
+
+
+def _bracket_terms(C: np.ndarray, r: int) -> list:
+    """The nonzero bracket constants C^gamma_alpha,beta with alpha, beta < r
+    as (alpha, beta, gamma, C), from the array C[gamma, alpha, beta]: the
+    term loop the bit-for-bit references below sum over."""
+    C_abg = C[:, :r, :r].transpose(1, 2, 0)
+    return [
+        (a, b, g, c)
+        for (a, b, g), c in zip(np.ndindex(C_abg.shape), C_abg.ravel().tolist())
+        if c != 0.0
+    ]
 
 
 def fd4(vals, h):
@@ -238,6 +250,14 @@ def test_integrate_refuses_non_finite_states():
         integrate(b.system, (NO_BASE, (1e200,) * 3), 1e-3, 0.01)
 
 
+def test_rk4_names_the_first_step_whose_end_state_is_not_finite():
+    # from y = 1e4 the rigid body's stages overflow in the third step
+    b = get_model("rigid-body")
+    with pytest.raises(NonFinite, match=r"^state component y must be finite"
+                                        r" in the RK4 step from t=0\.002 at x=\[\]$"):
+        integrate(b.system, (NO_BASE, (1e4,) * 3), 1e-3, 0.01)
+
+
 def test_midpoint_refuses_a_non_finite_start_as_a_fiber_point_does():
     b = get_model("pendulum")
     with pytest.raises(NonFinite, match=r"^x must be finite, got \[nan\]$"):
@@ -418,7 +438,7 @@ def _generic_midpoint(sys, h, prev, u):
         kin = [[-0.5 * v for v in (*dr, *row)] + pad_n for dr, row in zip((ym_n @ drho).tolist(), rho_rows)]
         dx -= (Lx @ drho.reshape(m, n * m)).reshape(n, m)[:r]
     if not A.constant_structure:
-        dx += (ym_n @ contract(dC, np.array(pm)))[:r]
+        dx += (ym_n @ (np.array(pm) @ dC.reshape(n, -1)).reshape(n, n, m))[:r]
     mom = [[*dr, *cp] for dr, cp in zip(dx.tolist(), Cp)]
     if m:
         Hcols = Lxx.tolist() + Lxy[:, :r].T.tolist()
@@ -1004,6 +1024,34 @@ def test_list_form_on_a_constant_algebroid_evaluates_nothing(monkeypatch):
             list(map(repr, a.ravel().tolist())) for a in method(A, BasePoint(x))
         ]
     assert calls == Counter()
+
+
+@pytest.mark.parametrize(
+    "name", ["x-dependent-config", "x-dependent-config-rank-2-of-3", "x-dependent-config-on-a-plane"]
+)
+def test_cp_dot_on_x_dependent_data_equals_the_bracket_loop_and_builds_no_carrier(monkeypatch, name):
+    # cp_dot reads C as one flat tuple through the bracket table; the
+    # reference sums the nonzero terms of the array C at a BasePoint.  At
+    # x = 0 some entries vanish, which the table still sums
+    bundle = X_DEPENDENT[name]()
+    A = bundle.system.A
+    rng = np.random.default_rng(37)
+    xs = [[0.0] * A.m] + [[rng.uniform(lo, hi) for lo, hi in bundle.box] for _ in range(30)]
+    cases = [(DualPoint(x, rng.standard_normal(A.n)), rng.standard_normal((3, A.n)).tolist())
+             for x in xs]
+    refs = []
+    for pt, zs in cases:
+        p, ref = pt.p.tolist(), [[0.0] * A.n for _ in zs]
+        for w, z in zip(ref, zs):
+            for a, b, g, c in _bracket_terms(A.structure_at(BasePoint(pt.x)), A.n):
+                w[a] += p[g] * c * z[b]
+        refs.append(ref)
+    counts = _count_carriers(monkeypatch)
+    got = [A.cp_dot(pt, zs) for pt, zs in cases]
+    assert counts == Counter()
+    assert [[list(map(repr, w)) for w in out] for out in got] == [
+        [list(map(repr, w)) for w in ref] for ref in refs
+    ]
 
 
 # m = 3, so that the sums of three products show their term order
