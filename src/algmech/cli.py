@@ -20,13 +20,7 @@ import numpy as np
 
 from .algebroid import BasePoint, DualPoint
 from .config import bundle_from_config, load_config
-from .dirac import (
-    DiracPair,
-    check_self_orthogonal,
-    dirac_generators,
-    dirac_member_poisson,
-    dirac_member_symplectic,
-)
+from .dirac import dirac_members, generator_matrix, self_orthogonality
 from .dynamics import _drift, _energies, _lift_residuals, _steps, integrate
 from .errors import (
     AlgmechError,
@@ -39,7 +33,6 @@ from .errors import (
 )
 from .hj import verify_theorem
 from .models import get_model, model_names
-from .prolong import ProlongCovector, ProlongVector
 
 EXIT_PASS = 0
 EXIT_FAIL = 2
@@ -195,26 +188,18 @@ def cmd_dirac_check(args) -> int:
     n = A.n
     rng = np.random.default_rng(args.seed)
     points = [DualPoint(_sample_x(bundle, rng), rng.standard_normal(n)) for _ in range(args.points)]
-    bases = [dirac_generators(A, U, pt) for pt in points]
-    worst_orth = float(np.max([check_self_orthogonal(b) for b in bases]))  # keeps nan
-    mats = [b.matrix() for b in bases]
+    mats = [generator_matrix(A, U, pt) for pt in points]
+    worst_orth = float(np.max([self_orthogonality(M) for M in mats]))  # keeps nan
     rank_ok = all(np.linalg.matrix_rank(M, tol=1e-9) == 2 * n for M in mats)
-    agree = True
+    rows = []
     for k in range(args.pairs):
-        pt, M = points[k % len(points)], mats[k % len(points)]
         if rng.uniform() < 0.5:
-            coeff = rng.standard_normal(2 * n)
-            v = coeff @ M
+            rows.append(rng.standard_normal(2 * n) @ mats[k % len(points)])
         else:
-            v = rng.standard_normal(4 * n)
-        cand = DiracPair(
-            ProlongVector(pt, v[:n], v[n : 2 * n]),
-            ProlongCovector(pt, v[2 * n : 3 * n], v[3 * n :]),
-        )
-        a = dirac_member_symplectic(A, U, cand, tol=1e-8)
-        b = dirac_member_poisson(A, U, cand, tol=1e-8)
-        if a.member != b.member:
-            agree = False
+            rows.append(rng.standard_normal(4 * n))
+    at = np.arange(args.pairs) % len(points)
+    sym, poi = dirac_members(A, U, points, rows, at, tol=1e-8)
+    agree = bool(np.array_equal(sym, poi))
     print(f"model: {bundle.name}")
     print(f"points: {args.points}  pairs: {args.pairs}")
     print(f"generator_rank_ok: {rank_ok}")

@@ -6,17 +6,21 @@ of pairs (X, alpha) = ((z, u), (r, v)) over a dual point (x, p) with
     z in U(x),    v = z,    r + u + (C·p) z  in  U°(x).
 
 Membership can equivalently be tested through the fiberwise linear
-Poisson map (the dual construction); both tests are provided and agree.
-Generators are built pointwise from an orthonormal frame adapted to
-U(x), giving 2n pairs that span the structure and pair to zero.
+Poisson map (the dual construction); both tests are provided and agree,
+pair by pair or for a stack of candidate rows in one pass.  Generators
+are built pointwise from an orthonormal frame adapted to U(x), giving 2n
+pairs that span the structure and pair to zero.
 """
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _Record
-from .algebroid import _passes, _scaled_bound
+from .algebroid import _distances, _norms, _passes, _scaled_bound
+from .errors import AlgmechError
 from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
 
 __all__ = [
@@ -26,8 +30,11 @@ __all__ = [
     "lift_subbundle",
     "dirac_member_symplectic",
     "dirac_member_poisson",
+    "dirac_members",
     "dirac_generators",
+    "generator_matrix",
     "check_self_orthogonal",
+    "self_orthogonality",
 ]
 
 
@@ -106,25 +113,123 @@ def dirac_member_poisson(
     return _verdict(U, dpair, tol, dpair.alpha.v, du)
 
 
-def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
-    """2n generating pairs of the structure at ``pt``: one pair per
-    orthonormal U direction, one per momentum direction, and one pure
-    annihilator covector per complementary direction.
+def dirac_members(
+    A: LieAlgebroid, U: Subbundle, points, rows, at, tol: float = 1e-9
+) -> tuple:
+    """The symplectic and the Poisson verdict of N candidate pairs in one
+    stacked pass: row k of ``rows`` (N, 4n) holds the (z, u, r, v) of a
+    pair at the dual point ``points[at[k]]``.  Returns two boolean arrays,
+    row by row the ``member`` of :func:`dirac_member_symplectic` and of
+    :func:`dirac_member_poisson` on those pairs, which raise as these do.
+
+    Each point's data is evaluated once, in the order of first use, and
+    U's rank is checked at ``tol`` there; a point whose data fails to
+    evaluate or whose U loses rank raises at its first row, after the
+    rows before it.  (C·p) z is summed over the
+    bracket table in ``cp_dot``'s order, so r + u + (C·p) z and
+    u - (-r - (C·p) v) are the per-pair floats.  A row whose residual,
+    bound or u-slot of ♯(alpha) is not finite is decided by the per-pair
+    tests, which hold the overflow and scaling rules."""
+    n = A.n
+    rows = np.asarray(rows, dtype=float).reshape(-1, 4 * n)
+    ats = np.asarray(at, dtype=np.intp).tolist()
+    data, cut = {}, len(rows)  # (p, C, S, Q) of each point used, in order of first use
+    for j in dict.fromkeys(ats):
+        pt = points[j]
+        try:
+            data[j] = (pt.p, A.structure_at(pt.x.tolist()), *U._frames(pt.base, tol)[:2])
+        except AlgmechError:
+            cut = ats.index(j)
+            break
+    sym, poi = np.zeros(len(rows), dtype=bool), np.zeros(len(rows), dtype=bool)
+    redo = []
+    if cut:
+        slot = {j: i for i, j in enumerate(data)}
+        ix = [slot[j] for j in ats[:cut]]
+        P, C, S, Q = (np.array(column)[ix] for column in zip(*data.values()))
+        sym_res, poi_res, bound, ok = _stacked_residuals(A, rows[:cut], P, C, S, Q, tol)
+        sym[:cut], poi[:cut] = (sym_res <= bound).all(axis=0), (poi_res <= bound).all(axis=0)
+        redo = np.flatnonzero(~ok).tolist()
+    if cut < len(rows):
+        redo.append(cut)  # the per-pair tests raise the point's error at this row
+    for k in redo:
+        pt, (z, u, r, v) = points[ats[k]], np.split(rows[k], 4)
+        dpair = DiracPair(ProlongVector(pt, z, u), ProlongCovector(pt, r, v))
+        sym[k] = dirac_member_symplectic(A, U, dpair, tol).member
+        poi[k] = dirac_member_poisson(A, U, dpair, tol).member
+    return sym, poi
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _stacked_residuals(A: LieAlgebroid, rows, P, C, S, Q, tol) -> tuple:
+    """The residuals of :func:`_verdict` for each row (z, u, r, v) of
+    ``rows``, given the row's momenta P, flat structure array C, span S
+    and orthonormal frame Q of U: (span, anchor, annihilator) of the
+    symplectic and of the Poisson test as two (3, N) arrays, the bound
+    tol·(1 + |(z, u, r, v)|), and whether all of these and the u-slot
+    -r - (C·p) v of ♯(alpha) are finite."""
+    Z, Uu, R, V = np.split(rows, 4, axis=1)
+    uY = -R - _cp_rows(A, P, C, V)
+
+    def pairings(X):  # largest pairing of each row of X with the span, nan kept
+        return np.abs((X[:, None, :] @ S)[:, 0]).max(axis=1, initial=0.0)
+
+    anchor = np.abs(V - Z).max(axis=1, initial=0.0)
+    sym = np.array([_distances(Q, Z), anchor, pairings(R + Uu + _cp_rows(A, P, C, Z))])
+    poi = np.array([_distances(Q, V), anchor, pairings(Uu - uY)])
+    bound = tol * (1.0 + _norms(rows))
+    ok = np.isfinite(sym).all(axis=0) & np.isfinite(poi).all(axis=0)
+    ok &= np.isfinite(bound) & np.isfinite(uY).all(axis=1)
+    return sym, poi, bound, ok
+
+
+def _cp_rows(A: LieAlgebroid, P, C, Z) -> np.ndarray:
+    """(C·p) z for each row z of Z, given the row's momenta P and flat
+    structure array C: ``cp_dot``'s sum over the bracket table, run on
+    columns, so that each row is the floats ``cp_dot`` gives."""
+    W = np.zeros(Z.shape[::-1])
+    for a, b, g, k in A._bracket:
+        W[a] += P[:, g] * C[:, k] * Z[:, b]
+    return W.T
+
+
+def generator_matrix(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> np.ndarray:
+    """2n generating pairs of the structure at ``pt`` as the rows (z, u,
+    r, v) of a (2n, 4n) matrix: one pair (q, 0, -(C·p) q, q) per
+    orthonormal U direction q, one (0, e, -e, 0) per momentum direction
+    and one pure annihilator covector (0, 0, c, 0) per complementary
+    direction c.
 
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
-    zero = np.zeros(A.n)
+    n = A.n
     _, Q, Qc, _ = U._frames(pt.base, DEFAULT_RANK_TOL)
+    r = Q.shape[1]
+    M = np.zeros((2 * n, 4 * n))
+    for i, w in enumerate(A.cp_dot(pt, Q.T.tolist())):
+        M[i, 2 * n : 3 * n] = _checked([-t for t in w])
+    M[:r, :n] = M[:r, 3 * n :] = Q.T
+    M[r : r + n] = _momentum_rows(n)
+    M[r + n :, 2 * n : 3 * n] = Qc.T
+    return M
 
-    def gen(z, u, r, v):
-        vector = ProlongVector._trusted(base=pt, z=z, u=u)
-        return DiracPair(vector, ProlongCovector._trusted(base=pt, r=r, v=v))
 
-    rows = A.cp_dot(pt, Q.T.tolist())
-    gens = [gen(q, zero, _checked([-t for t in w]), q) for q, w in zip(Q.T, rows)]
-    gens += [gen(zero, e, -e, zero) for e in np.eye(A.n)]
-    gens += [gen(zero, zero, c, zero) for c in Qc.T]
-    return DiracBasis(pt, tuple(gens))
+@functools.cache
+def _momentum_rows(n: int) -> np.ndarray:
+    """The n generator rows (0, e, -e, 0), made once per n and only read."""
+    M = np.zeros((n, 4 * n))
+    M[:, n : 2 * n], M[:, 2 * n : 3 * n] = np.eye(n), -np.eye(n)
+    return M
+
+
+def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
+    """The pairs of :func:`generator_matrix`, in its row order, over ``pt``."""
+    n = A.n
+    vector, covector = ProlongVector._trusted, ProlongCovector._trusted
+    return DiracBasis(pt, tuple(
+        DiracPair._trusted(X=vector(base=pt, z=g[:n], u=g[n : 2 * n]),
+                           alpha=covector(base=pt, r=g[2 * n : 3 * n], v=g[3 * n :]))
+        for g in generator_matrix(A, U, pt)))
 
 
 def check_self_orthogonal(basis: DiracBasis) -> float:
@@ -132,7 +237,12 @@ def check_self_orthogonal(basis: DiracBasis) -> float:
     all generator pairs; zero certifies isotropy of the span.  With the
     generators as rows (z, u, r, v) of M, alpha_i(X_j) is P[i, j] for
     P = M[:, 2n:] @ M[:, :2n]ᵀ."""
-    M = basis.matrix()
+    return self_orthogonality(basis.matrix())
+
+
+def self_orthogonality(M: np.ndarray) -> float:
+    """:func:`check_self_orthogonal` on the generators' matrix M, as
+    :meth:`DiracBasis.matrix` builds it."""
     if not M.size:
         return 0.0
     k = M.shape[1] // 2

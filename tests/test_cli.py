@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -568,3 +569,66 @@ def test_validate_checks_an_x_dependent_span_at_every_sample(tmp_path, capsys, m
     code, out = _main(capsys, "validate", "--config", path, "--samples", "5", "--seed", "7")
     assert code == 2 and "subbundle_rank_ok: False" in out.splitlines()
     assert calls == [[x] for x in xs[:4]]
+
+
+# sha256 of the stdout of dirac-check runs: the bench command, the README
+# example, acceptance criterion 10's run and one run on each other model
+DIRAC_CHECK_STDOUT = [
+    (("suslov", "--points", "10", "--pairs", "100", "--seed", "1866217508"),
+     "f5323a51a044cbcf697423a3bab89e012edd18626a15d2655469de6cb4ab3997"),
+    (("suslov", "--points", "100", "--pairs", "1000"),
+     "dfd7d00b1210c49b1a92ed57b044dfda6dca48436495ab13e57714cba2531a16"),
+    (("suslov", "--points", "20", "--pairs", "100"),
+     "7a8d8dc4e1fdfa665d2f7f60b84aaa8929233b5de8aad90c2bb65af48a0c00eb"),
+    (("rigid-body", "--points", "10", "--pairs", "50", "--seed", "3"),
+     "e7cd9abda0af4b01ce72e62b2205cdce7b2b734018304e640d84f619bf83038e"),
+    (("affine-rank2", "--points", "7", "--pairs", "200", "--seed", "5"),
+     "4836c30b67dd2f7096bc94c509f4e6d7f15370adf6d6e0b23ad6430c8fc7d2e7"),
+    (("pendulum", "--points", "3", "--pairs", "40", "--seed", "0"),
+     "4a931871bb6c30167090ff25f9af67af35f208032d2697a7612e4dae259ad839"),
+    (("free-particle", "--points", "5", "--pairs", "60", "--seed", "9"),
+     "d1e652ded98165340ba2f0e161da2920b5f26e2065f94d96d44bed8f8c11e857"),
+    (("harmonic-oscillator", "--points", "4", "--pairs", "30", "--seed", "7"),
+     "6e345f9701ec89520e873a3e5b3e5567a9b265a0c1e9e1875ca14a18e630c96a"),
+    (("degenerate-demo", "--points", "6", "--pairs", "90", "--seed", "11"),
+     "7c9cdffdc2c4ba7116dbcbcc319a636835ab429afe22e6ccbffe9a58ec4fec48"),
+]
+
+
+@pytest.mark.parametrize("args, digest", DIRAC_CHECK_STDOUT)
+def test_dirac_check_stdout_is_byte_identical_to_its_recorded_digest(capsys, args, digest):
+    code, out = _main(capsys, "dirac-check", "--model", *args)
+    assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+# 2e-8 x1 is a singular value above the generators' rank tol 1e-9 on the
+# box but below the membership tests' 1e-8 where x1 < 0.5
+NARROW_SPAN = {
+    "m": 1, "n": 2, "r": 2, "anchor": [["1", "0"]], "structure": {"1,1,2": "x1"},
+    "lagrangian": "0.5 * y1^2 + 0.5 * y2^2", "subbundle": [["1", "0"], ["0", "2e-8 * x1"]],
+    "box": [[0.3, 1.0]],
+}
+
+
+@pytest.mark.parametrize("cfg, args, error", [
+    # a constant span: the first pair meets it
+    ({**NARROW_SPAN, "m": 0, "anchor": [], "structure": {}, "box": [],
+      "subbundle": [["1", "0"], ["0", "5e-9"]]},
+     ("--pairs", "0", "--points", "3"), None),
+    ({**NARROW_SPAN, "m": 0, "anchor": [], "structure": {}, "box": [],
+      "subbundle": [["1", "0"], ["0", "5e-9"]]},
+     ("--pairs", "1", "--points", "3"), "x=[]"),
+    # seed 0 samples x1 = 0.746, 0.312, ...: the second point used fails
+    (NARROW_SPAN, ("--seed", "0", "--points", "5", "--pairs", "1"), None),
+    (NARROW_SPAN, ("--seed", "0", "--points", "5", "--pairs", "2"), "x=[0.31156934]"),
+    # seed 1 samples x1 = 0.658, 0.964, 0.879, 0.319, 0.531: the fourth fails
+    (NARROW_SPAN, ("--seed", "1", "--points", "5", "--pairs", "3"), None),
+    (NARROW_SPAN, ("--seed", "1", "--points", "5", "--pairs", "40"), "x=[0.31929138]"),
+])
+def test_dirac_check_holds_the_span_rank_to_the_membership_tol(tmp_path, capsys, cfg, args,
+                                                               error):
+    code, out = _main(capsys, "dirac-check", "--config", _config_file(tmp_path, cfg), *args)
+    if error is None:
+        assert code == 0 and out.endswith("verdict: pass\n")
+    else:
+        assert (code, out) == (6, f"error: span has numerical rank 1, expected 2 at {error}\n")

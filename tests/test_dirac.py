@@ -10,9 +10,13 @@ from algmech.dirac import (
     dirac_generators,
     dirac_member_poisson,
     dirac_member_symplectic,
+    dirac_members,
+    generator_matrix,
     lift_subbundle,
+    self_orthogonality,
 )
-from algmech.models import SO3_STRUCTURE, get_model
+from algmech.errors import EvaluationFault, NonFinite, RankDeficient
+from algmech.models import SO3_STRUCTURE, get_model, model_names
 from algmech.prolong import ProlongCovector, ProlongVector, omega_flat, omega_sharp
 
 
@@ -307,3 +311,189 @@ def test_a_finite_residual_is_held_to_the_scale_of_an_overflowing_pair():
     pt, zero = DualPoint([], [0.0] * 3), np.zeros(3)
     dp = DiracPair(ProlongVector(pt, zero, zero), ProlongCovector(pt, [0.0, 1.5e308, 1.5e308], zero))
     assert dirac_member_symplectic(B, V, dp).member and dirac_member_poisson(B, V, dp).member
+
+
+def per_pair(A, U, points, rows, at, tol=1e-8):
+    """(symplectic, Poisson) verdicts of each row by the per-pair tests."""
+    out = []
+    for j, row in zip(at, rows):
+        dp = as_pair(points[j], np.asarray(row, dtype=float))
+        out.append((dirac_member_symplectic(A, U, dp, tol).member,
+                    dirac_member_poisson(A, U, dp, tol).member))
+    return out
+
+
+def stacked(A, U, points, rows, at, tol=1e-8):
+    sym, poi = dirac_members(A, U, points, rows, at, tol)
+    return list(zip(sym.tolist(), poi.tolist()))
+
+
+def models_and_x_dependent():
+    """(A, U, box) of every built-in model, and of data on a line whose
+    anchor, bracket and rank-2 span depend on x."""
+    A = LieAlgebroid(1, 3, [["1", "x1", "0"]], {(0, 0, 1): "x1", (2, 1, 2): "1 + x1^2", (1, 0, 2): "2"})
+    U = Subbundle(A, 2, [["1", "0"], ["x1", "1"], ["0", "1 - x1"]])
+    return [(b.system.A, b.system.U, b.box) for b in map(get_model, model_names())] + [
+        (A, U, [(-0.9, 0.9)])]
+
+
+def test_stacked_members_equal_the_per_pair_verdicts_row_by_row():
+    rng = np.random.default_rng(25)
+    for A, U, box in models_and_x_dependent():
+        n = A.n
+        points = [
+            DualPoint([rng.uniform(lo, hi) for lo, hi in box],
+                      rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2))
+            for _ in range(4)
+        ]
+        mats = [generator_matrix(A, U, pt) for pt in points]
+        at = rng.integers(len(points), size=150)
+        rows = []
+        for k, j in enumerate(at):
+            inside = rng.standard_normal(2 * n) @ mats[j]
+            near = inside + 1e-8 * rng.standard_normal(4 * n)  # either verdict
+            scaled = rng.standard_normal(4 * n) * 10.0 ** rng.uniform(-3, 3)
+            rows.append((inside, near, scaled)[k % 3])
+        verdicts = stacked(A, U, points, rows, at)
+        assert verdicts == per_pair(A, U, points, rows, at)
+        assert {True, False} <= {v for pair in verdicts for v in pair}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_stacked_members_decide_the_overflowing_rows_as_the_per_pair_tests():
+    # the pairs of the three tests above, each stacked after a small row
+    # whose verdicts the stacked pass computes itself
+    A = LieAlgebroid(0, 2, [], {})
+    zero, small = [0.0] * 4, [0.5, -0.5, 0.0, 0.0, 0.1, 0.2, 0.3, 0.4, 0.5, -0.5, 0.0, 0.0]
+    for span, r, member in (
+        ([["2"], ["-2"]], [1e308, 1.5e308], False),
+        ([["1"], ["0"]], [1e308, 1.5e308], False),
+        ([["1"], ["0"]], [0.0, 1.5e308], True),
+    ):
+        U, pt = Subbundle(A, 1, span), DualPoint([], [0.0, 0.0])
+        rows = [small[:8], [*zero, *r, 0.0, 0.0]]
+        assert stacked(A, U, [pt], rows, [0, 0]) == per_pair(A, U, [pt], rows, [0, 0])
+        assert stacked(A, U, [pt], rows, [0, 0])[1] == (member, member)
+    B = LieAlgebroid(0, 3, [], {})
+    V, pt = Subbundle(B, 1, [["1"], ["0"], ["0"]]), DualPoint([], [0.0] * 3)
+    rows = [small, [0.0] * 6 + [0.0, 1.5e308, 1.5e308] + [0.0] * 3]
+    assert stacked(B, V, [pt], rows, [0, 0]) == per_pair(B, V, [pt], rows, [0, 0])
+    assert stacked(B, V, [pt], rows, [0, 0])[1] == (True, True)
+
+
+def raised(f, *args):
+    """The type and the text of the error f(*args) raises."""
+    with pytest.raises(Exception) as e:
+        f(*args)
+    return type(e.value), str(e.value)
+
+
+def test_stacked_members_raise_where_the_per_pair_poisson_test_raises():
+    # p·C overflows, so (C·p) v is not finite for any v and the Poisson test
+    # refuses -r - (C·p) v; the symplectic test of the pair finds a nan pairing
+    A = LieAlgebroid(0, 2, [], {(0, 0, 1): "1e300"})
+    U = Subbundle(A, 1, [["1"], ["1"]])
+    pt = DualPoint([], [1e10, 0.0])
+    row = [1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0]
+    with np.errstate(all="ignore"):
+        assert not dirac_member_symplectic(A, U, as_pair(pt, np.array(row)), 1e-8).member
+        # also where U = 0 pairs every covector to 0, so no residual shows it
+        for U, rows in ((U, [row]), (U, [[0.0] * 8, row]), (Subbundle.adapted_rank(A, 0), [row])):
+            error = raised(per_pair, A, U, [pt], rows, [0] * len(rows))
+            assert error[0] is NonFinite
+            assert raised(dirac_members, A, U, [pt], rows, [0] * len(rows), 1e-8) == error
+
+
+def test_stacked_members_raise_at_the_first_row_of_a_point_that_loses_rank():
+    # 2e-8 x1 is a singular value above tol 1e-9 at x1 = 0.3 but below 1e-8
+    A = LieAlgebroid(1, 2, [["1", "0"]], {(0, 0, 1): "x1"})
+    U = Subbundle(A, 2, [["1", "0"], ["0", "2e-8 * x1"]])
+    points = [DualPoint([0.8], [1.0, 0.5]), DualPoint([0.3], [-1.0, 0.5])]
+    generator_matrix(A, U, points[1])  # full rank at the generators' tol
+    rows = np.random.default_rng(3).standard_normal((3, 8))
+    # a point no row uses is not checked
+    assert stacked(A, U, points, rows, [0, 0, 0]) == per_pair(A, U, points, rows, [0, 0, 0])
+    rank = (RankDeficient, "span has numerical rank 1, expected 2 at x=[0.3]")
+    for at in ([0, 1, 0], [1, 0, 0]):
+        assert raised(per_pair, A, U, points, rows, at) == rank
+        assert raised(dirac_members, A, U, points, rows, at, 1e-8) == rank
+    # a row no pair can hold raises where the per-pair run meets it first
+    rows[1, 0] = np.inf
+    for at, kind in (([0, 0, 1], NonFinite), ([1, 0, 0], RankDeficient), ([0, 1, 0], NonFinite)):
+        error = raised(per_pair, A, U, points, rows, at)
+        assert error[0] is kind
+        assert raised(dirac_members, A, U, points, rows, at, 1e-8) == error
+    # no rows: nothing to check
+    sym, poi = dirac_members(A, U, points[1:], np.zeros((0, 8)), [], 1e-8)
+    assert sym.shape == poi.shape == (0,)
+    # nor does a point whose bracket fails to evaluate raise before its row
+    B = LieAlgebroid(1, 2, [["1", "0"]], {(0, 0, 1): "sqrt(x1)"})
+    V = Subbundle.full(B)
+    points = [DualPoint([1.0], [1.0, 0.5]), DualPoint([-1.0], [1.0, 0.5])]
+    for at, kind in (([0, 1, 0], NonFinite), ([0, 0, 1], NonFinite), ([1, 0, 0], EvaluationFault)):
+        error = raised(per_pair, B, V, points, rows, at)
+        assert error[0] is kind
+        assert raised(dirac_members, B, V, points, rows, at, 1e-8) == error
+
+
+def test_stacked_residuals_are_the_per_pair_residuals():
+    from algmech.dirac import _stacked_residuals
+
+    def residuals(A, U, pt, rows):
+        """The stacked residuals of rows at one point, and the per-pair ones."""
+        N, (S, Q, _, _) = len(rows), U._frames(pt.base, 1e-8)
+        C = [A.structure_at(pt.x.tolist())] * N
+        sym, poi, bound, ok = _stacked_residuals(
+            A, rows, np.array([pt.p] * N), np.array(C), np.array([S] * N), np.array([Q] * N), 1e-8)
+        per = [[(rep.span_residual, rep.anchor_residual, rep.annihilator_residual)
+                for rep in (dirac_member_symplectic(A, U, dp, 1e-8),
+                            dirac_member_poisson(A, U, dp, 1e-8))]
+               for dp in (as_pair(pt, row) for row in rows)]
+        return np.stack([sym.T, poi.T], axis=1), np.array(per), ok
+
+    rng = np.random.default_rng(6)
+    for bundle in map(get_model, model_names()):
+        A, U = bundle.system.A, bundle.system.U
+        for _ in range(5):
+            pt = DualPoint([rng.uniform(lo, hi) for lo, hi in bundle.box],
+                           rng.standard_normal(A.n) * 10.0 ** rng.uniform(-2, 2))
+            inside = rng.standard_normal((20, 2 * A.n)) @ generator_matrix(A, U, pt)
+            rows = np.vstack([inside, rng.standard_normal((20, 4 * A.n))])
+            got, want, ok = residuals(A, U, pt, rows)
+            assert ok.all()
+            # the anchor defect is the same floats; the others differ by rounding
+            assert np.array_equal(got[:, :, 1], want[:, :, 1])
+            scale = 1.0 + np.linalg.norm(rows, axis=1)[:, None, None]
+            assert (np.abs(got - want) <= 1e-15 * scale).all()
+            if U.adapted:  # the pairing with the span picks entries of r + u + (C·p) z
+                assert np.array_equal(got[:, :, 2], want[:, :, 2])
+    # a nan pairing is kept, and the row is left to the per-pair tests
+    A = LieAlgebroid(0, 2, [], {(0, 0, 1): "1e300"})
+    U, pt = Subbundle(A, 1, [["1"], ["1"]]), DualPoint([], [1.0, 0.0])
+    got, want, ok = residuals(A, U, pt, np.array([[1e10, 1e10] + [0.0] * 6]))
+    assert np.isnan(got[0, 0, 2]) and np.isnan(want[0, 0, 2]) and not ok[0]
+
+
+def test_stacked_cp_rows_are_the_floats_of_cp_dot():
+    from algmech.dirac import _cp_rows
+
+    rng = np.random.default_rng(9)
+    for A, U, box in models_and_x_dependent():
+        points = [DualPoint([rng.uniform(lo, hi) for lo, hi in box], rng.standard_normal(A.n))
+                  for _ in range(3)]
+        at = rng.integers(3, size=40)
+        Z = rng.standard_normal((40, A.n)) * 10.0 ** rng.uniform(-3, 3, (40, 1))
+        P = np.array([points[j].p for j in at])
+        C = np.array([A.structure_at(points[j].x.tolist()) for j in at])
+        expected = [A.cp_dot(points[j], [z.tolist()])[0] for j, z in zip(at, Z)]
+        assert _cp_rows(A, P, C, Z).tobytes() == np.array(expected).tobytes()
+
+
+def test_dirac_generators_are_the_rows_of_the_generator_matrix():
+    rng = np.random.default_rng(12)
+    for A, U in scenarios():
+        pt = random_dual(A, rng)
+        M = generator_matrix(A, U, pt)
+        basis = dirac_generators(A, U, pt)
+        assert np.array_equal(basis.matrix(), M) and basis.base is pt
+        assert self_orthogonality(M) == check_self_orthogonal(basis)
