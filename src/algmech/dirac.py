@@ -53,11 +53,33 @@ class DiracPair(_Record):
 
 
 class DiracBasis(_Record):
+    """Generators over a base point.  A basis from :func:`dirac_generators`
+    holds the matrix they came from, read-only and outside its fields, and
+    builds its generators from the rows on first read; equality, hash and
+    repr read the fields, so they build them too."""
+
+    __slots__ = ("_matrix",)
     _fields = ("base", "generators")
 
+    def __getattr__(self, name):  # reached only for a field not yet built
+        if name != "generators":
+            raise AttributeError(f"'DiracBasis' object has no attribute {name!r}")
+        M, pt = self._matrix, self.base
+        n, vector, covector = M.shape[1] // 4, ProlongVector._trusted, ProlongCovector._trusted
+        self.__dict__[name] = pairs = tuple(
+            DiracPair._trusted(X=vector(base=pt, z=g[:n], u=g[n : 2 * n]),
+                               alpha=covector(base=pt, r=g[2 * n : 3 * n], v=g[3 * n :]))
+            for g in M)
+        return pairs
+
+    def __reduce__(self):  # the slot cannot be restored past __setattr__
+        return DiracBasis, self._values()
+
     def matrix(self) -> np.ndarray:
-        """Generators stacked as rows of a (2n, 4n) matrix."""
-        return np.array([g.coordinates() for g in self.generators])
+        """Generators stacked as rows of a (2n, 4n) matrix: the held one,
+        read-only, or one built from the generators."""
+        M = getattr(self, "_matrix", None)
+        return np.array([g.coordinates() for g in self.generators]) if M is None else M
 
 
 class MembershipReport(_Record):
@@ -203,7 +225,7 @@ def generator_matrix(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> np.ndarray
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
     n = A.n
-    _, Q, Qc, _ = U._frames(pt.base, DEFAULT_RANK_TOL)
+    Q, Qc = U._frames(pt.base, DEFAULT_RANK_TOL)[1:3]
     r = Q.shape[1]
     M = np.zeros((2 * n, 4 * n))
     for i, w in enumerate(A.cp_dot(pt, Q.T.tolist())):
@@ -223,13 +245,13 @@ def _momentum_rows(n: int) -> np.ndarray:
 
 
 def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
-    """The pairs of :func:`generator_matrix`, in its row order, over ``pt``."""
-    n = A.n
-    vector, covector = ProlongVector._trusted, ProlongCovector._trusted
-    return DiracBasis(pt, tuple(
-        DiracPair._trusted(X=vector(base=pt, z=g[:n], u=g[n : 2 * n]),
-                           alpha=covector(base=pt, r=g[2 * n : 3 * n], v=g[3 * n :]))
-        for g in generator_matrix(A, U, pt)))
+    """The pairs of :func:`generator_matrix`, in its row order, over ``pt``;
+    the basis holds that matrix, made read-only, as its ``matrix()``."""
+    M = generator_matrix(A, U, pt)
+    M.flags.writeable = False
+    basis = DiracBasis._trusted(base=pt)
+    object.__setattr__(basis, "_matrix", M)
+    return basis
 
 
 def check_self_orthogonal(basis: DiracBasis) -> float:
@@ -242,7 +264,7 @@ def check_self_orthogonal(basis: DiracBasis) -> float:
 
 def self_orthogonality(M: np.ndarray) -> float:
     """:func:`check_self_orthogonal` on the generators' matrix M, as
-    :meth:`DiracBasis.matrix` builds it."""
+    :meth:`DiracBasis.matrix` gives it."""
     if not M.size:
         return 0.0
     k = M.shape[1] // 2

@@ -8,15 +8,14 @@ equivalence check.
 from __future__ import annotations
 
 import math
-from operator import mul
 
 import numpy as np
 
 from . import expr
 from .algebroid import BasePoint, FiberPoint, _as_expression, _distances, _passes, _Record
 from .algebroid import _scaled_bound, base_names, contract
-from .dynamics import ImplicitSystem, _along, _fd_derivatives, _point_data
-from .dynamics import _residual_rows, _rk4_step, _row_max, _steps
+from .dynamics import ImplicitSystem, _algebroid_source, _along, _compiled, _dot
+from .dynamics import _fd_derivatives, _point_data, _residual_rows, _rk4_step, _row_max, _steps
 from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 
 FLOW_BOUND = 1e6
@@ -127,16 +126,13 @@ def _hj_residual(G, J, Lx, rho, S) -> np.ndarray:
 
 def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> BaseTrajectory:
     """Fourth-order integration of the induced base field
-    c' = rho(c) gamma(c), on floats."""
-    A, n = sys.A, sys.A.n
-    N = _steps(h, T)
-
-    def field(x):
-        if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
-            return [math.nan] * len(x)
-        g, rho = s._part(s.gamma, x)[0], A.anchor_jet_at(x)[0]
-        return [sum(map(mul, rho[i * n : i * n + n], g)) for i in range(len(x))]
-
+    c' = rho(c) gamma(c), on floats.  The field's first call reads gamma
+    from the jet ``compile_jet2`` gives on a first request (a fresh
+    section's walks the tree), and later calls from the one it gives next."""
+    A, N = sys.A, _steps(h, T)
+    if A._flow is None:
+        A._flow = _emit_flow(A)
+    field = A._flow(lambda: expr.compile_jet2(s.gamma, (), defer=True).checked, s.gamma)
     x = x0.x.tolist()
     pts = [x]
     for k in range(N):
@@ -147,6 +143,30 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
             )
         pts.append(x)
     return BaseTrajectory(np.arange(N + 1) * h, np.array(pts))
+
+
+def _emit_flow(A):
+    """The base field x -> rho(x) gamma(x) on the float list x, compiled
+    from source once per algebroid as ``bind(get, gamma)``: the field of
+    the section part gamma, whose values-only checked jet ``get()`` gives,
+    fetched again after the first call.  rho is the tokens of
+    ``_algebroid_source``; a stage that is not finite gives nan, and a
+    fault in gamma is raised as ``evaluate`` reports it."""
+    m, n = A.m, A.n
+    xs, gs = [f"x{i}" for i in range(m)], [f"g{a}" for a in range(n)]
+    reads, rho, _, _ = _algebroid_source(A, n, "x", jets=False)
+    binding = ", ".join(f"{k!r}: {v}" for k, v in zip(base_names(m), xs))
+    body = ["nonlocal jet, fresh", "if not all(map(isfinite, x)):  # it fails its step's bound",
+            f"    return [nan] * {m}", f"[{', '.join(xs)}] = x"]
+    body += [f"b = {{{binding}}}", "try:", f"    [{', '.join(gs)}] = jet(b)[0]",
+             "except EvaluationFault:", "    for e in gamma:", "        evaluate(e, b)",
+             "    raise", "if fresh:", "    jet, fresh = get(), False"]
+    body += [t for t in reads if t.startswith("rho")]  # the anchor; no bracket
+    body.append(f"return [{', '.join(_dot(row, gs) for row in rho)}]")
+    head = ["def _bind(get, gamma):", "    jet, fresh = get(), True", "    def field(x):"]
+    ns = dict(A=A, isfinite=math.isfinite, nan=math.nan, EvaluationFault=EvaluationFault,
+              evaluate=expr.evaluate)
+    return _compiled(head, body, "    return field", "base flow", ns)
 
 
 class TheoremReport(_Record):

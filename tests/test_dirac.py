@@ -1,10 +1,13 @@
+import copy
+import pickle
 import warnings
 
 import numpy as np
 import pytest
 
-from algmech.algebroid import DualPoint, LieAlgebroid, Subbundle
+from algmech.algebroid import DualPoint, LieAlgebroid, Subbundle, _norm
 from algmech.dirac import (
+    DiracBasis,
     DiracPair,
     check_self_orthogonal,
     dirac_generators,
@@ -441,7 +444,7 @@ def test_stacked_residuals_are_the_per_pair_residuals():
 
     def residuals(A, U, pt, rows):
         """The stacked residuals of rows at one point, and the per-pair ones."""
-        N, (S, Q, _, _) = len(rows), U._frames(pt.base, 1e-8)
+        N, (S, Q) = len(rows), U._frames(pt.base, 1e-8)[:2]
         C = [A.structure_at(pt.x.tolist())] * N
         sym, poi, bound, ok = _stacked_residuals(
             A, rows, np.array([pt.p] * N), np.array(C), np.array([S] * N), np.array([Q] * N), 1e-8)
@@ -497,3 +500,145 @@ def test_dirac_generators_are_the_rows_of_the_generator_matrix():
         basis = dirac_generators(A, U, pt)
         assert np.array_equal(basis.matrix(), M) and basis.base is pt
         assert self_orthogonality(M) == check_self_orthogonal(basis)
+
+
+def numpy_member_distance(U, x, v, tol=1e-9):
+    """``Subbundle.member_distance`` as the numpy product that computed it
+    before it ran on the float columns of the frame: the reference."""
+    Q, v = U._frames(x, tol)[1], np.asarray(v, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _norm(v - Q @ (Q.T @ v))
+
+
+def numpy_annihilator_residual(U, x, xi, tol=1e-9):
+    """``Subbundle.annihilator_residual`` as the numpy product: the reference."""
+    S, xi = U._frames(x, tol)[0], np.asarray(xi, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(np.abs(xi @ S).max(initial=0.0))
+
+
+def reports(A, U, dp, tol=1e-8):
+    """The four fields of both membership reports of ``dp`` as floats, nan
+    for a test that raises (♯(alpha) overflows at the largest scales)."""
+    out = []
+    for test in (dirac_member_symplectic, dirac_member_poisson):
+        try:
+            rep = test(A, U, dp, tol)
+        except NonFinite:
+            out.append([np.nan] * 4)
+            continue
+        out.append([float(rep.member), rep.span_residual, rep.anchor_residual,
+                    rep.annihilator_residual])
+    return np.array(out)
+
+
+def reports_both_ways(A, U, dp, monkeypatch, tol=1e-8):
+    """The reports of ``dp`` on float frames, and with the numpy residuals."""
+    got = reports(A, U, dp, tol)
+    with monkeypatch.context() as m:
+        m.setattr(Subbundle, "member_distance", numpy_member_distance)
+        m.setattr(Subbundle, "annihilator_residual", numpy_annihilator_residual)
+        return got, reports(A, U, dp, tol)
+
+
+def overflow_pairs():
+    """(A, U, pair) of the scale, nan-pairing and overflow tests above."""
+    rigid = get_model("rigid-body").system.A
+    big, zero3 = [1e300, 0.0, 0.0], np.zeros(3)
+    p3 = DualPoint([], [0.0] * 3)
+    out = [(rigid, Subbundle.full(rigid),
+            DiracPair(ProlongVector(p3, big, zero3), ProlongCovector(p3, zero3, big)))]
+    A = LieAlgebroid(0, 2, [], {(0, 0, 1): "1e300"})
+    pt = DualPoint([], [1e10, 0.0])
+    out.append((A, Subbundle(A, 1, [["1"], ["1"]]), DiracPair(
+        ProlongVector(pt, [1.0, 1.0], [1.0, 0.0]), ProlongCovector(pt, [0.0, 0.0], [1.0, 1.0]))))
+    A, pt, zero = LieAlgebroid(0, 2, [], {}), DualPoint([], [0.0, 0.0]), np.zeros(2)
+    for span in ([["2"], ["-2"]], [["1"], ["1"]], [["1"], ["0"]]):
+        for r in ([1e308, 1.5e308], [0.0, 1.5e308], [1.5e308, 1.5e308]):
+            for dp in (DiracPair(ProlongVector(pt, zero, zero), ProlongCovector(pt, r, zero)),
+                       DiracPair(ProlongVector(pt, r, zero), ProlongCovector(pt, zero, r))):
+                out.append((A, Subbundle(A, 1, span), dp))
+    B = LieAlgebroid(0, 3, [], {})
+    out.append((B, Subbundle(B, 1, [["1"], ["0"], ["0"]]), DiracPair(
+        ProlongVector(p3, zero3, zero3), ProlongCovector(p3, [0.0, 1.5e308, 1.5e308], zero3))))
+    return out
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_membership_residuals_on_float_frames_are_the_numpy_formula(monkeypatch):
+    # every report field of the per-pair tests equals, nan for nan, what
+    # the numpy residuals give, on the built-in models (whose frames are
+    # unit columns) at every scale, and on the overflow and nan rows
+    rng = np.random.default_rng(26)
+    cases = []
+    for bundle in map(get_model, model_names()):
+        A, U, n = bundle.system.A, bundle.system.U, bundle.system.A.n
+        for _ in range(6):
+            pt = DualPoint([rng.uniform(lo, hi) for lo, hi in bundle.box], rng.standard_normal(n))
+            inside = rng.standard_normal(2 * n) @ generator_matrix(A, U, pt)
+            for scale in (1e-300, 1.0, 1e160, 1e300):
+                for row in (inside * scale, rng.standard_normal(4 * n) * scale):
+                    cases.append((A, U, as_pair(pt, row)))
+    for A, U, dp in cases + overflow_pairs():
+        got, want = reports_both_ways(A, U, dp, monkeypatch)
+        assert np.array_equal(got, want, equal_nan=True)
+        x, v = dp.X.base.base, np.concatenate([dp.X.z, dp.alpha.r])
+        for row in (v[: A.n], v[A.n :]):
+            assert U.member_distance(x, row) == numpy_member_distance(U, x, row)
+            assert U.annihilator_residual(x, row) == numpy_annihilator_residual(U, x, row)
+    assert any(np.isnan(want).any() for *_, want in [reports_both_ways(*c, monkeypatch)
+                                                     for c in overflow_pairs()])
+    A, U, dp = cases[0]  # a vector of the wrong length is refused, as numpy refused it
+    for residual in (U.member_distance, U.annihilator_residual):
+        with pytest.raises(ValueError):
+            residual(dp.X.base.base, np.ones(A.n + 1))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_membership_residuals_on_an_x_dependent_span_are_the_numpy_formula_to_rounding(monkeypatch):
+    # the frames of this span are not unit columns, so a product rounds; the
+    # float columns sum each product in order from 0.0, while a BLAS kernel
+    # may fuse the multiply-adds (OpenBLAS does for short vectors), so a
+    # residual may differ in its last bits.  The verdicts are the same
+    A, U, box = models_and_x_dependent()[-1]
+    rng = np.random.default_rng(27)
+    for _ in range(60):
+        pt = DualPoint([rng.uniform(*box[0])], rng.standard_normal(A.n))
+        inside = rng.standard_normal(2 * A.n) @ generator_matrix(A, U, pt)
+        for scale in (1e-300, 1.0, 1e160, 1e300):
+            for row in (inside * scale, rng.standard_normal(4 * A.n) * scale):
+                got, want = reports_both_ways(A, U, as_pair(pt, row), monkeypatch)
+                assert np.array_equal(got[:, :3:2], want[:, :3:2], equal_nan=True)  # member, anchor
+                assert np.array_equal(np.isnan(got), np.isnan(want))
+                assert not (np.abs(got - want) > 1e-15 * (np.abs(want) + np.abs(row).max())).any()
+
+
+def test_a_basis_holds_its_generator_matrix_read_only(monkeypatch):
+    rng = np.random.default_rng(28)
+    for A, U in scenarios():
+        pt = random_dual(A, rng)
+        basis = dirac_generators(A, U, pt)
+        M = basis.matrix()
+        assert M is basis.matrix() and np.array_equal(M, generator_matrix(A, U, pt))
+        with pytest.raises(ValueError):
+            M[0, 0] = 1.0
+        with monkeypatch.context() as m:
+            m.setattr(DiracPair, "coordinates", lambda self: pytest.fail("matrix rebuilt"))
+            assert check_self_orthogonal(basis) == self_orthogonality(M)
+        # the generators are the rows, over pt; the matrix is no field
+        assert np.array_equal([g.coordinates() for g in basis.generators], M)
+        assert all(g.X.base is pt and g.alpha.base is pt for g in basis.generators)
+        assert list(vars(basis)) == ["base", "generators"]
+        with pytest.raises(AttributeError):
+            basis._matrix = M
+        # equality, hash and repr read base and generators, as for a basis
+        # built from them, whose matrix is stacked from its generators
+        twin = DiracBasis(pt, basis.generators)
+        assert twin == basis and hash(twin) == hash(basis) and repr(twin) == repr(basis)
+        assert np.array_equal(twin.matrix(), M) and twin.matrix() is not twin.matrix()
+        assert dirac_generators(A, U, pt) != basis  # other pairs, as before
+        fresh = dirac_generators(A, U, pt)
+        assert repr(fresh) == f"DiracBasis(base={pt!r}, generators={fresh.generators!r})"
+        # a copy is a basis over the same fields, as before
+        assert copy.copy(basis) == basis and np.array_equal(copy.deepcopy(basis).matrix(), M)
+        assert np.array_equal(pickle.loads(pickle.dumps(basis)).matrix(), M)

@@ -1,12 +1,15 @@
 import math
+from operator import mul
 
 import numpy as np
 import pytest
 
-from algmech import dynamics
+from algmech import dynamics, expr
 from algmech.algebroid import BasePoint, LieAlgebroid, Subbundle
 from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated
 from algmech.hj import (
+    FLOW_BOUND,
+    BaseTrajectory,
     HJSection,
     SectionReport,
     base_flow,
@@ -410,3 +413,96 @@ def test_a_nan_closedness_defect_is_a_violated_hypothesis():
         with pytest.raises(HypothesisViolated, match="closedness") as info:
             verify_theorem(sys, s, BasePoint([0.0]), 1e-2, 0.02, 1e-8)
     assert math.isnan(info.value.value)
+
+
+def closure_base_flow(sys, s, x0, h, T):
+    """``base_flow`` with the closure field that computed it before the
+    field was emitted once per algebroid: the reference."""
+    A, n = sys.A, sys.A.n
+    N = dynamics._steps(h, T)
+
+    def field(x):
+        if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
+            return [math.nan] * len(x)
+        g, rho = s._part(s.gamma, x)[0], A.anchor_jet_at(x)[0]
+        return [sum(map(mul, rho[i * n : i * n + n], g)) for i in range(len(x))]
+
+    x = x0.x.tolist()
+    pts = [x]
+    for k in range(N):
+        x = dynamics._rk4_step(field, x, field(x), h)
+        if not all(abs(v) <= FLOW_BOUND for v in x):
+            raise FlowBlowUp(f"base flow left |x| <= {FLOW_BOUND:g} at t={(k + 1) * h:g}")
+        pts.append(x)
+    return BaseTrajectory(np.arange(N + 1) * h, np.array(pts))
+
+
+def flow_outcome(flow, sys, s, x0, h, T):
+    """The flow's points as bytes, or the type and message of its fault."""
+    try:
+        return flow(sys, s, x0, h, T).points.tobytes()
+    except (EvaluationFault, FlowBlowUp) as exc:
+        return type(exc), str(exc)
+
+
+def test_the_emitted_base_flow_is_the_closure_field_bit_for_bit():
+    # every HJ section of the built-in models, default and perturbed
+    # (passing and failing), an x-dependent anchor, two horizons, and fresh
+    # sections (whose first field call walks the tree) as well as warm ones
+    cases = []
+    for name in ("free-particle", "harmonic-oscillator"):
+        b = get_model(name)
+        secs = [b.hj_sections["default"]]
+        secs += [b.perturb(np.random.default_rng(seed), seed % 2 == 0) for seed in range(8)]
+        m = b.system.A.m
+        cases += [(b.system, s, BasePoint(x)) for s in secs for x in ([0.0] * m, [0.15] * m)]
+    affine = get_model("affine-rank2").system
+    cases += [(affine, _affine(g1, g2), BasePoint([0.1]))
+              for g1, g2 in (("0", "0.7"), ("0.5", "0.5 * x1 + 0.7"), ("0.5 * x1", "x1"))]
+    for sys, s, x0 in cases:
+        for T in (0.25, 1.0):
+            got = flow_outcome(base_flow, sys, s, x0, 5e-3, T)
+            want = flow_outcome(closure_base_flow, sys, s, x0, 5e-3, T)
+            assert isinstance(got, bytes) and got == want
+            fresh = HJSection(s.n, sys.A.m, list(map(str, s.gamma)), list(map(str, s.gammabar)))
+            assert flow_outcome(base_flow, sys, fresh, x0, 5e-3, T) == got
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("gamma, x0, h, T", [
+    ("x1^3 * 1e3", [0.5], 1e-3, 1.0),  # blows up
+    ("1e300", [0.0], 1e9, 2e9),  # an overflowing stage gives nan
+    ("1e300 * (x1 + 1)", [0.0], 1e9, 2e9),
+    ("1 / x1", [0.0], 1e-2, 1.0),  # a pole at x0, on the first (tree-walking) call
+    ("sqrt(0.3 - x1)", [0.1], 5e-2, 1.0),  # past 0.3 on a later, compiled call
+    ("exp(1000 * x1)", [0.8], 1e-2, 1.0),  # math range error
+    ("1e300 * (x1 + 1e10)", [0.0], 1e-2, 1.0),  # non-finite result inf
+    ("y1", [0.0], 1e-2, 1.0),  # unbound variable
+])
+def test_the_emitted_base_flow_faults_as_the_closure_field(gamma, x0, h, T):
+    sys, x0 = get_model("free-particle", d=1).system, BasePoint(x0)
+    want = flow_outcome(closure_base_flow, sys, HJSection(1, 1, [gamma], ["0"]), x0, h, T)
+    assert not isinstance(want, bytes)
+    s = HJSection(1, 1, [gamma], ["0"])
+    assert flow_outcome(base_flow, sys, s, x0, h, T) == want  # fresh
+    assert flow_outcome(base_flow, sys, s, x0, h, T) == want  # warm
+
+
+def test_a_fresh_sections_first_flow_walks_its_tree_once_then_compiles(monkeypatch):
+    sys = get_model("affine-rank2").system
+    base_flow(sys, _affine("0", "0.7"), BasePoint([0.1]), 5e-3, 0.25)  # emits the field
+    field, misses = sys.A._flow, expr._code.cache_info().misses
+    s, events = _affine("0.5 * x1", "x1 + 0.7"), []
+    for name in ("compile_jet2", "_interpret_jet2", "_build_jet2"):
+        def wrapped(e, wrt, *a, _name=name, _f=getattr(expr, name), **k):
+            if e is s.gamma:
+                events.append(_name)
+            return _f(e, wrt, *a, **k)
+        monkeypatch.setattr(expr, name, wrapped)
+    base_flow(sys, s, BasePoint([0.1]), 5e-3, 0.25)  # 50 steps, 200 field calls
+    assert events == ["compile_jet2", "_interpret_jet2", "compile_jet2", "_build_jet2"]
+    base_flow(sys, s, BasePoint([0.1]), 5e-3, 0.25)
+    assert events[4:] == ["compile_jet2", "compile_jet2"]  # fetched twice a flow, not per call
+    # the source is the algebroid's: another section compiles nothing new
+    assert sys.A._flow is field
+    assert expr._code.cache_info().misses == misses + 1  # the section's own jet
