@@ -11,6 +11,7 @@ infinite coordinate when it is constructed.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 from operator import mul
@@ -90,27 +91,20 @@ class _Carrier:
 
 class _Record(_Carrier):
     """Base of the immutable records: the values named by ``_fields``,
-    given positionally in that order, compared, hashed and shown by value."""
+    given positionally in that order, compared and hashed by value."""
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
         self.__dict__.update(zip(self._fields, values))
 
-    def _values(self) -> tuple:
-        return tuple(getattr(self, f) for f in self._fields)
-
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._values() == other._values()
+        return tuple(vars(self).values()) == tuple(vars(other).values())
 
     def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{k}={v!r}" for k, v in zip(self._fields, self._values()))
-        return f"{type(self).__name__}({fields})"
+        return hash(tuple(vars(self).values()))
 
 
 class BasePoint(_Carrier):
@@ -396,17 +390,15 @@ class Subbundle:
         return np.array([[expr.evaluate(e, binding) for e in row] for row in self.span])
 
     def _decompose(self, binding):
-        """(S, Q, Qc, s, Qf, Sf): the span at ``binding``, the two column
-        blocks of the left factor of its full SVD, its singular values as
-        floats, and the columns of Q and of S as tuples of floats."""
+        """(S, Q, Qc, s): the span at ``binding``, the two column blocks of
+        the left factor of its full SVD and its singular values as floats."""
         S = self._span(binding)
         if self.r == 0:
             W, s = np.eye(self.parent.n), []
         else:
             W, s, _ = np.linalg.svd(S, full_matrices=True)
             s = s.tolist()
-        Q, columns = W[:, : self.r], lambda M: tuple(map(tuple, M.T.tolist()))
-        return S, Q, W[:, self.r :], s, columns(Q), columns(S)
+        return S, W[:, : self.r], W[:, self.r :], s
 
     def span_at(self, x: BasePoint) -> np.ndarray:
         if self._fixed is not None:
@@ -414,10 +406,9 @@ class Subbundle:
         return self._span(x.binding())
 
     def _frames(self, x: BasePoint, tol: float):
-        """(S, Q, Qc, s, Qf, Sf): the span at x, orthonormal bases of U(x)
-        and of its complement, the singular values of S and the float
-        columns of Q and of S, once the numerical rank is checked against
-        tol."""
+        """(S, Q, Qc, s): the span at x, orthonormal bases of U(x) and of
+        its complement and the singular values of S, once the numerical
+        rank is checked against tol."""
         frames = self._fixed if self._fixed is not None else self._decompose(x.binding())
         s = frames[3]
         rank = sum(map((tol * max(s[0] if s else 0.0, 1.0)).__lt__, s))
@@ -433,7 +424,8 @@ class Subbundle:
 
     def completion(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         """Orthonormal n x n frame whose first r columns span U(x)."""
-        return np.hstack(self._frames(x, tol)[1:3])
+        _, Q, Qc, _ = self._frames(x, tol)
+        return np.hstack([Q, Qc])
 
     def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
         residual = self.member_distance(x, v, tol)
@@ -441,15 +433,11 @@ class Subbundle:
         return _passes(residual / s, bound)
 
     def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
-        """Distance of ``v`` from U(x), |v - Q (Qᵀ v)| on the float columns
-        of the orthonormal frame Q (|Q| <= 1 entrywise, so no product
-        exceeds an entry of v or of Qᵀ v)."""
-        Q, v = self._frames(x, tol)[4], _floats(v, self.parent.n)
-        w = [_fold(q, v) for q in Q]  # Qᵀ v
-        proj = [0.0] * len(v)  # Q w, column by column
-        for q, c in zip(Q, w):
-            proj = [t + a * c for t, a in zip(proj, q)]
-        return _norm([a - b for a, b in zip(v, proj)])
+        v = np.asarray(v, dtype=float)
+        Q = self._frames(x, tol)[1]
+        # |Q| <= 1 entrywise: no sum below exceeds (1 + r) sum |v_a|
+        with _quiet((1 + self.r) * sum(map(abs, v.tolist()))):
+            return _norm(v - Q @ (Q.T @ v))
 
     def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
         residual = self.annihilator_residual(x, xi, tol)
@@ -457,42 +445,23 @@ class Subbundle:
         return _passes(residual / s, bound)
 
     def annihilator_residual(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> float:
-        """Largest pairing of ``xi`` with the spanning columns of U(x),
-        summed on their floats; nan if any pairing is nan.  Where that is
-        not finite, numpy's product gives it, as before: its multiply-adds
-        may be fused, so an overflowing pairing can read inf there where
-        the float sum reads inf - inf = nan."""
-        frames, xi = self._frames(x, tol), _floats(xi, self.parent.n)
-        out = _sup_norm([_fold(c, xi) for c in frames[5]])
-        if math.isfinite(out):
-            return out
-        with np.errstate(over="ignore", invalid="ignore"):
-            return float(np.abs(np.array(xi) @ frames[0]).max(initial=0.0))
+        """Largest pairing of ``xi`` with the spanning columns of U(x)."""
+        S, _, _, s = self._frames(x, tol)
+        xi = np.asarray(xi, dtype=float)
+        # |S_ab| <= s[0]: no sum below exceeds s[0] sum |xi_a|
+        with _quiet((s[0] if s else 0.0) * sum(map(abs, xi.tolist()))):
+            return float(np.abs(xi @ S).max(initial=0.0))
 
 
-def _floats(v, n: int) -> list:
-    """The vector v (an array or a sequence of numbers) as a list of n floats."""
-    v = v.tolist() if isinstance(v, np.ndarray) else list(map(float, v))
-    if len(v) != n:
-        raise ValueError(f"vector must have {n} components, got {len(v)}")
-    return v
+_CALM = 1e300  # partial sums below this cannot overflow
+_NO_GUARD = contextlib.nullcontext()
 
 
-def _fold(u, v) -> float:
-    """sum_a u_a v_a as a left fold from 0.0: not ``sum``, which
-    compensates its rounding from Python 3.12 on."""
-    t = 0.0
-    for a, b in zip(u, v):
-        t += a * b
-    return t
-
-
-def _sup_norm(v: list) -> float:
-    """max |v_i| of a float list as numpy gives it: 0 when empty, nan when
-    any entry is nan."""
-    if any(map(math.isnan, v)):
-        return math.nan
-    return max(map(abs, v), default=0.0)
+def _quiet(bound: float):
+    """An np.errstate silencing overflow and invalid warnings in a numpy
+    product whose partial sums are at most ``bound``, or, where the bound
+    is below _CALM (nan and inf are not), a no-op that costs less."""
+    return _NO_GUARD if bound < _CALM else np.errstate(over="ignore", invalid="ignore")
 
 
 def _passes(residual: float, bound: float) -> bool:

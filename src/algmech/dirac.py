@@ -54,26 +54,14 @@ class DiracPair(_Record):
 
 class DiracBasis(_Record):
     """Generators over a base point.  A basis from :func:`dirac_generators`
-    holds the matrix they came from, read-only and outside its fields, and
-    builds its generators from the rows on first read; equality, hash and
-    repr read the fields, so they build them too."""
+    also holds the matrix they came from, read-only, in a slot outside its
+    fields, so equality, hash and repr read only the base and generators."""
 
     __slots__ = ("_matrix",)
     _fields = ("base", "generators")
 
-    def __getattr__(self, name):  # reached only for a field not yet built
-        if name != "generators":
-            raise AttributeError(f"'DiracBasis' object has no attribute {name!r}")
-        M, pt = self._matrix, self.base
-        n, vector, covector = M.shape[1] // 4, ProlongVector._trusted, ProlongCovector._trusted
-        self.__dict__[name] = pairs = tuple(
-            DiracPair._trusted(X=vector(base=pt, z=g[:n], u=g[n : 2 * n]),
-                               alpha=covector(base=pt, r=g[2 * n : 3 * n], v=g[3 * n :]))
-            for g in M)
-        return pairs
-
-    def __reduce__(self):  # the slot cannot be restored past __setattr__
-        return DiracBasis, self._values()
+    def __reduce__(self):  # a copy or pickle holds no matrix: no slot is set past __setattr__
+        return DiracBasis, (self.base, self.generators)
 
     def matrix(self) -> np.ndarray:
         """Generators stacked as rows of a (2n, 4n) matrix: the held one,
@@ -225,7 +213,7 @@ def generator_matrix(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> np.ndarray
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
     n = A.n
-    Q, Qc = U._frames(pt.base, DEFAULT_RANK_TOL)[1:3]
+    _, Q, Qc, _ = U._frames(pt.base, DEFAULT_RANK_TOL)
     r = Q.shape[1]
     M = np.zeros((2 * n, 4 * n))
     for i, w in enumerate(A.cp_dot(pt, Q.T.tolist())):
@@ -247,9 +235,13 @@ def _momentum_rows(n: int) -> np.ndarray:
 def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
     """The pairs of :func:`generator_matrix`, in its row order, over ``pt``;
     the basis holds that matrix, made read-only, as its ``matrix()``."""
-    M = generator_matrix(A, U, pt)
+    n, M = A.n, generator_matrix(A, U, pt)
     M.flags.writeable = False
-    basis = DiracBasis._trusted(base=pt)
+    vector, covector = ProlongVector._trusted, ProlongCovector._trusted
+    basis = DiracBasis(pt, tuple(
+        DiracPair._trusted(X=vector(base=pt, z=g[:n], u=g[n : 2 * n]),
+                           alpha=covector(base=pt, r=g[2 * n : 3 * n], v=g[3 * n :]))
+        for g in M))
     object.__setattr__(basis, "_matrix", M)
     return basis
 

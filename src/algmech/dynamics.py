@@ -23,7 +23,6 @@ from .algebroid import (
     _finite_vector,
     _norm,
     _Record,
-    _sup_norm,
     contract,
 )
 from .errors import Degenerate, EvaluationFault, NewtonDivergence, NonFinite
@@ -136,6 +135,14 @@ def _along(sys: ImplicitSystem, x0: BasePoint, data: list, tol: float) -> tuple:
         S, Q = U._frames(x0, tol)[:2]
     rho = A.anchor_at(x0) if rho is None else rho
     return rho, A.structure_at(x0) if C is None else C, S, Q
+
+
+def _sup_norm(v: list) -> float:
+    """max |v_i| of a float list as numpy gives it: 0 when empty, nan when
+    any entry is nan."""
+    if any(map(math.isnan, v)):
+        return math.nan
+    return max(map(abs, v), default=0.0)
 
 
 def _adapted_field(sys: ImplicitSystem):
