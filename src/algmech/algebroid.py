@@ -386,13 +386,10 @@ class Subbundle:
     def adapted_rank(cls, parent: LieAlgebroid, r: int) -> "Subbundle":
         return cls(parent, r, None, adapted=True)
 
-    def _span(self, binding) -> np.ndarray:
-        return np.array([[expr.evaluate(e, binding) for e in row] for row in self.span])
-
     def _decompose(self, binding):
         """(S, Q, Qc, s): the span at ``binding``, the two column blocks of
         the left factor of its full SVD and its singular values as floats."""
-        S = self._span(binding)
+        S = np.array([[expr.evaluate(e, binding) for e in row] for row in self.span])
         if self.r == 0:
             W, s = np.eye(self.parent.n), []
         else:
@@ -401,52 +398,51 @@ class Subbundle:
         return S, W[:, : self.r], W[:, self.r :], s
 
     def span_at(self, x: BasePoint) -> np.ndarray:
-        if self._fixed is not None:
-            return self._fixed[0]
-        return self._span(x.binding())
+        """The n x r span at x, once its numerical rank is checked."""
+        return self._frames(x)[0]
 
-    def _frames(self, x: BasePoint, tol: float):
+    def _frames(self, x: BasePoint):
         """(S, Q, Qc, s): the span at x, orthonormal bases of U(x) and of
-        its complement and the singular values of S, once the numerical
-        rank is checked against tol."""
+        its complement and the singular values of S, once U's rank is
+        checked at DEFAULT_RANK_TOL; every reader of U comes through here."""
         frames = self._fixed if self._fixed is not None else self._decompose(x.binding())
         s = frames[3]
-        rank = sum(map((tol * max(s[0] if s else 0.0, 1.0)).__lt__, s))
+        rank = sum(map((DEFAULT_RANK_TOL * max(s[0] if s else 0.0, 1.0)).__lt__, s))
         if rank != self.r:
             raise RankDeficient(
                 f"span has numerical rank {rank}, expected {self.r} at x={x.x}"
             )
         return frames
 
-    def annihilator(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    def annihilator(self, x: BasePoint) -> np.ndarray:
         """(n - r) orthonormal covectors spanning the annihilator (rows)."""
-        return self._frames(x, tol)[2].T
+        return self._frames(x)[2].T
 
-    def completion(self, x: BasePoint, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    def completion(self, x: BasePoint) -> np.ndarray:
         """Orthonormal n x n frame whose first r columns span U(x)."""
-        _, Q, Qc, _ = self._frames(x, tol)
+        _, Q, Qc, _ = self._frames(x)
         return np.hstack([Q, Qc])
 
-    def member(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> bool:
-        residual = self.member_distance(x, v, tol)
+    def member(self, x: BasePoint, v, tol: float = 1e-9) -> bool:
+        residual = self.member_distance(x, v)
         s, bound = _scaled_bound(tol, v)
         return _passes(residual / s, bound)
 
-    def member_distance(self, x: BasePoint, v, tol: float = DEFAULT_RANK_TOL) -> float:
+    def member_distance(self, x: BasePoint, v) -> float:
         v = np.asarray(v, dtype=float)
-        Q = self._frames(x, tol)[1]
+        Q = self._frames(x)[1]
         # |Q| <= 1 entrywise: no sum below exceeds (1 + r) sum |v_a|
         with _quiet((1 + self.r) * sum(map(abs, v.tolist()))):
             return _norm(v - Q @ (Q.T @ v))
 
-    def member_annihilator(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> bool:
-        residual = self.annihilator_residual(x, xi, tol)
+    def member_annihilator(self, x: BasePoint, xi, tol: float = 1e-9) -> bool:
+        residual = self.annihilator_residual(x, xi)
         s, bound = _scaled_bound(tol, xi)
         return _passes(residual / s, bound)
 
-    def annihilator_residual(self, x: BasePoint, xi, tol: float = DEFAULT_RANK_TOL) -> float:
+    def annihilator_residual(self, x: BasePoint, xi) -> float:
         """Largest pairing of ``xi`` with the spanning columns of U(x)."""
-        S, _, _, s = self._frames(x, tol)
+        S, _, _, s = self._frames(x)
         xi = np.asarray(xi, dtype=float)
         # |S_ab| <= s[0]: no sum below exceeds s[0] sum |xi_a|
         with _quiet((s[0] if s else 0.0) * sum(map(abs, xi.tolist()))):

@@ -18,7 +18,7 @@ import functools
 
 import numpy as np
 
-from .algebroid import DEFAULT_RANK_TOL, DualPoint, LieAlgebroid, Subbundle, _Record
+from .algebroid import DualPoint, LieAlgebroid, Subbundle, _Record
 from .algebroid import _distances, _norms, _passes, _scaled_bound
 from .errors import AlgmechError
 from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
@@ -77,7 +77,7 @@ class MembershipReport(_Record):
 def lift_subbundle(A: LieAlgebroid, U: Subbundle, pt: DualPoint):
     """Basis of the lift of U to the prolongation: the span columns in
     the z-slot plus every momentum coordinate direction in the u-slot."""
-    S = U.span_at(pt.base)  # finite: span entries are evaluated with a check
+    S = U.span_at(pt.base)  # finite and of rank r: span_at checks both
     zero, vector = np.zeros(A.n), ProlongVector._trusted
     return [vector(base=pt, z=s, u=zero) for s in S.T] + [
         vector(base=pt, z=zero, u=e) for e in np.eye(A.n)
@@ -93,9 +93,9 @@ def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> Membership
     X, alpha = dpair.X, dpair.alpha
     x = X.base.base
     z, v = X.z.tolist(), alpha.v.tolist()
-    span_res = U.member_distance(x, in_U, tol)
+    span_res = U.member_distance(x, in_U)
     anchor_res = max([abs(a - b) for a, b in zip(v, z)], default=0.0)
-    ann_res = U.annihilator_residual(x, ann, tol)
+    ann_res = U.annihilator_residual(x, ann)
     s, bound = _scaled_bound(tol, [*z, *X.u.tolist(), *alpha.r.tolist(), *v])
     ok = (_passes(span_res / s, bound) and _passes(anchor_res / s, bound)
           and _passes(ann_res / s, bound))
@@ -133,9 +133,9 @@ def dirac_members(
     :func:`dirac_member_poisson` on those pairs, which raise as these do.
 
     Each point's data is evaluated once, in the order of first use, and
-    U's rank is checked at ``tol`` there; a point whose data fails to
-    evaluate or whose U loses rank raises at its first row, after the
-    rows before it.  (C·p) z is summed over the
+    U's rank is checked there; a point whose data fails to evaluate or
+    whose U loses rank raises at its first row, after the rows before
+    it.  (C·p) z is summed over the
     bracket table in ``cp_dot``'s order, so r + u + (C·p) z and
     u - (-r - (C·p) v) are the per-pair floats.  A row whose residual,
     bound or u-slot of ♯(alpha) is not finite is decided by the per-pair
@@ -147,7 +147,7 @@ def dirac_members(
     for j in dict.fromkeys(ats):
         pt = points[j]
         try:
-            data[j] = (pt.p, A.structure_at(pt.x.tolist()), *U._frames(pt.base, tol)[:2])
+            data[j] = (pt.p, A.structure_at(pt.x.tolist()), *U._frames(pt.base)[:2])
         except AlgmechError:
             cut = ats.index(j)
             break
@@ -213,7 +213,7 @@ def generator_matrix(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> np.ndarray
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
     n = A.n
-    _, Q, Qc, _ = U._frames(pt.base, DEFAULT_RANK_TOL)
+    _, Q, Qc, _ = U._frames(pt.base)
     r = Q.shape[1]
     M = np.zeros((2 * n, 4 * n))
     for i, w in enumerate(A.cp_dot(pt, Q.T.tolist())):

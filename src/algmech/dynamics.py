@@ -14,7 +14,6 @@ import numpy as np
 
 from . import expr
 from .algebroid import (
-    DEFAULT_RANK_TOL,
     BasePoint,
     LieAlgebroid,
     Subbundle,
@@ -95,8 +94,8 @@ def _residual_reports(sys: ImplicitSystem, states, xdots, pdots, tol: float) -> 
     then one stacked pass."""
     m, jet = sys.A.m, sys.Lg._flat
     grads = np.array([jet([*st.x.tolist(), *st.y.tolist()])[1] for st in states])
-    data = [_point_data(sys, BasePoint._trusted(x=st.x), DEFAULT_RANK_TOL) for st in states]
-    along = _along(sys, BasePoint._trusted(x=states[0].x), data, DEFAULT_RANK_TOL)
+    data = [_point_data(sys, BasePoint._trusted(x=st.x)) for st in states]
+    along = _along(sys, BasePoint._trusted(x=states[0].x), data)
     Y, P = np.array([st.y for st in states]), np.array([st.p for st in states])
     rows = _residual_rows(along, Y, P, xdots, pdots, grads[:, :m], grads[:, m:])
     per_state = zip(*(a.tolist() for a in rows))
@@ -117,22 +116,22 @@ def _row_max(a: np.ndarray) -> np.ndarray:
     return np.abs(a).reshape(len(a), -1).max(axis=1, initial=0.0)
 
 
-def _point_data(sys: ImplicitSystem, x: BasePoint, tol: float) -> tuple:
+def _point_data(sys: ImplicitSystem, x: BasePoint) -> tuple:
     """(rho, C, S, Q) at x, None where constant; Q is an orthonormal basis
-    of U(x) once the rank of the span S is checked against tol."""
+    of U(x) once U's rank is checked there."""
     A, U = sys.A, sys.U
-    S, Q = (None, None) if U._fixed is not None else U._frames(x, tol)[:2]
+    S, Q = (None, None) if U.constant else U._frames(x)[:2]
     rho = None if A.constant_anchor else A.anchor_at(x)
     return rho, None if A.constant_structure else A.structure_at(x), S, Q
 
 
-def _along(sys: ImplicitSystem, x0: BasePoint, data: list, tol: float) -> tuple:
+def _along(sys: ImplicitSystem, x0: BasePoint, data: list) -> tuple:
     """(rho, C, S, Q) along a curve from x0: the rows of ``data`` stacked
     where they depend on x, else the constant array, which broadcasts."""
     A, U = sys.A, sys.U
     rho, C, S, Q = (None if c[0] is None else np.array(c) for c in zip(*data))
-    if U._fixed is not None:
-        S, Q = U._frames(x0, tol)[:2]
+    if U.constant:
+        S, Q = U._frames(x0)[:2]
     rho = A.anchor_at(x0) if rho is None else rho
     return rho, A.structure_at(x0) if C is None else C, S, Q
 

@@ -83,7 +83,7 @@ def check_in_K(sys: ImplicitSystem, s: HJSection, x: BasePoint, tol: float) -> S
     g = s.velocity(x)
     _, _, Ly, _, _, _ = sys.Lg.jet(FiberPoint(x.x, g))
     gb = s.momentum(x)
-    in_U, gap = _in_K(sys.U._frames(x, tol)[1], g[None], gb[None], Ly[None], tol)
+    in_U, gap = _in_K(sys.U._frames(x)[1], g[None], gb[None], Ly[None], tol)
     return SectionReport(bool(in_U[0]), float(gap[0]))
 
 
@@ -126,13 +126,12 @@ def _hj_residual(G, J, Lx, rho, S) -> np.ndarray:
 
 def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> BaseTrajectory:
     """Fourth-order integration of the induced base field
-    c' = rho(c) gamma(c), on floats.  The field's first call reads gamma
-    from the jet ``compile_jet2`` gives on a first request (a fresh
-    section's walks the tree), and later calls from the one it gives next."""
+    c' = rho(c) gamma(c), on floats, with gamma read from its compiled
+    values-only jet."""
     A, N = sys.A, _steps(h, T)
     if A._flow is None:
         A._flow = _emit_flow(A)
-    field = A._flow(lambda: expr.compile_jet2(s.gamma, (), defer=True).checked, s.gamma)
+    field = A._flow(expr.compile_jet2(s.gamma, ()).checked, s.gamma)
     x = x0.x.tolist()
     pts = [x]
     for k in range(N):
@@ -147,23 +146,23 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
 
 def _emit_flow(A):
     """The base field x -> rho(x) gamma(x) on the float list x, compiled
-    from source once per algebroid as ``bind(get, gamma)``: the field of
-    the section part gamma, whose values-only checked jet ``get()`` gives,
-    fetched again after the first call.  rho is the tokens of
-    ``_algebroid_source``; a stage that is not finite gives nan, and a
-    fault in gamma is raised as ``evaluate`` reports it."""
+    from source once per algebroid as ``bind(jet, gamma)``: the field of
+    the section part gamma, whose values-only checked jet is ``jet``.
+    rho is the tokens of ``_algebroid_source``; a stage that is not
+    finite gives nan, and a fault in gamma is raised as ``evaluate``
+    reports it."""
     m, n = A.m, A.n
     xs, gs = [f"x{i}" for i in range(m)], [f"g{a}" for a in range(n)]
     reads, rho, _, _ = _algebroid_source(A, n, "x", jets=False)
     binding = ", ".join(f"{k!r}: {v}" for k, v in zip(base_names(m), xs))
-    body = ["nonlocal jet, fresh", "if not all(map(isfinite, x)):  # it fails its step's bound",
+    body = ["if not all(map(isfinite, x)):  # it fails its step's bound",
             f"    return [nan] * {m}", f"[{', '.join(xs)}] = x"]
     body += [f"b = {{{binding}}}", "try:", f"    [{', '.join(gs)}] = jet(b)[0]",
              "except EvaluationFault:", "    for e in gamma:", "        evaluate(e, b)",
-             "    raise", "if fresh:", "    jet, fresh = get(), False"]
+             "    raise"]
     body += [t for t in reads if t.startswith("rho")]  # the anchor; no bracket
     body.append(f"return [{', '.join(_dot(row, gs) for row in rho)}]")
-    head = ["def _bind(get, gamma):", "    jet, fresh = get(), True", "    def field(x):"]
+    head = ["def _bind(jet, gamma):", "    def field(x):"]
     ns = dict(A=A, isfinite=math.isfinite, nan=math.nan, EvaluationFault=EvaluationFault,
               evaluate=expr.evaluate)
     return _compiled(head, body, "    return field", "base flow", ns)
@@ -199,7 +198,7 @@ def verify_theorem(
             g = s._part(s.gamma, x)[0]
             grad = Lg._flat([*x, *g])[1]
             gb, J = s._part(s.gammabar, x, True)
-            data.append(_point_data(sys, BasePoint._trusted(x=X[k]), tol_K))
+            data.append(_point_data(sys, BasePoint._trusted(x=X[k])))
         except (EvaluationFault, RankDeficient) as exc:
             fault = exc
             break
@@ -207,7 +206,7 @@ def verify_theorem(
     if rows:  # the points before a fault are checked first
         G, grads, GB, J = (np.array(c) for c in zip(*rows))
         J, Lx, Ly = J.reshape(len(rows), s.n, m), grads[:, :m], grads[:, m:]
-        along = rho, C, S, Q = _along(sys, x0, data, tol_K)
+        along = rho, C, S, Q = _along(sys, x0, data)
         in_U, gap = _in_K(Q, G, GB, Ly, tol_K)
         closed = _closedness(rho, C, S, J, GB)
         bad = ~(in_U & (gap <= tol_K) & (closed <= tol_K))  # a nan defect is bad

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -281,18 +282,26 @@ def test_x_dependent_structure_mirrors_each_entry_as_zero_minus_it():
         assert np.array_equal(dC, dref)
 
 
-def test_span_rank_is_checked_on_use_with_the_callers_tol():
-    A = tangent(2)
-    U = Subbundle(A, 1, [["1"], ["x1"]])
-    x = BasePoint([2.0, 0.0])
-    assert U.member(x, [1.0, 2.0])
-    with pytest.raises(RankDeficient):
-        U.completion(x, tol=10.0)
+def test_span_rank_is_checked_on_use_at_its_x_at_one_tol():
+    # 1e-9 is the one rank tol: 2e-9 x1 keeps the second column where
+    # x1 > 0.5 and cuts it below, at the x of each call
+    U = Subbundle(tangent(2), 2, [["1", "0"], ["0", "2e-9 * x1"]])
+    for _ in range(2):
+        for x1, ok in ((2.0, True), (0.6, True), (0.4, False), (0.0, False)):
+            x = BasePoint([x1, 0.0])
+            readers = (U.span_at, U.completion, U.annihilator,
+                       lambda x: U.member(x, [1.0, 0.0], tol=10.0),
+                       lambda x: U.member_annihilator(x, [0.0, 0.0], tol=10.0))
+            for read in readers:
+                if ok:
+                    read(x)
+                else:
+                    with pytest.raises(RankDeficient, match=re.escape(f"2 at x={x.x}")):
+                        read(x)
     # a constant span is decomposed when built but rank-checked when used
     V = Subbundle(so3(), 2, [["1", "2"], ["1", "2"], ["0", "1e-12"]])
-    assert V.completion(ORIGIN, tol=1e-14).shape == (3, 3)
     with pytest.raises(RankDeficient):
-        V.completion(ORIGIN)
+        V.span_at(ORIGIN)
 
 
 def test_contract_matches_einsum_on_antisymmetric_arrays():
@@ -341,18 +350,29 @@ def test_membership_bounds_that_overflow_are_scaled():
     assert not W.member_annihilator(ORIGIN, [1.5e308, 0.0, 1.5e308])
 
 
-def test_constant_span_rank_uses_the_callers_tol_at_its_singular_values():
-    # singular values 1 and 1e-6: a tol on either side of their ratio
-    # keeps or cuts the second one, on every call
-    V = Subbundle(so3(), 2, [["1", "0"], ["0", "1e-6"], ["0", "0"]])
+def test_constant_span_rank_is_one_tol_at_its_singular_values():
+    # singular-value ratios 1e-6 and 1e-12 lie on either side of the rank
+    # tol 1e-9, on every call, whatever tol a membership test is given
+    wide = Subbundle(so3(), 2, [["1", "0"], ["0", "1e-6"], ["0", "0"]])
+    thin = Subbundle(so3(), 2, [["1", "0"], ["0", "1e-12"], ["0", "0"]])
     for _ in range(2):
-        assert V.completion(ORIGIN, tol=0.9e-6).shape == (3, 3)
-        with pytest.raises(RankDeficient, match="numerical rank 1, expected 2"):
-            V.completion(ORIGIN, tol=1.1e-6)
-        with pytest.raises(RankDeficient):
-            V.member(ORIGIN, [1.0, 0.0, 0.0], tol=1.1e-6)
+        assert wide.completion(ORIGIN).shape == (3, 3)
+        assert wide.member(ORIGIN, [1.0, 0.0, 0.0], tol=1e-5)
+        assert wide.member_annihilator(ORIGIN, [0.0, 0.0, 1.0], tol=1e-5)
+        for read in (thin.span_at, thin.completion, thin.annihilator,
+                     lambda x: thin.member(x, [1.0, 0.0, 0.0], tol=1e-14),
+                     lambda x: thin.member_distance(x, [1.0, 0.0, 0.0]),
+                     lambda x: thin.annihilator_residual(x, [0.0, 0.0, 1.0])):
+            with pytest.raises(RankDeficient, match="numerical rank 1, expected 2"):
+                read(ORIGIN)
+    # no reader takes a rank tol of its own
+    for read in (wide.completion, wide.annihilator):
+        with pytest.raises(TypeError):
+            read(ORIGIN, tol=1e-14)
+    with pytest.raises(TypeError):
+        wide.member_distance(ORIGIN, [1.0, 0.0, 0.0], 1e-14)
     # a rank-0 span has no singular values and is never deficient
-    assert Subbundle(so3(), 0, [[], [], []]).annihilator(ORIGIN, tol=10.0).shape == (3, 3)
+    assert Subbundle(so3(), 0, [[], [], []]).annihilator(ORIGIN).shape == (3, 3)
 
 
 def test_an_overflowing_jacobi_defect_fails_validation():

@@ -601,34 +601,42 @@ def test_dirac_check_stdout_is_byte_identical_to_its_recorded_digest(capsys, arg
     assert code == 0 and hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-# 2e-8 x1 is a singular value above the generators' rank tol 1e-9 on the
-# box but below the membership tests' 1e-8 where x1 < 0.5
+# 2e-9 x1 is a singular value above U's one rank tol 1e-9 where x1 > 0.5
+# and below it where x1 < 0.5
 NARROW_SPAN = {
     "m": 1, "n": 2, "r": 2, "anchor": [["1", "0"]], "structure": {"1,1,2": "x1"},
-    "lagrangian": "0.5 * y1^2 + 0.5 * y2^2", "subbundle": [["1", "0"], ["0", "2e-8 * x1"]],
+    "lagrangian": "0.5 * y1^2 + 0.5 * y2^2", "subbundle": [["1", "0"], ["0", "2e-9 * x1"]],
     "box": [[0.3, 1.0]],
 }
 
 
-@pytest.mark.parametrize("cfg, args, error", [
-    # a constant span: the first pair meets it
-    ({**NARROW_SPAN, "m": 0, "anchor": [], "structure": {}, "box": [],
-      "subbundle": [["1", "0"], ["0", "5e-9"]]},
-     ("--pairs", "0", "--points", "3"), None),
-    ({**NARROW_SPAN, "m": 0, "anchor": [], "structure": {}, "box": [],
-      "subbundle": [["1", "0"], ["0", "5e-9"]]},
-     ("--pairs", "1", "--points", "3"), "x=[]"),
-    # seed 0 samples x1 = 0.746, 0.312, ...: the second point used fails
-    (NARROW_SPAN, ("--seed", "0", "--points", "5", "--pairs", "1"), None),
-    (NARROW_SPAN, ("--seed", "0", "--points", "5", "--pairs", "2"), "x=[0.31156934]"),
-    # seed 1 samples x1 = 0.658, 0.964, 0.879, 0.319, 0.531: the fourth fails
-    (NARROW_SPAN, ("--seed", "1", "--points", "5", "--pairs", "3"), None),
-    (NARROW_SPAN, ("--seed", "1", "--points", "5", "--pairs", "40"), "x=[0.31929138]"),
-])
-def test_dirac_check_holds_the_span_rank_to_the_membership_tol(tmp_path, capsys, cfg, args,
-                                                               error):
-    code, out = _main(capsys, "dirac-check", "--config", _config_file(tmp_path, cfg), *args)
-    if error is None:
-        assert code == 0 and out.endswith("verdict: pass\n")
-    else:
-        assert (code, out) == (6, f"error: span has numerical rank 1, expected 2 at {error}\n")
+def _constant_span(second):
+    """A config with no base whose span has singular values 1 and ``second``."""
+    return {**NARROW_SPAN, "m": 0, "anchor": [], "structure": {}, "box": [],
+            "subbundle": [["1", "0"], ["0", second]],
+            "hj_sections": {"default": {"gamma": ["1", "0.5"], "gammabar": ["1", "0.5"]}}}
+
+
+def test_every_command_holds_a_constant_span_to_one_rank_tol(tmp_path, capsys):
+    # 5e-9 is above the rank tol 1e-9 and 5e-10 below it, for every command
+    error = (6, "error: span has numerical rank 1, expected 2 at x=[]\n")
+    for second, ok in (("5e-9", True), ("5e-10", False)):
+        path = _config_file(tmp_path, _constant_span(second))
+        for argv in (("dirac-check", "--pairs", "0", "--points", "3"),
+                     ("dirac-check", "--pairs", "1", "--points", "3"), ("hj-check",)):
+            code, out = _main(capsys, *argv, "--config", path)
+            assert (code == 0 and out.endswith("verdict: pass\n")) if ok else (code, out) == error
+        code, out = _main(capsys, "validate", "--config", path)
+        assert f"subbundle_rank_ok: {ok}\n" in out
+        assert (code == 0 and out.endswith("verdict: pass\n")) if ok else code == 2
+
+
+@pytest.mark.parametrize("seed, error", [("0", "x=[0.31156934]"), ("1", "x=[0.31929138]")])
+@pytest.mark.parametrize("pairs", ["0", "2", "40"])
+def test_dirac_check_names_the_first_sampled_point_where_u_loses_rank(tmp_path, capsys, seed,
+                                                                     error, pairs):
+    # seed 0 samples x1 = 0.746, 0.312, ... and seed 1 x1 = 0.658, 0.964,
+    # 0.879, 0.319, 0.531: the generators check U's rank at every point
+    code, out = _main(capsys, "dirac-check", "--config", _config_file(tmp_path, NARROW_SPAN),
+                      "--seed", seed, "--points", "5", "--pairs", pairs)
+    assert (code, out) == (6, f"error: span has numerical rank 1, expected 2 at {error}\n")

@@ -1,12 +1,14 @@
 import math
+import re
 from operator import mul
 
 import numpy as np
 import pytest
 
 from algmech import dynamics, expr
-from algmech.algebroid import BasePoint, LieAlgebroid, Subbundle
-from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated
+from algmech.algebroid import BasePoint, DualPoint, LieAlgebroid, Subbundle
+from algmech.dirac import lift_subbundle
+from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 from algmech.hj import (
     FLOW_BOUND,
     BaseTrajectory,
@@ -448,7 +450,7 @@ def flow_outcome(flow, sys, s, x0, h, T):
 def test_the_emitted_base_flow_is_the_closure_field_bit_for_bit():
     # every HJ section of the built-in models, default and perturbed
     # (passing and failing), an x-dependent anchor, two horizons, and fresh
-    # sections (whose first field call walks the tree) as well as warm ones
+    # sections as well as warm ones
     cases = []
     for name in ("free-particle", "harmonic-oscillator"):
         b = get_model(name)
@@ -473,8 +475,8 @@ def test_the_emitted_base_flow_is_the_closure_field_bit_for_bit():
     ("x1^3 * 1e3", [0.5], 1e-3, 1.0),  # blows up
     ("1e300", [0.0], 1e9, 2e9),  # an overflowing stage gives nan
     ("1e300 * (x1 + 1)", [0.0], 1e9, 2e9),
-    ("1 / x1", [0.0], 1e-2, 1.0),  # a pole at x0, on the first (tree-walking) call
-    ("sqrt(0.3 - x1)", [0.1], 5e-2, 1.0),  # past 0.3 on a later, compiled call
+    ("1 / x1", [0.0], 1e-2, 1.0),  # a pole at x0, on the first call
+    ("sqrt(0.3 - x1)", [0.1], 5e-2, 1.0),  # past 0.3 on a later call
     ("exp(1000 * x1)", [0.8], 1e-2, 1.0),  # math range error
     ("1e300 * (x1 + 1e10)", [0.0], 1e-2, 1.0),  # non-finite result inf
     ("y1", [0.0], 1e-2, 1.0),  # unbound variable
@@ -488,7 +490,7 @@ def test_the_emitted_base_flow_faults_as_the_closure_field(gamma, x0, h, T):
     assert flow_outcome(base_flow, sys, s, x0, h, T) == want  # warm
 
 
-def test_a_fresh_sections_first_flow_walks_its_tree_once_then_compiles(monkeypatch):
+def test_a_flow_fetches_its_sections_compiled_jet_once(monkeypatch):
     sys = get_model("affine-rank2").system
     base_flow(sys, _affine("0", "0.7"), BasePoint([0.1]), 5e-3, 0.25)  # emits the field
     field, misses = sys.A._flow, expr._code.cache_info().misses
@@ -500,9 +502,29 @@ def test_a_fresh_sections_first_flow_walks_its_tree_once_then_compiles(monkeypat
             return _f(e, wrt, *a, **k)
         monkeypatch.setattr(expr, name, wrapped)
     base_flow(sys, s, BasePoint([0.1]), 5e-3, 0.25)  # 50 steps, 200 field calls
-    assert events == ["compile_jet2", "_interpret_jet2", "compile_jet2", "_build_jet2"]
+    assert events == ["compile_jet2", "_build_jet2"]  # a fresh section compiles, no tree walk
     base_flow(sys, s, BasePoint([0.1]), 5e-3, 0.25)
-    assert events[4:] == ["compile_jet2", "compile_jet2"]  # fetched twice a flow, not per call
+    assert events[2:] == ["compile_jet2"]  # fetched once a flow, not per call
     # the source is the algebroid's: another section compiles nothing new
     assert sys.A._flow is field
     assert expr._code.cache_info().misses == misses + 1  # the section's own jet
+
+
+def test_every_reader_of_U_refuses_a_span_that_lost_rank():
+    # 2e-9 x1 is a singular value below the rank tol 1e-9 where x1 < 0.5,
+    # and 5e-10 is below it everywhere
+    A = LieAlgebroid(1, 2, [["1", "0"]], {})
+    Lg, s = Lagrangian(A, "0.5 * y1^2 + 0.5 * y2^2"), HJSection(2, 1, ["1", "0"], ["1", "0"])
+    for column, x1, ok in ((["0", "2e-9 * x1"], 0.8, True), (["0", "2e-9 * x1"], 0.3, False),
+                           (["0", "5e-10"], 0.8, False)):
+        U = Subbundle(A, 2, [["1", "0"], column])
+        sys, x = dynamics.ImplicitSystem(A, Lg, U), BasePoint([x1])
+        readers = [lambda: U.span_at(x), lambda: lift_subbundle(A, U, DualPoint([x1], [1.0, 0.5])),
+                   lambda: check_closedness(sys, s, x), lambda: hj_residual(sys, s, x)]
+        if ok:
+            for read in readers:
+                read()
+            continue
+        for read in [*readers, lambda: verify_theorem(sys, s, x, 1e-2, 0.1, 1e-8)]:
+            with pytest.raises(RankDeficient, match=re.escape(f"rank 1, expected 2 at x={x.x}")):
+                read()
