@@ -399,6 +399,115 @@ def test_rigid_body_newton_takes_at_most_three_iterations(monkeypatch):
     assert max(iterations.values()) <= 3
 
 
+def _flat_states(sys, traj) -> list:
+    """Each state of a midpoint trajectory as the float list (x, ya, p) that
+    Newton solved for."""
+    r = sys.U.r
+    return [[*st.x.tolist(), *st.y[:r].tolist(), *st.p.tolist()] for st in traj.states]
+
+
+def test_newton_starts_from_prev_then_the_linear_then_the_quadratic_extrapolation(monkeypatch):
+    starts, exact = [], dynamics._newton
+
+    def recording(step, delta, prev, guess):
+        starts.append((prev, guess))
+        return exact(step, delta, prev, guess)
+
+    monkeypatch.setattr(dynamics, "_newton", recording)
+    sys = get_model("pendulum").system
+    us = _flat_states(sys, integrate(sys, ([0.4], [0.6]), 1e-2, 0.1, method="implicit_midpoint"))
+    assert len(starts) == 10 and [prev for prev, _ in starts] == us[:-1]
+    assert starts[0][1] is starts[0][0]
+    assert starts[1][1] == [2.0 * a - b for a, b in zip(us[1], us[0])]
+    for k, (_, guess) in enumerate(starts[2:], 2):
+        assert guess == [3.0 * (a - b) + c for a, b, c in zip(us[k], us[k - 1], us[k - 2])]
+
+
+BENCH_IMPLICIT_SYSTEMS = pytest.mark.parametrize(
+    "system",
+    [
+        lambda: get_model("pendulum").system,
+        lambda: get_model("harmonic-oscillator").system,
+        lambda: get_model("rigid-body").system,
+        lambda: get_model("affine-rank2").system,
+        lambda: get_model("suslov", inertia=COUPLED_INERTIA).system,
+    ],
+    ids=["pendulum", "harmonic-oscillator", "rigid-body", "affine-rank2", "suslov-coupled"],
+)
+
+
+@BENCH_IMPLICIT_SYSTEMS
+def test_each_midpoint_step_from_step_2_builds_one_jacobian(monkeypatch, system):
+    # the extrapolated start is O(h^3) from the root, so one Newton
+    # iteration meets the stopping test; keep every prev alive so the ids
+    # that key the steps stay distinct
+    steps, builds, exact = [], Counter(), dynamics._midpoint_step
+
+    def counting(sys, h):
+        step = exact(sys, h)
+
+        def counted(prev, u):
+            if id(prev) not in builds:
+                steps.append(prev)
+                builds[id(prev)] = 0
+            F, jac = step(prev, u)
+            return F, lambda: builds.update([id(prev)]) or jac()
+
+        return counted
+
+    monkeypatch.setattr(dynamics, "_midpoint_step", counting)
+    sys = system()
+    rng = np.random.default_rng(28)
+    for _ in range(3):
+        x0 = [rng.uniform(-0.5, 0.5) for _ in range(sys.A.m)]
+        ya0 = rng.uniform(0.2, 0.8, sys.U.r) * rng.choice([-1.0, 1.0], sys.U.r)
+        first = len(steps)
+        traj = integrate(sys, (x0, ya0), 1e-2, 1.0, method="implicit_midpoint")
+        assert len(traj.states) == 101 and len(steps) == first + 100
+        assert [builds[id(prev)] for prev in steps[first + 2 :]] == [1] * 98
+
+
+def _midpoint_from_prev(sys, x0, ya0, h, T):
+    """The midpoint states with every Newton solve started from the previous
+    state, or None where a step does not converge."""
+    m, n, r = sys.A.m, sys.A.n, sys.U.r
+    step, delta = dynamics._midpoint_step(sys, h), dynamics._newton_kernel(m, r, n)
+    e0 = FiberPoint(np.array(x0, dtype=float), np.concatenate([ya0, np.zeros(n - r)]))
+    us = [[*e0.x.tolist(), *ya0.tolist(), *sys.Lg.jet(e0)[2].tolist()]]
+    for _ in range(round(T / h)):
+        try:
+            u, _ = dynamics._newton(step, delta, us[-1], us[-1])
+        except (EvaluationFault, NonFinite):
+            return None
+        if u is None:
+            return None
+        us.append(u)
+    return us
+
+
+@pytest.mark.parametrize("h", [0.05, 0.1, 0.25, 0.5])
+def test_the_extrapolated_start_loses_no_trajectory_the_previous_state_finds(h):
+    bundles = [get_model(name) for name in model_names()]
+    bundles.append(get_model("suslov", inertia=COUPLED_INERTIA))
+    rng = np.random.default_rng([28, round(100 * h)])
+    converged = 0
+    for bundle in bundles:
+        sys = bundle.system
+        for _ in range(10):
+            x0 = [rng.uniform(lo, hi) for lo, hi in bundle.box]
+            ya0 = rng.uniform(-2.4, 2.4, sys.U.r)
+            T = h * rng.integers(math.ceil(2 / h), math.floor(5 / h) + 1)
+            ref = _midpoint_from_prev(sys, x0, ya0, h, T)
+            if ref is None:
+                continue
+            us = _flat_states(sys, integrate(sys, (x0, ya0), h, T, method="implicit_midpoint"))
+            assert len(us) == len(ref)
+            for u, v in zip(us, ref):
+                assert np.abs(np.subtract(u, v)).max() <= 1e-9 * (1.0 + np.linalg.norm(v))
+            converged += 1
+    assert converged >= 72  # of 80: the check is not vacuous
+
+
 def _generic_midpoint(sys, h, prev, u):
     """F and J of the midpoint step as generic loops over float rows with
     numpy blocks, the way they were computed before the step was emitted

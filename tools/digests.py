@@ -3,15 +3,16 @@
     python tools/digests.py [SRC]        the groups of the package under SRC
                                          (default: the src/ beside tools/)
     python tools/digests.py SRC OTHER    both trees, each in a subprocess of
-                                         this interpreter, and the groups
-                                         that differ
+                                         this interpreter, the groups that
+                                         differ, and by how much
 
 A change that keeps every output bit-identical keeps every group.  Each
 group hashes floats exactly (``float.hex``, array bytes), and an error
 by its type and message, so a run that raises is compared too:
 
 - ``integrate``: RK4 and implicit-midpoint states and ``energy_drift`` of
-  15 systems from 3 seeded starts at (h, T) = (1e-2, 0.3) and (1e-3, 0.05);
+  15 systems from 3 seeded starts at (h, T) = (1e-2, 0.3), (1e-3, 0.05)
+  and (1e-2, 1.0);
 - ``lift``: the lift residuals of those trajectories;
 - ``degenerate``: the RK4 errors of degenerate-demo from the same starts;
 - ``hj``: ``base_flow`` and ``verify_theorem`` on every HJ section of the
@@ -21,6 +22,12 @@ by its type and message, so a run that raises is compared too:
   x-dependent configs;
 - ``cli``: stdout and the ``--out`` CSV of the README commands and of the
   five bench ``cli`` argvs at seeds 1 and 7, run in a temporary directory.
+
+For each group that differs, the two-tree form prints the largest
+absolute deviation over the group's floats (the numbers in its text
+included) and how many of them differ in any bit; for the trajectory
+groups also per (h, T).  Where the two sides differ in structure (an error
+on one side, other lengths, other text), it prints the first place instead.
 
 Compare digests made by one interpreter only: ``sum`` compensates its
 rounding from Python 3.12 on, and stacked numpy products may round
@@ -33,7 +40,10 @@ import contextlib
 import hashlib
 import importlib
 import io
+import math
 import os
+import pickle
+import re
 import subprocess
 import sys
 import tempfile
@@ -42,7 +52,8 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-GRIDS = ((1e-2, 0.3), (1e-3, 0.05))
+GRIDS = ((1e-2, 0.3), (1e-3, 0.05), (1e-2, 1.0))
+NUMBER = re.compile(r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?")
 README_ARGVS = (
     ("list-models",),
     ("validate", "--model", "rigid-body", "--samples", "100", "--tol", "1e-10"),
@@ -84,27 +95,46 @@ def _constant_config(r: int) -> dict:
     }
 
 
-def _feed(h, obj) -> None:
-    """Feed ``obj`` to the hash ``h`` exactly: arrays by dtype, shape and
+class _Group:
+    """A group's sha256, and the leaves it hashed in order: each float, and
+    everything else as text with its numbers taken out as floats.  The
+    leaves are kept per ``part``, which the trajectory groups set to the
+    grid."""
+
+    def __init__(self):
+        self.sha, self.part, self.parts = hashlib.sha256(), "", {}
+
+    def add(self, data: bytes, leaves: list) -> None:
+        self.sha.update(data)
+        self.parts.setdefault(self.part, []).extend(leaves)
+
+    def text(self, text: str) -> None:
+        self.add(text.encode(), [NUMBER.sub("#", text), *map(float, NUMBER.findall(text))])
+
+
+def _feed(g: _Group, obj) -> None:
+    """Feed ``obj`` to the group ``g`` exactly: arrays by dtype, shape and
     bytes, floats by ``float.hex``, sequences and carriers item by item."""
     if isinstance(obj, np.ndarray):
-        h.update(f"{obj.dtype.str}{obj.shape}".encode())
-        h.update(np.ascontiguousarray(obj).tobytes())
+        g.add(f"{obj.dtype.str}{obj.shape}".encode(), [f"{obj.dtype.str}{obj.shape}"])
+        values = obj.ravel().tolist()
+        g.add(np.ascontiguousarray(obj).tobytes(),
+              values if obj.dtype.kind == "f" else [repr(values)])
     elif isinstance(obj, float):
-        h.update(float(obj).hex().encode())
+        g.add(float(obj).hex().encode(), [float(obj)])
     elif isinstance(obj, (list, tuple)):
-        h.update(b"[")
+        g.add(b"[", ["["])
         for item in obj:
-            _feed(h, item)
-        h.update(b"]")
+            _feed(g, item)
+        g.add(b"]", ["]"])
     elif isinstance(obj, BaseException):
-        h.update(f"{type(obj).__name__}: {obj}".encode())
+        g.text(f"{type(obj).__name__}: {obj}")
     elif hasattr(obj, "__dict__") and not isinstance(obj, type):
-        h.update(type(obj).__name__.encode())
-        _feed(h, list(vars(obj).values()))
+        g.add(type(obj).__name__.encode(), [type(obj).__name__])
+        _feed(g, list(vars(obj).values()))
     else:
-        h.update(repr(obj).encode())
-    h.update(b";")
+        g.text(repr(obj))
+    g.add(b";", [])
 
 
 def _outcome(f, *args):
@@ -145,6 +175,8 @@ def _trajectory_groups(lib, groups) -> None:
     for k, (label, sys_, box) in enumerate(_check_systems(lib)):
         for x0, ya0 in _starts(box, sys_.U.r, [k, 0]):
             for h, T in GRIDS:
+                for name in ("integrate", "lift", "degenerate"):
+                    groups[name].part = f"(h, T) = ({h:g}, {T:g})"
                 for method in ("rk4", "implicit_midpoint"):
                     traj = _outcome(dyn.integrate, sys_, (x0, ya0), h, T, method)
                     if label == "degenerate-demo" and method == "rk4":
@@ -225,7 +257,7 @@ def _cli_group(lib, h) -> None:
 
 
 def digests(src: Path) -> dict:
-    """The sha256 of each group, and of all of them, for the package under src."""
+    """The groups of the package under src, by name."""
     sys.path.insert(0, str(src))
     lib = importlib.import_module("algmech")
     if Path(lib.__file__).resolve().parent != (src / "algmech").resolve():
@@ -233,36 +265,79 @@ def digests(src: Path) -> dict:
     for mod in ("algebroid", "cli", "config", "dirac", "dynamics", "hj", "models", "prolong"):
         importlib.import_module(f"algmech.{mod}")
     names = ("integrate", "lift", "degenerate", "hj", "geometry", "cli")
-    groups = {name: hashlib.sha256() for name in names}
+    groups = {name: _Group() for name in names}
     with np.errstate(all="ignore"):
         _trajectory_groups(lib, groups)
         _hj_group(lib, groups["hj"])
         _geometry_group(lib, groups["geometry"])
     _cli_group(lib, groups["cli"])
-    out = {name: g.hexdigest() for name, g in groups.items()}
-    out["total"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
-    return out
+    return groups
 
 
 def _parse(text: str) -> dict:
     return dict(line.split() for line in text.splitlines() if line.strip())
 
 
+def _deviation(a: list, b: list) -> str:
+    """The largest absolute deviation between the floats of two leaf lists,
+    and how many differ in any bit; or the first place where the lists
+    differ in anything but a float."""
+    worst, count, floats = 0.0, 0, 0
+    for i, (u, v) in enumerate(zip(a, b)):
+        if isinstance(u, float) and isinstance(v, float):
+            floats += 1
+            if u.hex() != v.hex():
+                count, d = count + 1, abs(u - v)
+                worst = max(worst, d if d <= math.inf else math.inf)  # a nan on one side
+        elif u != v:
+            j = 0
+            if isinstance(u, str) and isinstance(v, str):
+                j = next(j for j, (c, d) in enumerate(zip(u + "\0", v + "\1")) if c != d)
+            cut = lambda w: w[max(j - 20, 0) : j + 40] if isinstance(w, str) else w
+            return f"structure differs at leaf {i}: {cut(u)!r} against {cut(v)!r}"
+    if len(a) != len(b):
+        return f"structure differs: {len(a)} leaves against {len(b)}"
+    return f"max abs dev {worst:.1e} ({count} of {floats} floats differ)"
+
+
 def main(argv) -> int:
-    srcs = [Path(a) for a in argv] or [ROOT / "src"]
+    # SRC --leaves FILE, as the two-tree form runs each tree: also pickle
+    # the leaves of each group to FILE
+    dump = argv.pop() if argv[1:2] == ["--leaves"] and len(argv) == 3 else None
+    srcs = [Path(a) for a in argv[:1 if dump else None]] or [ROOT / "src"]
     if len(srcs) == 1:
-        for name, value in digests(srcs[0]).items():
+        groups = digests(srcs[0])
+        if dump:
+            with open(dump, "wb") as fh:
+                pickle.dump({name: g.parts for name, g in groups.items()}, fh)
+        out = {name: g.sha.hexdigest() for name, g in groups.items()}
+        out["total"] = hashlib.sha256("".join(out.values()).encode()).hexdigest()
+        for name, value in out.items():
             print(f"{name} {value}")
         return 0
     if len(srcs) != 2:
         print(__doc__)
         return 2
-    runs = [subprocess.run([sys.executable, __file__, str(s)], capture_output=True, text=True,
-                           check=True).stdout for s in srcs]
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [Path(tmp, f"{k}.pickle") for k in range(2)]
+        runs = [subprocess.run([sys.executable, __file__, str(s), "--leaves", str(p)],
+                               capture_output=True, text=True, check=True).stdout
+                for s, p in zip(srcs, paths)]
+        leaves = []
+        for p in paths:
+            with open(p, "rb") as fh:
+                leaves.append(pickle.load(fh))
     a, b = map(_parse, runs)
     for name in a:
         state = "same" if a[name] == b.get(name) else "DIFFERS"
         print(f"{name:10s} {state:7s} {a[name]}  {b.get(name)}")
+        if state == "same" or name == "total":
+            continue
+        parts = [leaves[0][name], leaves[1][name]]
+        print(f"{'':10s} {_deviation(*(sum(p.values(), []) for p in parts))}")
+        if len(parts[0]) > 1:
+            for part in parts[0]:
+                print(f"{'':12s} {part}: {_deviation(parts[0][part], parts[1].get(part, []))}")
     differ = [name for name in a if a[name] != b.get(name)]
     print(f"groups that differ: {', '.join(differ) or 'none'}")
     return 0
