@@ -41,7 +41,7 @@ def _require(cfg, key, kind):
     if key not in cfg:
         raise ConfigError(f"config is missing {key!r}")
     v = cfg[key]
-    if kind is int and not isinstance(v, int):
+    if kind is int and (isinstance(v, bool) or not isinstance(v, int)):
         raise ConfigError(f"{key!r} must be an integer")
     return v
 

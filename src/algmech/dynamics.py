@@ -170,10 +170,9 @@ def _emitted(Lg: Lagrangian, method: str, r: int, emit):
 def _compiled(head: list, body: list, tail: str, label: str, ns: dict):
     """``_bind`` run in the namespace ``ns`` from the lines of ``head``,
     which end in the ``def`` of an inner function, that function's
-    ``body`` and the ``tail`` line after it; the same source text is
-    compiled once per process (``expr._code``)."""
+    ``body`` and the ``tail`` line after it."""
     src = "\n".join([*head, *(f"        {t}" for t in body), tail])
-    exec(expr._code(src, label), ns)
+    exec(compile(src, f"<{label}>", "exec"), ns)
     return ns["_bind"]
 
 

@@ -13,9 +13,7 @@ non-negative integer literal exponent only.
 ``eval_jet2`` propagates second-order forward jets through the tree, so the
 returned gradient and Hessian carry no truncation error.  Each (expression,
 variable-order) pair is compiled once into straight-line scalar Python and
-cached; the integrators call the compiled form millions of times.  The code
-object of a source text is kept for the process, so an expression built
-again from the same text runs its jet without compiling it again.  The first
+cached; the integrators call the compiled form millions of times.  The first
 ``eval_jet2`` of a pair walks the tree instead, with the same floats, so a
 one-off expression is never compiled.  Bound by a list of floats rather than
 a mapping, ``eval_jet2`` returns flat float tuples, not arrays.
@@ -29,7 +27,6 @@ array (an algebroid's anchor, a section's momentum part).
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -375,16 +372,6 @@ class _Zero(float):
 
 _Z = _Zero(0.0)
 
-# compiled sources kept per process: a model built again compiles nothing
-CODE_CACHE_SIZE = 512
-
-
-@functools.lru_cache(maxsize=CODE_CACHE_SIZE)
-def _code(src: str, label: str):
-    """``compile(src)``, shared by every build of the same source text;
-    each build still runs it in a namespace of its own."""
-    return compile(src, f"<{label}>", "exec")
-
 
 _NS = {
     "_sin": math.sin,
@@ -508,6 +495,19 @@ def _zeros(em, k: int, pairs):
     return [em.zero] * k, [em.zero] * len(pairs)
 
 
+# The elementary derivatives of forward mode: for each function, the step
+# forms of its value v, first derivative d1 and second derivative d2, each
+# with its operands named among the argument u, v and d1.  A form of None
+# is its one operand itself, so exp's derivatives take no step.
+_RULES = {
+    "sin": (("_sin({0})", "u"), ("_cos({0})", "u"), ("-{0}", "v")),
+    "cos": (("_cos({0})", "u"), ("-_sin({0})", "u"), ("-{0}", "v")),
+    "exp": (("_exp({0})", "u"), (None, "v"), (None, "v")),
+    "ln": (("_log({0})", "u"), ("1.0 / {0}", "u"), ("-{0} * {0}", "d1")),
+    "sqrt": (("_sqrt({0})", "u"), ("0.5 / {0}", "v"), ("-0.5 * {0} / {1}", "d1", "u")),
+}
+
+
 def _emit(em, e: Expression, index: dict, pairs):
     """Emit the steps of ``e``; returns (value token, grad tokens, hess tokens).
 
@@ -532,22 +532,11 @@ def _emit(em, e: Expression, index: dict, pairs):
     if isinstance(e, BinOp):
         av, ag, ah = _emit(em, e.lhs, index, pairs)
         bv, bg, bh = _emit(em, e.rhs, index, pairs)
-        if e.op == "+":
-            v = em.step("{0} + {1}", av, bv)
-            return (
-                v,
-                [em.add(x, y) for x, y in zip(ag, bg)],
-                [em.add(x, y) for x, y in zip(ah, bh)],
-            )
-        if e.op == "-":
-            v = em.step("{0} - {1}", av, bv)
-            return (
-                v,
-                [em.sub(x, y) for x, y in zip(ag, bg)],
-                [em.sub(x, y) for x, y in zip(ah, bh)],
-            )
+        v = em.step(f"{{0}} {e.op} {{1}}", av, bv)
+        if e.op in "+-":
+            fold = em.add if e.op == "+" else em.sub
+            return v, [fold(x, y) for x, y in zip(ag, bg)], [fold(x, y) for x, y in zip(ah, bh)]
         if e.op == "*":
-            v = em.step("{0} * {1}", av, bv)
             g = [em.add(em.mul(av, bg[j]), em.mul(bv, ag[j])) for j in range(k)]
             h = []
             for (j, l), at, bt in zip(pairs, ah, bh):
@@ -556,7 +545,6 @@ def _emit(em, e: Expression, index: dict, pairs):
                 h.append(em.add(terms, cross))
             return v, g, h
         # division: f = a / b;  f' = (a' - f b') / b
-        v = em.step("{0} / {1}", av, bv)
         needs_w = _live(em, ag, bg, ah, bh)
         w = em.step("1.0 / {0}", bv) if needs_w else None
         g = []
@@ -586,38 +574,12 @@ def _emit(em, e: Expression, index: dict, pairs):
         return _chain(em, v, d1, d2, ug, uh, pairs)
     if isinstance(e, Fun):
         uv, ug, uh = _emit(em, e.arg, index, pairs)
-        live = _live(em, ug, uh)
-        if e.name == "sin":
-            v = em.step("_sin({0})", uv)
-            if not live:
-                return v, *_zeros(em, k, pairs)
-            d1 = em.step("_cos({0})", uv)
-            d2 = em.step("-{0}", v)
-        elif e.name == "cos":
-            v = em.step("_cos({0})", uv)
-            if not live:
-                return v, *_zeros(em, k, pairs)
-            d1 = em.step("-_sin({0})", uv)
-            d2 = em.step("-{0}", v)
-        elif e.name == "exp":
-            v = em.step("_exp({0})", uv)
-            if not live:
-                return v, *_zeros(em, k, pairs)
-            d1 = v
-            d2 = v
-        elif e.name == "ln":
-            v = em.step("_log({0})", uv)
-            if not live:
-                return v, *_zeros(em, k, pairs)
-            d1 = em.step("1.0 / {0}", uv)
-            d2 = em.step("-{0} * {0}", d1)
-        else:  # sqrt
-            v = em.step("_sqrt({0})", uv)
-            if not live:
-                return v, *_zeros(em, k, pairs)
-            d1 = em.step("0.5 / {0}", v)
-            d2 = em.step("-0.5 * {0} / {1}", d1, uv)
-        return _chain(em, v, d1, d2, ug, uh, pairs)
+        live, t = _live(em, ug, uh), {"u": uv}
+        for name, (form, *operands) in zip(("v", "d1", "d2"), _RULES[e.name]):
+            t[name] = t[operands[0]] if form is None else em.step(form, *map(t.get, operands))
+            if not live:  # a constant argument: the value alone
+                return t["v"], *_zeros(em, k, pairs)
+        return _chain(em, t["v"], t["d1"], t["d2"], ug, uh, pairs)
     raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
 
 
@@ -704,7 +666,7 @@ def _build_jet2(e, wrt):
     v = vs[0] if size is None else _source_tuple(vs)
     body = "\n".join(header + em.lines) + f"\n    return {v}, {g}, {h}"
     ns = dict(_NS)
-    exec(_code(body, "jet2"), ns)
+    exec(compile(body, "<jet2>", "exec"), ns)
     return _wrap_jet2(ns["_jet2"], len(wrt), size)
 
 

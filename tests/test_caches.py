@@ -1,8 +1,8 @@
 """What ``cli.main`` keeps between calls in one process: the one parser,
 the built models (``cli._bundle``, by name or by config path and
-content), and the code objects of emitted sources (``expr._code``), which
-every rebuilt jet, RK4 field and midpoint step runs in a namespace of its
-own."""
+content), each holding the compiled jets, field and step made on it, and
+the RK4 step and Newton kernels kept by shape, so that a repeated command
+compiles nothing."""
 
 import builtins
 import contextlib
@@ -15,7 +15,6 @@ from algmech import cli, dynamics, expr
 from algmech.algebroid import LieAlgebroid
 from algmech.cli import BUNDLE_CACHE_SIZE
 from algmech.config import bundle_to_config
-from algmech.expr import CODE_CACHE_SIZE, compile_jet2, parse
 from algmech.models import get_model
 
 
@@ -54,28 +53,18 @@ def test_a_repeated_command_compiles_nothing(tmp_path, monkeypatch, argv):
     # the built models, and the RK4 step and Newton kernels by shape, are
     # kept per process: clear them too, so that the first run builds and
     # compiles them whatever ran before
-    for cache in (cli._bundle, expr._code, dynamics._rk4_kernel, dynamics._newton_kernel):
+    for cache in (cli._bundle, dynamics._rk4_kernel, dynamics._newton_kernel):
         cache.cache_clear()
     calls = _counting(monkeypatch, builtins, "compile")
     first = _run(*argv), (tmp_path / "o.csv").read_bytes()
-    compiled, misses = len(calls), expr._code.cache_info().misses
-    assert compiled > 0 and misses == compiled
+    compiled = len(calls)
+    assert compiled > 0
     second = _run(*argv), (tmp_path / "o.csv").read_bytes()
     assert first == second and first[0][0] == 0
-    assert len(calls) == compiled and expr._code.cache_info().misses == misses
+    assert len(calls) == compiled
     rk4 = {"<adapted field>", "<rk4 step>"}
     labels = {filename for _, filename, _ in calls}
     assert labels == {"<jet2>"} | ({"<midpoint step>"} if "implicit_midpoint" in argv else rk4)
-
-
-def test_the_code_cache_keeps_at_most_its_bound():
-    expr._code.cache_clear()
-    for k in range(CODE_CACHE_SIZE + 20):
-        jet = compile_jet2(parse(f"{k + 1} * x1"), ["x1"])
-        assert jet({"x1": 2.0})[0] == 2.0 * (k + 1)
-    info = expr._code.cache_info()
-    assert info.maxsize == CODE_CACHE_SIZE and info.currsize == CODE_CACHE_SIZE
-    assert info.misses == CODE_CACHE_SIZE + 20
 
 
 # affine-rank2 as a config: an x-dependent anchor, a constant structure
@@ -108,7 +97,6 @@ def test_configs_one_constant_apart_get_their_own_code(tmp_path, method, change)
     cold = {}
     for name in paths:
         cli._bundle.cache_clear()
-        expr._code.cache_clear()
         cold[name] = run(name)
     assert cold["base"][0][0] == 0 and cold[change][0][0] == 0
     assert cold["base"][1] != cold[change][1]

@@ -141,6 +141,8 @@ def _assert_exit_with_one_error_line(args, code=6):
         # constant structure data fails while the algebroid is built
         ({"structure": {"3,1,2": "ln(-1)"}}, ("validate",)),
         ({"lagrangian": "ln(-1) * y1^2 + y2^2 + y3^2"}, ("simulate", "--y0", "1,1")),
+        # a JSON boolean is not an integer, though suslov's m is 0
+        ({"m": False}, ("validate",)),
     ],
 )
 def test_bad_configs_exit_6_with_one_error_line(tmp_path, change, args):

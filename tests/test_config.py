@@ -49,6 +49,10 @@ def test_config_validation_errors():
 
     with pytest.raises(ConfigError):
         bundle_from_config(broken(m=None))
+    # a JSON boolean is not an integer, though bool is an int subclass
+    for key, flag in (("m", True), ("n", True), ("r", False)):
+        with pytest.raises(ConfigError, match=f"'{key}' must be an integer"):
+            bundle_from_config(broken(**{key: flag}))
     with pytest.raises(ConfigError):
         bundle_from_config(broken(anchor=[["1"]]))
     with pytest.raises(ConfigError):

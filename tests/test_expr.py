@@ -189,6 +189,51 @@ def test_first_jet_call_agrees_with_the_compiled_form_bit_for_bit():
                 assert first == compiled == later
 
 
+# float.hex of the value, gradient and packed Hessian at x = (0.7, 1.3),
+# wrt (x1, x2): each function's rule on a live argument, on a constant one,
+# and through a square
+RULE_JETS = {
+    "sin(x1 * x2)": "0x1.9439d58c13793p-1 0x1.988259057eb73p-1 0x1.b7eed605eaecap-2"
+                    " -0x1.5592265e0b55dp+0 -0x1.acdcb092422c8p-4 -0x1.8c24328e6500fp-2",
+    "sin(2) * x1": "0x1.45e46712c6497p-1 0x1.d18f6ead1b446p-1 0x0.0p+0"
+                   " 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "x1 * sin(x2)^2": "0x1.4cc124979ef27p-1 0x1.db5d0fb407a38p-1 0x1.7182ea047219fp-2"
+                      " 0x0.0p+0 0x1.07efcbba085bbp-1 -0x1.331be2c8d77e8p+0",
+    "cos(x1 * x2)": "0x1.3a3ce2043a16cp-1 -0x1.06bf3134a6420p+0 -0x1.1af548aeda6e7p-1"
+                    " -0x1.0987ed105f2a5p+0 -0x1.591756bb29498p+0 -0x1.33f3fc3757a5ap-2",
+    "cos(2) * x1": "-0x1.2a4b470540303p-2 -0x1.aa22657537205p-2 0x0.0p+0"
+                   " 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "x1 * cos(x2)^2": "0x1.9a541cec773f4p-5 0x1.2517825fc2e41p-4 -0x1.7182ea047219fp-2"
+                      " 0x0.0p+0 -0x1.07efcbba085bbp-1 0x1.331be2c8d77e8p+0",
+    "exp(x1 * x2)": "0x1.3dfe47e0cd449p+1 0x1.9d642a3dd7a5fp+1 0x1.bd30cb0785c66p+0"
+                    " 0x1.0cb44ea832925p+2 0x1.2faeff860bb5fp+2 0x1.37a227b8773e0p+0",
+    "exp(2) * x1": "0x1.4b079b4950193p+2 0x1.d8e64b8d4ddaep+2 0x0.0p+0"
+                   " 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "x1 * exp(x2)^2": "0x1.2d96759a72418p+3 0x1.aed6f125c7cb5p+3 0x1.2d96759a72418p+4"
+                      " 0x0.0p+0 0x1.aed6f125c7cb5p+4 0x1.2d96759a72418p+5",
+    "ln(x1 * x2)": "-0x1.824bea3fe15d2p-4 0x1.6db6db6db6db8p+0 0x1.89d89d89d89d9p-1"
+                   " -0x1.05397829cbc16p+1 0x0.0p+0 -0x1.2ef5657dba51dp-1",
+    "ln(2) * x1": "0x1.f0d90fe91844ep-2 0x1.62e42fefa39efp-1 0x0.0p+0"
+                  " 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "x1 * ln(x2)^2": "0x1.8aba3b30f4f20p-5 0x1.19f2bc90aef60p-4 0x1.2153c5e06c827p-2"
+                     " 0x0.0p+0 0x1.9d531aae51defp-2 0x1.38dcc0030e500p-1",
+    "sqrt(x1 * x2)": "0x1.e86ab810ea912p-1 0x1.5cde8379cc1e8p-1 0x1.77b48d96dbd20p-2"
+                     " -0x1.f26272adff071p-2 0x1.0c5c65229d03cp-2 -0x1.21010a740b8dep-3",
+    "sqrt(2) * x1": "0x1.fadaa8f7eed52p-1 0x1.6a09e667f3bcdp+0 0x0.0p+0"
+                    " 0x0.0p+0 0x0.0p+0 0x0.0p+0",
+    "x1 * sqrt(x2)^2": "0x1.d1eb851eb8520p-1 0x1.4cccccccccccep+0 0x1.6666666666666p-1"
+                       " 0x0.0p+0 0x1.0000000000000p+0 -0x1.6666666666666p-55",
+}
+
+
+@pytest.mark.parametrize("text", sorted(RULE_JETS))
+def test_each_functions_jet_keeps_its_floats(text):
+    e = expr.parse(text)
+    for _ in range(2):  # walked, then compiled
+        v, g, h = expr.eval_jet2(e, [0.7, 1.3], ("x1", "x2"))
+        assert " ".join(float(t).hex() for t in (v, *g, *h)) == RULE_JETS[text]
+
+
 def test_overflowing_literal_is_an_evaluation_fault():
     e = expr.parse("1e400 * x1")
     for _ in range(2):  # walked, then compiled

@@ -21,7 +21,13 @@ by its type and message, so a run that raises is compared too:
   ``dirac_members`` at seeded points on the seven models and the three
   x-dependent configs;
 - ``cli``: stdout and the ``--out`` CSV of the README commands and of the
-  five bench ``cli`` argvs at seeds 1 and 7, run in a temporary directory.
+  five bench ``cli`` argvs at seeds 1 and 7, run in a temporary directory;
+- ``jets``: the flat jets of the 15 systems at 3 seeded points each
+  (``Lagrangian._flat``, the list-form ``anchor_jet_at`` and
+  ``structure_jet_at``), the parts of every HJ section of the ``hj``
+  group at 3 seeded points, and the first (walked) and the compiled
+  ``eval_jet2`` of one expression per derivative rule at 4 points,
+  faults included.
 
 For each group that differs, the two-tree form prints the largest
 absolute deviation over the group's floats (the numbers in its text
@@ -62,6 +68,15 @@ README_ARGVS = (
     ("dirac-check", "--model", "suslov", "--points", "100", "--pairs", "1000"),
     ("hj-check", "--model", "harmonic-oscillator", "--x0", "0", "--T", "1"),
 )
+# one expression per derivative rule of the jet compiler: each function on
+# a live and on a constant argument, the powers 0, 1 and 3, and division;
+# JET_POINTS hold a fault for ln, sqrt, exp and the division
+RULE_TEXTS = (
+    *(form.format(f) for f in ("sin", "cos", "exp", "ln", "sqrt")
+      for form in ("{}(x1 * x2)", "x2 * {}(0.7)")),
+    "(x1 - x2)^0", "(x1 * x2)^1", "(x1 - 2 * x2)^3", "x1 / (x2 - 1)",
+)
+JET_POINTS = ([0.7, 1.3], [-0.5, 1.0], [0.0, 2.0], [800.0, 1.5])
 COUPLED_INERTIA = [[2.0, 0.0, 0.3], [0.0, 1.5, 0.2], [0.3, 0.2, 1.0]]
 X_DEPENDENT_CONFIGS = {
     "x-dependent-config": {
@@ -189,15 +204,22 @@ def _trajectory_groups(lib, groups) -> None:
                             dyn._lift_residuals, sys_, list(traj.states), h, np.inf))
 
 
+def _sections(bundle) -> list:
+    """(label, section) of the bundle's HJ sections and, where it has
+    any, of four seeded perturbations of them."""
+    sections = list(bundle.hj_sections.items())
+    if bundle.perturb is not None and sections:
+        sections += [(f"perturbed-{seed}", bundle.perturb(np.random.default_rng(seed),
+                                                          seed % 2 == 0))
+                     for seed in range(4)]
+    return sections
+
+
 def _hj_group(lib, h) -> None:
     get, BasePoint = lib.models.get_model, lib.algebroid.BasePoint
     for k, name in enumerate(lib.models.model_names()):
         bundle = get(name)
-        sections = list(bundle.hj_sections.items())
-        if bundle.perturb is not None and sections:
-            sections += [(f"perturbed-{seed}", bundle.perturb(np.random.default_rng(seed),
-                                                              seed % 2 == 0))
-                         for seed in range(4)]
+        sections = _sections(bundle)
         rng = np.random.default_rng([k, 1])
         xs = [[0.5 * (lo + hi) for lo, hi in bundle.box]]
         xs += [[rng.uniform(lo, hi) for lo, hi in bundle.box] for _ in range(2)]
@@ -206,6 +228,31 @@ def _hj_group(lib, h) -> None:
                 x0 = BasePoint(x)
                 _feed(h, [name, label, _outcome(lib.hj.base_flow, bundle.system, s, x0, 5e-3, 0.25),
                           _outcome(lib.hj.verify_theorem, bundle.system, s, x0, 5e-3, 0.25, 1e-8)])
+
+
+def _jets_group(lib, h) -> None:
+    for k, (label, sys_, box) in enumerate(_check_systems(lib)):
+        A, Lg = sys_.A, sys_.Lg
+        rng = np.random.default_rng([k, 3])
+        for _ in range(3):
+            x = [rng.uniform(lo, hi) for lo, hi in box]
+            y = rng.standard_normal(A.n).tolist()
+            _feed(h, [label, _outcome(Lg._flat, [*x, *y]), _outcome(A.anchor_jet_at, x),
+                      _outcome(A.structure_jet_at, x)])
+    for k, name in enumerate(lib.models.model_names()):
+        bundle = lib.models.get_model(name)
+        rng = np.random.default_rng([k, 4])
+        xs = [[rng.uniform(lo, hi) for lo, hi in bundle.box] for _ in range(3)]
+        for label, s in _sections(bundle):
+            for x in xs:
+                _feed(h, [name, label, *(_outcome(s._part, part, x, gradients)
+                                         for part in (s.gamma, s.gammabar)
+                                         for gradients in (False, True))])
+    for text in RULE_TEXTS:
+        for x in JET_POINTS:
+            e = lib.expr.parse(text)  # a fresh pair: walked first, then compiled
+            _feed(h, [text, *(_outcome(lib.expr.eval_jet2, e, x, ("x1", "x2"))
+                              for _ in range(2))])
 
 
 def _geometry_group(lib, h) -> None:
@@ -264,12 +311,13 @@ def digests(src: Path) -> dict:
         raise SystemExit(f"error: algmech imported from {lib.__file__}, not from {src}")
     for mod in ("algebroid", "cli", "config", "dirac", "dynamics", "hj", "models", "prolong"):
         importlib.import_module(f"algmech.{mod}")
-    names = ("integrate", "lift", "degenerate", "hj", "geometry", "cli")
+    names = ("integrate", "lift", "degenerate", "hj", "geometry", "cli", "jets")
     groups = {name: _Group() for name in names}
     with np.errstate(all="ignore"):
         _trajectory_groups(lib, groups)
         _hj_group(lib, groups["hj"])
         _geometry_group(lib, groups["geometry"])
+        _jets_group(lib, groups["jets"])
     _cli_group(lib, groups["cli"])
     return groups
 
