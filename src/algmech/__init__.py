@@ -18,9 +18,7 @@ from .dirac import (
     dirac_member_poisson,
     dirac_member_symplectic,
     dirac_members,
-    generator_matrix,
     lift_subbundle,
-    self_orthogonality,
 )
 from .dynamics import (
     ImplicitSystem,

@@ -91,20 +91,27 @@ class _Carrier:
 
 class _Record(_Carrier):
     """Base of the immutable records: the values named by ``_fields``,
-    given positionally in that order, compared and hashed by value."""
+    given positionally in that order, compared, hashed and printed by value."""
 
     def __init__(self, *values):
         if len(values) != len(self._fields):
             raise TypeError(f"{type(self).__name__} takes {len(self._fields)} values")
         self.__dict__.update(zip(self._fields, values))
 
+    def _values(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._fields)
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return tuple(vars(self).values()) == tuple(vars(other).values())
+        return self._values() == other._values()
 
     def __hash__(self):
-        return hash(tuple(vars(self).values()))
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={getattr(self, k)!r}" for k in self._fields)
+        return f"{type(self).__name__}({fields})"
 
 
 class BasePoint(_Carrier):

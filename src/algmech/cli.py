@@ -20,7 +20,7 @@ import numpy as np
 
 from .algebroid import BasePoint, DualPoint
 from .config import bundle_from_config, load_config
-from .dirac import dirac_members, generator_matrix, self_orthogonality
+from .dirac import check_self_orthogonal, dirac_generators, dirac_members
 from .dynamics import _drift, _energies, _lift_residuals, _steps, integrate
 from .errors import (
     AlgmechError,
@@ -188,13 +188,13 @@ def cmd_dirac_check(args) -> int:
     n = A.n
     rng = np.random.default_rng(args.seed)
     points = [DualPoint(_sample_x(bundle, rng), rng.standard_normal(n)) for _ in range(args.points)]
-    mats = [generator_matrix(A, U, pt) for pt in points]
-    worst_orth = float(np.max([self_orthogonality(M) for M in mats]))  # keeps nan
-    rank_ok = all(np.linalg.matrix_rank(M, tol=1e-9) == 2 * n for M in mats)
+    bases = [dirac_generators(A, U, pt) for pt in points]
+    worst_orth = float(np.max([check_self_orthogonal(b) for b in bases]))  # keeps nan
+    rank_ok = all(np.linalg.matrix_rank(b.matrix(), tol=1e-9) == 2 * n for b in bases)
     rows = []
     for k in range(args.pairs):
         if rng.uniform() < 0.5:
-            rows.append(rng.standard_normal(2 * n) @ mats[k % len(points)])
+            rows.append(rng.standard_normal(2 * n) @ bases[k % len(points)].matrix())
         else:
             rows.append(rng.standard_normal(4 * n))
     at = np.arange(args.pairs) % len(points)

@@ -17,7 +17,7 @@ import json
 import math
 
 from . import expr
-from .algebroid import LieAlgebroid, Subbundle
+from .algebroid import LieAlgebroid, Subbundle, base_names, fiber_names
 from .dynamics import ImplicitSystem
 from .errors import ConfigError, ParseError
 from .hj import HJSection
@@ -46,22 +46,27 @@ def _require(cfg, key, kind):
     return v
 
 
-def _parse_expr(text, where):
+def _parse_expr(text, where, names):
+    """The expression ``text``, which may use no variable outside ``names``."""
     if not isinstance(text, str):
         raise ConfigError(f"{where} must be an expression string")
     try:
-        return expr.parse(text)
-    except ParseError as e:
-        raise ConfigError(f"{where}: {e}") from None
+        e = expr.parse(text)
+    except ParseError as err:
+        raise ConfigError(f"{where}: {err}") from None
+    unknown = sorted(expr.free_variables(e).difference(names))
+    if unknown:
+        raise ConfigError(f"{where}: undeclared variable {unknown[0]!r}")
+    return e
 
 
-def _expr_grid(rows, nrows, ncols, where):
+def _expr_grid(rows, nrows, ncols, where, names):
     if not isinstance(rows, list) or len(rows) != nrows or any(
         not isinstance(r, list) or len(r) != ncols for r in rows
     ):
         raise ConfigError(f"{where} must be a {nrows}x{ncols} grid of expressions")
     return [
-        [_parse_expr(e, f"{where}[{i + 1}][{j + 1}]") for j, e in enumerate(row)]
+        [_parse_expr(e, f"{where}[{i + 1}][{j + 1}]", names) for j, e in enumerate(row)]
         for i, row in enumerate(rows)
     ]
 
@@ -88,7 +93,8 @@ def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
     r = _require(cfg, "r", int)
     if not (m >= 0 and n >= 1 and 0 <= r <= n):
         raise ConfigError("need m >= 0, n >= 1 and 0 <= r <= n")
-    anchor = _expr_grid(_require(cfg, "anchor", list), m, n, "anchor")
+    xs, ys = base_names(m), fiber_names(n)
+    anchor = _expr_grid(_require(cfg, "anchor", list), m, n, "anchor", xs)
     structure = {}
     raw = cfg.get("structure", {})
     if not isinstance(raw, dict):
@@ -100,12 +106,12 @@ def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
             raise ConfigError(f"bad structure key {key!r}, expected 'g,a,b'") from None
         if not (1 <= g <= n and 1 <= a < b <= n):
             raise ConfigError(f"structure key {key!r} out of range (need a < b)")
-        structure[(g - 1, a - 1, b - 1)] = _parse_expr(text, f"structure[{key}]")
+        structure[(g - 1, a - 1, b - 1)] = _parse_expr(text, f"structure[{key}]", xs)
     try:
         A = LieAlgebroid(m, n, anchor, structure)
     except ValueError as e:
         raise ConfigError(str(e)) from None
-    Lg = Lagrangian(A, _parse_expr(_require(cfg, "lagrangian", str), "lagrangian"))
+    Lg = Lagrangian(A, _parse_expr(_require(cfg, "lagrangian", str), "lagrangian", xs + ys))
     sub = cfg.get("subbundle", f"adapted:{n}")
     if isinstance(sub, str):
         if not sub.startswith("adapted:"):
@@ -118,7 +124,7 @@ def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
             raise ConfigError(f"subbundle rank {ra} disagrees with r = {r}")
         U = Subbundle.adapted_rank(A, r)
     else:
-        U = Subbundle(A, r, _expr_grid(sub, n, r, "subbundle"))
+        U = Subbundle(A, r, _expr_grid(sub, n, r, "subbundle", xs))
     box = cfg.get("box", [[-1.0, 1.0]] * m)
     box = [_interval(b) for b in box] if isinstance(box, list) else None
     if box is None or len(box) != m or None in box:
@@ -144,8 +150,8 @@ def bundle_from_config(cfg: dict, name: str = "config") -> ModelBundle:
         sections[sname] = HJSection(
             n,
             m,
-            [_parse_expr(e, f"hj_sections[{sname}].gamma") for e in gamma],
-            [_parse_expr(e, f"hj_sections[{sname}].gammabar") for e in gammabar],
+            [_parse_expr(e, f"hj_sections[{sname}].gamma", xs) for e in gamma],
+            [_parse_expr(e, f"hj_sections[{sname}].gammabar", xs) for e in gammabar],
         )
     sys = ImplicitSystem(A, Lg, U)
     return ModelBundle(

@@ -32,9 +32,7 @@ __all__ = [
     "dirac_member_poisson",
     "dirac_members",
     "dirac_generators",
-    "generator_matrix",
     "check_self_orthogonal",
-    "self_orthogonality",
 ]
 
 
@@ -53,15 +51,21 @@ class DiracPair(_Record):
 
 
 class DiracBasis(_Record):
-    """Generators over a base point.  A basis from :func:`dirac_generators`
-    also holds the matrix they came from, read-only, in a slot outside its
-    fields, so equality, hash and repr read only the base and generators."""
+    """Generators over a base point.  One from :func:`dirac_generators` holds
+    their read-only matrix beside its fields and makes them when first read."""
 
-    __slots__ = ("_matrix",)
     _fields = ("base", "generators")
 
-    def __reduce__(self):  # a copy or pickle holds no matrix: no slot is set past __setattr__
+    def __reduce__(self):  # a copy or pickle is the basis over the same pairs
         return DiracBasis, (self.base, self.generators)
+
+    @functools.cached_property
+    def generators(self) -> tuple:
+        """One pair over ``base`` per row (z, u, r, v) of the held matrix, as views of the row."""
+        pt, vector, covector = self.base, ProlongVector._trusted, ProlongCovector._trusted
+        return tuple(DiracPair._trusted(X=vector(base=pt, z=z, u=u),
+                                        alpha=covector(base=pt, r=r, v=v))
+                     for z, u, r, v in zip(*np.split(self._matrix, 4, axis=1)))
 
     def matrix(self) -> np.ndarray:
         """Generators stacked as rows of a (2n, 4n) matrix: the held one,
@@ -203,12 +207,12 @@ def _cp_rows(A: LieAlgebroid, P, C, Z) -> np.ndarray:
     return W.T
 
 
-def generator_matrix(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> np.ndarray:
-    """2n generating pairs of the structure at ``pt`` as the rows (z, u,
-    r, v) of a (2n, 4n) matrix: one pair (q, 0, -(C·p) q, q) per
-    orthonormal U direction q, one (0, e, -e, 0) per momentum direction
-    and one pure annihilator covector (0, 0, c, 0) per complementary
-    direction c.
+def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
+    """2n generating pairs of the structure at ``pt``, held as the rows
+    (z, u, r, v) of a read-only (2n, 4n) matrix, ``matrix()``: one pair
+    (q, 0, -(C·p) q, q) per orthonormal U direction q, one (0, e, -e, 0)
+    per momentum direction and one pure annihilator covector (0, 0, c, 0)
+    per complementary direction c.
 
     Only -(C·p) q is checked finite: it is the one row built from the
     point's momenta; the others are zeros, unit rows or frame columns."""
@@ -221,7 +225,8 @@ def generator_matrix(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> np.ndarray
     M[:r, :n] = M[:r, 3 * n :] = Q.T
     M[r : r + n] = _momentum_rows(n)
     M[r + n :, 2 * n : 3 * n] = Qc.T
-    return M
+    M.flags.writeable = False
+    return DiracBasis._trusted(base=pt, _matrix=M)
 
 
 @functools.cache
@@ -232,31 +237,12 @@ def _momentum_rows(n: int) -> np.ndarray:
     return M
 
 
-def dirac_generators(A: LieAlgebroid, U: Subbundle, pt: DualPoint) -> DiracBasis:
-    """The pairs of :func:`generator_matrix`, in its row order, over ``pt``;
-    the basis holds that matrix, made read-only, as its ``matrix()``."""
-    n, M = A.n, generator_matrix(A, U, pt)
-    M.flags.writeable = False
-    vector, covector = ProlongVector._trusted, ProlongCovector._trusted
-    basis = DiracBasis(pt, tuple(
-        DiracPair._trusted(X=vector(base=pt, z=g[:n], u=g[n : 2 * n]),
-                           alpha=covector(base=pt, r=g[2 * n : 3 * n], v=g[3 * n :]))
-        for g in M))
-    object.__setattr__(basis, "_matrix", M)
-    return basis
-
-
 def check_self_orthogonal(basis: DiracBasis) -> float:
     """Largest symmetrized pairing |alpha_i(X_j) + alpha_j(X_i)| over
     all generator pairs; zero certifies isotropy of the span.  With the
     generators as rows (z, u, r, v) of M, alpha_i(X_j) is P[i, j] for
     P = M[:, 2n:] @ M[:, :2n]ᵀ."""
-    return self_orthogonality(basis.matrix())
-
-
-def self_orthogonality(M: np.ndarray) -> float:
-    """:func:`check_self_orthogonal` on the generators' matrix M, as
-    :meth:`DiracBasis.matrix` gives it."""
+    M = basis.matrix()
     if not M.size:
         return 0.0
     k = M.shape[1] // 2

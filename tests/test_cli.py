@@ -143,6 +143,11 @@ def _assert_exit_with_one_error_line(args, code=6):
         ({"lagrangian": "ln(-1) * y1^2 + y2^2 + y3^2"}, ("simulate", "--y0", "1,1")),
         # a JSON boolean is not an integer, though suslov's m is 0
         ({"m": False}, ("validate",)),
+        # an undeclared variable is refused when the config is read: RK4
+        # once ended in a KeyError traceback, dirac-check once passed
+        ({"lagrangian": "0.5 * y1^2 + y2^2 + y3^2 + z9"}, ("simulate", "--y0", "1,1")),
+        ({"hj_sections": {"s": {"gamma": ["q", "0", "0"], "gammabar": ["0", "0", "0"]}}},
+         ("dirac-check",)),
     ],
 )
 def test_bad_configs_exit_6_with_one_error_line(tmp_path, change, args):

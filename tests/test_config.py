@@ -67,6 +67,21 @@ def test_config_validation_errors():
         bundle_from_config(broken(box=[[1.0, -1.0]]))
     with pytest.raises(ConfigError):
         bundle_from_config(broken(hj_sections={"s": {"gamma": ["1"]}}))
+    # every expression may use only the model's own variables: x1..xm, and
+    # y1..yn in the Lagrangian
+    for change, where, name in (
+        ({"lagrangian": "0.5 * y1^2 + z9"}, "lagrangian", "z9"),
+        ({"lagrangian": "0.5 * y1^2 + y3"}, "lagrangian", "y3"),
+        ({"anchor": [["y1", "1"]]}, r"anchor\[1\]\[1\]", "y1"),
+        ({"structure": {"1,1,2": "x1 * p1"}}, r"structure\[1,1,2\]", "p1"),
+        ({"subbundle": [["1", "0"], ["0", "x2"]]}, r"subbundle\[2\]\[2\]", "x2"),
+        ({"hj_sections": {"s": {"gamma": ["q", "0"], "gammabar": ["0", "0"]}}},
+         r"hj_sections\[s\]\.gamma", "q"),
+        ({"hj_sections": {"s": {"gamma": ["0", "0"], "gammabar": ["x1", "y1"]}}},
+         r"hj_sections\[s\]\.gammabar", "y1"),
+    ):
+        with pytest.raises(ConfigError, match=f"^{where}: undeclared variable '{name}'$"):
+            bundle_from_config(broken(**change))
     missing = dict(good)
     del missing["lagrangian"]
     with pytest.raises(ConfigError):

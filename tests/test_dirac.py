@@ -14,9 +14,7 @@ from algmech.dirac import (
     dirac_member_poisson,
     dirac_member_symplectic,
     dirac_members,
-    generator_matrix,
     lift_subbundle,
-    self_orthogonality,
 )
 from algmech.errors import EvaluationFault, NonFinite, RankDeficient
 from algmech.models import SO3_STRUCTURE, get_model, model_names
@@ -349,7 +347,7 @@ def test_stacked_members_equal_the_per_pair_verdicts_row_by_row():
                       rng.standard_normal(n) * 10.0 ** rng.uniform(-2, 2))
             for _ in range(4)
         ]
-        mats = [generator_matrix(A, U, pt) for pt in points]
+        mats = [dirac_generators(A, U, pt).matrix() for pt in points]
         at = rng.integers(len(points), size=150)
         rows = []
         for k, j in enumerate(at):
@@ -459,7 +457,7 @@ def test_stacked_residuals_are_the_per_pair_residuals():
         for _ in range(5):
             pt = DualPoint([rng.uniform(lo, hi) for lo, hi in bundle.box],
                            rng.standard_normal(A.n) * 10.0 ** rng.uniform(-2, 2))
-            inside = rng.standard_normal((20, 2 * A.n)) @ generator_matrix(A, U, pt)
+            inside = rng.standard_normal((20, 2 * A.n)) @ dirac_generators(A, U, pt).matrix()
             rows = np.vstack([inside, rng.standard_normal((20, 4 * A.n))])
             got, want, ok = residuals(A, U, pt, rows)
             assert ok.all()
@@ -492,13 +490,22 @@ def test_stacked_cp_rows_are_the_floats_of_cp_dot():
 
 
 def test_dirac_generators_are_the_rows_of_the_generator_matrix():
+    # the rows, built here from U's completed frame and cp_dot: (q, 0,
+    # -(C·p) q, q) per U direction q, (0, e, -e, 0) per momentum direction
+    # and (0, 0, c, 0) per complementary direction c
     rng = np.random.default_rng(12)
     for A, U in scenarios():
-        pt = random_dual(A, rng)
-        M = generator_matrix(A, U, pt)
+        n, pt = A.n, random_dual(A, rng)
+        F = U.completion(pt.base)
+        zero = [0.0] * n
+        rows = [[*q, *zero, *(-t for t in w), *q]
+                for q, w in zip(F[:, : U.r].T.tolist(), A.cp_dot(pt, F[:, : U.r].T.tolist()))]
+        rows += [[*zero, *e, *(-t for t in e), *zero] for e in np.eye(n).tolist()]
+        rows += [[*zero, *zero, *c, *zero] for c in F[:, U.r :].T.tolist()]
         basis = dirac_generators(A, U, pt)
-        assert np.array_equal(basis.matrix(), M) and basis.base is pt
-        assert self_orthogonality(M) == check_self_orthogonal(basis)
+        assert np.array_equal(basis.matrix(), np.array(rows))
+        assert basis.base is pt
+        assert np.array_equal([g.coordinates() for g in basis.generators], basis.matrix())
 
 
 def numpy_member_distance(U, x, v):
@@ -573,7 +580,7 @@ def test_membership_residuals_are_the_numpy_formula_at_every_scale(monkeypatch):
     for A, U, box in models_and_x_dependent():
         for _ in range(6):
             pt = DualPoint([rng.uniform(lo, hi) for lo, hi in box], rng.standard_normal(A.n))
-            inside = rng.standard_normal(2 * A.n) @ generator_matrix(A, U, pt)
+            inside = rng.standard_normal(2 * A.n) @ dirac_generators(A, U, pt).matrix()
             for scale in (1e-300, 1.0, 1e160, 1e300):
                 for row in (inside * scale, rng.standard_normal(4 * A.n) * scale):
                     cases.append((A, U, as_pair(pt, row)))
@@ -594,16 +601,17 @@ def test_a_basis_holds_its_generator_matrix_read_only(monkeypatch):
         pt = random_dual(A, rng)
         basis = dirac_generators(A, U, pt)
         M = basis.matrix()
-        assert M is basis.matrix() and np.array_equal(M, generator_matrix(A, U, pt))
+        assert M is basis.matrix()
+        assert np.array_equal(M, dirac_generators(A, U, pt).matrix())
         with pytest.raises(ValueError):
             M[0, 0] = 1.0
         with monkeypatch.context() as m:
             m.setattr(DiracPair, "coordinates", lambda self: pytest.fail("matrix rebuilt"))
-            assert check_self_orthogonal(basis) == self_orthogonality(M)
+            assert check_self_orthogonal(basis) <= 1e-10
         # the generators are the rows, over pt; the matrix is no field
         assert np.array_equal([g.coordinates() for g in basis.generators], M)
         assert all(g.X.base is pt and g.alpha.base is pt for g in basis.generators)
-        assert list(vars(basis)) == ["base", "generators"]
+        assert DiracBasis._fields == ("base", "generators")
         with pytest.raises(AttributeError):
             basis._matrix = M
         # equality, hash and repr read base and generators, as for a basis
@@ -617,3 +625,33 @@ def test_a_basis_holds_its_generator_matrix_read_only(monkeypatch):
         # a copy is a basis over the same fields, as before
         assert copy.copy(basis) == basis and np.array_equal(copy.deepcopy(basis).matrix(), M)
         assert np.array_equal(pickle.loads(pickle.dumps(basis)).matrix(), M)
+
+
+def test_a_basis_makes_its_pairs_when_they_are_first_read(monkeypatch):
+    built = []
+
+    def counted(f):
+        def g(*args, **kwargs):
+            built.append(1)
+            return f(*args, **kwargs)
+        return g
+
+    monkeypatch.setattr(DiracPair, "__init__", counted(DiracPair.__init__))
+    monkeypatch.setattr(DiracPair, "_trusted", classmethod(counted(DiracPair._trusted.__func__)))
+    rng = np.random.default_rng(29)
+    for A, U in scenarios():
+        pt = random_dual(A, rng)
+        basis = dirac_generators(A, U, pt)
+        M = basis.matrix()
+        assert check_self_orthogonal(basis) <= 1e-10 and M.shape == (2 * A.n, 4 * A.n)
+        assert not built  # no pair yet: the generators were not read
+        gens = basis.generators
+        assert len(built) == 2 * A.n and basis.generators is gens
+        assert len(built) == 2 * A.n  # a second read makes none
+        for g, row in zip(gens, M):
+            for a in (g.X.z, g.X.u, g.alpha.r, g.alpha.v):
+                assert np.shares_memory(a, row) and not a.flags.writeable
+        # a copy of a basis whose pairs were never read is the same basis
+        unread = dirac_generators(A, U, pt)
+        assert copy.copy(unread) == unread
+        built.clear()

@@ -267,7 +267,7 @@ def _geometry_group(lib, h) -> None:
                             rng.standard_normal(A.n)) for _ in range(8)]
         rows, at = [], []
         for j, pt in enumerate(points):
-            M = _outcome(dirac.generator_matrix, A, U, pt)
+            M = _outcome(lambda: dirac.dirac_generators(A, U, pt).matrix())
             _feed(h, [name, M])
             if isinstance(M, Exception):
                 continue
