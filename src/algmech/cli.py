@@ -165,8 +165,10 @@ def cmd_simulate(args) -> int:
         lines = [",".join(cols)]
         fmt = ",".join([_FIELD] * len(cols))
         reports = _lift_residuals(sys_, traj.states, args.h, np.inf)
-        for t, st, E, rep in zip(traj.times, traj.states, energies, reports):
-            lines.append(fmt % (t, *st.x, *st.y, *st.p, E, rep.r_kin, rep.r_mom))
+        stacked = [np.array([getattr(st, c) for st in traj.states]) for c in "xyp"]
+        rows = np.column_stack([traj.times, *stacked]).tolist()  # [t | x | y | p] as floats
+        for row, E, rep in zip(rows, energies, reports):
+            lines.append(fmt % (*row, E, rep.r_kin, rep.r_mom))
         try:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write("\n".join(lines) + "\n")

@@ -186,11 +186,13 @@ def _dot(u: list, v: list) -> str:
     return f"sum(({', '.join(products)}))"
 
 
-def _packed(h: str, k: int):
-    """Source of the (j, l) entry of the packed upper-triangle Hessian
-    ``h`` over k variables, as a function of (j, l)."""
+def _packed(h, k: int):
+    """The (j, l) entry of the packed upper-triangle Hessian ``h`` over k
+    variables, as a function of (j, l): the source of a subscript where h
+    names a tuple, else h's token there."""
     index = {jl: i for i, jl in enumerate(expr._pairs(k))}
-    return lambda j, l: f"{h}[{index[min(j, l), max(j, l)]}]"
+    at = (lambda i: f"{h}[{i}]") if isinstance(h, str) else h.__getitem__
+    return lambda j, l: at(index[min(j, l), max(j, l)])
 
 
 def _inverse(key: tuple, r: int) -> list:
@@ -237,30 +239,39 @@ def _emit_field(Lg: Lagrangian, r: int):
     """The adapted field of ``Lg`` on a rank-r adapted U, compiled from
     source as a function that returns it bound to a fresh inverse cache.
 
-    The anchor and bracket are the tokens of :func:`_algebroid_source`,
-    read as float tuples where they depend on x.  Every contraction keeps
-    the term order of ``sum(map(mul, row, v))``."""
+    L's jet program is spliced in: its steps run on the field's own
+    locals, q bound by name and the n - r pinned velocities as 0.0, and
+    its gradient and packed Hessian are the tokens the field reads.  The
+    anchor and bracket are the tokens of :func:`_algebroid_source`, read
+    as float tuples where they depend on x.  Every contraction keeps the
+    term order of ``sum(map(mul, row, v))``."""
     A = Lg.algebroid
     m, n = A.m, A.n
-    q, s = [f"q{k}" for k in range(m + r)], [f"s{a}" for a in range(r)]
-    ya, xd = q[m:], [f"xd{i}" for i in range(m)]
-    hess = _packed("h", m + n)
-    binding = ", ".join(f"{k!r}: {v}" for k, v in zip(Lg._names, q + ["0.0"] * (n - r)))
+    names, em, free = Lg._names, expr._Emitter(), expr.free_variables(Lg.L)
+    index = {name: j for j, name in enumerate(names)}
+    _, g, h = expr._emit(em, Lg.L, index, expr._pairs(m + n))
+    q, s = [em.var(v) for v in names[: m + r]], [f"s{a}" for a in range(r)]
+    ya, xd, hess = q[m:], [f"xd{i}" for i in range(m)], _packed(h, m + n)
     body = ["nonlocal key, inv"] + ([f"{', '.join(q)}, = q"] if q else [])
-    body += ["try:", f"    _, g, h = raw({{{binding}}})",
-             "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
-             "    raise EvaluationFault(str(exc)) from exc"]
+    body += [f"{em.var(v)} = 0.0" for v in names[m + r :] if v in free]
+    unbound = sorted(free - index.keys())
+    if unbound:  # as Lg.jet faults: at the first name it reads
+        message = f"unbound variable {unbound[0]!r}"
+        body.append(f"raise EvaluationFault({message!r})")
+    if em.lines:  # a constant L takes no step; each line is indented once, into the try
+        body += ["try:", *em.lines,
+                 "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+                 "    raise EvaluationFault(str(exc)) from exc"]
     reads, rho, _, terms = _algebroid_source(A, r, "xs", jets=False)
     check = [f"xs = q[:{m}]", "if not all(map(isfinite, xs)):", "    _finite_vector(xs, 'x')"]
     body += check * bool(reads) + reads  # rho and C are read only at a finite x
     body += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
     # mixed Hessian term that d/dt of dL/dy carries over
-    terms = [(a, f"g[{m + gm}] * {c} * {ya[b]}") for a, b, gm, c, _ in terms]
+    terms = [(a, f"{g[m + gm]} * {c} * {ya[b]}") for a, b, gm, c, _ in terms]
     rhs = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
     if m:
-        g = [f"g[{i}]" for i in range(m)]
-        rhs = [f"{t} + ({_dot([row[a] for row in rho], g)})"
+        rhs = [f"{t} + ({_dot([row[a] for row in rho], g[:m])})"
                f" - ({_dot([hess(i, m + a) for i in range(m)], xd)})" for a, t in enumerate(rhs)]
     body += [f"{v} = {t}" for v, t in zip(s, rhs)]
     ydot = []
@@ -270,9 +281,9 @@ def _emit_field(Lg: Lagrangian, r: int):
         body += [f"k = ({key},)", "if k != key:", f"    inv, key = _inverse(k, {r}), k",
                  ", ".join(f"({', '.join(row)},)" for row in inv) + ", = inv"]
         ydot = [_dot(row, s) for row in inv]
-    body.append(f"return [{', '.join(xd + ydot)}], g[{m}:]")
+    body.append(f"return [{', '.join(xd + ydot)}], {expr._source_tuple(g[m:])}")
     head = ["def _bind():", "    key = inv = None", "    def field(q):"]
-    ns = dict(raw=Lg._jet.raw, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
+    ns = dict(expr._NS, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
               _finite_vector=_finite_vector, _inverse=_inverse)
     return _compiled(head, body, "    return field", "adapted field", ns)
 

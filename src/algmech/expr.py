@@ -16,7 +16,8 @@ variable-order) pair is compiled once into straight-line scalar Python and
 cached; the integrators call the compiled form millions of times.  The first
 ``eval_jet2`` of a pair walks the tree instead, with the same floats, so a
 one-off expression is never compiled.  Bound by a list of floats rather than
-a mapping, ``eval_jet2`` returns flat float tuples, not arrays.
+a mapping, ``eval_jet2`` returns flat float tuples, not arrays, and the
+compiled form takes the list by position.
 
 A tuple of expressions (vector forward mode) gets one straight-line
 function for all its entries, with the same floats as entry-by-entry
@@ -625,6 +626,14 @@ def compile_jet2(e, wrt, *, defer: bool = False):
     The cache then lives on the tuple, so an owner that evaluates the same
     array repeatedly keeps it as an :class:`Array`; a plain tuple is
     walked (or, without ``defer``, compiled) again on every call.
+
+    Besides the mapping form, the jet has a list form ``jet.flat(values)``
+    at the floats of ``wrt`` in order, which returns the flat tuples of
+    ``jet.checked`` with the same faults.  The compiled program takes that
+    list by position, one parameter per name of ``wrt``; the mapping form
+    is a head that reads the free names and calls it.  Where a free name is
+    not in ``wrt`` (or ``wrt`` repeats a name), and for the walked jet, the
+    list form zips the names into a mapping instead.
     """
     wrt = tuple(wrt)
     cache = _jet_cache(e)
@@ -656,18 +665,24 @@ def _build_jet2(e, wrt):
     index = {name: j for j, name in enumerate(wrt)}
     pairs = _pairs(len(wrt))
     em = _Emitter()
-    header = ["def _jet2(_b):"]
-    for name in _free_names(entries):
-        header.append(f"    _v_{name} = _b[{name!r}]")
+    names = _free_names(entries)
     jets = [_emit(em, x, index, pairs) for x in entries]
     vs = [v for v, _, _ in jets]
     g = _source_tuple([t for _, gx, _ in jets for t in gx])
     h = _source_tuple([t for _, _, hx in jets for t in hx])
     v = vs[0] if size is None else _source_tuple(vs)
-    body = "\n".join(header + em.lines) + f"\n    return {v}, {g}, {h}"
+    reads = [f"    _v_{name} = _b[{name!r}]" for name in names]
+    tail = f"    return {v}, {g}, {h}"
+    if len(index) < len(wrt) or not set(names) <= index.keys():  # by name only
+        lines = ["def _jet2(_b):", *reads, *em.lines, tail]
+    else:  # the program takes wrt by position; the mapping form reads its free names
+        params = [f"_v_{name}" if name in names else f"_{j}" for j, name in enumerate(wrt)]
+        args = [f"_v_{name}" if name in names else "0.0" for name in wrt]
+        lines = [f"def _at({', '.join(params)}):", *em.lines, tail,
+                 "def _jet2(_b):", *reads, f"    return _at({', '.join(args)})"]
     ns = dict(_NS)
-    exec(compile(body, "<jet2>", "exec"), ns)
-    return _wrap_jet2(ns["_jet2"], len(wrt), size)
+    exec(compile("\n".join(lines), "<jet2>", "exec"), ns)
+    return _wrap_jet2(ns["_jet2"], wrt, size, ns.get("_at"))
 
 
 def _interpret_jet2(e, wrt):
@@ -689,17 +704,23 @@ def _interpret_jet2(e, wrt):
         h = tuple(plain(t) for _, _, hx in jets for t in hx)
         return (vs[0] if size is None else vs), g, h
 
-    return _wrap_jet2(raw, len(wrt), size)
+    return _wrap_jet2(raw, wrt, size)
 
 
-def _wrap_jet2(raw, k: int, size):
-    """The public jet around ``raw``; ``size`` is the number of entries of
-    an array jet and None for a single expression."""
+def _wrap_jet2(raw, wrt, size, at=None):
+    """The public jet around ``raw``, which takes a mapping; ``size`` is
+    the number of entries of an array jet and None for a single
+    expression, and ``at``, where given, is the same program taking the
+    floats of ``wrt`` by position."""
+    k = len(wrt)
     full = np.empty((k, k), dtype=np.intp)  # packed index of every Hessian entry
     for i, (j, l) in enumerate(_pairs(k)):
         full[j, l] = full[l, j] = i
     if size is not None:  # the same index into each entry's packed block
         full = full + (k * (k + 1) // 2) * np.arange(size).reshape(size, 1, 1)
+
+    def finite(v, g, h):
+        return all(map(math.isfinite, (v, *g, *h) if size is None else (*v, *g, *h)))
 
     def checked(binding):
         try:
@@ -708,7 +729,21 @@ def _wrap_jet2(raw, k: int, size):
             raise EvaluationFault(f"unbound variable {exc.args[0]!r}") from exc
         except (ZeroDivisionError, ValueError, OverflowError) as exc:
             raise EvaluationFault(str(exc)) from exc
-        if not all(map(math.isfinite, (v, *g, *h) if size is None else (*v, *g, *h))):
+        if not finite(v, g, h):
+            raise EvaluationFault("non-finite derivative result")
+        return v, g, h
+
+    def by_name(values):
+        return checked(dict(zip(wrt, values)))
+
+    def by_position(values):
+        try:
+            v, g, h = at(*values)
+        except TypeError:  # not one value per name of wrt: as zipped into a mapping
+            return by_name(values)
+        except (ZeroDivisionError, ValueError, OverflowError) as exc:
+            raise EvaluationFault(str(exc)) from exc
+        if not finite(v, g, h):
             raise EvaluationFault("non-finite derivative result")
         return v, g, h
 
@@ -724,9 +759,11 @@ def _wrap_jet2(raw, k: int, size):
 
     # raw: the value (a tuple of values for an array) and the flat tuples
     # of gradients and packed upper-triangle Hessians, errors unmapped;
-    # checked: the same with the errors and the finiteness check of jet
+    # checked: the same with the errors and the finiteness check of jet;
+    # flat: checked at the list of the floats of wrt in order
     jet.raw = raw
     jet.checked = checked
+    jet.flat = by_name if at is None else by_position
     return jet
 
 
@@ -745,9 +782,11 @@ def eval_jet2(e, binding, wrt):
     form is kept.
 
     Bound by a list of the floats of ``wrt``, it returns the value(s) and
-    the flat gradient and packed Hessian tuples, with the same faults.
+    the flat gradient and packed Hessian tuples, with the same faults.  The
+    compiled form takes that list by position (``jet.flat``), with no
+    mapping in between.
     """
     jet = compile_jet2(e, wrt, defer=True)
     if isinstance(binding, list):
-        return jet.checked(dict(zip(wrt, binding)))
+        return jet.flat(binding)
     return jet(binding)

@@ -149,7 +149,7 @@ class Lagrangian:
     def _flat(self, values: list) -> tuple:
         """The checked flat (L, gradient, packed Hessian) at the floats of
         (x, y) in order."""
-        return self._jet.checked(dict(zip(self._names, values)))
+        return self._jet.flat(values)
 
 
 def legendre(Lg: Lagrangian, e: FiberPoint) -> DualPoint:

@@ -331,7 +331,8 @@ def test_config_that_is_not_a_utf8_json_object_exits_6_with_one_error_line(
         '"lagrangian": "' + "(" * 250 + "0.5 * y1^2" + ")" * 250 + '"',
         # json.load
         '"lagrangian": "0.5 * y1^2", "doc": ' + "[" * 990 + "]" * 990,
-        # parsed in a loop, but the jet compiler recurses into the sum
+        # parsed in a loop, but expr.free_variables recurses into the sum
+        # while the config is read (config._parse_expr)
         '"lagrangian": "0.5 * y1^2' + " + x1" * 3000 + '"',
     ],
     ids=["parentheses", "doc", "sum"],

@@ -798,6 +798,20 @@ def _constant_config(r):
     })
 
 
+def _every_rule_config():
+    # L runs every derivative rule of the jet compiler on live and constant
+    # arguments, with a quotient, a negation, powers and a literal below
+    # zero, so the emitted field splices every kind of jet token
+    return bundle_from_config({
+        "m": 1, "n": 3, "r": 2, "anchor": [["1", "x1", "0.5"]],
+        "structure": {"1,1,2": "0.3", "3,1,2": "-0.2"},
+        "lagrangian": "0.5 * exp(0.1 * x1) * y1^2 + 0.5 * (2 + sin(x1)) * y2^2"
+                      " + 0.1 * cos(x1) * y1 * y2 + sqrt(1 + y1^2) / 4 - ln(2 + x1^2)"
+                      " + cos(0.5) * y3^2 - neg(x1) * y2 / 3 + (-2.5) * x1^3 * y3 + 0.2 * y2 * y3",
+        "subbundle": "adapted:2",
+    })
+
+
 FIELD_BUNDLES = {
     **{name: lambda name=name: get_model(name) for name in model_names()},
     "free-particle-3d": lambda: get_model("free-particle", d=3),
@@ -806,6 +820,7 @@ FIELD_BUNDLES = {
     "x-dependent-config-rank-2-of-3": _x_dependent_config_rank_2_of_3,
     "constant-config": lambda: _constant_config(3),
     "constant-config-rank-2": lambda: _constant_config(2),
+    "every-rule-config": _every_rule_config,
 }
 
 
@@ -835,6 +850,50 @@ def test_emitted_field_keeps_its_error_mapping():
     field = dynamics._adapted_field(get_model("degenerate-demo").system)
     with pytest.raises(Degenerate, match="condition number"):
         field([0.1, 0.5, 0.5])
+
+
+def _field_and_jet_faults(sys, q):
+    """The faults of the emitted field and of ``Lg.jet`` at q = (x, ya),
+    the pinned velocities 0.0: each as its type, message and the type of
+    the error it maps."""
+    faults = []
+    pad = [0.0] * (sys.A.n - sys.U.r)
+    for call in (lambda: dynamics._adapted_field(sys)(q), lambda: sys.Lg.jet([*q, *pad])):
+        with pytest.raises(EvaluationFault) as exc:
+            call()
+        faults.append((type(exc.value), str(exc.value), type(exc.value.__cause__)))
+    return faults
+
+
+def _one_dimensional(lagrangian):
+    return bundle_from_config({"m": 1, "n": 1, "r": 1, "anchor": [["1"]],
+                               "lagrangian": lagrangian}).system
+
+
+@pytest.mark.parametrize(
+    "sys, q, cause",
+    [
+        (lambda: _one_dimensional("0.5 * y1^2 + 1 / x1"), [0.0, 0.3], ZeroDivisionError),
+        (lambda: _one_dimensional("0.5 * y1^2 + ln(x1)"), [-0.5, 0.3], ValueError),
+        (lambda: get_model("pendulum").system, [0.1, 1e200], OverflowError),  # y1^2
+    ],
+    ids=["division", "ln", "power"],
+)
+def test_emitted_field_faults_as_lagrangian_jet_at_the_same_point(sys, q, cause):
+    sys = sys()
+    field_fault, jet_fault = _field_and_jet_faults(sys, q)
+    assert field_fault == jet_fault and field_fault[2] is cause
+    assert "raw" not in dynamics._adapted_field(sys).__globals__  # the jet runs inline
+
+
+def test_emitted_field_names_an_unbound_variable_as_lagrangian_jet():
+    # the config reader refuses a stray name; a Lagrangian built directly
+    # keeps it, and the field faults on it as Lg.jet does
+    b = get_model("pendulum")
+    A, U = b.system.A, b.system.U
+    sys = ImplicitSystem(A, Lagrangian(A, "0.5 * y1^2 + z9 * a0 - cos(x1)"), U)
+    field_fault, jet_fault = _field_and_jet_faults(sys, [0.1, 0.3])
+    assert field_fault[:2] == jet_fault[:2] == (EvaluationFault, "unbound variable 'a0'")
 
 
 def test_a_second_integrate_emits_and_compiles_nothing(monkeypatch):

@@ -344,3 +344,58 @@ def test_array_jet_faults_are_evaluation_faults(texts, binding, message):
             expr.eval_jet2(flat, [binding["x1"]], ("x1",))
         assert str(listed.value) == str(mapped.value)
     assert flat._jet_cache[("x1",)] is not None
+
+
+def _outcome(fn):
+    """The bits of a jet's flat tuples, or its fault as its type, message
+    and the type of the error it maps."""
+    try:
+        v, g, h = fn()
+    except Exception as exc:
+        return type(exc), str(exc), type(exc.__cause__)
+    return _bits(v, g, h)
+
+
+# each derivative rule on a live argument, in a quotient and beside a
+# square, and all of them as one Array; the points hold each fault: a
+# division by zero, ln and sqrt of a negative, exp and ^ past the largest
+# float, and an inf product that only the finiteness check refuses
+LIST_FORM_TEXTS = {f: f"{f}(x1 * x2) / (x2 - 1) - x1^2" for f in expr._RULES}
+LIST_FORM_POINTS = ([0.7, 1.3], [0.5, 1.0], [-0.5, 2.0], [800.0, 1.5], [1e200, 3.0], [1e100, 1e300])
+
+
+@pytest.mark.parametrize(
+    "wrt",
+    [("x1", "x2"), ("x2", "x1"), ("x3", "x1", "x2"), ("x1",)],
+    ids=["in-order", "reversed", "extra-name", "lacks-x2"],
+)
+@pytest.mark.parametrize("entry", [*expr._RULES, "array"])
+def test_list_form_equals_the_checked_mapping_form_bit_for_bit(entry, wrt):
+    def build():
+        if entry == "array":
+            return expr.Array(expr.parse(t) for t in LIST_FORM_TEXTS.values())
+        return expr.parse(LIST_FORM_TEXTS[entry])
+
+    compiled = expr.compile_jet2(build(), wrt)
+    # the compiled program takes wrt by position unless a free name is missing
+    assert compiled.flat.__name__ == ("by_position" if "x2" in wrt else "by_name")
+    outcomes = set()
+    for point in LIST_FORM_POINTS:
+        values = [dict(zip(("x1", "x2"), point)).get(name, 0.25) for name in wrt]
+        ref = _outcome(lambda: compiled.checked(dict(zip(wrt, values))))
+        e = build()
+        walked = _outcome(lambda: expr.eval_jet2(e, values, wrt))
+        assert e._jet_cache[wrt] is None  # the first call walked the tree
+        listed = _outcome(lambda: expr.eval_jet2(e, values, wrt))
+        assert e._jet_cache[wrt] is not None
+        assert walked == listed == ref == _outcome(lambda: compiled.flat(values))
+        outcomes.add(ref if isinstance(ref, tuple) else "floats")
+        # one value more or one fewer than wrt: as the zipped mapping reads them
+        for other in (values + [9.0], values[:-1]):
+            got = _outcome(lambda: compiled.flat(other))
+            assert got == _outcome(lambda: compiled.checked(dict(zip(wrt, other))))
+    if "x2" not in wrt:
+        assert outcomes == {(EvaluationFault, "unbound variable 'x2'", KeyError)}
+    else:
+        assert "floats" in outcomes and len(outcomes) >= 4  # floats and three kinds of fault
+
