@@ -61,10 +61,11 @@ def _bundle(name: str, text: str | None = None):
     failed build is not kept and fails again.
 
     Commands share a kept bundle safely: none mutates it, the state of one
-    run is bound fresh on every call (``_adapted_field`` binds a fresh
-    inverse-Hessian cache, ``_midpoint_step`` binds h), and
+    run is bound fresh on every call (``_adapted`` binds the field and
+    its RK4 step to one fresh inverse-Hessian cache, which only a Hessian
+    that is not constant uses, ``_midpoint_step`` binds h), and
     ``Lagrangian._fields`` and the jets cached on its expressions hold
-    only code.
+    only code and, for a constant Hessian, its inverse as literals.
     """
     if text is None:
         return get_model(name)

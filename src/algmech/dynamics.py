@@ -147,12 +147,16 @@ def _sup_norm(v: list) -> float:
 def _adapted_field(sys: ImplicitSystem):
     """Right-hand side of the adapted reduction as a function q -> (qdot,
     p) on Python floats, at q = (x, ya), the base point followed by the
-    U-components of the velocity, with p the full Legendre image.
+    U-components of the velocity, with p the full Legendre image."""
+    return _adapted(sys)[0]
 
-    The function is straight-line source, emitted and compiled once per
-    Lagrangian and rank of U on first use and kept on the Lagrangian
-    beside its compiled jet.  Each call here binds it to a fresh cache of
-    the inverse restricted velocity Hessian."""
+
+def _adapted(sys: ImplicitSystem) -> tuple:
+    """(field, step): the adapted field and its RK4 step ``(q, h) ->
+    (q_next, p at q)``.  Both are straight-line source, emitted and
+    compiled once per Lagrangian and rank of U on first use and kept on the
+    Lagrangian beside its compiled jet.  Each call here binds them to one
+    fresh cache of the inverse restricted velocity Hessian."""
     if not sys.U.adapted:
         raise ValueError("explicit path needs the subbundle in adapted form")
     return _emitted(sys.Lg, "rk4", sys.U.r, _emit_field)()
@@ -167,12 +171,14 @@ def _emitted(Lg: Lagrangian, method: str, r: int, emit):
     return bind
 
 
-def _compiled(head: list, body: list, tail: str, label: str, ns: dict):
+def _compiled(head: list, inner: list, tail: str, label: str, ns: dict):
     """``_bind`` run in the namespace ``ns`` from the lines of ``head``,
-    which end in the ``def`` of an inner function, that function's
-    ``body`` and the ``tail`` line after it."""
-    src = "\n".join([*head, *(f"        {t}" for t in body), tail])
-    exec(compile(src, f"<{label}>", "exec"), ns)
+    which start it, its ``inner`` functions, each a (``def`` line, body
+    lines) pair, and the ``tail`` line after them."""
+    src = [*head]
+    for signature, body in inner:
+        src += [f"    {signature}", *(f"        {t}" for t in body)]
+    exec(compile("\n".join([*src, tail]), f"<{label}>", "exec"), ns)
     return ns["_bind"]
 
 
@@ -236,56 +242,96 @@ def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
 
 
 def _emit_field(Lg: Lagrangian, r: int):
-    """The adapted field of ``Lg`` on a rank-r adapted U, compiled from
-    source as a function that returns it bound to a fresh inverse cache.
+    """The adapted field of ``Lg`` on a rank-r adapted U and its RK4 step,
+    compiled from source as a function that returns both, bound to one
+    fresh inverse cache.
 
     L's jet program is spliced in: its steps run on the field's own
     locals, q bound by name and the n - r pinned velocities as 0.0, and
     its gradient and packed Hessian are the tokens the field reads.  The
     anchor and bracket are the tokens of :func:`_algebroid_source`, read
     as float tuples where they depend on x.  Every contraction keeps the
-    term order of ``sum(map(mul, row, v))``."""
+    term order of ``sum(map(mul, row, v))``.  The step inlines the field
+    at each of its four stages (:func:`_rk4_lines`).  Where every entry of
+    the restricted velocity Hessian is a literal of the jet, it is
+    inverted here, once, and its inverse is literals too (or the fault
+    of :func:`_inverse` is raised where the inverse is read)."""
     A = Lg.algebroid
     m, n = A.m, A.n
     names, em, free = Lg._names, expr._Emitter(), expr.free_variables(Lg.L)
     index = {name: j for j, name in enumerate(names)}
     _, g, h = expr._emit(em, Lg.L, index, expr._pairs(m + n))
     q, s = [em.var(v) for v in names[: m + r]], [f"s{a}" for a in range(r)]
-    ya, xd, hess = q[m:], [f"xd{i}" for i in range(m)], _packed(h, m + n)
-    body = ["nonlocal key, inv"] + ([f"{', '.join(q)}, = q"] if q else [])
-    body += [f"{em.var(v)} = 0.0" for v in names[m + r :] if v in free]
+    ya, hess = q[m:], _packed(h, m + n)
+    prologue = [f"{em.var(v)} = 0.0" for v in names[m + r :] if v in free]
     unbound = sorted(free - index.keys())
     if unbound:  # as Lg.jet faults: at the first name it reads
         message = f"unbound variable {unbound[0]!r}"
-        body.append(f"raise EvaluationFault({message!r})")
+        prologue.append(f"raise EvaluationFault({message!r})")
+    jet = []
     if em.lines:  # a constant L takes no step; each line is indented once, into the try
-        body += ["try:", *em.lines,
-                 "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
-                 "    raise EvaluationFault(str(exc)) from exc"]
+        jet = ["try:", *em.lines,
+               "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+               "    raise EvaluationFault(str(exc)) from exc"]
     reads, rho, _, terms = _algebroid_source(A, r, "xs", jets=False)
-    check = [f"xs = q[:{m}]", "if not all(map(isfinite, xs)):", "    _finite_vector(xs, 'x')"]
-    body += check * bool(reads) + reads  # rho and C are read only at a finite x
-    body += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
+    check = [f"xs = [{', '.join(q[:m])}]", "if not all(map(isfinite, xs)):",
+             "    _finite_vector(xs, 'x')"]
+    jet += check * bool(reads) + reads  # rho and C are read only at a finite x
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
     # mixed Hessian term that d/dt of dL/dy carries over
     terms = [(a, f"{g[m + gm]} * {c} * {ya[b]}") for a, b, gm, c, _ in terms]
-    rhs = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
-    if m:
-        rhs = [f"{t} + ({_dot([row[a] for row in rho], g[:m])})"
-               f" - ({_dot([hess(i, m + a) for i in range(m)], xd)})" for a, t in enumerate(rhs)]
-    body += [f"{v} = {t}" for v, t in zip(s, rhs)]
-    ydot = []
-    if r:
+    bracket = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
+    key = [hess(m + a, m + b) for a in range(r) for b in range(r)]
+    values = [0.0 if em.is_zero(t) else em.literal(t) for t in key]
+    live, invert = None in values, []
+    if not r:
+        inv = []
+    elif live:  # the inverse is cached per Hessian key
         inv = [[f"i{a}_{b}" for b in range(r)] for a in range(r)]
-        key = ", ".join(hess(m + a, m + b) for a in range(r) for b in range(r))
-        body += [f"k = ({key},)", "if k != key:", f"    inv, key = _inverse(k, {r}), k",
-                 ", ".join(f"({', '.join(row)},)" for row in inv) + ", = inv"]
-        ydot = [_dot(row, s) for row in inv]
-    body.append(f"return [{', '.join(xd + ydot)}], {expr._source_tuple(g[m:])}")
-    head = ["def _bind():", "    key = inv = None", "    def field(q):"]
+        invert = [f"k = ({', '.join(key)},)", "if k != key:", f"    inv, key = _inverse(k, {r}), k",
+                  ", ".join(f"({', '.join(row)},)" for row in inv) + ", = inv"]
+    else:
+        try:
+            inv = [list(map(em.const, row)) for row in _inverse(tuple(values), r)]
+        except (EvaluationFault, Degenerate) as exc:
+            inv, invert = [["0.0"] * r] * r, [f"raise {type(exc).__name__}({str(exc)!r})"]
+
+    def stage(ins, outs):
+        xd, yd, rhs = outs[:m], outs[m:], bracket
+        if m:
+            rhs = [f"{t} + ({_dot([row[a] for row in rho], g[:m])})"
+                   f" - ({_dot([hess(i, m + a) for i in range(m)], xd)})" for a, t in enumerate(rhs)]
+        lines = [f"{v} = {e}" for v, e in zip(q, ins) if v != e] + jet
+        lines += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
+        lines += [f"{v} = {t}" for v, t in zip(s, rhs)]
+        return lines + invert + [f"{v} = {_dot(row, s)}" for v, row in zip(yd, inv)]
+
+    cache = ["nonlocal key, inv"] * live
+    field = cache + prologue + [f"{', '.join(q)}, = q"] * bool(q)
+    outs = [f"xd{i}" for i in range(m)] + [f"yd{a}" for a in range(r)]
+    field += stage(q, outs) + [f"return [{', '.join(outs)}], {expr._source_tuple(g[m:])}"]
+    step = cache + prologue + _rk4_lines(m + r, stage, expr._source_tuple(g[m:]))
     ns = dict(expr._NS, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
-              _finite_vector=_finite_vector, _inverse=_inverse)
-    return _compiled(head, body, "    return field", "adapted field", ns)
+              Degenerate=Degenerate, _finite_vector=_finite_vector, _inverse=_inverse)
+    head = ["def _bind():", *["    key = inv = None"] * live]
+    return _compiled(head, [("def field(q):", field), ("def step(q, h):", step)],
+                     "    return field, step", "adapted field", ns)
+
+
+def _rk4_lines(M: int, stage, first: str) -> list:
+    """The body of ``step(q, h) -> (q_next, first)``: one classical RK4
+    step on the M floats of q, with its field inlined at each of the four
+    stages.  ``stage(ins, outs)`` gives the lines that evaluate the field
+    at the sources ``ins`` into the locals ``outs``; ``first`` is the
+    source of what the step returns beside q_next, read after stage 1."""
+    q, a, b, c, d = ([f"{v}{i}" for i in range(M)] for v in "qabcd")
+    shift = lambda hs, k: [f"{v} + {hs} * {t}" for v, t in zip(q, k)]
+    update = [f"{v} + h6 * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
+              for v, k1, k2, k3, k4 in zip(q, a, b, c, d)]
+    body = [f"{', '.join(q)}, = q"] * bool(M) + ["hh, h6 = 0.5 * h, h / 6.0"]
+    body += [*stage(q, a), f"first = {first}", *stage(shift("hh", a), b),
+             *stage(shift("hh", b), c), *stage(shift("h", c), d)]
+    return body + [f"return [{', '.join(update)}], first"]
 
 
 def adapted_rhs(sys: ImplicitSystem, x, ya):
@@ -342,30 +388,8 @@ def _steps(h: float, T: float) -> int:
     return N
 
 
-def _rk4_step(f, q: list, k1: list, h: float) -> list:
-    """One classical RK4 step of q' = f(q) on float lists, from k1 = f(q)."""
-    return _rk4_kernel(len(q))(f, q, k1, h)
-
-
-@functools.cache
-def _rk4_kernel(M: int):
-    """:func:`_rk4_step` on M floats as straight-line source, emitted and
-    compiled on first use; at M = 0 it still calls f three times."""
-    q, a, b, c, d = ([f"{v}{i}" for i in range(M)] for v in "qabcd")
-    vec = lambda terms: f"[{', '.join(terms)}]"
-    stage = lambda hs, k: f"f({vec([f'{v} + {hs} * {t}' for v, t in zip(q, k)])})"
-    update = [f"{v} + h6 * ({k1} + 2.0 * {k2} + 2.0 * {k3} + {k4})"
-              for v, k1, k2, k3, k4 in zip(q, a, b, c, d)]
-    body = [f"{vec(q)} = q", f"{vec(a)} = k1", "hh, h6 = 0.5 * h, h / 6.0",
-            f"{vec(b)} = {stage('hh', a)}", f"{vec(c)} = {stage('hh', b)}",
-            f"{vec(d)} = {stage('h', c)}", f"return {vec(update)}"]
-    return _compiled(["def _bind():", "    def step(f, q, k1, h):"], body,
-                     "    return step", "rk4 step", {})()
-
-
 def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
-    field = _adapted_field(sys)
-    qdot = lambda v: field(v)[0]
+    field, step = _adapted(sys)
     N = _steps(h, T)
     m = sys.A.m
     q = [*x0.tolist(), *ya0.tolist()]
@@ -374,9 +398,8 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     try:
         for _ in range(N):
             qs.append(q)
-            k1, p = field(q)
+            q, p = step(q, h)
             ps.append(p)
-            q = _rk4_step(qdot, q, k1, h)
         qs.append(q)
         ps.append(field(q)[1])
     except Degenerate as exc:  # a solution that blows up in finite time ends here: say where
@@ -482,9 +505,9 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
                     + [diag(g, l, "1.0") for l in range(n)])
     body += ["def jacobian():", f"    return [{', '.join(map(vec, rows))}]",
              f"return {vec(F)}, jacobian"]
-    head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h", "    def step(prev, u):"]
+    head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h"]
     ns = dict(isfinite=math.isfinite, _finite_vector=_finite_vector)
-    return _compiled(head, body, "    return step", "midpoint step", ns)
+    return _compiled(head, [("def step(prev, u):", body)], "    return step", "midpoint step", ns)
 
 
 @functools.cache
@@ -525,7 +548,7 @@ def _newton_kernel(m: int, r: int, n: int):
         body.append(f"{z[k]} = ({' - '.join(terms)}) * d{k}")
     dp = [f"-{fg} - ({dot(row, z)})" for fg, row in zip(f[s:], lg)]
     body.append(f"return [{', '.join(z + dp)}]")
-    return _compiled(["def _bind():", "    def delta(F, J):"], body,
+    return _compiled(["def _bind():"], [("def delta(F, J):", body)],
                      "    return delta", "midpoint step", {})()
 
 

@@ -397,12 +397,25 @@ def _step(form: str):
 
 
 class _Tokens:
-    """The zero-folding token algebra over a backend's ``zero``, ``const``
-    and ``step``: no step ever takes the structural zero, which ``zero``
-    and ``const(0.0)`` both return as the one object ``is_zero`` tests for."""
+    """The folding token algebra over a backend's ``zero``, ``const``,
+    ``literal`` and ``step``: no step ever takes the structural zero, which
+    ``zero`` and ``const(0.0)`` both return as the one object ``is_zero``
+    tests for.  Where ``literal`` gives the floats of both operands, a step
+    is folded into the literal of its result, the same IEEE operation done
+    once (but for a zero result, which would turn structural); a product
+    with the literal 1.0 is its other operand where ``floating`` says that
+    already holds a float, since x * 1.0 is x but turns an int into a float."""
 
     def is_zero(self, t) -> bool:
         return t is self.zero
+
+    def _fold(self, op, form: str, *args):
+        values = [self.literal(t) for t in args]
+        if None not in values:
+            v = op(*values)
+            if v != 0.0:
+                return self.const(v)
+        return self.step(form, *args)
 
     def add(self, a, b):
         zero = self.zero
@@ -410,7 +423,7 @@ class _Tokens:
             return b
         if b is zero:
             return a
-        return self.step("{0} + {1}", a, b)
+        return self._fold(operator.add, "{0} + {1}", a, b)
 
     def sub(self, a, b):
         zero = self.zero
@@ -418,50 +431,80 @@ class _Tokens:
             return a
         if a is zero:
             return self.neg(b)
-        return self.step("{0} - {1}", a, b)
+        return self._fold(operator.sub, "{0} - {1}", a, b)
 
     def neg(self, a):
         if a is self.zero:
             return a
-        return self.step("-{0}", a)
+        return self._fold(operator.neg, "-{0}", a)
 
     def mul(self, a, b):
         zero = self.zero
         if a is zero or b is zero:
             return zero
-        return self.step("{0} * {1}", a, b)
+        if self.literal(a) == 1.0 and self.floating(b):
+            return b
+        if self.literal(b) == 1.0 and self.floating(a):
+            return a
+        return self._fold(operator.mul, "{0} * {1}", a, b)
+
+
+# The step forms that give an int when every operand is one: the value
+# steps of variables bound to ints that stay ints
+_INT_FORMS = frozenset(("-{0}", "{0} + {1}", "{0} - {1}", "{0} * {1}", "{0} ** {1}"))
 
 
 class _Emitter(_Tokens):
-    """Accumulates straight-line assignments; tokens are source, "0.0" is zero."""
+    """Accumulates straight-line assignments; tokens are source, "0.0" is
+    zero.  It keeps the float of each literal token it made, and the tokens
+    that may hold an int: the variables and the int steps of them alone."""
 
     zero = _ZERO
 
     def __init__(self):
         self.lines = []
         self.n = 0
+        self.literals = {}
+        self.ints = set()
 
-    @staticmethod
-    def const(x: float) -> str:
+    def const(self, x: float) -> str:
         if not math.isfinite(x):
-            return f"_float({repr(x)!r})"
-        if math.copysign(1.0, x) < 0:
-            return f"({x!r})"
-        return _ZERO if x == 0.0 else repr(x)
+            t = f"_float({repr(x)!r})"
+        elif math.copysign(1.0, x) < 0:
+            t = f"({x!r})"
+        elif x == 0.0:
+            return _ZERO
+        else:
+            t = repr(x)
+        self.literals[t] = x
+        return t
 
-    @staticmethod
-    def var(name: str) -> str:
-        return f"_v_{name}"
+    def literal(self, t):
+        return self.literals.get(t)
+
+    def floating(self, t) -> bool:
+        return t not in self.ints
+
+    def var(self, name: str) -> str:
+        t = f"_v_{name}"
+        self.ints.add(t)
+        return t
 
     def step(self, form: str, *args) -> str:
         name = f"t{self.n}"
         self.n += 1
         self.lines.append(f"    {name} = {form.format(*args)}")
+        ints = self.ints
+        if form in _INT_FORMS and all(a in ints if isinstance(a, str) else isinstance(a, int)
+                                      for a in args):
+            ints.add(name)
         return name
 
 
 class _Evaluator(_Tokens):
-    """Carries the steps out on the bound values; ``_Z`` is the structural zero."""
+    """Carries the steps out on the bound values; ``_Z`` is the structural
+    zero.  Its tokens are values, none of them a literal, so it folds nothing
+    but structural zeros."""
 
     zero = _Z
 
@@ -472,6 +515,10 @@ class _Evaluator(_Tokens):
     def const(x: float):
         # the source literal of +0.0 is the emitter's structural zero
         return _Z if repr(x) == _ZERO else x
+
+    @staticmethod
+    def literal(t):
+        return None
 
     def var(self, name: str):
         return self.values[name]
@@ -570,8 +617,7 @@ def _emit(em, e: Expression, index: dict, pairs):
         v = em.step("{0} ** {1}", uv, n)
         if not _live(em, ug, uh):
             return v, *_zeros(em, k, pairs)
-        d1 = em.step("{0} * {1} ** {2}", float(n), uv, n - 1)
-        d2 = em.step("{0} * {1} ** {2}", float(n * (n - 1)), uv, n - 2)
+        d1, d2 = _power(em, float(n), uv, n - 1), _power(em, float(n * (n - 1)), uv, n - 2)
         return _chain(em, v, d1, d2, ug, uh, pairs)
     if isinstance(e, Fun):
         uv, ug, uh = _emit(em, e.arg, index, pairs)
@@ -582,6 +628,14 @@ def _emit(em, e: Expression, index: dict, pairs):
                 return t["v"], *_zeros(em, k, pairs)
         return _chain(em, t["v"], t["d1"], t["d2"], ug, uh, pairs)
     raise TypeError(f"not an expression node: {e!r}")  # pragma: no cover
+
+
+def _power(em, c: float, u, k: int):
+    """The derivative token c * u ** k of the power rule, with u ** 1
+    written as u and u ** 0 as the literal 1.0, both exact."""
+    if k >= 2:
+        return em.step("{0} * {1} ** {2}", c, u, k)
+    return em.mul(em.const(c), u if k == 1 else em.const(1.0))
 
 
 def _chain(em, v, d1, d2, ug, uh, pairs):

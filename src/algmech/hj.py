@@ -15,7 +15,7 @@ from . import expr
 from .algebroid import BasePoint, FiberPoint, _as_expression, _distances, _passes, _Record
 from .algebroid import _scaled_bound, base_names, contract
 from .dynamics import ImplicitSystem, _algebroid_source, _along, _compiled, _dot
-from .dynamics import _fd_derivatives, _point_data, _residual_rows, _rk4_step, _row_max, _steps
+from .dynamics import _fd_derivatives, _point_data, _residual_rows, _rk4_lines, _row_max, _steps
 from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 
 FLOW_BOUND = 1e6
@@ -128,44 +128,60 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
     """Fourth-order integration of the induced base field
     c' = rho(c) gamma(c), on floats, with gamma read from its compiled
     values-only jet."""
+    points, _ = _flow(sys, s, x0, h, T)
+    return BaseTrajectory(np.arange(len(points)) * h, np.array(points))
+
+
+def _flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> tuple:
+    """The points of :func:`base_flow` as float lists, and gamma at every
+    point but the last, as each step read it at its start."""
     A, N = sys.A, _steps(h, T)
     if A._flow is None:
         A._flow = _emit_flow(A)
-    field = A._flow(expr.compile_jet2(s.gamma, ()).checked, s.gamma)
+    step = A._flow(expr.compile_jet2(s.gamma, ()).checked, s.gamma)
     x = x0.x.tolist()
-    pts = [x]
+    points, gammas = [x], []
     for k in range(N):
-        x = _rk4_step(field, x, field(x), h)
+        x, g = step(x, h)
         if not all(abs(v) <= FLOW_BOUND for v in x):
             raise FlowBlowUp(
                 f"base flow left |x| <= {FLOW_BOUND:g} at t={(k + 1) * h:g}"
             )
-        pts.append(x)
-    return BaseTrajectory(np.arange(N + 1) * h, np.array(pts))
+        points.append(x)
+        gammas.append(g)
+    return points, gammas
 
 
 def _emit_flow(A):
-    """The base field x -> rho(x) gamma(x) on the float list x, compiled
-    from source once per algebroid as ``bind(jet, gamma)``: the field of
-    the section part gamma, whose values-only checked jet is ``jet``.
-    rho is the tokens of ``_algebroid_source``; a stage that is not
-    finite gives nan, and a fault in gamma is raised as ``evaluate``
-    reports it."""
+    """The RK4 step of the base field x -> rho(x) gamma(x) on the float
+    list x, compiled from source once per algebroid as ``bind(jet,
+    gamma)``: the step ``(x, h) -> (x_next, gamma(x))`` of the section part
+    gamma, whose values-only checked jet is ``jet``, with the field inlined
+    at each stage (:func:`_rk4_lines`).  rho is the tokens of
+    ``_algebroid_source``; a stage input that is not finite makes the whole
+    step nan, and a fault in gamma is raised as ``evaluate`` reports it."""
     m, n = A.m, A.n
     xs, gs = [f"x{i}" for i in range(m)], [f"g{a}" for a in range(n)]
-    reads, rho, _, _ = _algebroid_source(A, n, "x", jets=False)
+    reads, rho, _, _ = _algebroid_source(A, n, "xs", jets=False)
+    reads = [t for t in reads if t.startswith("rho")]  # the anchor; no bracket
     binding = ", ".join(f"{k!r}: {v}" for k, v in zip(base_names(m), xs))
-    body = ["if not all(map(isfinite, x)):  # it fails its step's bound",
-            f"    return [nan] * {m}", f"[{', '.join(xs)}] = x"]
-    body += [f"b = {{{binding}}}", "try:", f"    [{', '.join(gs)}] = jet(b)[0]",
-             "except EvaluationFault:", "    for e in gamma:", "        evaluate(e, b)",
-             "    raise"]
-    body += [t for t in reads if t.startswith("rho")]  # the anchor; no bracket
-    body.append(f"return [{', '.join(_dot(row, gs) for row in rho)}]")
-    head = ["def _bind(jet, gamma):", "    def field(x):"]
+
+    def stage(ins, outs):
+        lines = [f"{v} = {e}" for v, e in zip(xs, ins)]
+        if m:  # a nan step fails its bound
+            lines += [f"if not all(map(isfinite, ({', '.join(xs)},))):",
+                      f"    return [nan] * {m}, None"]
+        lines += [f"b = {{{binding}}}", "try:", f"    [{', '.join(gs)}] = jet(b)[0]",
+                  "except EvaluationFault:", "    for e in gamma:", "        evaluate(e, b)",
+                  "    raise"]
+        lines += [f"xs = [{', '.join(xs)}]"] * bool(reads) + reads
+        return lines + [f"{v} = {_dot(row, gs)}" for v, row in zip(outs, rho)]
+
+    body = _rk4_lines(m, stage, expr._source_tuple(gs))
     ns = dict(A=A, isfinite=math.isfinite, nan=math.nan, EvaluationFault=EvaluationFault,
               evaluate=expr.evaluate)
-    return _compiled(head, body, "    return field", "base flow", ns)
+    return _compiled(["def _bind(jet, gamma):"], [("def step(q, h):", body)],
+                     "    return step", "base flow", ns)
 
 
 class TheoremReport(_Record):
@@ -190,12 +206,12 @@ def verify_theorem(
     point, an evaluation fault comes first, then in-U, Legendre, closedness."""
     if _steps(h, T) < 2:
         raise BadParams("the lift check needs a horizon of at least two steps")
-    X = base_flow(sys, s, x0, h, T).points
-    Lg, m, tol_K = sys.Lg, sys.A.m, DEFAULT_HYPOTHESIS_TOL
+    points, gammas = _flow(sys, s, x0, h, T)
+    X, Lg, m, tol_K = np.array(points), sys.Lg, sys.A.m, DEFAULT_HYPOTHESIS_TOL
     rows, data, fault = [], [], None
-    for k, x in enumerate(X.tolist()):  # only the jets are evaluated point by point
-        try:
-            g = s._part(s.gamma, x)[0]
+    for k, x in enumerate(points):  # only the jets are evaluated point by point
+        try:  # gamma at all but the last point is the flow's
+            g = gammas[k] if k < len(gammas) else s._part(s.gamma, x)[0]
             grad = Lg._flat([*x, *g])[1]
             gb, J = s._part(s.gammabar, x, True)
             data.append(_point_data(sys, BasePoint._trusted(x=X[k])))

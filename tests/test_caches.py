@@ -1,8 +1,8 @@
 """What ``cli.main`` keeps between calls in one process: the one parser,
 the built models (``cli._bundle``, by name or by config path and
-content), each holding the compiled jets, field and step made on it, and
-the RK4 step and Newton kernels kept by shape, so that a repeated command
-compiles nothing."""
+content), each holding the compiled jets, field and steps made on it, and
+the Newton kernels kept by shape, so that a repeated command compiles
+nothing."""
 
 import builtins
 import contextlib
@@ -50,10 +50,10 @@ def _counting(monkeypatch, owner, name):
 )
 def test_a_repeated_command_compiles_nothing(tmp_path, monkeypatch, argv):
     argv = (*argv, "--out", tmp_path / "o.csv")
-    # the built models, and the RK4 step and Newton kernels by shape, are
-    # kept per process: clear them too, so that the first run builds and
-    # compiles them whatever ran before
-    for cache in (cli._bundle, dynamics._rk4_kernel, dynamics._newton_kernel):
+    # the built models, and the Newton kernels by shape, are kept per
+    # process: clear them too, so that the first run builds and compiles
+    # them whatever ran before
+    for cache in (cli._bundle, dynamics._newton_kernel):
         cache.cache_clear()
     calls = _counting(monkeypatch, builtins, "compile")
     first = _run(*argv), (tmp_path / "o.csv").read_bytes()
@@ -62,9 +62,8 @@ def test_a_repeated_command_compiles_nothing(tmp_path, monkeypatch, argv):
     second = _run(*argv), (tmp_path / "o.csv").read_bytes()
     assert first == second and first[0][0] == 0
     assert len(calls) == compiled
-    rk4 = {"<adapted field>", "<rk4 step>"}
-    labels = {filename for _, filename, _ in calls}
-    assert labels == {"<jet2>"} | ({"<midpoint step>"} if "implicit_midpoint" in argv else rk4)
+    labels = {filename for _, filename, _ in calls}  # the RK4 step is the field's
+    assert labels == {"<jet2>", "<midpoint step>" if "implicit_midpoint" in argv else "<adapted field>"}
 
 
 # affine-rank2 as a config: an x-dependent anchor, a constant structure

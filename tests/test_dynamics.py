@@ -1,7 +1,9 @@
 import builtins
 import math
+import re
 from collections import Counter
 from operator import mul
+from sys import gettrace, settrace
 
 import numpy as np
 import pytest
@@ -1105,26 +1107,161 @@ def _generic_rk4_step(f, q, k1, h):
     return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in stages]
 
 
+def _hexes(v) -> list:
+    return [float(a).hex() for a in v]
+
+
 @pytest.mark.parametrize("M", range(8))
-def test_emitted_rk4_step_equals_the_generic_step_bit_for_bit(M):
+def test_rk4_lines_equal_the_generic_step_bit_for_bit(M):
+    # the step's skeleton, with a stage that calls a recording field
     rng = np.random.default_rng(M)
     rows = rng.standard_normal((M, M)).tolist()
 
     def recording(calls):
         def f(v):  # nonlinear, so that every stage input shows
-            calls.append(list(map(repr, v)))
+            calls.append(_hexes(v))
             return [math.sin(sum(map(mul, row, v))) + 0.3 * a * a for row, a in zip(rows, v)]
 
         return f
 
+    def stage(ins, outs):
+        return [f"[{', '.join(outs)}] = f([{', '.join(ins)}])"]
+
+    emitted = []
+    ns = {"f": recording(emitted)}
+    exec("def step(q, h):\n" + "".join(f"    {t}\n" for t in dynamics._rk4_lines(M, stage, "0")), ns)
     for h in (1e-2, 1.0 / 3.0, 0.7) * 10:
         q = rng.standard_normal(M).tolist()
-        emitted, generic = [], []
-        k1 = recording([])(q)
-        got = dynamics._rk4_step(recording(emitted), q, k1, h)
-        ref = _generic_rk4_step(recording(generic), q, k1, h)
-        assert len(emitted) == 3 and emitted == generic
-        assert list(map(repr, got)) == list(map(repr, ref))
+        emitted.clear()
+        generic = [_hexes(q)]
+        got, first = ns["step"](q, h)
+        ref = _generic_rk4_step(recording(generic), q, recording([])(q), h)
+        assert len(emitted) == 4 and emitted == generic and first == 0
+        assert _hexes(got) == _hexes(ref)
+
+
+def _with_source(monkeypatch, make):
+    """``make()`` and the sources compiled while it ran, by label."""
+    sources, real = {}, builtins.compile
+
+    def capture(source, filename, *args, **kwargs):
+        sources[filename] = source
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", capture)
+    try:
+        return make(), sources
+    finally:
+        monkeypatch.setattr(builtins, "compile", real)
+
+
+def _stage_inputs(fn, source: str, names: list, *args):
+    """``fn(*args)``, and the values of its locals ``names`` where each run
+    of source lines that assigns them ends: the input of each inlined stage."""
+    binds = [bool(b) and b.group(1) in names
+             for b in (re.match(r"\s*(\w+) = ", t) for t in source.splitlines())]
+    ends = {i + 1 for i in range(1, len(binds)) if binds[i - 1] and not binds[i]}
+    code, seen, outer = fn.__code__, [], gettrace()
+
+    def local(frame, event, arg):
+        if event == "line" and frame.f_lineno in ends:
+            seen.append([frame.f_locals[v] for v in names])
+        return local
+
+    settrace(lambda frame, event, arg: local if frame.f_code is code else None)
+    try:
+        return fn(*args), seen
+    finally:
+        settrace(outer)
+
+
+@pytest.mark.parametrize("label", sorted(FIELD_BUNDLES))
+def test_fused_rk4_step_equals_the_generic_step_bit_for_bit(monkeypatch, label):
+    bundle = FIELD_BUNDLES[label]()
+    sys = bundle.system
+    (field, step), sources = _with_source(monkeypatch, lambda: dynamics._adapted(sys))
+    names = [f"_v_{v}" for v in sys.Lg._names[: sys.A.m + sys.U.r]]
+    rng = np.random.default_rng(7)
+    for h in (1e-2, 1.0 / 3.0):
+        for _ in range(5):
+            x = [rng.uniform(lo, hi) for lo, hi in bundle.box]
+            q = x + rng.standard_normal(sys.U.r).tolist()
+            if label == "degenerate-demo":  # the literal Hessian key is singular
+                with pytest.raises(Degenerate, match="condition number inf"):
+                    step(q, h)
+                continue
+            calls = [_hexes(q)]
+
+            def f(v):
+                calls.append(_hexes(v))
+                return field(v)[0]
+
+            want = _generic_rk4_step(f, q, field(q)[0], h)
+            (got, p), inputs = _stage_inputs(step, sources["<adapted field>"], names, q, h)
+            assert _hexes(got) == _hexes(want) and _hexes(p) == _hexes(field(q)[1])
+            assert list(map(_hexes, inputs)) == calls
+
+
+def test_the_affine_rank2_step_reads_the_anchor_once_per_stage(monkeypatch):
+    counts = Counter()
+    eval_jet2 = expr.eval_jet2
+
+    def counted_eval(*args):
+        counts["eval"] += 1
+        return eval_jet2(*args)
+
+    monkeypatch.setattr(expr, "eval_jet2", counted_eval)
+    _, step = dynamics._adapted(get_model("affine-rank2").system)
+    q = [0.1, 0.5, -0.4]
+    for _ in range(5):
+        counts.clear()
+        q, _ = step(q, 1e-2)
+        assert counts == Counter(eval=4)
+
+
+def _one(lagrangian):
+    return bundle_from_config({"m": 1, "n": 1, "r": 1, "anchor": [["1"]],
+                               "lagrangian": lagrangian}).system
+
+
+def _two(lagrangian):
+    return bundle_from_config({"m": 1, "n": 2, "r": 2, "anchor": [["1", "0"]],
+                               "lagrangian": lagrangian}).system
+
+
+AT_STAGE = " in the RK4 step from t=0 at x=[0.001]"
+
+
+@pytest.mark.parametrize("sys, x0, ya0, h, stage, error, message", [
+    (lambda: _one("0.5 * y1^2 + ln(x1)"), [0.01], [-1.0], 0.1, 2,
+     EvaluationFault, "math domain error"),
+    (lambda: _one("0.5 * y1^2 - ln(x1)"), [0.01], [-0.1], 0.1, 3,
+     EvaluationFault, "math domain error"),
+    (lambda: _two("0.5 * y1^2 + 0.5 * x1 * y2^2"), [1e-3], [-0.2, 0.3], 0.01, 2,
+     Degenerate, "restricted velocity Hessian has condition number inf" + AT_STAGE),
+    (lambda: _two("0.5 * y1^2 + 0.5 * x1^2 * y2^2"), [1e-3], [-0.1001, 0.3], 0.01, 4,
+     Degenerate, "restricted velocity Hessian has condition number 1.02e+12" + AT_STAGE),
+    (lambda: get_model("affine-rank2").system, [1e300], [0.0, 1e10], 0.01, 2,
+     NonFinite, "x must be finite, got [inf]"),
+    (lambda: get_model("affine-rank2").system, [1e300], [0.0, 1e7], 0.01, 3,
+     NonFinite, "x must be finite, got [inf]"),
+    (lambda: get_model("affine-rank2").system, [1e300], [0.0, 1e5], 0.01, 4,
+     NonFinite, "x must be finite, got [inf]"),
+])
+def test_a_fault_at_a_later_stage_ends_integrate_as_before(sys, x0, ya0, h, stage, error, message):
+    sys = sys()
+    field, calls = dynamics._adapted_field(sys), []
+
+    def f(v):
+        calls.append(v)
+        return field(v)[0]
+
+    q = [*x0, *ya0]
+    with pytest.raises(error):  # the generic step faults at the stage named
+        _generic_rk4_step(f, q, field(q)[0], h)
+    assert len(calls) + 1 == stage
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        integrate(sys, (x0, ya0), h, 2 * h)
 
 
 def _x_dependent_config_on_a_plane():

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -399,3 +400,51 @@ def test_list_form_equals_the_checked_mapping_form_bit_for_bit(entry, wrt):
     else:
         assert "floats" in outcomes and len(outcomes) >= 4  # floats and three kinds of fault
 
+
+
+FOLD_TEXTS = ["x1 * x1", "x1^2", "0.5 * x1^2", "x1^2 * x2", "-x1 * x2", "x1^3 - x2^1",
+              "(x1 + x2)^1 * x1^0", "2 * x1 * x2 + x2 * 1", "sin(x1) * x2^2"]
+
+
+@pytest.mark.parametrize("text", FOLD_TEXTS)
+def test_the_folds_keep_the_types_of_the_bound_values(text):
+    # x * 1.0 is x, but turns an int into a float: a variable bound to an
+    # int keeps its product with 1.0, walked and compiled alike
+    e, wrt = expr.parse(text), ("x1", "x2")
+    compiled, walked = expr.compile_jet2(e, wrt).checked, expr._interpret_jet2(e, wrt).checked
+    flat = lambda out: [out[0], *out[1], *out[2]]
+    floats = flat(compiled({"x1": 3.0, "x2": -2.0}))
+    for kind in (int, float, np.float64, np.int64, np.float32):
+        b = {"x1": kind(3), "x2": kind(-2)}
+        got, want = flat(compiled(b)), flat(walked(b))
+        assert [type(v) for v in got] == [type(v) for v in want]
+        assert [float(v).hex() for v in got] == [float(v).hex() for v in want]
+        if kind is not np.float32:
+            assert [float(v).hex() for v in got] == [v.hex() for v in floats]
+            assert not any(isinstance(v, (int, np.integer)) for v in got[1:])
+    assert expr.compile_jet2(expr.parse("x1*x1"), ("x1",)).checked({"x1": 3})[1] == (6.0,)
+    assert type(expr.compile_jet2(expr.parse("x1*x1"), ("x1",)).checked({"x1": 3})[1][0]) is float
+
+
+_LITERAL = r"(?:\d[\w.+-]*|\(-\d[\w.+-]*\))"
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_the_built_in_jets_fold_their_exact_constants(monkeypatch, name):
+    # no u ** 0 or u ** 1, no step of two literals, and a product with 1.0
+    # only where it keeps a variable's type
+    Lg, sources, real = get_model(name).system.Lg, [], compile
+
+    def capture(source, filename, *args, **kwargs):
+        sources.append(source)
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.compile", capture)
+    expr._build_jet2(Lg.L, Lg._names)  # the model may have compiled it already
+    (source,) = sources
+    steps = re.findall(r"^ +t\d+ = (.*)$", source, re.M)
+    assert steps and not any(re.search(r"\*\* [01]\b", t) for t in steps)
+    assert not any(re.fullmatch(rf"{_LITERAL} [-+*] {_LITERAL}", t) for t in steps)
+    for t in steps:
+        for one in re.findall(r"(\S+) \* 1\.0\b|\b1\.0 \* (\S+)", t):
+            assert "".join(one).startswith("_v_"), t

@@ -6,7 +6,7 @@ from operator import mul
 import numpy as np
 import pytest
 
-from algmech import dynamics, expr
+from algmech import dynamics, expr, hj
 from algmech.algebroid import BasePoint, DualPoint, LieAlgebroid, Subbundle
 from algmech.dirac import lift_subbundle
 from algmech.errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
@@ -418,11 +418,21 @@ def test_a_nan_closedness_defect_is_a_violated_hypothesis():
     assert math.isnan(info.value.value)
 
 
-def closure_base_flow(sys, s, x0, h, T):
-    """``base_flow`` with the closure field that computed it before the
-    field was emitted once per algebroid: the reference."""
+def generic_rk4_step(f, q, k1, h):
+    """One RK4 step as the comprehensions that computed it before it was
+    emitted as straight-line source: the reference."""
+    hh, h6 = 0.5 * h, h / 6.0
+    k2 = f([a + hh * b for a, b in zip(q, k1)])
+    k3 = f([a + hh * b for a, b in zip(q, k2)])
+    k4 = f([a + h * b for a, b in zip(q, k3)])
+    stages = zip(q, k1, k2, k3, k4)
+    return [a + h6 * (b1 + 2.0 * b2 + 2.0 * b3 + b4) for a, b1, b2, b3, b4 in stages]
+
+
+def closure_field(sys, s):
+    """The base field as the closure that computed it before it was
+    emitted once per algebroid: the reference."""
     A, n = sys.A, sys.A.n
-    N = dynamics._steps(h, T)
 
     def field(x):
         if not all(map(math.isfinite, x)):  # an overflowed stage fails its step's bound
@@ -430,10 +440,16 @@ def closure_base_flow(sys, s, x0, h, T):
         g, rho = s._part(s.gamma, x)[0], A.anchor_jet_at(x)[0]
         return [sum(map(mul, rho[i * n : i * n + n], g)) for i in range(len(x))]
 
+    return field
+
+
+def closure_base_flow(sys, s, x0, h, T):
+    """``base_flow`` with the closure field and the generic RK4 step."""
+    field, N = closure_field(sys, s), dynamics._steps(h, T)
     x = x0.x.tolist()
     pts = [x]
     for k in range(N):
-        x = dynamics._rk4_step(field, x, field(x), h)
+        x = generic_rk4_step(field, x, field(x), h)
         if not all(abs(v) <= FLOW_BOUND for v in x):
             raise FlowBlowUp(f"base flow left |x| <= {FLOW_BOUND:g} at t={(k + 1) * h:g}")
         pts.append(x)
@@ -448,10 +464,10 @@ def flow_outcome(flow, sys, s, x0, h, T):
         return type(exc), str(exc)
 
 
-def test_the_emitted_base_flow_is_the_closure_field_bit_for_bit():
-    # every HJ section of the built-in models, default and perturbed
-    # (passing and failing), an x-dependent anchor, two horizons, and fresh
-    # sections as well as warm ones
+def _flow_cases() -> list:
+    """(system, section, x0): every HJ section of the built-in models,
+    default and perturbed (passing and failing), from two points, and an
+    x-dependent anchor."""
     cases = []
     for name in ("free-particle", "harmonic-oscillator"):
         b = get_model(name)
@@ -462,13 +478,61 @@ def test_the_emitted_base_flow_is_the_closure_field_bit_for_bit():
     affine = get_model("affine-rank2").system
     cases += [(affine, _affine(g1, g2), BasePoint([0.1]))
               for g1, g2 in (("0", "0.7"), ("0.5", "0.5 * x1 + 0.7"), ("0.5 * x1", "x1"))]
-    for sys, s, x0 in cases:
+    return cases
+
+
+def test_the_emitted_base_flow_is_the_closure_field_bit_for_bit():
+    # fresh sections as well as warm ones, two horizons
+    for sys, s, x0 in _flow_cases():
         for T in (0.25, 1.0):
             got = flow_outcome(base_flow, sys, s, x0, 5e-3, T)
             want = flow_outcome(closure_base_flow, sys, s, x0, 5e-3, T)
             assert isinstance(got, bytes) and got == want
             fresh = HJSection(s.n, sys.A.m, list(map(str, s.gamma)), list(map(str, s.gammabar)))
             assert flow_outcome(base_flow, sys, fresh, x0, 5e-3, T) == got
+
+
+def test_the_fused_flow_step_is_the_generic_step_bit_for_bit():
+    # the emitted step against the generic one over the closure field, at
+    # the same stage inputs, which the step binds gamma's jet at
+    hexes = lambda v: [float(a).hex() for a in v]
+    for sys, s, x0 in _flow_cases():
+        jet, inputs = expr.compile_jet2(s.gamma, ()).checked, []
+
+        def recording(b):
+            inputs.append(hexes(b.values()))
+            return jet(b)
+
+        step, field = hj._emit_flow(sys.A)(recording, s.gamma), closure_field(sys, s)
+        x = x0.x.tolist()
+        for h in (5e-3, 0.5):
+            calls = [hexes(x)]
+
+            def f(v):
+                calls.append(hexes(v))
+                return field(v)
+
+            inputs.clear()
+            got, gamma = step(x, h)
+            assert hexes(got) == hexes(generic_rk4_step(f, x, field(x), h))
+            assert inputs == calls and hexes(gamma) == hexes(s._part(s.gamma, x)[0])
+
+
+def test_the_theorem_reads_gamma_from_the_flow_but_at_its_last_point(monkeypatch):
+    b = get_model("harmonic-oscillator")
+    s, reads = b.hj_sections["default"], []
+    part = HJSection._part
+
+    def counted(self, p, x, gradients=False):
+        reads.append((p is self.gamma, x))
+        return part(self, p, x, gradients)
+
+    want = verify_theorem(b.system, s, ORIGIN1, 5e-3, 0.25, 1e-8)
+    monkeypatch.setattr(HJSection, "_part", counted)
+    assert verify_theorem(b.system, s, ORIGIN1, 5e-3, 0.25, 1e-8) == want
+    last = base_flow(b.system, s, ORIGIN1, 5e-3, 0.25).points[-1].tolist()
+    assert [x for is_gamma, x in reads if is_gamma] == [last]
+    assert len(reads) == 1 + 51  # and gammabar's jet at each of the 51 points
 
 
 @pytest.mark.filterwarnings("error")
