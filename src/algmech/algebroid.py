@@ -56,7 +56,9 @@ def _finite_vector(v, name: str, message: str = "{} must be finite, got {}") -> 
     """``v`` as a flat float array: the finiteness check of every carrier.
     A nan or infinite entry raises NonFinite(message.format(name, array)),
     which is a ValueError."""
-    a = np.asarray(v, dtype=float).reshape(-1)
+    a = np.asarray(v, dtype=float)
+    if a.ndim != 1:
+        a = a.reshape(-1)
     if not all(map(math.isfinite, a.tolist())):
         raise NonFinite(message.format(name, a))
     return a
@@ -237,6 +239,7 @@ class LieAlgebroid:
         flat = lambda jet: jet and tuple(tuple(a.ravel().tolist()) for a in jet)  # the list form
         self._anchor_flat, self._structure_flat = flat(self._anchor_jet), flat(self._structure_jet)
         self._flow = None  # the emitted HJ base-flow field, see hj.base_flow
+        self._cp = None  # the emitted C·p kernel, made by cp_dot on first use
         # the bracket table of cp_dot and the emitted kernels: (alpha, beta,
         # gamma, k) in row order for each stored entry and its antisymmetric
         # twin, less the constant zeros, with C^gamma_alpha,beta = flat C[k]
@@ -281,15 +284,33 @@ class LieAlgebroid:
 
     def cp_dot(self, pt: DualPoint, zs) -> list:
         """(C·p) z on floats at the dual point ``pt`` for each float list z
-        of ``zs``, summed over the bracket table from C as a flat float tuple:
-        held since construction, or one list-form structure jet call at x."""
+        of ``zs``, from C as a flat float tuple: held since construction,
+        or one list-form structure jet call at x.  Each z runs the kernel
+        of :meth:`_emit_cp`, emitted on the first call."""
         C = (self._structure_flat or self.structure_jet_at(pt.x.tolist()))[0]
-        p = pt.p.tolist()
-        out = [[0.0] * self.n for _ in zs]
-        for w, z in zip(out, zs):
-            for a, b, g, k in self._bracket:
-                w[a] += p[g] * C[k] * z[b]
-        return out
+        if self._cp is None:
+            self._cp = self._emit_cp()
+        cp, p = self._cp, pt.p.tolist()
+        return [cp(p, C, z) for z in zs]
+
+    def _emit_cp(self):
+        """The straight-line kernel ``(p, C, z) -> (C·p) z`` on float lists:
+        entry a is 0.0 + p_g * C^g_ab * z_b + ... over the bracket table in
+        its order, the sum a loop over the table accumulates term by term.
+        A constant C^g_ab is a float literal; one that depends on x is read
+        as ``C[k]`` from the flat tuple C."""
+        n, C = self.n, self._structure_flat
+        coefficient = (lambda k: repr(C[0][k])) if C else (lambda k: f"C[{k}]")
+        rows = [["0.0"] for _ in range(n)]
+        for a, b, g, k in self._bracket:
+            rows[a].append(f"p{g} * {coefficient(k)} * z{b}")
+        src = ["def cp(p, C, z):"]
+        if n:
+            src += [f"    {', '.join(f'{v}{a}' for a in range(n))}, = {v}" for v in "pz"]
+        src.append(f"    return [{', '.join(' + '.join(row) for row in rows)}]")
+        ns = {}
+        exec(compile("\n".join(src), "<cp>", "exec"), ns)
+        return ns["cp"]
 
     # -- structure equations -------------------------------------------
 
@@ -375,9 +396,10 @@ class Subbundle:
             raise ValueError(f"span must be {n}x{r} expressions")
         self.span = [[_as_expression(e) for e in row] for row in span]
         self.adapted = bool(adapted)
-        self._fixed = None
+        self._fixed = self._rank = None
         if _closed(e for row in self.span for e in row):
             self._fixed = self._decompose({})
+            self._rank = _numerical_rank(self._fixed[3])
 
     @property
     def constant(self) -> bool:
@@ -411,10 +433,12 @@ class Subbundle:
     def _frames(self, x: BasePoint):
         """(S, Q, Qc, s): the span at x, orthonormal bases of U(x) and of
         its complement and the singular values of S, once U's rank is
-        checked at DEFAULT_RANK_TOL; every reader of U comes through here."""
-        frames = self._fixed if self._fixed is not None else self._decompose(x.binding())
-        s = frames[3]
-        rank = sum(map((DEFAULT_RANK_TOL * max(s[0] if s else 0.0, 1.0)).__lt__, s))
+        checked at DEFAULT_RANK_TOL; every reader of U comes through here.
+        A constant U's rank is decided when it is built."""
+        frames, rank = self._fixed, self._rank
+        if frames is None:
+            frames = self._decompose(x.binding())
+            rank = _numerical_rank(frames[3])
         if rank != self.r:
             raise RankDeficient(
                 f"span has numerical rank {rank}, expected {self.r} at x={x.x}"
@@ -453,7 +477,13 @@ class Subbundle:
         xi = np.asarray(xi, dtype=float)
         # |S_ab| <= s[0]: no sum below exceeds s[0] sum |xi_a|
         with _quiet((s[0] if s else 0.0) * sum(map(abs, xi.tolist()))):
-            return float(np.abs(xi @ S).max(initial=0.0))
+            return _largest(list(map(abs, (xi @ S).tolist())))
+
+
+def _numerical_rank(s: list) -> int:
+    """The number of singular values ``s`` (largest first) above
+    DEFAULT_RANK_TOL times the largest, or times 1 where that is below 1."""
+    return sum(map((DEFAULT_RANK_TOL * max(s[0] if s else 0.0, 1.0)).__lt__, s))
 
 
 _CALM = 1e300  # partial sums below this cannot overflow
@@ -465,6 +495,13 @@ def _quiet(bound: float):
     product whose partial sums are at most ``bound``, or, where the bound
     is below _CALM (nan and inf are not), a no-op that costs less."""
     return _NO_GUARD if bound < _CALM else np.errstate(over="ignore", invalid="ignore")
+
+
+def _largest(values: list) -> float:
+    """The largest of nonnegative floats as numpy's ``max(initial=0.0)``
+    gives it: a nan among them if there is one, and 0.0 if there are none."""
+    nan = next(filter(math.isnan, values), None)
+    return max(values, default=0.0) if nan is None else nan
 
 
 def _passes(residual: float, bound: float) -> bool:

@@ -21,7 +21,7 @@ import numpy as np
 from .algebroid import DualPoint, LieAlgebroid, Subbundle, _Record
 from .algebroid import _distances, _norms, _passes, _scaled_bound
 from .errors import AlgmechError
-from .prolong import ProlongCovector, ProlongVector, _checked, omega_sharp
+from .prolong import ProlongCovector, ProlongVector, _checked, _sharp_u
 
 __all__ = [
     "DiracPair",
@@ -103,7 +103,8 @@ def _verdict(U: Subbundle, dpair: DiracPair, tol, in_U, ann: list) -> Membership
     s, bound = _scaled_bound(tol, [*z, *X.u.tolist(), *alpha.r.tolist(), *v])
     ok = (_passes(span_res / s, bound) and _passes(anchor_res / s, bound)
           and _passes(ann_res / s, bound))
-    return MembershipReport(ok, span_res, anchor_res, ann_res)
+    return MembershipReport._trusted(member=ok, span_residual=span_res,
+                                     anchor_residual=anchor_res, annihilator_residual=ann_res)
 
 
 def dirac_member_symplectic(
@@ -121,9 +122,9 @@ def dirac_member_poisson(
     A: LieAlgebroid, U: Subbundle, dpair: DiracPair, tol: float = 1e-9
 ) -> MembershipReport:
     """Test membership via the fiberwise Poisson map: the covector's
-    v-slot must lie in U and X - ♯(alpha) must annihilate the lift."""
-    Y = omega_sharp(A, dpair.alpha)  # Y.z is v, so X.z - Y.z is the anchor defect
-    du = [a - b for a, b in zip(dpair.X.u.tolist(), Y.u.tolist())]
+    v-slot must lie in U and X - ♯(alpha) must annihilate the lift.  ♯(alpha)
+    has z = v, so X.z - v is the anchor defect, and its u-slot is floats."""
+    du = [a - b for a, b in zip(dpair.X.u.tolist(), _sharp_u(A, dpair.alpha))]
     return _verdict(U, dpair, tol, dpair.alpha.v, du)
 
 

@@ -58,14 +58,15 @@ class HJSection:
     def _part(self, part: expr.Array, x: list, gradients: bool = False) -> tuple:
         """The values of ``part`` (gamma or gammabar) at the floats of x
         and, with ``gradients``, their flat gradients in x: float tuples
-        from one array jet."""
-        b, wrt = dict(zip(self._x, x)), self._x if gradients else ()
+        from one array jet, which takes x by position where it can."""
+        if gradients:
+            return expr.compile_jet2(part, self._x, defer=True).flat(x)[:2]
+        b = dict(zip(self._x, x))
         try:
-            return expr.compile_jet2(part, wrt, defer=True).checked(b)[:2]
-        except EvaluationFault:
-            if not wrt:  # values only: the fault as evaluate() reports it
-                for e in part:
-                    expr.evaluate(e, b)
+            return expr.compile_jet2(part, (), defer=True).checked(b)[:2]
+        except EvaluationFault:  # values only: the fault as evaluate() reports it
+            for e in part:
+                expr.evaluate(e, b)
             raise
 
 

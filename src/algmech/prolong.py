@@ -86,7 +86,14 @@ def pair(alpha: ProlongCovector, X: ProlongVector) -> float:
 
 def _checked(v: list) -> np.ndarray:
     """A computed float list as an array, refused as a carrier refuses it."""
-    return np.array(v) if all(map(math.isfinite, v)) else _finite_vector(v, "components")
+    return np.array(_finite(v))
+
+
+def _finite(v: list) -> list:
+    """A computed float list, refused as a carrier refuses it."""
+    if not all(map(math.isfinite, v)):
+        _finite_vector(v, "components")  # raises NonFinite
+    return v
 
 
 def omega_flat(A: LieAlgebroid, X: ProlongVector) -> ProlongCovector:
@@ -99,9 +106,14 @@ def omega_flat(A: LieAlgebroid, X: ProlongVector) -> ProlongCovector:
 
 def omega_sharp(A: LieAlgebroid, alpha: ProlongCovector) -> ProlongVector:
     """Exact inverse of :func:`omega_flat`: z = v,  u = -r - (C·p) v."""
-    (w,) = A.cp_dot(alpha.base, [alpha.v.tolist()])
-    u = _checked([-a - b for a, b in zip(alpha.r.tolist(), w)])
+    u = np.array(_sharp_u(A, alpha))
     return ProlongVector._trusted(base=alpha.base, z=alpha.v, u=u)
+
+
+def _sharp_u(A: LieAlgebroid, alpha: ProlongCovector) -> list:
+    """The u-slot -r - (C·p) v of ♯(alpha) as floats, checked finite."""
+    (w,) = A.cp_dot(alpha.base, [alpha.v.tolist()])
+    return _finite([-a - b for a, b in zip(alpha.r.tolist(), w)])
 
 
 def symplectic_matrix(A: LieAlgebroid, pt: DualPoint) -> np.ndarray:

@@ -1,3 +1,5 @@
+import builtins
+import math
 import re
 import warnings
 
@@ -14,7 +16,7 @@ from algmech.algebroid import (
     contract,
 )
 from algmech.errors import EvaluationFault, RankDeficient
-from algmech.models import SO3_STRUCTURE
+from algmech.models import SO3_STRUCTURE, get_model, model_names
 
 
 def so3():
@@ -389,3 +391,121 @@ def test_an_overflowing_jacobi_defect_fails_validation():
         rep = A.validate_structure(pts, 1e-10)
     assert rep.max_residual_eq1 == 0.0 and np.isnan(rep.max_residual_eq2)
     assert not rep.passed
+
+
+def _loop_cp_dot(A, pt, zs):
+    """(C·p) z as the loop over the bracket table that computed it before
+    it was emitted as straight-line source: the reference the kernel must
+    equal bit for bit."""
+    C = (A._structure_flat or A.structure_jet_at(pt.x.tolist()))[0]
+    p = pt.p.tolist()
+    out = [[0.0] * A.n for _ in zs]
+    for w, z in zip(out, zs):
+        for a, b, g, k in A._bracket:
+            w[a] += p[g] * C[k] * z[b]
+    return out
+
+
+def _hexes(rows) -> list:
+    return [[float(v).hex() for v in row] for row in rows]
+
+
+def cp_cases():
+    """(A, box) of every built-in model, of data whose bracket depends on
+    x, and of rank-0 fibers."""
+    line = [(-0.9, 0.9)]
+    return [(b.system.A, b.box) for b in map(get_model, model_names())] + [
+        (affine(), line),
+        (LieAlgebroid(1, 3, [["1", "x1", "0"]],
+                      {(0, 0, 1): "x1", (2, 1, 2): "1 + x1^2", (1, 0, 2): "2"}), line),
+        (LieAlgebroid(2, 3, [["1", "0", "x2"], ["0", "1", "0"]],
+                      {(0, 0, 1): "x1 * x2", (2, 1, 2): "sin(x1) - 1"}), line * 2),
+        (LieAlgebroid(1, 0, [[]], {}), line),
+        (LieAlgebroid(0, 0, [], {}), []),
+    ]
+
+
+# entries whose products are inf, nan (0·inf, inf - inf), a signed zero or
+# overflow, beside plain ones
+SPECIAL = [math.inf, -math.inf, math.nan, 0.0, -0.0, 1e308, -2.5]
+
+
+def test_cp_dot_kernel_equals_the_loop_bit_for_bit():
+    rng = np.random.default_rng(33)
+
+    def entries(n):  # Python floats, as the callers of cp_dot pass
+        return [SPECIAL[j] if j < len(SPECIAL) else v
+                for j, v in zip(rng.integers(2 * len(SPECIAL), size=n), rng.standard_normal(n).tolist())]
+
+    for A, box in cp_cases():
+        for trial in range(12):
+            x = [rng.uniform(lo, hi) for lo, hi in box]
+            p = rng.standard_normal(A.n) if trial % 3 == 0 else entries(A.n)
+            pt = DualPoint._trusted(x=np.array(x), p=np.array(p, dtype=float))
+            zs = [rng.standard_normal(A.n).tolist(), entries(A.n), [0.0] * A.n, [-0.0] * A.n]
+            with np.errstate(all="ignore"):
+                for rows in (zs, zs[1:2], []):  # r = 0 pairs no z
+                    got, ref = A.cp_dot(pt, rows), _loop_cp_dot(A, pt, rows)
+                    assert len(got) == len(rows)
+                    assert _hexes(got) == _hexes(ref)
+                    assert np.array(got).tobytes() == np.array(ref).tobytes()
+
+
+def test_cp_dot_emits_one_kernel_per_algebroid_on_first_use(monkeypatch):
+    sources, real = [], builtins.compile
+
+    def capture(source, filename, *args, **kwargs):
+        sources.append((filename, source))
+        return real(source, filename, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "compile", capture)
+    for A, box in cp_cases():
+        assert A._cp is None  # nothing emitted until cp_dot is called
+        pt = DualPoint([0.5 * (lo + hi) for lo, hi in box], np.arange(1.0, A.n + 1.0))
+        zs = [np.linspace(-1.0, 1.0, A.n).tolist()]
+        sources.clear()
+        first = A.cp_dot(pt, zs)
+        (kernel,) = [src for label, src in sources if label == "<cp>"]
+        # constant data is literals; data that depends on x is read from C
+        assert ("C[" in kernel) is (not A.constant_structure and bool(A._bracket))
+        sources.clear()
+        for _ in range(2):  # an x-dependent structure jet is compiled on its second call
+            assert _hexes(A.cp_dot(pt, zs)) == _hexes(first)
+        assert [label for label, _ in sources] == ["<jet2>"] * (not A.constant_structure)
+        sources.clear()
+        assert _hexes(A.cp_dot(pt, zs)) == _hexes(first) and sources == []
+
+
+class _Unread(list):
+    """A list of singular values that fails if it is read."""
+
+    def _read(self, *args):
+        raise AssertionError("singular values read after construction")
+
+    __iter__ = __getitem__ = __len__ = __bool__ = _read
+
+
+def test_a_constant_span_is_rank_checked_once_when_built():
+    A = so3()
+    for U in (Subbundle.adapted_rank(A, 2), Subbundle.full(A), Subbundle(A, 0, [[], [], []]),
+              Subbundle(A, 2, [["1", "0"], ["1", "1"], ["0", "1"]])):
+        S, Q, Qc, s = U._fixed
+        U._fixed = (S, Q, Qc, _Unread(s))
+        for _ in range(2):
+            frames = U._frames(ORIGIN)
+            assert frames[1] is Q and frames[2] is Qc
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_the_largest_pairing_is_numpys_max_with_its_nan_rule():
+    # a nan anywhere among the pairings is the residual, as numpy's max
+    # gives it; no pairings (r = 0) give 0.0
+    A = LieAlgebroid(0, 2, [], {})
+    for U in (Subbundle.full(A), Subbundle(A, 1, [["1"], ["1"]]), Subbundle(A, 0, [[], []])):
+        S = U.span_at(ORIGIN)
+        for xi in ([1.0, math.nan], [math.nan, 1.0], [math.inf, -1.0], [-0.0, 0.0],
+                   [2.0, -3.0], [1e308, 1e308]):
+            with np.errstate(all="ignore"):
+                want = np.abs(np.array(xi) @ S).max(initial=0.0)
+            got = U.annihilator_residual(ORIGIN, xi)
+            assert type(got) is float and np.float64(got).tobytes() == want.tobytes()

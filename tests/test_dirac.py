@@ -655,3 +655,52 @@ def test_a_basis_makes_its_pairs_when_they_are_first_read(monkeypatch):
         unread = dirac_generators(A, U, pt)
         assert copy.copy(unread) == unread
         built.clear()
+
+
+def test_the_poisson_test_builds_no_vector(monkeypatch):
+    rng = np.random.default_rng(41)
+    pairs = []
+    for A, U, box in models_and_x_dependent():
+        for _ in range(3):
+            pt = DualPoint([rng.uniform(lo, hi) for lo, hi in box], rng.standard_normal(A.n))
+            pairs.append((A, U, as_pair(pt, rng.standard_normal(4 * A.n))))
+    built = []
+    init, trusted = ProlongVector.__init__, ProlongVector._trusted
+
+    def counted_init(self, *args):
+        built.append("__init__")
+        init(self, *args)
+
+    def counted_trusted(cls, **arrays):
+        built.append("_trusted")
+        return trusted(**arrays)
+
+    monkeypatch.setattr(ProlongVector, "__init__", counted_init)
+    monkeypatch.setattr(ProlongVector, "_trusted", classmethod(counted_trusted))
+    for A, U, dp in pairs:
+        dirac_member_poisson(A, U, dp)
+    assert built == []
+    # where ♯(alpha) overflows, the test refuses its u-slot as omega_sharp does
+    A = LieAlgebroid(0, 2, [], {(0, 0, 1): "1e300"})
+    U, pt = Subbundle(A, 1, [["1"], ["1"]]), DualPoint([], [1e10, 0.0])
+    for row, text in (([1.0, 1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 1.0], "[-inf  inf]"),
+                      ([0.0, 0.0, 0.0, 0.0, 2.0, -3.0, 0.0, 1.0], "[-inf  nan]")):
+        dp = as_pair(pt, np.array(row))
+        with np.errstate(all="ignore"):
+            error = raised(dirac_member_poisson, A, U, dp, 1e-8)
+            assert error == (NonFinite, f"components must be finite, got {text}")
+            assert raised(omega_sharp, A, dp.alpha) == error
+
+
+def test_a_rank_deficient_constant_span_raises_on_every_use():
+    # built without complaint, refused at the x of each use
+    A = LieAlgebroid(1, 2, [["1", "0"]], {(0, 0, 1): "x1"})
+    U = Subbundle(A, 2, [["1", "2"], ["1", "2"]])
+    assert U.constant
+    for x in (0.3, -0.7, 0.3):
+        pt = DualPoint([x], [1.0, -0.5])
+        dp = as_pair(pt, np.arange(8.0))
+        message = f"span has numerical rank 1, expected 2 at x=[{x}]"
+        for use in (lambda: U.span_at(pt.base), lambda: dirac_generators(A, U, pt),
+                    lambda: dirac_member_symplectic(A, U, dp), lambda: dirac_member_poisson(A, U, dp)):
+            assert raised(use) == (RankDeficient, message)

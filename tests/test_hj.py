@@ -599,3 +599,30 @@ def test_every_reader_of_U_refuses_a_span_that_lost_rank():
         for read in [*readers, lambda: verify_theorem(sys, s, x, 1e-2, 0.1, 1e-8)]:
             with pytest.raises(RankDeficient, match=re.escape(f"rank 1, expected 2 at x={x.x}")):
                 read()
+
+
+def test_a_part_with_gradients_takes_x_by_position_bit_for_bit():
+    # _part(gammabar, x, True) against the mapping form on a twin section,
+    # whose arrays have their own jet caches: the first call walks the
+    # tree, later ones run the compiled jet, and a fault is the same
+    def section():
+        return HJSection(2, 2, ["x1", "x2"], ["ln(x1) * x2", "sin(x2) + x1^3 / (1 + x2^2)"])
+
+    def mapping(s, x):
+        return expr.compile_jet2(s.gammabar, s._x, defer=True).checked(dict(zip(s._x, x)))[:2]
+
+    def hexes(values, grads):
+        return [float(v).hex() for v in (*values, *grads)]
+
+    def outcome(f, *args):
+        try:
+            return hexes(*f(*args))
+        except EvaluationFault as exc:
+            return type(exc), str(exc)
+
+    for x in ([0.7, -1.3], [0.0, 2.0], [-1.0, 0.5]):
+        s, ref = section(), section()
+        for _ in range(3):  # walked, compiled, compiled
+            got, want = outcome(s._part, s.gammabar, x, True), outcome(mapping, ref, x)
+            assert got == want
+            assert (got[0] is EvaluationFault) is (x[0] <= 0.0)
