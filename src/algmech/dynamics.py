@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 
 import numpy as np
 
@@ -182,14 +183,89 @@ def _compiled(head: list, inner: list, tail: str, label: str, ns: dict):
     return ns["_bind"]
 
 
-def _dot(u: list, v: list) -> str:
-    """Source of ``sum(map(mul, u, v))`` over the terms of u and v: a
-    literal left fold from the int 0 up to two products, and ``sum`` itself
-    from three on, since Python 3.12 and later compensate its rounding."""
-    products = [f"{a} * {b}" for a, b in zip(u, v)]
-    if len(products) < 3:
-        return " + ".join(["0", *products])
-    return f"sum(({', '.join(products)}))"
+_LITERAL = re.compile(r"\(?-?\d+(?:\.\d*(?:e[-+]?\d+)?|e[-+]?\d+)\)?")
+
+
+def _value(t: str):
+    """The float of a token that is a finite float literal, else None."""
+    return float(t.strip("()")) if _LITERAL.fullmatch(t) else None
+
+
+def _literal(v: float) -> str:
+    return repr(v) if v >= 0 else f"({v!r})"
+
+
+def _product(factors, keep=frozenset()):
+    """(negated, source) of the product of the tokens ``factors`` taken
+    left to right, with its exact constants folded: the leading literals
+    are multiplied here, and a factor of ±1.0 goes into the sign, since
+    x * 1.0 is x and x * -1.0 is -x.  None where a literal factor is zero,
+    unless another factor is in ``keep``: then the product is left as it is."""
+    values = [_value(t) for t in factors]
+    lead, k = 1.0, 0
+    while k < len(values) and values[k] is not None and math.isfinite(lead * values[k]):
+        lead, k = lead * values[k], k + 1
+    if lead == 0.0 or 0.0 in values[k:]:
+        return None if keep.isdisjoint(factors) else (False, " * ".join(factors))
+    if values[k:].count(-1.0) % 2:
+        lead = -lead
+    rest = [t for t, v in zip(factors[k:], values[k:]) if v not in (1.0, -1.0)]
+    if rest and abs(lead) == 1.0:
+        return lead < 0, " * ".join(rest)
+    return False, " * ".join([_literal(lead), *rest])
+
+
+def _signed(start: str, terms) -> str:
+    """Source of ``start`` and each (negated, source) term after it, added
+    or, where negated, subtracted: a - b is a + (-b) in every bit."""
+    return start + "".join(f" {'-' if neg else '+'} {src}" for neg, src in terms)
+
+
+def _dot(u: list, v: list, keep=frozenset()) -> str:
+    """Source of ``sum(map(mul, u, v))`` over the terms of u and v, each
+    product folded by :func:`_product`, and a product with a zero literal
+    dropped (but where ``keep`` holds its other factor): a literal left
+    fold from the int 0 up to two products, ``sum`` itself from three on,
+    since Python 3.12 and later compensate its rounding, and the float 0.0
+    where no product is left.  Both folds start at +0.0 and never hold
+    -0.0, so on finite data a ±0.0 term adds nothing to either, and
+    dropping it changes no bit."""
+    terms = [t for t in (_product(f, keep) for f in zip(u, v)) if t]
+    if not terms:
+        return "0.0"
+    if len(terms) < 3:
+        return _signed("0", terms)
+    return f"sum(({', '.join(('-' if neg else '') + src for neg, src in terms)}))"
+
+
+def _minus(a: str, b: str) -> str:
+    """Source of a - (b), which is a where b is 0.0: x - 0.0 is x in every bit."""
+    return a if b == "0.0" else f"{a} - ({b})"
+
+
+_STEP = re.compile(r"\s+(t\d+) = (.*)")
+_OPERAND = rf"(?:t\d+|_v_\w+|{_LITERAL.pattern})"
+_CANNOT_RAISE = re.compile(rf"-?{_OPERAND}|{_OPERAND} [-+*] {_OPERAND}")
+
+
+def _drop_dead_steps(lines: list) -> list:
+    """``lines`` less each spliced jet step ``tN = ...`` that no later line
+    reads and that cannot raise (+, -, * or unary -, of names and
+    literals), and less the ``try`` block of a jet left with no step.
+    Every ``**``, ``/`` and function call is kept, so every fault is
+    raised where and in the order it was."""
+    live, kept = set(), []
+    for line in reversed(lines):
+        step = _STEP.fullmatch(line)
+        if step and step[1] not in live and _CANNOT_RAISE.fullmatch(step[2]):
+            continue
+        if step:
+            live.discard(step[1])
+        live.update(re.findall(r"\bt\d+\b", step[2] if step else line))
+        kept.append(line)
+    kept.reverse()
+    empty = {i for i, t in enumerate(kept) if t == "try:" and kept[i + 1].startswith("except")}
+    return [t for i, t in enumerate(kept) if not {i, i - 1, i - 2} & empty]
 
 
 def _packed(h, k: int):
@@ -251,11 +327,15 @@ def _emit_field(Lg: Lagrangian, r: int):
     its gradient and packed Hessian are the tokens the field reads.  The
     anchor and bracket are the tokens of :func:`_algebroid_source`, read
     as float tuples where they depend on x.  Every contraction keeps the
-    term order of ``sum(map(mul, row, v))``.  The step inlines the field
-    at each of its four stages (:func:`_rk4_lines`).  Where every entry of
+    term order of ``sum(map(mul, row, v))`` and folds its exact constants
+    (:func:`_dot`); a zero product is kept only where its other factor is
+    a jet token the field reads unchecked.  The step inlines the field at
+    each of its four stages (:func:`_rk4_lines`).  Where every entry of
     the restricted velocity Hessian is a literal of the jet, it is
     inverted here, once, and its inverse is literals too (or the fault
-    of :func:`_inverse` is raised where the inverse is read)."""
+    of :func:`_inverse` is raised where the inverse is read).  A jet step
+    that no later line reads and that cannot raise is dropped, at each
+    stage on its own (:func:`_drop_dead_steps`)."""
     A = Lg.algebroid
     m, n = A.m, A.n
     names, em, free = Lg._names, expr._Emitter(), expr.free_variables(Lg.L)
@@ -278,9 +358,13 @@ def _emit_field(Lg: Lagrangian, r: int):
              "    _finite_vector(xs, 'x')"]
     jet += check * bool(reads) + reads  # rho and C are read only at a finite x
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
-    # mixed Hessian term that d/dt of dL/dy carries over
-    terms = [(a, f"{g[m + gm]} * {c} * {ya[b]}") for a, b, gm, c, _ in terms]
-    bracket = [" - ".join(["0.0"] + [t for a2, t in terms if a2 == a]) for a in range(r)]
+    # mixed Hessian term that d/dt of dL/dy carries over.  A zero product
+    # with a jet token stays: the field reads that token unchecked, and
+    # 0.0 * inf is the nan that ends integrate
+    keep = frozenset(t for t in g if _value(t) is None)
+    terms = [(a, _product((g[m + gm], c, ya[b]), keep)) for a, b, gm, c, _ in terms]
+    bracket = [_signed("0.0", [(not t[0], t[1]) for a2, t in terms if t and a2 == a])
+               for a in range(r)]
     key = [hess(m + a, m + b) for a in range(r) for b in range(r)]
     values = [0.0 if em.is_zero(t) else em.literal(t) for t in key]
     live, invert = None in values, []
@@ -298,19 +382,24 @@ def _emit_field(Lg: Lagrangian, r: int):
 
     def stage(ins, outs):
         xd, yd, rhs = outs[:m], outs[m:], bracket
-        if m:
-            rhs = [f"{t} + ({_dot([row[a] for row in rho], g[:m])})"
-                   f" - ({_dot([hess(i, m + a) for i in range(m)], xd)})" for a, t in enumerate(rhs)]
+        if m:  # neither a bracket sum from 0.0 nor a contraction is ever -0.0,
+            # so either one plus 0.0 is itself
+            force = [_dot([row[a] for row in rho], g[:m], keep) for a in range(r)]
+            rhs = [t if d == "0.0" else d if t == "0.0" else f"{t} + ({d})"
+                   for t, d in zip(rhs, force)]
+            rhs = [_minus(t, _dot([hess(i, m + a) for i in range(m)], xd)) for a, t in enumerate(rhs)]
         lines = [f"{v} = {e}" for v, e in zip(q, ins) if v != e] + jet
         lines += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
-        lines += [f"{v} = {t}" for v, t in zip(s, rhs)]
-        return lines + invert + [f"{v} = {_dot(row, s)}" for v, row in zip(yd, inv)]
+        sv = [t if t == "0.0" else v for v, t in zip(s, rhs)]  # a zero is read as the literal
+        lines += [f"{v} = {t}" for v, t in zip(sv, rhs) if v != t]
+        return lines + invert + [f"{v} = {_dot(row, sv)}" for v, row in zip(yd, inv)]
 
     cache = ["nonlocal key, inv"] * live
     field = cache + prologue + [f"{', '.join(q)}, = q"] * bool(q)
     outs = [f"xd{i}" for i in range(m)] + [f"yd{a}" for a in range(r)]
     field += stage(q, outs) + [f"return [{', '.join(outs)}], {expr._source_tuple(g[m:])}"]
     step = cache + prologue + _rk4_lines(m + r, stage, expr._source_tuple(g[m:]))
+    field, step = _drop_dead_steps(field), _drop_dead_steps(step)
     ns = dict(expr._NS, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
               Degenerate=Degenerate, _finite_vector=_finite_vector, _inverse=_inverse)
     head = ["def _bind():", *["    key = inv = None"] * live]
@@ -437,9 +526,11 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     midpoint and at the end point.  F and J, x-derivative blocks included,
     are emitted from the jets' packed tuples and the tokens of
     :func:`_algebroid_source` at the midpoint.  Every contraction keeps the
-    term order of ``sum(map(mul, row, v))``, and every entry of J is its
-    live part plus the entry of the constant blocks (I/h, -rho/2, I),
-    which keeps the signs of zeros."""
+    term order of ``sum(map(mul, row, v))`` and folds its exact constants,
+    zero products included, since the jets' floats are checked finite
+    (:func:`_dot`).  Every entry of J is its live part plus the entry of
+    the constant blocks (I/h, -rho/2, I), which keeps the signs of zeros,
+    and is computed here where all of it is literals."""
     A = Lg.algebroid
     m, n = A.m, A.n
     names = lambda s, size: [f"{s}{i}" for i in range(size)]
@@ -462,22 +553,24 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     rho_cols = [[row[a] for row in rho] for a in range(r)]
     # (C·p)_ab (k = 0) and its x^k-derivatives, and C^g_ab y^b, at the
     # midpoint, each summed term by term from 0.0, or "0.0" with no term
-    fold = lambda ts: f"({' + '.join(['0.0', *ts])})" if ts else "0.0"
-    cpk = lambda a, b, k: fold([f"{pm[g]} * {[c, *dc][k]}" for a2, b2, g, c, dc in terms
+    fold = lambda ts: f"({_signed('0.0', ts)})" if ts else "0.0"
+    cpk = lambda a, b, k: fold([_product((pm[g], [c, *dc][k])) for a2, b2, g, c, dc in terms
                                 if (a2, b2) == (a, b) and k <= len(dc)])
     cp = [[cpk(a, b, 0) for b in range(r)] for a in range(r)]
-    cy = [[fold([f"{c} * {ym[b]}" for a2, b, g2, c, _ in terms if (a2, g2) == (a, g)])
+    cy = [[fold([_product((c, ym[b])) for a2, b, g2, c, _ in terms if (a2, g2) == (a, g)])
            for g in range(n)] for a in range(r)]
     body += [f"cp{a}_{b} = {cp[a][b]}" for a, b in np.ndindex(r, r) if cp[a][b] != "0.0"]
     cp = [[f"cp{a}_{b}" if cp[a][b] != "0.0" else "0.0" for b in range(r)] for a in range(r)]
     body += [f"_, gm, hm = Lg.jet({vec(xm + ym + pad)})",
              f"_, g1, h1 = Lg.jet({vec(x1 + y1 + pad)})"]
-    F = [f"({x1[i]} - {x0[i]}) / h - ({_dot(rho[i], ym)})" for i in range(m)]
-    F += [f"({p1[a]} - {p0[a]}) / h + ({_dot(cp[a], ym)}) - ({_dot(rho_cols[a], lx)})"
+    F = [_minus(f"({x1[i]} - {x0[i]}) / h", _dot(rho[i], ym)) for i in range(m)]
+    F += [_minus(f"({p1[a]} - {p0[a]}) / h + ({_dot(cp[a], ym)})", _dot(rho_cols[a], lx))
           for a in range(r)]
     F += [f"{p1[g]} - {ly[g]}" for g in range(n)]
     # J: rows kin | mom | leg over columns x1 | ya1 | p1
-    sparse = lambda pairs: f"({_dot(*zip(*pairs))})" if pairs else "0.0"  # of the terms there are
+    def sparse(pairs):  # of the terms there are
+        d = _dot([u for u, _ in pairs], [v for _, v in pairs])
+        return d if d == "0.0" else f"({d})"
 
     def dx(a, j):  # d(C·p y - rho^T dL/dx)/dx1^j through rho and C, from 0.0
         dl = sparse([(v, d[a][j]) for v, d in zip(lx, drho) if d[a]])
@@ -491,10 +584,12 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     for i in range(m):
         dr = [sparse([(v, d[j]) for v, d in zip(ym, drho[i]) if d]) for j in range(m)]
         rows.append([diag(i, j, "ih") if t == "0.0" else f"-0.5 * {t} + {diag(i, j, 'ih')}"
-                     for j, t in enumerate(dr)] + [f"-0.5 * {t} + 0.0" for t in rho[i]])
+                     for j, t in enumerate(dr)]
+                    + [f"-0.5 * {t} + 0.0" if _value(t) is None else _literal(-0.5 * _value(t) + 0.0)
+                       for t in rho[i]])
         rows[-1] += ["0.0"] * n
     for a in range(r):
-        live = [f"{d} - ({_dot(rho_cols[a], hc)})" if m else d
+        live = [_minus(d, _dot(rho_cols[a], hc))
                 for d, hc in zip([dx(a, j) for j in range(m)] + cp[a], hcols)]
         rows.append(["0.0" if t == "0.0" else f"0.5 * ({t}) + 0.0" for t in live]
                     + [diag(a, g, "ih") if cy[a][g] == "0.0"

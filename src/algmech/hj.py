@@ -159,8 +159,10 @@ def _emit_flow(A):
     gamma)``: the step ``(x, h) -> (x_next, gamma(x))`` of the section part
     gamma, whose values-only checked jet is ``jet``, with the field inlined
     at each stage (:func:`_rk4_lines`).  rho is the tokens of
-    ``_algebroid_source``; a stage input that is not finite makes the whole
-    step nan, and a fault in gamma is raised as ``evaluate`` reports it."""
+    ``_algebroid_source``, contracted with gamma by :func:`_dot`, which drops
+    zero products, since gamma is checked finite; a stage input that is not
+    finite makes the whole step nan, and a fault in gamma is raised as
+    ``evaluate`` reports it."""
     m, n = A.m, A.n
     xs, gs = [f"x{i}" for i in range(m)], [f"g{a}" for a in range(n)]
     reads, rho, _, _ = _algebroid_source(A, n, "xs", jets=False)

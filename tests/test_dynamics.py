@@ -8,7 +8,7 @@ from sys import gettrace, settrace
 import numpy as np
 import pytest
 
-from algmech import dynamics, expr, prolong
+from algmech import dynamics, expr, hj, prolong
 from algmech.algebroid import (
     BasePoint,
     DualPoint,
@@ -878,8 +878,12 @@ def _one_dimensional(lagrangian):
         (lambda: _one_dimensional("0.5 * y1^2 + 1 / x1"), [0.0, 0.3], ZeroDivisionError),
         (lambda: _one_dimensional("0.5 * y1^2 + ln(x1)"), [-0.5, 0.3], ValueError),
         (lambda: get_model("pendulum").system, [0.1, 1e200], OverflowError),  # y1^2
+        # the field drops unread jet steps but keeps each that can raise, in order
+        (lambda: _one_dimensional("0.5 * y1^2 + sqrt(x1)"), [0.0, 0.3], ZeroDivisionError),
+        (lambda: _one_dimensional("0.5 * y1^2 + sqrt(x1)"), [0.0, 1e200], OverflowError),
+        (lambda: _one_dimensional("sqrt(x1) + 0.5 * y1^2"), [0.0, 1e200], ZeroDivisionError),
     ],
-    ids=["division", "ln", "power"],
+    ids=["division", "ln", "power", "sqrt", "power-before-sqrt", "sqrt-before-power"],
 )
 def test_emitted_field_faults_as_lagrangian_jet_at_the_same_point(sys, q, cause):
     sys = sys()
@@ -1393,3 +1397,132 @@ def test_stacked_energies_equal_the_per_state_products_bit_for_bit(name):
     jet = sys.Lg._flat
     ref = [float(st.p @ st.y - jet([*st.x.tolist(), *st.y.tolist()])[0]) for st in states]
     assert list(map(repr, dynamics._energies(sys, states))) == list(map(repr, ref))
+
+
+# literals as the emitters write them (0.0 and -0.0 among them), and live
+# floats: signed zeros, subnormals, 1e300 (whose products overflow) and
+# ordinary values
+DOT_LITERALS = ["0.0", "(-0.0)", "1.0", "-1.0", "(-1.0)", "0.5", "(-0.25)", "2.0"]
+DOT_LIVE = [0.0, -0.0, 5e-324, -2.5e-320, 1e300, -1e300, 0.7, -1.3, 3.0]
+
+# a product with a literal 0.0 or ±1.0 factor, in the emitters' spellings
+UNIT_FACTOR = re.compile(
+    r"(?<![\w.)])(?:-?[01]\.0|\(-[01]\.0\)) \*|\* (?:-?[01]\.0|\(-[01]\.0\))(?![\w.(])")
+
+
+def _dot_row(rng, size: int) -> tuple:
+    """Token rows u, v for ``dynamics._dot`` and the floats they stand for."""
+    tokens, values = ([], []), {}
+    for k in range(size):
+        for side, row in zip("uv", tokens):
+            if rng.random() < 0.5:
+                t = DOT_LITERALS[rng.integers(len(DOT_LITERALS))]
+                values[t] = float(t.strip("()"))
+            else:
+                t = f"{side}{k}"
+                values[t] = DOT_LIVE[rng.integers(len(DOT_LIVE))]
+            row.append(t)
+    return *tokens, values
+
+
+def test_dot_folds_its_exact_constants_bit_for_bit():
+    # the folded source against sum(map(mul, u, v)) on the same floats
+    rng = np.random.default_rng(41)
+    folded = 0
+    for _ in range(3000):
+        u, v, values = _dot_row(rng, int(rng.integers(0, 6)))
+        src = dynamics._dot(u, v)
+        got = eval(src, {"sum": sum}, dict(values))
+        want = sum(map(mul, [values[t] for t in u], [values[t] for t in v]))
+        assert type(got) is float and got.hex() == float(want).hex(), (u, v, src)
+        assert not UNIT_FACTOR.search(src), src
+        folded += src == "0.0" and bool(u)
+    assert folded  # some rows fold away completely, to the float 0.0
+
+
+def test_dot_keeps_a_zero_product_with_a_kept_token():
+    # 0.0 * inf is nan: the product stays where its other factor is kept
+    for u, v in ((["0.0", "1.0"], ["t5", "a"]), (["0.0", "0.5", "(-0.0)"], ["t5", "a", "b"])):
+        values = {"t5": math.inf, "a": 2.0, "b": 3.0}
+        kept = eval(dynamics._dot(u, v, frozenset({"t5"})), {"sum": sum}, values)
+        assert math.isnan(kept) and not math.isnan(eval(dynamics._dot(u, v), {"sum": sum}, values))
+
+
+def test_adapted_rhs_of_a_zero_anchor_returns_float_arrays():
+    # degenerate-demo's anchor is [[0, 0]]: x' folds away completely
+    b = get_model("degenerate-demo")
+    A, Lg = b.system.A, b.system.Lg
+    sys = ImplicitSystem(A, Lg, Subbundle.adapted_rank(A, 1))
+    xdot, ydot, p = adapted_rhs(sys, [0.3], [-0.5])
+    assert [a.dtype for a in (xdot, ydot, p)] == [np.float64] * 3
+    assert xdot.tolist() == [0.0] and ydot.tolist() == [0.0] and p.tolist() == [-0.5, 0.0]
+    q, _ = dynamics._adapted_field(sys)([0.3, -0.5])
+    assert list(map(type, q)) == [float, float]
+
+
+JET_STEP = re.compile(r"\s+(t\d+) = (.*)")
+
+
+def _functions(source: str) -> list:
+    """The lines of each function in ``source``, split at its def lines."""
+    out = []
+    for line in source.splitlines():
+        if line.lstrip().startswith("def "):
+            out.append([])
+        elif out:
+            out[-1].append(line)
+    return out
+
+
+@pytest.mark.parametrize("name", model_names())
+def test_the_built_in_kernels_fold_their_exact_constants(monkeypatch, name):
+    # no product with a literal 0.0 or ±1.0 outside L's own jet steps (which
+    # test_expr checks), but 0.0 * a jet step of the field, whose floats it
+    # reads unchecked; and no jet step that nothing reads and that cannot raise
+    sys = get_model(name).system
+    sources = _with_source(monkeypatch, lambda: (
+        dynamics._emit_field(sys.Lg, sys.U.r), dynamics._emit_midpoint(sys.Lg, sys.U.r),
+        hj._emit_flow(sys.A)))[1]
+    assert set(sources) == {"<adapted field>", "<midpoint step>", "<base flow>"}
+    for label, source in sources.items():
+        for body in _functions(source):
+            for i, line in enumerate(body):
+                step = JET_STEP.fullmatch(line)
+                if not step:
+                    kept = re.sub(r"\b0\.0 \* t\d+\b|\bt\d+ \* 0\.0\b", "", line)
+                    assert not UNIT_FACTOR.search(kept), (label, line)
+                    continue
+                if re.search(r"\*\*|/|\w\(", step[2]):
+                    continue  # it can raise: kept wherever it is
+                later = []
+                for t in body[i + 1:]:
+                    if re.match(rf"\s+{step[1]} = ", t):
+                        break
+                    later.append(t)
+                assert any(re.search(rf"\b{step[1]}\b", t) for t in later), (label, line)
+
+
+def test_the_fused_step_computes_each_jet_output_only_where_it_is_read(monkeypatch):
+    # p = dL/dy is read after the first stage only: the pendulum's t3
+    sys = get_model("pendulum").system
+    source = _with_source(monkeypatch, lambda: dynamics._emit_field(sys.Lg, 1))[1]["<adapted field>"]
+    _, field, step = _functions(source)  # _bind, then its two functions
+    assert sum(bool(re.match(r"\s+t3 = ", t)) for t in field) == 1
+    assert sum(bool(re.match(r"\s+t3 = ", t)) for t in step) == 1
+    assert sum(bool(re.match(r"\s+t0 = _v_y1 \*\* 2$", t)) for t in step) == 4  # it can raise
+
+
+@pytest.mark.parametrize("x0, message", [
+    ([0.1, 1e200], "state component x must be finite in the RK4 step from t=0 at x=[1.e-001 1.e+200]"),
+    ([0.1, 1e150], "state component x must be finite in the RK4 step from t=0 at x=[1.e-001 1.e+150]"),
+], ids=["1e200", "1e150"])
+def test_a_zero_anchor_entry_times_an_overflowing_gradient_ends_integrate_as_before(x0, message):
+    # rho^2_1 = 0 and dL/dx2 = 2e200 * x2 overflows by multiplication alone:
+    # the field keeps 0.0 * dL/dx2, the only route from the overflow to nan;
+    # the messages are the parent tree's
+    sys = bundle_from_config({"m": 2, "n": 1, "r": 1, "anchor": [["1"], ["0"]],
+                              "lagrangian": "0.5 * y1^2 + 1e200 * x2 * x2"}).system
+    xd1, xd2, yd = dynamics._adapted_field(sys)([*x0, 0.3])[0]
+    assert (xd1, xd2) == (0.3, 0.0) and math.isnan(yd)
+    with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
+        integrate(sys, (x0, [0.3]), 1e-2, 2e-2)
