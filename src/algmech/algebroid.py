@@ -187,6 +187,14 @@ def _antisymmetrized(structure: dict, n: int) -> expr.Array:
     return expr.Array(full)
 
 
+def _frozen(*arrays) -> tuple:
+    """``arrays``, each marked read-only: held constant data is handed out
+    as is, so no caller can write into it."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
+
+
 def _stacked(jets, shape: tuple) -> tuple:
     """The flat (value, gradient) tuples of ``jets``, one pair per point,
     as arrays of shape (N,) + ``shape`` and (N,) + ``shape`` + (m,)."""
@@ -210,8 +218,9 @@ class LieAlgebroid:
     so the antisymmetry of the bracket cannot be violated by construction).
 
     The anchor jet (rho, drho) and the structure jet (C, dC) are each one
-    array jet call: made once here if no entry depends on x, else on every
-    call.  At a list of floats x both are flat float tuples either way.
+    array jet call: made once here, read-only, if no entry depends on x,
+    else on every call.  At a list of floats x both are flat float tuples
+    either way.
     """
 
     def __init__(self, m: int, n: int, anchor, structure):
@@ -230,16 +239,15 @@ class LieAlgebroid:
         self._structure_array = _antisymmetrized(self.structure, self.n)
         self._anchor_jet = self._structure_jet = None
         if _closed(self._rho_array):
-            self._anchor_jet = self._jets(self._rho_array, (self.m, self.n), {})
+            self._anchor_jet = _frozen(*self._jets(self._rho_array, (self.m, self.n), {}))
         if _closed(self._structure_array):
-            self._structure_jet = self._jets(self._structure_array, (self.n,) * 3, {})
+            self._structure_jet = _frozen(*self._jets(self._structure_array, (self.n,) * 3, {}))
         self.constant_anchor = self._anchor_jet is not None
         self.constant_structure = self._structure_jet is not None
         self.constant = self.constant_anchor and self.constant_structure
         flat = lambda jet: jet and tuple(tuple(a.ravel().tolist()) for a in jet)  # the list form
         self._anchor_flat, self._structure_flat = flat(self._anchor_jet), flat(self._structure_jet)
-        self._flow = None  # the emitted HJ base-flow field, see hj.base_flow
-        self._cp = None  # the emitted C·p kernel, made by cp_dot on first use
+        self._kernels = {}  # the emitted HJ base-flow step, see dynamics._emitted
         # the bracket table of cp_dot and the emitted kernels: (alpha, beta,
         # gamma, k) in row order for each stored entry and its antisymmetric
         # twin, less the constant zeros, with C^gamma_alpha,beta = flat C[k]
@@ -284,33 +292,16 @@ class LieAlgebroid:
 
     def cp_dot(self, pt: DualPoint, zs) -> list:
         """(C·p) z on floats at the dual point ``pt`` for each float list z
-        of ``zs``, from C as a flat float tuple: held since construction,
-        or one list-form structure jet call at x.  Each z runs the kernel
-        of :meth:`_emit_cp`, emitted on the first call."""
+        of ``zs``, summed over the bracket table from C as a flat float tuple:
+        held since construction, or one list-form structure jet call at x."""
         C = (self._structure_flat or self.structure_jet_at(pt.x.tolist()))[0]
-        if self._cp is None:
-            self._cp = self._emit_cp()
-        cp, p = self._cp, pt.p.tolist()
-        return [cp(p, C, z) for z in zs]
-
-    def _emit_cp(self):
-        """The straight-line kernel ``(p, C, z) -> (C·p) z`` on float lists:
-        entry a is 0.0 + p_g * C^g_ab * z_b + ... over the bracket table in
-        its order, the sum a loop over the table accumulates term by term.
-        A constant C^g_ab is a float literal; one that depends on x is read
-        as ``C[k]`` from the flat tuple C."""
-        n, C = self.n, self._structure_flat
-        coefficient = (lambda k: repr(C[0][k])) if C else (lambda k: f"C[{k}]")
-        rows = [["0.0"] for _ in range(n)]
-        for a, b, g, k in self._bracket:
-            rows[a].append(f"p{g} * {coefficient(k)} * z{b}")
-        src = ["def cp(p, C, z):"]
-        if n:
-            src += [f"    {', '.join(f'{v}{a}' for a in range(n))}, = {v}" for v in "pz"]
-        src.append(f"    return [{', '.join(' + '.join(row) for row in rows)}]")
-        ns = {}
-        exec(compile("\n".join(src), "<cp>", "exec"), ns)
-        return ns["cp"]
+        p, bracket, out = pt.p.tolist(), self._bracket, []
+        for z in zs:
+            w = [0.0] * self.n
+            for a, b, g, k in bracket:
+                w[a] += p[g] * C[k] * z[b]
+            out.append(w)
+        return out
 
     # -- structure equations -------------------------------------------
 
@@ -380,7 +371,8 @@ class LieAlgebroid:
 
 class Subbundle:
     """Constant-rank subbundle of the fiber, presented by a spanning map
-    x -> n x r matrix whose columns span U(x)."""
+    x -> n x r matrix whose columns span U(x).  A constant span and its
+    frames are computed once, read-only."""
 
     def __init__(self, parent: LieAlgebroid, r: int, span, adapted: bool = False):
         self.parent = parent
@@ -398,8 +390,8 @@ class Subbundle:
         self.adapted = bool(adapted)
         self._fixed = self._rank = None
         if _closed(e for row in self.span for e in row):
-            self._fixed = self._decompose({})
-            self._rank = _numerical_rank(self._fixed[3])
+            S, Q, Qc, s = self._decompose({})
+            self._fixed, self._rank = (*_frozen(S, Q, Qc), s), _numerical_rank(s)
 
     @property
     def constant(self) -> bool:
@@ -477,7 +469,7 @@ class Subbundle:
         xi = np.asarray(xi, dtype=float)
         # |S_ab| <= s[0]: no sum below exceeds s[0] sum |xi_a|
         with _quiet((s[0] if s else 0.0) * sum(map(abs, xi.tolist()))):
-            return _largest(list(map(abs, (xi @ S).tolist())))
+            return _largest((xi @ S).tolist())
 
 
 def _numerical_rank(s: list) -> int:
@@ -498,10 +490,11 @@ def _quiet(bound: float):
 
 
 def _largest(values: list) -> float:
-    """The largest of nonnegative floats as numpy's ``max(initial=0.0)``
-    gives it: a nan among them if there is one, and 0.0 if there are none."""
+    """The largest |v| of floats as numpy's ``abs(v).max(initial=0.0)``
+    gives it: |nan| of a nan among them if there is one, and 0.0 if there
+    are none."""
     nan = next(filter(math.isnan, values), None)
-    return max(values, default=0.0) if nan is None else nan
+    return max(map(abs, values), default=0.0) if nan is None else abs(nan)
 
 
 def _passes(residual: float, bound: float) -> bool:

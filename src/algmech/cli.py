@@ -64,7 +64,7 @@ def _bundle(name: str, text: str | None = None):
     run is bound fresh on every call (``_adapted`` binds the field and
     its RK4 step to one fresh inverse-Hessian cache, which only a Hessian
     that is not constant uses, ``_midpoint_step`` binds h), and
-    ``Lagrangian._fields`` and the jets cached on its expressions hold
+    ``Lagrangian._kernels`` and the jets cached on its expressions hold
     only code and, for a constant Hessian, its inverse as literals.
     """
     if text is None:

@@ -21,6 +21,7 @@ from .algebroid import (
     _Carrier,
     _distances,
     _finite_vector,
+    _largest,
     _norm,
     _Record,
     contract,
@@ -137,14 +138,6 @@ def _along(sys: ImplicitSystem, x0: BasePoint, data: list) -> tuple:
     return rho, A.structure_at(x0) if C is None else C, S, Q
 
 
-def _sup_norm(v: list) -> float:
-    """max |v_i| of a float list as numpy gives it: 0 when empty, nan when
-    any entry is nan."""
-    if any(map(math.isnan, v)):
-        return math.nan
-    return max(map(abs, v), default=0.0)
-
-
 def _adapted_field(sys: ImplicitSystem):
     """Right-hand side of the adapted reduction as a function q -> (qdot,
     p) on Python floats, at q = (x, ya), the base point followed by the
@@ -160,27 +153,18 @@ def _adapted(sys: ImplicitSystem) -> tuple:
     fresh cache of the inverse restricted velocity Hessian."""
     if not sys.U.adapted:
         raise ValueError("explicit path needs the subbundle in adapted form")
-    return _emitted(sys.Lg, "rk4", sys.U.r, _emit_field)()
+    return _emitted(sys.Lg, ("rk4", sys.U.r), _emit_field)()
 
 
-def _emitted(Lg: Lagrangian, method: str, r: int, emit):
-    """What ``emit(Lg, r)`` compiles for ``method`` on a rank-r U: made on
-    first use and kept on the Lagrangian."""
-    bind = Lg._fields.get((method, r))
+def _emitted(owner, key: tuple, emit):
+    """What ``emit(owner, *key[1:])`` compiles, made on first use and kept
+    under ``key`` (a name and emit's arguments) in ``owner._kernels``: the
+    adapted field and midpoint step on the Lagrangian, the HJ base-flow
+    step on the algebroid."""
+    bind = owner._kernels.get(key)
     if bind is None:
-        bind = Lg._fields[method, r] = emit(Lg, r)
+        bind = owner._kernels[key] = emit(owner, *key[1:])
     return bind
-
-
-def _compiled(head: list, inner: list, tail: str, label: str, ns: dict):
-    """``_bind`` run in the namespace ``ns`` from the lines of ``head``,
-    which start it, its ``inner`` functions, each a (``def`` line, body
-    lines) pair, and the ``tail`` line after them."""
-    src = [*head]
-    for signature, body in inner:
-        src += [f"    {signature}", *(f"        {t}" for t in body)]
-    exec(compile("\n".join([*src, tail]), f"<{label}>", "exec"), ns)
-    return ns["_bind"]
 
 
 _LITERAL = re.compile(r"\(?-?\d+(?:\.\d*(?:e[-+]?\d+)?|e[-+]?\d+)\)?")
@@ -403,8 +387,8 @@ def _emit_field(Lg: Lagrangian, r: int):
     ns = dict(expr._NS, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
               Degenerate=Degenerate, _finite_vector=_finite_vector, _inverse=_inverse)
     head = ["def _bind():", *["    key = inv = None"] * live]
-    return _compiled(head, [("def field(q):", field), ("def step(q, h):", step)],
-                     "    return field, step", "adapted field", ns)
+    return expr._compiled(head, [("def field(q):", field), ("def step(q, h):", step)],
+                          "    return field, step", "adapted field", ns)
 
 
 def _rk4_lines(M: int, stage, first: str) -> list:
@@ -515,7 +499,7 @@ def _midpoint_step(sys: ImplicitSystem, h: float):
     The step is straight-line source, emitted and compiled once per
     Lagrangian and rank of U on first use and kept on the Lagrangian
     beside the adapted field; h is bound here."""
-    return _emitted(sys.Lg, "implicit_midpoint", sys.U.r, _emit_midpoint)(sys.Lg, h)
+    return _emitted(sys.Lg, ("implicit_midpoint", sys.U.r), _emit_midpoint)(sys.Lg, h)
 
 
 def _emit_midpoint(Lg: Lagrangian, r: int):
@@ -602,7 +586,8 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
              f"return {vec(F)}, jacobian"]
     head = ["def _bind(Lg, h):", "    A, ih = Lg.algebroid, 1.0 / h"]
     ns = dict(isfinite=math.isfinite, _finite_vector=_finite_vector)
-    return _compiled(head, [("def step(prev, u):", body)], "    return step", "midpoint step", ns)
+    return expr._compiled(head, [("def step(prev, u):", body)], "    return step",
+                          "midpoint step", ns)
 
 
 @functools.cache
@@ -643,15 +628,15 @@ def _newton_kernel(m: int, r: int, n: int):
         body.append(f"{z[k]} = ({' - '.join(terms)}) * d{k}")
     dp = [f"-{fg} - ({dot(row, z)})" for fg, row in zip(f[s:], lg)]
     body.append(f"return [{', '.join(z + dp)}]")
-    return _compiled(["def _bind():"], [("def delta(F, J):", body)],
-                     "    return delta", "midpoint step", {})()
+    return expr._compiled(["def _bind():"], [("def delta(F, J):", body)],
+                          "    return delta", "midpoint step", {})()
 
 
 def _newton(step, delta, prev: list, guess: list):
     """(u, |F(u)|), u the root of ``step(prev, .)`` by Newton's method from
     guess with each step halved until |F| decreases, or None and the last |F|."""
     F, jac = step(prev, guess)
-    nF = _sup_norm(F)
+    nF = _largest(F)
     for _ in range(NEWTON_MAX_ITERS):
         if nF <= 1e-11 * (1.0 + _norm(guess)):
             return guess, nF
@@ -663,7 +648,7 @@ def _newton(step, delta, prev: list, guess: list):
         while t >= 1.0 / 1024.0:
             trial = [a + t * b for a, b in zip(guess, d)]
             Ft, jac_t = step(prev, trial)
-            nFt = _sup_norm(Ft)
+            nFt = _largest(Ft)
             if nFt < nF:
                 guess, F, jac, nF = trial, Ft, jac_t, nFt
                 break

@@ -120,8 +120,9 @@ class Pow(Expression):
         self.base = base
         self.exponent = int(exponent)
 
-    def __str__(self) -> str:
-        return f"{self.base}^{self.exponent}"
+    def __str__(self) -> str:  # a power of a power reads back only in parentheses
+        base = f"({self.base})" if isinstance(self.base, Pow) else str(self.base)
+        return f"{base}^{self.exponent}"
 
     def __eq__(self, other) -> bool:
         return (
@@ -714,6 +715,18 @@ def _source_tuple(tokens) -> str:
     return f"({', '.join(tokens)}{',' if len(tokens) == 1 else ''})"
 
 
+def _compiled(head: list, inner: list, tail: str, label: str, ns: dict):
+    """``_bind`` run in the namespace ``ns`` from the lines of ``head``,
+    which start it, its ``inner`` functions, each a (``def`` line, body
+    lines) pair, and the ``tail`` line after them: the one place emitted
+    source is compiled, under the file name ``<label>``."""
+    src = [*head]
+    for signature, body in inner:
+        src += [f"    {signature}", *(f"        {t}" for t in body)]
+    exec(compile("\n".join([*src, tail]), f"<{label}>", "exec"), ns)
+    return ns["_bind"]
+
+
 def _build_jet2(e, wrt):
     entries, size = _entries(e)
     index = {name: j for j, name in enumerate(wrt)}
@@ -725,18 +738,19 @@ def _build_jet2(e, wrt):
     g = _source_tuple([t for _, gx, _ in jets for t in gx])
     h = _source_tuple([t for _, _, hx in jets for t in hx])
     v = vs[0] if size is None else _source_tuple(vs)
-    reads = [f"    _v_{name} = _b[{name!r}]" for name in names]
-    tail = f"    return {v}, {g}, {h}"
+    reads = [f"_v_{name} = _b[{name!r}]" for name in names]
+    steps = [t[4:] for t in em.lines]  # each is indented once
+    tail = f"return {v}, {g}, {h}"
     if len(index) < len(wrt) or not set(names) <= index.keys():  # by name only
-        lines = ["def _jet2(_b):", *reads, *em.lines, tail]
+        inner, out = [("def _jet2(_b):", [*reads, *steps, tail])], "_jet2, None"
     else:  # the program takes wrt by position; the mapping form reads its free names
         params = [f"_v_{name}" if name in names else f"_{j}" for j, name in enumerate(wrt)]
         args = [f"_v_{name}" if name in names else "0.0" for name in wrt]
-        lines = [f"def _at({', '.join(params)}):", *em.lines, tail,
-                 "def _jet2(_b):", *reads, f"    return _at({', '.join(args)})"]
-    ns = dict(_NS)
-    exec(compile("\n".join(lines), "<jet2>", "exec"), ns)
-    return _wrap_jet2(ns["_jet2"], wrt, size, ns.get("_at"))
+        inner = [(f"def _at({', '.join(params)}):", [*steps, tail]),
+                 ("def _jet2(_b):", [*reads, f"return _at({', '.join(args)})"])]
+        out = "_jet2, _at"
+    jet2, at = _compiled(["def _bind():"], inner, f"    return {out}", "jet2", dict(_NS))()
+    return _wrap_jet2(jet2, wrt, size, at)
 
 
 def _interpret_jet2(e, wrt):

@@ -14,7 +14,7 @@ import numpy as np
 from . import expr
 from .algebroid import BasePoint, FiberPoint, _as_expression, _distances, _passes, _Record
 from .algebroid import _scaled_bound, base_names, contract
-from .dynamics import ImplicitSystem, _algebroid_source, _along, _compiled, _dot
+from .dynamics import ImplicitSystem, _algebroid_source, _along, _dot, _emitted
 from .dynamics import _fd_derivatives, _point_data, _residual_rows, _rk4_lines, _row_max, _steps
 from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 
@@ -136,10 +136,8 @@ def base_flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: flo
 def _flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) -> tuple:
     """The points of :func:`base_flow` as float lists, and gamma at every
     point but the last, as each step read it at its start."""
-    A, N = sys.A, _steps(h, T)
-    if A._flow is None:
-        A._flow = _emit_flow(A)
-    step = A._flow(expr.compile_jet2(s.gamma, ()).checked, s.gamma)
+    bind, N = _emitted(sys.A, ("base flow",), _emit_flow), _steps(h, T)
+    step = bind(expr.compile_jet2(s.gamma, ()).checked, s.gamma)
     x = x0.x.tolist()
     points, gammas = [x], []
     for k in range(N):
@@ -155,10 +153,11 @@ def _flow(sys: ImplicitSystem, s: HJSection, x0: BasePoint, h: float, T: float) 
 
 def _emit_flow(A):
     """The RK4 step of the base field x -> rho(x) gamma(x) on the float
-    list x, compiled from source once per algebroid as ``bind(jet,
-    gamma)``: the step ``(x, h) -> (x_next, gamma(x))`` of the section part
-    gamma, whose values-only checked jet is ``jet``, with the field inlined
-    at each stage (:func:`_rk4_lines`).  rho is the tokens of
+    list x, compiled from source once per algebroid (kept by
+    :func:`_emitted`) as ``bind(jet, gamma)``: the step ``(x, h) ->
+    (x_next, gamma(x))`` of the section part gamma, whose values-only
+    checked jet is ``jet``, with the field inlined at each stage
+    (:func:`_rk4_lines`).  rho is the tokens of
     ``_algebroid_source``, contracted with gamma by :func:`_dot`, which drops
     zero products, since gamma is checked finite; a stage input that is not
     finite makes the whole step nan, and a fault in gamma is raised as
@@ -183,8 +182,8 @@ def _emit_flow(A):
     body = _rk4_lines(m, stage, expr._source_tuple(gs))
     ns = dict(A=A, isfinite=math.isfinite, nan=math.nan, EvaluationFault=EvaluationFault,
               evaluate=expr.evaluate)
-    return _compiled(["def _bind(jet, gamma):"], [("def step(q, h):", body)],
-                     "    return step", "base flow", ns)
+    return expr._compiled(["def _bind(jet, gamma):"], [("def step(q, h):", body)],
+                          "    return step", "base flow", ns)
 
 
 class TheoremReport(_Record):

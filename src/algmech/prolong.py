@@ -145,7 +145,7 @@ class Lagrangian:
         self.L = _as_expression(L)
         self._names = base_names(algebroid.m) + fiber_names(algebroid.n)
         self._jet = expr.compile_jet2(self.L, self._names)
-        self._fields = {}  # the emitted RK4 field and midpoint step per rank of U, see dynamics
+        self._kernels = {}  # the emitted RK4 field and midpoint step, see dynamics._emitted
 
     def jet(self, e):
         """(L, Lx, Ly, Lxx, Lxy, Lyy) as arrays at a FiberPoint e, via exact

@@ -11,11 +11,14 @@ from algmech.models import get_model, model_names
 
 def test_round_trip_preserves_residuals():
     rng = np.random.default_rng(55)
-    for name in model_names():
-        b = get_model(name)
+    # a power of a power is written back in parentheses
+    quartic = bundle_from_config({"m": 1, "n": 1, "r": 1, "anchor": [["1"]],
+                                  "lagrangian": "0.5 * y1^2 - (x1^2)^2"}, name="quartic")
+    for b in [*map(get_model, model_names()), quartic]:
         cfg = bundle_to_config(b)
         # force a serialization pass through actual JSON text
-        b2 = bundle_from_config(json.loads(json.dumps(cfg)), name=name)
+        b2 = bundle_from_config(json.loads(json.dumps(cfg)), name=b.name)
+        assert b2.system.Lg.L == b.system.Lg.L
         if b.box:
             pts = [
                 BasePoint([rng.uniform(lo, hi) for lo, hi in b.box])

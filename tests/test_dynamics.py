@@ -904,9 +904,9 @@ def test_emitted_field_names_an_unbound_variable_as_lagrangian_jet():
 
 def test_a_second_integrate_emits_and_compiles_nothing(monkeypatch):
     sys = get_model("rigid-body").system
-    assert not sys.Lg._fields  # nothing is emitted when the model is built
+    assert not sys.Lg._kernels  # nothing is emitted when the model is built
     first = integrate(sys, (NO_BASE, [1.0, 0.5, 0.2]), 1e-2, 0.1)
-    bind = sys.Lg._fields["rk4", sys.U.r]
+    bind = sys.Lg._kernels["rk4", sys.U.r]
     compiles = Counter()
     compile_ = builtins.compile
 
@@ -916,16 +916,16 @@ def test_a_second_integrate_emits_and_compiles_nothing(monkeypatch):
 
     monkeypatch.setattr(builtins, "compile", counted)
     second = integrate(sys, (NO_BASE, [1.0, 0.5, 0.2]), 1e-2, 0.1)
-    assert compiles == Counter() and sys.Lg._fields["rk4", sys.U.r] is bind
+    assert compiles == Counter() and sys.Lg._kernels["rk4", sys.U.r] is bind
     assert [st.y.tolist() for st in second.states] == [st.y.tolist() for st in first.states]
 
 
 def test_a_second_midpoint_run_emits_and_compiles_nothing(monkeypatch):
     sys = get_model("rigid-body").system
-    assert not sys.Lg._fields  # nothing is emitted when the model is built
+    assert not sys.Lg._kernels  # nothing is emitted when the model is built
     init = (NO_BASE, [1.0, 0.5, 0.2])
     first = integrate(sys, init, 1e-2, 0.1, method="implicit_midpoint")
-    bind = sys.Lg._fields["implicit_midpoint", sys.U.r]
+    bind = sys.Lg._kernels["implicit_midpoint", sys.U.r]
     compiles = Counter()
     compile_ = builtins.compile
 
@@ -936,7 +936,7 @@ def test_a_second_midpoint_run_emits_and_compiles_nothing(monkeypatch):
     monkeypatch.setattr(builtins, "compile", counted)
     second = integrate(sys, init, 1e-2, 0.1, method="implicit_midpoint")
     other_h = integrate(sys, init, 5e-3, 0.1, method="implicit_midpoint")
-    assert compiles == Counter() and sys.Lg._fields["implicit_midpoint", sys.U.r] is bind
+    assert compiles == Counter() and sys.Lg._kernels["implicit_midpoint", sys.U.r] is bind
     assert [st.y.tolist() for st in second.states] == [st.y.tolist() for st in first.states]
     assert len(other_h.states) == 21
 

@@ -18,6 +18,7 @@ def test_round_trip_parsing():
         "-x1 / (1 + exp(-x2))",
         "sqrt(x1^2 + 1) - ln(x2)",
         "2.5e-3 * x1 - 0.5",
+        "(x1^2)^3",
     ]:
         e = expr.parse(text)
         assert expr.parse(str(e)) == e

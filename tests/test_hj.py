@@ -558,7 +558,7 @@ def test_the_emitted_base_flow_faults_as_the_closure_field(gamma, x0, h, T):
 def test_a_flow_fetches_its_sections_compiled_jet_once(monkeypatch):
     sys = get_model("affine-rank2").system
     base_flow(sys, _affine("0", "0.7"), BasePoint([0.1]), 5e-3, 0.25)  # emits the field
-    field, compiled, real_compile = sys.A._flow, [], builtins.compile
+    field, compiled, real_compile = sys.A._kernels[("base flow",)], [], builtins.compile
 
     def counted(source, filename, *a, **k):
         compiled.append(filename)
@@ -577,7 +577,7 @@ def test_a_flow_fetches_its_sections_compiled_jet_once(monkeypatch):
     base_flow(sys, s, BasePoint([0.1]), 5e-3, 0.25)
     assert events[2:] == ["compile_jet2"]  # fetched once a flow, not per call
     # the source is the algebroid's: another section compiles nothing new
-    assert sys.A._flow is field
+    assert sys.A._kernels[("base flow",)] is field
     assert compiled == ["<jet2>"]  # the section's own jet
 
 
