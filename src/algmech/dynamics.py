@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import functools
 import math
-import re
 
 import numpy as np
 
@@ -167,91 +166,6 @@ def _emitted(owner, key: tuple, emit):
     return bind
 
 
-_LITERAL = re.compile(r"\(?-?\d+(?:\.\d*(?:e[-+]?\d+)?|e[-+]?\d+)\)?")
-
-
-def _value(t: str):
-    """The float of a token that is a finite float literal, else None."""
-    return float(t.strip("()")) if _LITERAL.fullmatch(t) else None
-
-
-def _literal(v: float) -> str:
-    return repr(v) if v >= 0 else f"({v!r})"
-
-
-def _product(factors, keep=frozenset()):
-    """(negated, source) of the product of the tokens ``factors`` taken
-    left to right, with its exact constants folded: the leading literals
-    are multiplied here, and a factor of ±1.0 goes into the sign, since
-    x * 1.0 is x and x * -1.0 is -x.  None where a literal factor is zero,
-    unless another factor is in ``keep``: then the product is left as it is."""
-    values = [_value(t) for t in factors]
-    lead, k = 1.0, 0
-    while k < len(values) and values[k] is not None and math.isfinite(lead * values[k]):
-        lead, k = lead * values[k], k + 1
-    if lead == 0.0 or 0.0 in values[k:]:
-        return None if keep.isdisjoint(factors) else (False, " * ".join(factors))
-    if values[k:].count(-1.0) % 2:
-        lead = -lead
-    rest = [t for t, v in zip(factors[k:], values[k:]) if v not in (1.0, -1.0)]
-    if rest and abs(lead) == 1.0:
-        return lead < 0, " * ".join(rest)
-    return False, " * ".join([_literal(lead), *rest])
-
-
-def _signed(start: str, terms) -> str:
-    """Source of ``start`` and each (negated, source) term after it, added
-    or, where negated, subtracted: a - b is a + (-b) in every bit."""
-    return start + "".join(f" {'-' if neg else '+'} {src}" for neg, src in terms)
-
-
-def _dot(u: list, v: list, keep=frozenset()) -> str:
-    """Source of ``sum(map(mul, u, v))`` over the terms of u and v, each
-    product folded by :func:`_product`, and a product with a zero literal
-    dropped (but where ``keep`` holds its other factor): a literal left
-    fold from the int 0 up to two products, ``sum`` itself from three on,
-    since Python 3.12 and later compensate its rounding, and the float 0.0
-    where no product is left.  Both folds start at +0.0 and never hold
-    -0.0, so on finite data a ±0.0 term adds nothing to either, and
-    dropping it changes no bit."""
-    terms = [t for t in (_product(f, keep) for f in zip(u, v)) if t]
-    if not terms:
-        return "0.0"
-    if len(terms) < 3:
-        return _signed("0", terms)
-    return f"sum(({', '.join(('-' if neg else '') + src for neg, src in terms)}))"
-
-
-def _minus(a: str, b: str) -> str:
-    """Source of a - (b), which is a where b is 0.0: x - 0.0 is x in every bit."""
-    return a if b == "0.0" else f"{a} - ({b})"
-
-
-_STEP = re.compile(r"\s+(t\d+) = (.*)")
-_OPERAND = rf"(?:t\d+|_v_\w+|{_LITERAL.pattern})"
-_CANNOT_RAISE = re.compile(rf"-?{_OPERAND}|{_OPERAND} [-+*] {_OPERAND}")
-
-
-def _drop_dead_steps(lines: list) -> list:
-    """``lines`` less each spliced jet step ``tN = ...`` that no later line
-    reads and that cannot raise (+, -, * or unary -, of names and
-    literals), and less the ``try`` block of a jet left with no step.
-    Every ``**``, ``/`` and function call is kept, so every fault is
-    raised where and in the order it was."""
-    live, kept = set(), []
-    for line in reversed(lines):
-        step = _STEP.fullmatch(line)
-        if step and step[1] not in live and _CANNOT_RAISE.fullmatch(step[2]):
-            continue
-        if step:
-            live.discard(step[1])
-        live.update(re.findall(r"\bt\d+\b", step[2] if step else line))
-        kept.append(line)
-    kept.reverse()
-    empty = {i for i, t in enumerate(kept) if t == "try:" and kept[i + 1].startswith("except")}
-    return [t for i, t in enumerate(kept) if not {i, i - 1, i - 2} & empty]
-
-
 def _packed(h, k: int):
     """The (j, l) entry of the packed upper-triangle Hessian ``h`` over k
     variables, as a function of (j, l): the source of a subscript where h
@@ -274,28 +188,28 @@ def _inverse(key: tuple, r: int) -> list:
     return np.linalg.inv(M).tolist()
 
 
-def _algebroid_source(A: LieAlgebroid, r: int, x: str, jets: bool) -> tuple:
+def _algebroid_source(A: LieAlgebroid, r: int, x: str, em, jets: bool) -> tuple:
     """(reads, rho, drho, terms): the source of the anchor and bracket on
     the first r sections for a kernel at the base point with float list
     ``x``.  rho[i][a] is rho^i_a and drho[i][a] its x-derivatives; terms
     are (a, b, g, C^g_ab, its x-derivatives) over ``A._bracket``, the table
     ``cp_dot`` sums over, with a, b < r.  Constant data is float literals
-    with no derivatives; data that depends on x is subscripts into the flat
-    tuples made by the lines of ``reads``, one ``*_jet_at(x)`` call each
-    (derivatives if ``jets``)."""
+    known to the emitter ``em`` with no derivatives; data that depends on
+    x is subscripts into the flat tuples made by the lines of ``reads``,
+    one ``*_jet_at(x)`` call each (derivatives if ``jets``)."""
     m, n, reads = A.m, A.n, []
     read = lambda v, data: (f"{v}, d{v} = A.{data}_jet_at({x})" if jets
                             else f"{v} = A.{data}_jet_at({x})[0]")
     d = lambda v, k: [f"d{v}[{k * m + j}]" for j in range(m if jets else 0)]
     if A.constant_anchor:
-        rho = [[repr(v) for v in row[:r]] for row in A._anchor_jet[0].tolist()]
+        rho = [[em.number(v) for v in row[:r]] for row in A._anchor_jet[0].tolist()]
         drho = [[[]] * r for _ in range(m)]
     else:
         reads += [read("rho", "anchor")] * bool(r)
         rho = [[f"rho[{i * n + a}]" for a in range(r)] for i in range(m)]
         drho = [[d("rho", i * n + a) for a in range(r)] for i in range(m)]
     C = A._structure_flat
-    terms = [(a, b, g, repr(C[0][k]), []) if C else (a, b, g, f"C[{k}]", d("C", k))
+    terms = [(a, b, g, em.number(C[0][k]), []) if C else (a, b, g, f"C[{k}]", d("C", k))
              for a, b, g, k in A._bracket if max(a, b) < r]
     reads += [read("C", "structure")] * bool(terms and not C)
     return reads, rho, drho, terms
@@ -312,14 +226,13 @@ def _emit_field(Lg: Lagrangian, r: int):
     anchor and bracket are the tokens of :func:`_algebroid_source`, read
     as float tuples where they depend on x.  Every contraction keeps the
     term order of ``sum(map(mul, row, v))`` and folds its exact constants
-    (:func:`_dot`); a zero product is kept only where its other factor is
-    a jet token the field reads unchecked.  The step inlines the field at
-    each of its four stages (:func:`_rk4_lines`).  Where every entry of
+    (``_Emitter.dot``); a zero product is kept only where its other factor
+    is a jet token the field reads unchecked.  The step inlines the field
+    at each of its four stages (:func:`_rk4_lines`).  Where every entry of
     the restricted velocity Hessian is a literal of the jet, it is
     inverted here, once, and its inverse is literals too (or the fault
-    of :func:`_inverse` is raised where the inverse is read).  A jet step
-    that no later line reads and that cannot raise is dropped, at each
-    stage on its own (:func:`_drop_dead_steps`)."""
+    of :func:`_inverse` is raised where the inverse is read).  Each stage
+    runs the jet steps its lines need or that may raise (``_Emitter.needed``)."""
     A = Lg.algebroid
     m, n = A.m, A.n
     names, em, free = Lg._names, expr._Emitter(), expr.free_variables(Lg.L)
@@ -332,25 +245,20 @@ def _emit_field(Lg: Lagrangian, r: int):
     if unbound:  # as Lg.jet faults: at the first name it reads
         message = f"unbound variable {unbound[0]!r}"
         prologue.append(f"raise EvaluationFault({message!r})")
-    jet = []
-    if em.lines:  # a constant L takes no step; each line is indented once, into the try
-        jet = ["try:", *em.lines,
-               "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
-               "    raise EvaluationFault(str(exc)) from exc"]
-    reads, rho, _, terms = _algebroid_source(A, r, "xs", jets=False)
+    reads, rho, _, terms = _algebroid_source(A, r, "xs", em, jets=False)
     check = [f"xs = [{', '.join(q[:m])}]", "if not all(map(isfinite, xs)):",
              "    _finite_vector(xs, 'x')"]
-    jet += check * bool(reads) + reads  # rho and C are read only at a finite x
+    reads = check * bool(reads) + reads  # rho and C are read only at a finite x
     # momentum equation on U: -C^g_ab p_g y^b + rho^i_a dL/dx^i, less the
     # mixed Hessian term that d/dt of dL/dy carries over.  A zero product
     # with a jet token stays: the field reads that token unchecked, and
     # 0.0 * inf is the nan that ends integrate
-    keep = frozenset(t for t in g if _value(t) is None)
-    terms = [(a, _product((g[m + gm], c, ya[b]), keep)) for a, b, gm, c, _ in terms]
-    bracket = [_signed("0.0", [(not t[0], t[1]) for a2, t in terms if t and a2 == a])
+    keep = frozenset(t for t in g if em.value(t) is None)
+    terms = [(a, em.product((g[m + gm], c, ya[b]), keep)) for a, b, gm, c, _ in terms]
+    bracket = [em.signed("0.0", [(not t[0], t[1]) for a2, t in terms if t and a2 == a])
                for a in range(r)]
     key = [hess(m + a, m + b) for a in range(r) for b in range(r)]
-    values = [0.0 if em.is_zero(t) else em.literal(t) for t in key]
+    values = list(map(em.literal, key))
     live, invert = None in values, []
     if not r:
         inv = []
@@ -358,32 +266,41 @@ def _emit_field(Lg: Lagrangian, r: int):
         inv = [[f"i{a}_{b}" for b in range(r)] for a in range(r)]
         invert = [f"k = ({', '.join(key)},)", "if k != key:", f"    inv, key = _inverse(k, {r}), k",
                   ", ".join(f"({', '.join(row)},)" for row in inv) + ", = inv"]
+        em.read.update(key)
     else:
         try:
             inv = [list(map(em.const, row)) for row in _inverse(tuple(values), r)]
         except (EvaluationFault, Degenerate) as exc:
             inv, invert = [["0.0"] * r] * r, [f"raise {type(exc).__name__}({str(exc)!r})"]
+    p = g[m:]  # read after the first stage of each function: by its return or first
+    after = set(p)
 
     def stage(ins, outs):
+        nonlocal after
         xd, yd, rhs = outs[:m], outs[m:], bracket
         if m:  # neither a bracket sum from 0.0 nor a contraction is ever -0.0,
             # so either one plus 0.0 is itself
-            force = [_dot([row[a] for row in rho], g[:m], keep) for a in range(r)]
+            force = [em.dot([row[a] for row in rho], g[:m], keep) for a in range(r)]
             rhs = [t if d == "0.0" else d if t == "0.0" else f"{t} + ({d})"
                    for t, d in zip(rhs, force)]
-            rhs = [_minus(t, _dot([hess(i, m + a) for i in range(m)], xd)) for a, t in enumerate(rhs)]
-        lines = [f"{v} = {e}" for v, e in zip(q, ins) if v != e] + jet
-        lines += [f"{xd[i]} = {_dot(rho[i], ya)}" for i in range(m)]
+            rhs = [em.minus(t, em.dot([hess(i, m + a) for i in range(m)], xd))
+                   for a, t in enumerate(rhs)]
+        lines = [f"{xd[i]} = {em.dot(rho[i], ya)}" for i in range(m)]
         sv = [t if t == "0.0" else v for v, t in zip(s, rhs)]  # a zero is read as the literal
         lines += [f"{v} = {t}" for v, t in zip(sv, rhs) if v != t]
-        return lines + invert + [f"{v} = {_dot(row, sv)}" for v, row in zip(yd, inv)]
+        lines += invert + [f"{v} = {em.dot(row, sv)}" for v, row in zip(yd, inv)]
+        # each fold writes into every stage, so em.read is what every stage reads
+        steps, after = em.needed(em.read | after), set()
+        jet = ["try:", steps, "except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+               ["raise EvaluationFault(str(exc)) from exc"]] if steps else []
+        return [f"{v} = {e}" for v, e in zip(q, ins) if v != e] + jet + reads + lines
 
     cache = ["nonlocal key, inv"] * live
     field = cache + prologue + [f"{', '.join(q)}, = q"] * bool(q)
     outs = [f"xd{i}" for i in range(m)] + [f"yd{a}" for a in range(r)]
-    field += stage(q, outs) + [f"return [{', '.join(outs)}], {expr._source_tuple(g[m:])}"]
-    step = cache + prologue + _rk4_lines(m + r, stage, expr._source_tuple(g[m:]))
-    field, step = _drop_dead_steps(field), _drop_dead_steps(step)
+    field += stage(q, outs) + [f"return [{', '.join(outs)}], {expr._source_tuple(p)}"]
+    after = set(p)
+    step = cache + prologue + _rk4_lines(m + r, stage, expr._source_tuple(p))
     ns = dict(expr._NS, A=A, isfinite=math.isfinite, EvaluationFault=EvaluationFault,
               Degenerate=Degenerate, _finite_vector=_finite_vector, _inverse=_inverse)
     head = ["def _bind():", *["    key = inv = None"] * live]
@@ -512,10 +429,10 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
     :func:`_algebroid_source` at the midpoint.  Every contraction keeps the
     term order of ``sum(map(mul, row, v))`` and folds its exact constants,
     zero products included, since the jets' floats are checked finite
-    (:func:`_dot`).  Every entry of J is its live part plus the entry of
+    (``_Emitter.dot``).  Every entry of J is its live part plus the entry of
     the constant blocks (I/h, -rho/2, I), which keeps the signs of zeros,
     and is computed here where all of it is literals."""
-    A = Lg.algebroid
+    A, em = Lg.algebroid, expr._Emitter()
     m, n = A.m, A.n
     names = lambda s, size: [f"{s}{i}" for i in range(size)]
     x0, y0, p0 = names("x0_", m), names("y0_", r), names("p0_", n)
@@ -532,28 +449,28 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
         body += [f"if not all(map(isfinite, ({', '.join(xm + ym + x1 + y1)},))):"]
         body += [f"    _finite_vector({vec(v)}, {s!r})"
                  for s, v in (("x", xm), ("y", ym + pad), ("x", x1), ("y", y1 + pad)) if v]
-    reads, rho, drho, terms = _algebroid_source(A, r, "xs", jets=True)
+    reads, rho, drho, terms = _algebroid_source(A, r, "xs", em, jets=True)
     body += [f"xs = {vec(xm)}"] * bool(reads) + reads  # one list for both reads
     rho_cols = [[row[a] for row in rho] for a in range(r)]
     # (C·p)_ab (k = 0) and its x^k-derivatives, and C^g_ab y^b, at the
     # midpoint, each summed term by term from 0.0, or "0.0" with no term
-    fold = lambda ts: f"({_signed('0.0', ts)})" if ts else "0.0"
-    cpk = lambda a, b, k: fold([_product((pm[g], [c, *dc][k])) for a2, b2, g, c, dc in terms
+    fold = lambda ts: f"({em.signed('0.0', ts)})" if ts else "0.0"
+    cpk = lambda a, b, k: fold([em.product((pm[g], [c, *dc][k])) for a2, b2, g, c, dc in terms
                                 if (a2, b2) == (a, b) and k <= len(dc)])
     cp = [[cpk(a, b, 0) for b in range(r)] for a in range(r)]
-    cy = [[fold([_product((c, ym[b])) for a2, b, g2, c, _ in terms if (a2, g2) == (a, g)])
+    cy = [[fold([em.product((c, ym[b])) for a2, b, g2, c, _ in terms if (a2, g2) == (a, g)])
            for g in range(n)] for a in range(r)]
     body += [f"cp{a}_{b} = {cp[a][b]}" for a, b in np.ndindex(r, r) if cp[a][b] != "0.0"]
     cp = [[f"cp{a}_{b}" if cp[a][b] != "0.0" else "0.0" for b in range(r)] for a in range(r)]
     body += [f"_, gm, hm = Lg.jet({vec(xm + ym + pad)})",
              f"_, g1, h1 = Lg.jet({vec(x1 + y1 + pad)})"]
-    F = [_minus(f"({x1[i]} - {x0[i]}) / h", _dot(rho[i], ym)) for i in range(m)]
-    F += [_minus(f"({p1[a]} - {p0[a]}) / h + ({_dot(cp[a], ym)})", _dot(rho_cols[a], lx))
+    F = [em.minus(f"({x1[i]} - {x0[i]}) / h", em.dot(rho[i], ym)) for i in range(m)]
+    F += [em.minus(f"({p1[a]} - {p0[a]}) / h + ({em.dot(cp[a], ym)})", em.dot(rho_cols[a], lx))
           for a in range(r)]
     F += [f"{p1[g]} - {ly[g]}" for g in range(n)]
     # J: rows kin | mom | leg over columns x1 | ya1 | p1
     def sparse(pairs):  # of the terms there are
-        d = _dot([u for u, _ in pairs], [v for _, v in pairs])
+        d = em.dot([u for u, _ in pairs], [v for _, v in pairs])
         return d if d == "0.0" else f"({d})"
 
     def dx(a, j):  # d(C·p y - rho^T dL/dx)/dx1^j through rho and C, from 0.0
@@ -569,11 +486,11 @@ def _emit_midpoint(Lg: Lagrangian, r: int):
         dr = [sparse([(v, d[j]) for v, d in zip(ym, drho[i]) if d]) for j in range(m)]
         rows.append([diag(i, j, "ih") if t == "0.0" else f"-0.5 * {t} + {diag(i, j, 'ih')}"
                      for j, t in enumerate(dr)]
-                    + [f"-0.5 * {t} + 0.0" if _value(t) is None else _literal(-0.5 * _value(t) + 0.0)
-                       for t in rho[i]])
+                    + [em.const(-0.5 * v + 0.0) if (v := em.value(t)) is not None
+                       else f"-0.5 * {t} + 0.0" for t in rho[i]])
         rows[-1] += ["0.0"] * n
     for a in range(r):
-        live = [_minus(d, _dot(rho_cols[a], hc))
+        live = [em.minus(d, em.dot(rho_cols[a], hc))
                 for d, hc in zip([dx(a, j) for j in range(m)] + cp[a], hcols)]
         rows.append(["0.0" if t == "0.0" else f"0.5 * ({t}) + 0.0" for t in live]
                     + [diag(a, g, "ih") if cy[a][g] == "0.0"

@@ -260,6 +260,8 @@ class _Parser:
     def atom(self) -> Expression:
         kind, value, offset = self.peek()
         if kind == "num":
+            if not math.isfinite(float(value)):  # it would print as inf, which does not read back
+                raise ParseError(f"number {value!r} is not finite", offset)
             self.advance()
             return Num(float(value))
         if kind == "ident":
@@ -387,11 +389,11 @@ _NS = {
 _STEPS = {}
 
 
-def _step(form: str):
-    """The source form (``"{0} * {1}"``) as a function of its operands."""
+def _step(form: str, n: int):
+    """The source form (``"{0} * {1}"``) of n operands as a function of them."""
     fn = _STEPS.get(form)
     if fn is None:
-        args = [f"a{i}" for i in range(len(set(re.findall(r"\{(\d)\}", form))))]
+        args = [f"a{i}" for i in range(n)]
         fn = eval(f"lambda {', '.join(args)}: {form.format(*args)}", dict(_NS))
         _STEPS[form] = fn
     return fn
@@ -450,23 +452,23 @@ class _Tokens:
         return self._fold(operator.mul, "{0} * {1}", a, b)
 
 
-# The step forms that give an int when every operand is one: the value
-# steps of variables bound to ints that stay ints
-_INT_FORMS = frozenset(("-{0}", "{0} + {1}", "{0} - {1}", "{0} * {1}", "{0} ** {1}"))
+# The step forms that cannot raise on finite floats; with ``**``, those that
+# give an int when every operand is one: the steps of variables bound to ints
+_SAFE_FORMS = frozenset(("-{0}", "{0} + {1}", "{0} - {1}", "{0} * {1}"))
+_INT_FORMS = _SAFE_FORMS | {"{0} ** {1}"}
 
 
 class _Emitter(_Tokens):
-    """Accumulates straight-line assignments; tokens are source, "0.0" is
-    zero.  It keeps the float of each literal token it made, and the tokens
-    that may hold an int: the variables and the int steps of them alone."""
+    """Accumulates straight-line assignments as steps (name, form, operands),
+    which :func:`_compiled` writes as source; tokens are source, "0.0" is
+    zero.  It keeps the float of each literal token it made or was given,
+    the tokens that may hold an int (the variables and the int steps of
+    them alone), and in ``read`` each token its contraction fold wrote."""
 
     zero = _ZERO
 
     def __init__(self):
-        self.lines = []
-        self.n = 0
-        self.literals = {}
-        self.ints = set()
+        self.steps, self.literals, self.ints, self.read = [], {_ZERO: 0.0}, set(), set()
 
     def const(self, x: float) -> str:
         if not math.isfinite(x):
@@ -480,8 +482,20 @@ class _Emitter(_Tokens):
         self.literals[t] = x
         return t
 
+    def number(self, x: float) -> str:
+        """The literal ``repr(x)``, as held anchor and structure data is written."""
+        t = repr(x)
+        self.literals[t] = x
+        return t
+
     def literal(self, t):
         return self.literals.get(t)
+
+    def value(self, t):
+        """The float of a finite literal token, else None: the contraction
+        fold reads a non-finite literal (a call) as a name."""
+        v = self.literals.get(t, math.nan)
+        return v if math.isfinite(v) else None
 
     def floating(self, t) -> bool:
         return t not in self.ints
@@ -492,14 +506,72 @@ class _Emitter(_Tokens):
         return t
 
     def step(self, form: str, *args) -> str:
-        name = f"t{self.n}"
-        self.n += 1
-        self.lines.append(f"    {name} = {form.format(*args)}")
+        name = f"t{len(self.steps)}"
+        self.steps.append((name, form, args))
         ints = self.ints
         if form in _INT_FORMS and all(a in ints if isinstance(a, str) else isinstance(a, int)
                                       for a in args):
             ints.add(name)
         return name
+
+    def needed(self, reads) -> list:
+        """The steps that the tokens ``reads`` need, in order, and each step
+        that may raise (a power, quotient or call, or one of a non-finite
+        literal), so every fault is raised where and in the order it was."""
+        live, kept = set(reads), []
+        for name, form, args in reversed(self.steps):
+            if name in live or form not in _SAFE_FORMS or any(
+                    t in self.literals and self.value(t) is None for t in args):
+                live.update(args)
+                kept.append((name, form, args))
+        return kept[::-1]
+
+    def product(self, factors, keep=frozenset()):
+        """(negated, source) of the product of the tokens ``factors`` taken
+        left to right, with its exact constants folded: the leading literals
+        are multiplied here, and a factor of ±1.0 goes into the sign, since
+        x * 1.0 is x and x * -1.0 is -x.  None where a literal factor is zero,
+        unless another factor is in ``keep``: then the product is left as it is."""
+        values = [self.value(t) for t in factors]
+        lead, k = 1.0, 0
+        while k < len(values) and values[k] is not None and math.isfinite(lead * values[k]):
+            lead, k = lead * values[k], k + 1
+        if lead == 0.0 or 0.0 in values[k:]:
+            if keep.isdisjoint(factors):
+                return None
+            lead, k, values = 1.0, 0, [None] * len(factors)  # left as it is
+        if values[k:].count(-1.0) % 2:
+            lead = -lead
+        rest = [t for t, v in zip(factors[k:], values[k:]) if v not in (1.0, -1.0)]
+        self.read.update(rest)
+        if rest and abs(lead) == 1.0:
+            return lead < 0, " * ".join(rest)
+        return False, " * ".join([self.const(lead), *rest])
+
+    @staticmethod
+    def signed(start: str, terms) -> str:
+        """Source of ``start`` and each (negated, source) term after it, added
+        or, where negated, subtracted: a - b is a + (-b) in every bit."""
+        return start + "".join(f" {'-' if neg else '+'} {src}" for neg, src in terms)
+
+    def dot(self, u, v, keep=frozenset()) -> str:
+        """Source of ``sum(map(mul, u, v))`` over the tokens of u and v, each
+        product folded by :meth:`product`: a literal left fold from the int 0
+        up to two products, ``sum`` itself from three on, since Python 3.12
+        and later compensate its rounding, and the float 0.0 where no product
+        is left.  Both folds start at +0.0 and never hold -0.0, so on finite
+        data a ±0.0 term adds nothing to either, and dropping it changes no bit."""
+        terms = [t for t in (self.product(f, keep) for f in zip(u, v)) if t]
+        if not terms:
+            return _ZERO
+        if len(terms) < 3:
+            return self.signed("0", terms)
+        return f"sum(({', '.join(('-' if neg else '') + src for neg, src in terms)}))"
+
+    @staticmethod
+    def minus(a: str, b: str) -> str:
+        """Source of a - (b), which is a where b is 0.0: x - 0.0 is x in every bit."""
+        return a if b == _ZERO else f"{a} - ({b})"
 
 
 class _Evaluator(_Tokens):
@@ -526,7 +598,7 @@ class _Evaluator(_Tokens):
 
     @staticmethod
     def step(form: str, *args):
-        return _step(form)(*args)
+        return _step(form, len(args))(*args)
 
 
 def _live(em, *groups) -> bool:
@@ -715,14 +787,24 @@ def _source_tuple(tokens) -> str:
     return f"({', '.join(tokens)}{',' if len(tokens) == 1 else ''})"
 
 
+def _lines(body: list, indent: str):
+    """The source lines of ``body``: its items are lines, steps (name, form,
+    operands) of an :class:`_Emitter` and lists, blocks indented once more."""
+    for t in body:
+        if isinstance(t, list):
+            yield from _lines(t, indent + "    ")
+        else:
+            yield indent + (t if isinstance(t, str) else f"{t[0]} = {t[1].format(*t[2])}")
+
+
 def _compiled(head: list, inner: list, tail: str, label: str, ns: dict):
     """``_bind`` run in the namespace ``ns`` from the lines of ``head``,
-    which start it, its ``inner`` functions, each a (``def`` line, body
-    lines) pair, and the ``tail`` line after them: the one place emitted
-    source is compiled, under the file name ``<label>``."""
+    which start it, its ``inner`` functions, each a (``def`` line, body as
+    :func:`_lines` reads it) pair, and the ``tail`` line after them: the one
+    place emitted source is written and compiled, as the file ``<label>``."""
     src = [*head]
     for signature, body in inner:
-        src += [f"    {signature}", *(f"        {t}" for t in body)]
+        src += [f"    {signature}", *_lines(body, "        ")]
     exec(compile("\n".join([*src, tail]), f"<{label}>", "exec"), ns)
     return ns["_bind"]
 
@@ -739,14 +821,13 @@ def _build_jet2(e, wrt):
     h = _source_tuple([t for _, _, hx in jets for t in hx])
     v = vs[0] if size is None else _source_tuple(vs)
     reads = [f"_v_{name} = _b[{name!r}]" for name in names]
-    steps = [t[4:] for t in em.lines]  # each is indented once
     tail = f"return {v}, {g}, {h}"
     if len(index) < len(wrt) or not set(names) <= index.keys():  # by name only
-        inner, out = [("def _jet2(_b):", [*reads, *steps, tail])], "_jet2, None"
+        inner, out = [("def _jet2(_b):", [*reads, *em.steps, tail])], "_jet2, None"
     else:  # the program takes wrt by position; the mapping form reads its free names
         params = [f"_v_{name}" if name in names else f"_{j}" for j, name in enumerate(wrt)]
         args = [f"_v_{name}" if name in names else "0.0" for name in wrt]
-        inner = [(f"def _at({', '.join(params)}):", [*steps, tail]),
+        inner = [(f"def _at({', '.join(params)}):", [*em.steps, tail]),
                  ("def _jet2(_b):", [*reads, f"return _at({', '.join(args)})"])]
         out = "_jet2, _at"
     jet2, at = _compiled(["def _bind():"], inner, f"    return {out}", "jet2", dict(_NS))()

@@ -14,7 +14,7 @@ import numpy as np
 from . import expr
 from .algebroid import BasePoint, FiberPoint, _as_expression, _distances, _passes, _Record
 from .algebroid import _scaled_bound, base_names, contract
-from .dynamics import ImplicitSystem, _algebroid_source, _along, _dot, _emitted
+from .dynamics import ImplicitSystem, _algebroid_source, _along, _emitted
 from .dynamics import _fd_derivatives, _point_data, _residual_rows, _rk4_lines, _row_max, _steps
 from .errors import BadParams, EvaluationFault, FlowBlowUp, HypothesisViolated, RankDeficient
 
@@ -158,13 +158,13 @@ def _emit_flow(A):
     (x_next, gamma(x))`` of the section part gamma, whose values-only
     checked jet is ``jet``, with the field inlined at each stage
     (:func:`_rk4_lines`).  rho is the tokens of
-    ``_algebroid_source``, contracted with gamma by :func:`_dot`, which drops
+    ``_algebroid_source``, contracted with gamma by ``_Emitter.dot``, which drops
     zero products, since gamma is checked finite; a stage input that is not
     finite makes the whole step nan, and a fault in gamma is raised as
     ``evaluate`` reports it."""
-    m, n = A.m, A.n
+    m, n, em = A.m, A.n, expr._Emitter()
     xs, gs = [f"x{i}" for i in range(m)], [f"g{a}" for a in range(n)]
-    reads, rho, _, _ = _algebroid_source(A, n, "xs", jets=False)
+    reads, rho, _, _ = _algebroid_source(A, n, "xs", em, jets=False)
     reads = [t for t in reads if t.startswith("rho")]  # the anchor; no bracket
     binding = ", ".join(f"{k!r}: {v}" for k, v in zip(base_names(m), xs))
 
@@ -177,7 +177,7 @@ def _emit_flow(A):
                   "except EvaluationFault:", "    for e in gamma:", "        evaluate(e, b)",
                   "    raise"]
         lines += [f"xs = [{', '.join(xs)}]"] * bool(reads) + reads
-        return lines + [f"{v} = {_dot(row, gs)}" for v, row in zip(outs, rho)]
+        return lines + [f"{v} = {em.dot(row, gs)}" for v, row in zip(outs, rho)]
 
     body = _rk4_lines(m, stage, expr._source_tuple(gs))
     ns = dict(A=A, isfinite=math.isfinite, nan=math.nan, EvaluationFault=EvaluationFault,

@@ -253,6 +253,14 @@ def test_hj_check_exit_codes(tmp_path):
     assert code == 6
 
 
+def test_a_non_finite_literal_in_a_config_exits_6_with_one_error_line(tmp_path):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps({"m": 1, "n": 1, "r": 1, "anchor": [["1"]],
+                                "lagrangian": "0.5 * y1^2 - 1e999 * x1"}))
+    out = _assert_exit_with_one_error_line(("validate", "--config", str(path)))
+    assert "is not finite" in out
+
+
 def test_config_error_exit_code(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{")

@@ -1410,8 +1410,16 @@ UNIT_FACTOR = re.compile(
     r"(?<![\w.)])(?:-?[01]\.0|\(-[01]\.0\)) \*|\* (?:-?[01]\.0|\(-[01]\.0\))(?![\w.(])")
 
 
+def _dot(u, v, keep=frozenset()) -> str:
+    """``_Emitter.dot`` of an emitter that knows each of DOT_LITERALS, in
+    both spellings of a negative literal, by its float."""
+    em = expr._Emitter()
+    em.literals.update((t, float(t.strip("()"))) for t in DOT_LITERALS)
+    return em.dot(u, v, keep)
+
+
 def _dot_row(rng, size: int) -> tuple:
-    """Token rows u, v for ``dynamics._dot`` and the floats they stand for."""
+    """Token rows u, v for :func:`_dot` and the floats they stand for."""
     tokens, values = ([], []), {}
     for k in range(size):
         for side, row in zip("uv", tokens):
@@ -1431,7 +1439,7 @@ def test_dot_folds_its_exact_constants_bit_for_bit():
     folded = 0
     for _ in range(3000):
         u, v, values = _dot_row(rng, int(rng.integers(0, 6)))
-        src = dynamics._dot(u, v)
+        src = _dot(u, v)
         got = eval(src, {"sum": sum}, dict(values))
         want = sum(map(mul, [values[t] for t in u], [values[t] for t in v]))
         assert type(got) is float and got.hex() == float(want).hex(), (u, v, src)
@@ -1444,8 +1452,8 @@ def test_dot_keeps_a_zero_product_with_a_kept_token():
     # 0.0 * inf is nan: the product stays where its other factor is kept
     for u, v in ((["0.0", "1.0"], ["t5", "a"]), (["0.0", "0.5", "(-0.0)"], ["t5", "a", "b"])):
         values = {"t5": math.inf, "a": 2.0, "b": 3.0}
-        kept = eval(dynamics._dot(u, v, frozenset({"t5"})), {"sum": sum}, values)
-        assert math.isnan(kept) and not math.isnan(eval(dynamics._dot(u, v), {"sum": sum}, values))
+        kept = eval(_dot(u, v, frozenset({"t5"})), {"sum": sum}, values)
+        assert math.isnan(kept) and not math.isnan(eval(_dot(u, v), {"sum": sum}, values))
 
 
 def test_adapted_rhs_of_a_zero_anchor_returns_float_arrays():
@@ -1526,3 +1534,25 @@ def test_a_zero_anchor_entry_times_an_overflowing_gradient_ends_integrate_as_bef
     assert (xd1, xd2) == (0.3, 0.0) and math.isnan(yd)
     with pytest.raises(NonFinite, match=f"^{re.escape(message)}$"):
         integrate(sys, (x0, [0.3]), 1e-2, 2e-2)
+
+
+def test_a_non_finite_literal_of_the_jet_is_read_as_a_name(monkeypatch):
+    # 1e308 + 1e308 folds to the literal _float('inf'); the contraction fold
+    # does not read it as a float, so the field keeps 0.0 * inf, the nan that
+    # ends integrate, and a jet step of it is kept though nothing reads it
+    cfg = {"m": 2, "n": 1, "r": 1, "anchor": [["1"], ["0"]],
+           "lagrangian": "0.5 * y1^2 + 1e308 * x2 + 1e308 * x2"}
+    sys = bundle_from_config(cfg).system
+    q, p = dynamics._adapted_field(sys)([0.1, 0.2, 0.3])
+    assert q[:2] == [0.3, 0.0] and math.isnan(q[2]) and p == (0.3,)
+    with pytest.raises(NonFinite, match=re.escape(
+            "state component x must be finite in the RK4 step from t=0 at x=[0.1 0.2]")):
+        integrate(sys, ([0.1, 0.2], [0.3]), 1e-2, 2e-2)
+    with pytest.raises(EvaluationFault, match="^non-finite derivative result$"):
+        integrate(sys, ([0.1, 0.2], [0.3]), 1e-2, 2e-2, "implicit_midpoint")
+    cfg["lagrangian"] = "0.5 * y1^2 + (1e308 * x2 + 1e308 * x2) * x2 * x1"
+    sys = bundle_from_config(cfg).system
+    source = _with_source(monkeypatch, lambda: dynamics._emit_field(sys.Lg, 1))[1]
+    field = _functions(source["<adapted field>"])[1]
+    assert "        s0 = 0 + t7 + 0.0 * t11" in field  # d2L/dx2 dx1 times rho^2_1 = 0
+    assert "            t12 = _v_x1 * _float('inf')" in field  # d2L/dx2^2, read by nothing

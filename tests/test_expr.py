@@ -237,7 +237,8 @@ def test_each_functions_jet_keeps_its_floats(text):
 
 
 def test_overflowing_literal_is_an_evaluation_fault():
-    e = expr.parse("1e400 * x1")
+    # the parser refuses such a literal; a tree made without it still faults
+    e = expr.BinOp("*", expr.Num(math.inf), expr.Var("x1"))
     for _ in range(2):  # walked, then compiled
         with pytest.raises(EvaluationFault):
             expr.eval_jet2(e, {"x1": 1.0}, ("x1",))
@@ -449,3 +450,11 @@ def test_the_built_in_jets_fold_their_exact_constants(monkeypatch, name):
     for t in steps:
         for one in re.findall(r"(\S+) \* 1\.0\b|\b1\.0 \* (\S+)", t):
             assert "".join(one).startswith("_v_"), t
+
+
+@pytest.mark.parametrize("text, offset", [("0.5 * y1^2 - 1e999 * x1", 13), ("1e400", 0)])
+def test_a_non_finite_number_literal_is_refused(text, offset):
+    # it would print as inf, which reads back as a variable
+    with pytest.raises(ParseError, match="is not finite") as exc:
+        expr.parse(text)
+    assert exc.value.offset == offset

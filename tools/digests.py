@@ -27,7 +27,12 @@ by its type and message, so a run that raises is compared too:
   ``structure_jet_at``), the parts of every HJ section of the ``hj``
   group at 3 seeded points, and the first (walked) and the compiled
   ``eval_jet2`` of one expression per derivative rule at 4 points,
-  faults included.
+  faults included;
+- ``emitted``: the source of every kernel emitted for the 15 systems and
+  for ``NON_FINITE_LAGRANGIANS`` (``<jet2>`` of the Lagrangian, ``<adapted
+  field>``, ``<midpoint step>`` and the algebroid's ``<base flow>``), as
+  ``tools/kernels.py`` captures it from ``builtins.compile``.  A change
+  that keeps this group emits the same kernels byte for byte.
 
 For each group that differs, the two-tree form prints the largest
 absolute deviation over the group's floats (the numbers in its text
@@ -56,6 +61,9 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parent))
+import kernels  # noqa: E402
 
 ROOT = Path(__file__).resolve().parent.parent
 GRIDS = ((1e-2, 0.3), (1e-3, 0.05), (1e-2, 1.0))
@@ -97,6 +105,13 @@ X_DEPENDENT_CONFIGS = {
         "lagrangian": "0.5 * y1^2 + 0.5 * y2^2",
     },
 }
+
+
+# Lagrangians on m = 2, n = 1 whose jets fold two finite literals into inf:
+# each emitted field keeps 0.0 * _float('inf'), and the second a step of
+# that literal that nothing reads
+NON_FINITE_LAGRANGIANS = ("0.5 * y1^2 + 1e308 * x2 + 1e308 * x2",
+                          "0.5 * y1^2 + (1e308 * x2 + 1e308 * x2) * x2 * x1")
 
 
 def _constant_config(r: int) -> dict:
@@ -282,6 +297,15 @@ def _geometry_group(lib, h) -> None:
         _feed(h, _outcome(dirac.dirac_members, A, U, points, rows, at, 1e-8))
 
 
+def _emitted_group(lib, h) -> None:
+    systems = [(label, sys_) for label, sys_, _ in _check_systems(lib)]
+    for L in NON_FINITE_LAGRANGIANS:
+        cfg = {"m": 2, "n": 1, "r": 1, "anchor": [["1"], ["0"]], "lagrangian": L}
+        systems.append((L, lib.config.bundle_from_config(cfg).system))
+    for label, sys_ in systems:
+        _feed(h, [label, _outcome(kernels.emitted, lib, sys_, True)])
+
+
 def _cli_group(lib, h) -> None:
     sys.path.insert(0, str(ROOT / "bench"))
     workloads = importlib.import_module("workloads")
@@ -311,13 +335,14 @@ def digests(src: Path) -> dict:
         raise SystemExit(f"error: algmech imported from {lib.__file__}, not from {src}")
     for mod in ("algebroid", "cli", "config", "dirac", "dynamics", "hj", "models", "prolong"):
         importlib.import_module(f"algmech.{mod}")
-    names = ("integrate", "lift", "degenerate", "hj", "geometry", "cli", "jets")
+    names = ("integrate", "lift", "degenerate", "hj", "geometry", "cli", "jets", "emitted")
     groups = {name: _Group() for name in names}
     with np.errstate(all="ignore"):
         _trajectory_groups(lib, groups)
         _hj_group(lib, groups["hj"])
         _geometry_group(lib, groups["geometry"])
         _jets_group(lib, groups["jets"])
+        _emitted_group(lib, groups["emitted"])
     _cli_group(lib, groups["cli"])
     return groups
 
