@@ -152,7 +152,7 @@ def cmd_simulate(args) -> int:
     x0 = _parse_floats(args.x0, m, "--x0")
     ya0 = _parse_floats(args.y0, r, "--y0")
     traj = integrate(sys_, (x0, ya0), args.h, args.T, args.method)
-    energies = _energies(sys_, traj.states)
+    energies = _energies(sys_, traj)
     E0, drift = _drift(energies)
 
     if args.out:
@@ -165,9 +165,8 @@ def cmd_simulate(args) -> int:
         )
         lines = [",".join(cols)]
         fmt = ",".join([_FIELD] * len(cols))
-        reports = _lift_residuals(sys_, traj.states, args.h, np.inf)
-        stacked = [np.array([getattr(st, c) for st in traj.states]) for c in "xyp"]
-        rows = np.column_stack([traj.times, *stacked]).tolist()  # [t | x | y | p] as floats
+        reports = _lift_residuals(sys_, traj, np.inf)
+        rows = np.column_stack([traj.times, traj.X, traj.Y, traj.P]).tolist()  # as floats
         for row, E, rep in zip(rows, energies, reports):
             lines.append(fmt % (*row, E, rep.r_kin, rep.r_mom))
         try:
@@ -176,7 +175,7 @@ def cmd_simulate(args) -> int:
         except OSError as e:
             raise ConfigError(f"cannot write --out {args.out!r}: {e}") from None
     print(f"model: {bundle.name}  method: {args.method}")
-    print(f"h: {_g(args.h)}  T: {_g(args.T)}  steps: {len(traj.states) - 1}")
+    print(f"h: {_g(args.h)}  T: {_g(args.T)}  steps: {len(traj.times) - 1}")
     print(f"E0: {_g(E0)}")
     print(f"max_energy_drift: {_g(drift)}")
     if args.out:

@@ -20,6 +20,7 @@ from .algebroid import (
     _Carrier,
     _distances,
     _finite_vector,
+    _frozen,
     _largest,
     _norm,
     _Record,
@@ -58,22 +59,26 @@ class State(_Carrier):
         for name, v in (("x", x), ("y", y), ("p", p)):
             d[name] = _finite_vector(v, name, "state component {} must be finite")
 
-    @classmethod
-    def stack(cls, xs, ys, ps) -> tuple:
-        """One State per row of ``xs``, ``ys`` and ``ps`` (equally long
-        sequences of rows), with one finiteness check per stacked
-        component instead of one per state."""
-        stacked = []
-        for name, rows in (("x", xs), ("y", ys), ("p", ps)):
-            a = np.array(rows, dtype=float)
-            if not np.isfinite(a).all():
-                raise NonFinite(f"state component {name} must be finite")
-            stacked.append(a)
-        return tuple(cls._trusted(x=x, y=y, p=p) for x, y, p in zip(*stacked))
-
 
 class Trajectory(_Record):
-    _fields = ("times", "states", "h", "method")
+    """States sampled at ``times``, held as the read-only rows of X, Y
+    and P; ``states`` makes them when first read."""
+
+    _fields = ("times", "X", "Y", "P", "h", "method")
+
+    def __init__(self, times, X, Y, P, h, method):
+        columns = []
+        for name, rows in (("x", X), ("y", Y), ("p", P)):
+            a = np.ascontiguousarray(rows, dtype=float)
+            if not np.isfinite(a).all():
+                raise NonFinite(f"state component {name} must be finite")
+            columns.append(a)
+        super().__init__(times, *_frozen(*columns), h, method)
+
+    @functools.cached_property
+    def states(self) -> tuple:
+        """One State per row of X, Y and P, as views of the rows."""
+        return tuple(State._trusted(x=x, y=y, p=p) for x, y, p in zip(self.X, self.Y, self.P))
 
 
 class ResidualReport(_Record):
@@ -84,20 +89,18 @@ def residual(sys: ImplicitSystem, st: State, xdot, pdot, tol: float) -> Residual
     """Defects of a state with candidate time derivatives against the
     implicit equations: velocity in U, kinematics, Legendre relation and
     the momentum equation paired against the spanning columns of U."""
-    xdot = np.asarray(xdot, dtype=float).reshape(1, -1)
-    pdot = np.asarray(pdot, dtype=float).reshape(1, -1)
-    return _residual_reports(sys, [st], xdot, pdot, tol)[0]
+    rows = (np.asarray(v, dtype=float).reshape(1, -1) for v in (st.x, st.y, st.p, xdot, pdot))
+    return _residual_reports(sys, *rows, tol)[0]
 
 
-def _residual_reports(sys: ImplicitSystem, states, xdots, pdots, tol: float) -> list:
-    """The residual report of each state against the rows of ``xdots``
-    and ``pdots``: per state one L-jet and the data that depends on x,
-    then one stacked pass."""
+def _residual_reports(sys: ImplicitSystem, X, Y, P, xdots, pdots, tol: float) -> list:
+    """The residual report of each row of X, Y and P against the rows of
+    ``xdots`` and ``pdots``: per row one L-jet and the data that depends
+    on x, then one stacked pass."""
     m, jet = sys.A.m, sys.Lg._flat
-    grads = np.array([jet([*st.x.tolist(), *st.y.tolist()])[1] for st in states])
-    data = [_point_data(sys, BasePoint._trusted(x=st.x)) for st in states]
-    along = _along(sys, BasePoint._trusted(x=states[0].x), data)
-    Y, P = np.array([st.y for st in states]), np.array([st.p for st in states])
+    grads = np.array([jet(e)[1] for e in np.hstack([X, Y]).tolist()])
+    data = [_point_data(sys, BasePoint._trusted(x=x)) for x in X]
+    along = _along(sys, BasePoint._trusted(x=X[0]), data)
     rows = _residual_rows(along, Y, P, xdots, pdots, grads[:, :m], grads[:, m:])
     per_state = zip(*(a.tolist() for a in rows))
     return [ResidualReport(*r, all(v <= tol for v in r)) for r in per_state]  # nan fails
@@ -336,10 +339,11 @@ def adapted_rhs(sys: ImplicitSystem, x, ya):
 
 
 def _components(v, size: int, name: str) -> np.ndarray:
+    """``v`` as ``size`` floats, checked finite as FiberPoint's x or y (``name[0]``)."""
     a = np.asarray(v, dtype=float).reshape(-1)
     if a.size != size:
         raise ValueError(f"{name} must have {size} components, got {a.size}")
-    return a
+    return _finite_vector(a, name[0])
 
 
 def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
@@ -353,12 +357,11 @@ def _fd_derivatives(values: np.ndarray, h: float) -> np.ndarray:
     return d
 
 
-def _lift_residuals(sys: ImplicitSystem, states, h: float, tol: float) -> list:
-    """The residual report of each of ``states``, samples of a curve at
-    step h, with the time derivatives of x and p from :func:`_fd_derivatives`."""
-    xdots = _fd_derivatives(np.array([st.x for st in states]), h)
-    pdots = _fd_derivatives(np.array([st.p for st in states]), h)
-    return _residual_reports(sys, states, xdots, pdots, tol)
+def _lift_residuals(sys: ImplicitSystem, traj: Trajectory, tol: float) -> list:
+    """The residual report of each state of ``traj``, samples of a curve at
+    its step h, with the time derivatives of x and p from :func:`_fd_derivatives`."""
+    X, Y, P, h = traj.X, traj.Y, traj.P, traj.h
+    return _residual_reports(sys, X, Y, P, _fd_derivatives(X, h), _fd_derivatives(P, h), tol)
 
 
 def _steps(h: float, T: float) -> int:
@@ -395,16 +398,15 @@ def _integrate_rk4(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     except Degenerate as exc:  # a solution that blows up in finite time ends here: say where
         raise Degenerate(f"{exc} {where(len(qs) - 1)}") from exc
     pad = [0.0] * (sys.A.n - sys.U.r)
+    rows = ([q[:m] for q in qs], [q[m:] + pad for q in qs], ps)
+    columns = [np.array(c, dtype=float) for c in rows]
     try:
-        states = State.stack([q[:m] for q in qs], [q[m:] + pad for q in qs], ps)
-    except NonFinite:  # a nan or inf the field read unchecked: name the step that made it
-        for k, (q, p) in enumerate(zip(qs, ps)):
-            try:
-                State(q[:m], q[m:] + pad, p)
-            except NonFinite as exc:
-                raise NonFinite(f"{exc} {where(max(k - 1, 0))}") from exc
-        raise
-    return Trajectory(np.arange(N + 1) * h, states, h, "rk4")
+        return Trajectory(np.arange(N + 1) * h, *columns, h, "rk4")
+    except NonFinite as exc:  # a nan or inf the field read unchecked: name the step that made it
+        bad = np.column_stack([~np.isfinite(c).all(axis=1) for c in columns])
+        k, c = divmod(int(np.argmax(bad)), 3)  # the first state, then x, y, p within it
+        message = f"state component {'xyp'[c]} must be finite"
+        raise NonFinite(f"{message} {where(max(k - 1, 0))}") from exc
 
 
 def _midpoint_step(sys: ImplicitSystem, h: float):
@@ -589,9 +591,8 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
     m, n, r = sys.A.m, sys.A.n, sys.U.r
     N = _steps(h, T)
     step, delta = _midpoint_step(sys, h), _newton_kernel(m, r, n)
-    y0 = np.concatenate([ya0, np.zeros(n - r)])
-    e0 = [*_finite_vector(x0, "x").tolist(), *_finite_vector(y0, "y").tolist()]  # as FiberPoint
-    us = [[*x0.tolist(), *ya0.tolist(), *sys.Lg.jet(e0)[1][m:]]]
+    e0 = [*x0.tolist(), *ya0.tolist(), *[0.0] * (n - r)]
+    us = [[*e0[: m + r], *sys.Lg.jet(e0)[1][m:]]]
     for k in range(N):
         if k >= 2:
             guess = [3.0 * (a - b) + c for a, b, c in zip(us[-1], us[-2], us[-3])]
@@ -603,8 +604,7 @@ def _integrate_midpoint(sys: ImplicitSystem, x0, ya0, h, T) -> Trajectory:
         us.append(u)
     us = np.array(us)
     ys = np.hstack([us[:, m : m + r], np.zeros((N + 1, n - r))])
-    states = State.stack(us[:, :m], ys, us[:, m + r :])
-    return Trajectory(np.arange(N + 1) * h, states, h, "implicit_midpoint")
+    return Trajectory(np.arange(N + 1) * h, us[:, :m], ys, us[:, m + r :], h, "implicit_midpoint")
 
 
 def integrate(sys: ImplicitSystem, initial, h: float, T: float, method: str = "rk4") -> Trajectory:
@@ -623,7 +623,7 @@ def integrate(sys: ImplicitSystem, initial, h: float, T: float, method: str = "r
 def energy_drift(sys: ImplicitSystem, traj: Trajectory):
     """(E0, max_abs_drift) of the generalized energy p·y - L along the
     trajectory."""
-    return _drift(_energies(sys, traj.states))
+    return _drift(_energies(sys, traj))
 
 
 def _drift(values: list):
@@ -632,13 +632,12 @@ def _drift(values: list):
     return E0, max(abs(v - E0) for v in values)
 
 
-def _energies(sys: ImplicitSystem, states) -> list:
-    """The generalized energy p·y - L of each state: L from its compiled
-    jet, p·y from one stacked product whose rows are ``st.p @ st.y``."""
-    jet = sys.Lg._flat
-    P, Y = np.array([st.p for st in states]), np.array([st.y for st in states])
+def _energies(sys: ImplicitSystem, traj: Trajectory) -> list:
+    """The generalized energy p·y - L of each state of ``traj``: L from
+    its compiled jet, p·y from one stacked product whose rows are p @ y."""
+    jet, P, Y = sys.Lg._flat, traj.P, traj.Y
     py = (P[:, None, :] @ Y[:, :, None]).ravel().tolist()
-    out = [v - jet([*st.x.tolist(), *st.y.tolist()])[0] for v, st in zip(py, states)]
+    out = [v - jet(e)[0] for v, e in zip(py, np.hstack([traj.X, Y]).tolist())]
     if not all(map(math.isfinite, out)):
         raise NonFinite("the generalized energy p.y - L overflowed")
     return out

@@ -452,9 +452,9 @@ class _Tokens:
         return self._fold(operator.mul, "{0} * {1}", a, b)
 
 
-# The step forms that cannot raise on finite floats; with ``**``, those that
-# give an int when every operand is one: the steps of variables bound to ints
-_SAFE_FORMS = frozenset(("-{0}", "{0} + {1}", "{0} - {1}", "{0} * {1}"))
+# The step forms that cannot raise on finite floats, ln's d2 among them; with
+# ``**``, those that give an int when every operand is one: int variables' steps
+_SAFE_FORMS = frozenset(("-{0}", "{0} + {1}", "{0} - {1}", "{0} * {1}", "-{0} * {0}"))
 _INT_FORMS = _SAFE_FORMS | {"{0} ** {1}"}
 
 

@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from .algebroid import LieAlgebroid, Subbundle, _Record
-from .dynamics import ImplicitSystem, State, Trajectory, _steps
+from .dynamics import ImplicitSystem, Trajectory, _steps
 from .errors import BadParams, UnknownModel
 from .hj import HJSection
 from .prolong import Lagrangian
@@ -77,7 +77,7 @@ def _cross(u, v):
 def _traj(h, xs, ys, ps):
     """Oracle trajectory on the uniform grid of step h through the rows
     of xs, ys and ps."""
-    return Trajectory(np.arange(len(ys)) * h, State.stack(xs, ys, ps), h, "oracle")
+    return Trajectory(np.arange(len(ys)) * h, xs, ys, ps, h, "oracle")
 
 
 def _num(v) -> str:

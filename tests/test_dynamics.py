@@ -8,7 +8,7 @@ from sys import gettrace, settrace
 import numpy as np
 import pytest
 
-from algmech import dynamics, expr, hj, prolong
+from algmech import cli, dynamics, expr, hj, prolong
 from algmech.algebroid import (
     BasePoint,
     DualPoint,
@@ -24,6 +24,7 @@ from algmech.config import bundle_from_config
 from algmech.dynamics import (
     ImplicitSystem,
     State,
+    Trajectory,
     adapted_rhs,
     energy_drift,
     integrate,
@@ -260,10 +261,67 @@ def test_rk4_names_the_first_step_whose_end_state_is_not_finite():
         integrate(b.system, (NO_BASE, (1e4,) * 3), 1e-3, 0.01)
 
 
+def test_rk4_names_the_first_state_that_is_not_finite_and_its_first_component():
+    # y overflows in the first step and x only in the second: the refusal
+    # names y and the first step, not the first step whose x overflowed
+    sys = bundle_from_config({"m": 1, "n": 1, "r": 1, "anchor": [["1"]],
+                              "lagrangian": "0.5 * y1 * y1 + 1e308 * x1"}).system
+    with pytest.raises(NonFinite, match=r"^state component y must be finite"
+                                        r" in the RK4 step from t=0 at x=\[0\.1\]$"):
+        integrate(sys, ([0.1], [0.2]), 1e-2, 3e-2)
+
+
 def test_midpoint_refuses_a_non_finite_start_as_a_fiber_point_does():
     b = get_model("pendulum")
     with pytest.raises(NonFinite, match=r"^x must be finite, got \[nan\]$"):
         integrate(b.system, ([np.nan], [0.5]), 1e-2, 0.1, method="implicit_midpoint")
+
+
+@pytest.mark.parametrize("name, x0, ya0, message", [
+    ("pendulum", [np.nan], [0.1], r"^x must be finite, got \[nan\]$"),
+    ("pendulum", [0.1], [np.inf], r"^y must be finite, got \[inf\]$"),
+    ("rigid-body", NO_BASE, (np.inf,) * 3, r"^y must be finite, got \[inf inf inf\]$"),
+], ids=["pendulum-x0-nan", "pendulum-y0-inf", "rigid-body-y0-inf"])
+@pytest.mark.parametrize("run", ["rk4", "implicit_midpoint", "adapted_rhs"])
+def test_a_non_finite_start_is_refused_once_the_same_way_by_every_path(run, name, x0, ya0, message):
+    # before any step or field evaluation, as a fiber point refuses it
+    sys = get_model(name).system
+    with pytest.raises(NonFinite, match=message):
+        if run == "adapted_rhs":
+            adapted_rhs(sys, x0, ya0)
+        else:
+            integrate(sys, (x0, ya0), 1e-2, 2e-2, run)
+
+
+def test_no_state_is_built_until_a_trajectorys_states_are_read(monkeypatch, tmp_path):
+    made = Counter()
+    init, trusted = State.__init__, State._trusted.__func__
+
+    def counted_init(self, *args):
+        made["__init__"] += 1
+        init(self, *args)
+
+    def counted_trusted(cls, **arrays):
+        made["_trusted"] += 1
+        return trusted(cls, **arrays)
+
+    monkeypatch.setattr(State, "__init__", counted_init)
+    monkeypatch.setattr(State, "_trusted", classmethod(counted_trusted))
+    b = get_model("pendulum")
+    trajs = [integrate(b.system, ([0.1], [0.2]), 1e-2, 0.1, method)
+             for method in ("rk4", "implicit_midpoint")]
+    energy_drift(b.system, trajs[0])
+    trajs.append(oracle_trajectory(b, ([0.1], [0.2]), 1e-2, 0.1))
+    out = tmp_path / "traj.csv"
+    assert cli.main(["simulate", "--model", "pendulum", "--x0", "0.1", "--y0", "0.2",
+                     "--h", "1e-2", "--T", "0.1", "--out", str(out)]) == 0
+    assert len(out.read_text().splitlines()) == 12  # the header and N + 1 rows
+    assert made == Counter()
+    for traj in trajs:  # N + 1 views on the first read, none on the second
+        states = traj.states
+        assert len(states) == 11 and made == Counter(_trusted=11)
+        assert traj.states is states and made == Counter(_trusted=11)
+        made.clear()
 
 
 def test_power_overflow_in_field_is_an_evaluation_fault():
@@ -1023,7 +1081,7 @@ def test_stacked_lift_pass_equals_the_residual_state_by_state(name, params, meth
     h = traj.h
     xdots = dynamics._fd_derivatives(np.array([st.x for st in traj.states]), h)
     pdots = dynamics._fd_derivatives(np.array([st.p for st in traj.states]), h)
-    stacked = dynamics._lift_residuals(sys, traj.states, h, 1e-6)
+    stacked = dynamics._lift_residuals(sys, traj, 1e-6)
     for st, xd, pd, rep in zip(traj.states, xdots, pdots, stacked):
         assert rep == residual(sys, st, xd, pd, 1e-6)
         assert (rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom) == _residual_written_out(sys, st, xd, pd)
@@ -1041,10 +1099,12 @@ def test_stacked_lift_pass_equals_the_formulas_on_arbitrary_states(span):
     rng = np.random.default_rng(3)
     xs = np.sin(np.arange(41) * 1e-2)[:, None] * 0.5 + 0.1
     ys = rng.standard_normal((41, 3)) * 0.1 + np.array([0.3, 0.2, -0.1])
-    states = State.stack(xs, ys, rng.standard_normal((41, 3)) * 0.1)
+    traj = Trajectory(np.arange(41) * 1e-2, xs, ys, rng.standard_normal((41, 3)) * 0.1, 1e-2,
+                      "oracle")
+    states = traj.states
     xdots = dynamics._fd_derivatives(xs, 1e-2)
     pdots = dynamics._fd_derivatives(np.array([st.p for st in states]), 1e-2)
-    stacked = dynamics._lift_residuals(sys, states, 1e-2, 1e-6)
+    stacked = dynamics._lift_residuals(sys, traj, 1e-6)
     for st, xd, pd, rep in zip(states, xdots, pdots, stacked):
         assert (rep.r_U, rep.r_kin, rep.r_leg, rep.r_mom) == _residual_written_out(sys, st, xd, pd)
 
@@ -1393,10 +1453,12 @@ def test_stacked_energies_equal_the_per_state_products_bit_for_bit(name):
     N = 60
     xs = np.array([[rng.uniform(lo, hi) for lo, hi in b.box] for _ in range(N)]).reshape(N, m)
     scale = 10.0 ** rng.integers(-3, 4, size=(N, 1))  # rounding at every magnitude
-    states = State.stack(xs, rng.standard_normal((N, n)) * scale, rng.standard_normal((N, n)))
+    traj = Trajectory(np.arange(N) * 1.0, xs, rng.standard_normal((N, n)) * scale,
+                      rng.standard_normal((N, n)), 1.0, "oracle")
+    states = traj.states
     jet = sys.Lg._flat
     ref = [float(st.p @ st.y - jet([*st.x.tolist(), *st.y.tolist()])[0]) for st in states]
-    assert list(map(repr, dynamics._energies(sys, states))) == list(map(repr, ref))
+    assert list(map(repr, dynamics._energies(sys, traj))) == list(map(repr, ref))
 
 
 # literals as the emitters write them (0.0 and -0.0 among them), and live
@@ -1556,3 +1618,19 @@ def test_a_non_finite_literal_of_the_jet_is_read_as_a_name(monkeypatch):
     field = _functions(source["<adapted field>"])[1]
     assert "        s0 = 0 + t7 + 0.0 * t11" in field  # d2L/dx2 dx1 times rho^2_1 = 0
     assert "            t12 = _v_x1 * _float('inf')" in field  # d2L/dx2^2, read by nothing
+    # ln's second derivative -t5 * t5 cannot raise on floats: unread, it is
+    # dropped, and the field and an RK4 run keep the generic reference's floats
+    sys = bundle_from_config({"m": 1, "n": 1, "r": 1, "anchor": [["1"]],
+                              "lagrangian": "0.5 * y1^2 + ln(x1)"}).system
+    source = _with_source(monkeypatch, lambda: dynamics._emit_field(sys.Lg, 1))[1]
+    assert "t5 = 1.0 / _v_x1" in source["<adapted field>"]
+    assert not re.search(r"= -(t\d+) \* \1\b", source["<adapted field>"])
+    field, f = dynamics._adapted_field(sys), lambda q: _generic_field(sys, q)[0]
+    for q in ([0.7, 0.3], [2.5, -1.1], [1e-3, 4.0]):
+        (got, p), (ref, Ly) = field(q), _generic_field(sys, q)
+        assert _hexes(got) == _hexes(ref) and _hexes(p) == _hexes(Ly)
+    h, q = 1e-2, [0.7, 0.3]
+    for st in integrate(sys, (q[:1], q[1:]), h, 0.1).states:
+        assert _hexes([*st.x, *st.y]) == _hexes(q)
+        assert _hexes(st.p) == _hexes(_generic_field(sys, q)[1])
+        q = _generic_rk4_step(f, q, f(q), h)

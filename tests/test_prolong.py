@@ -3,7 +3,7 @@ import pytest
 
 from algmech import expr
 from algmech.algebroid import BasePoint, DualPoint, FiberPoint, LieAlgebroid, contract
-from algmech.dynamics import State
+from algmech.dynamics import State, Trajectory
 from algmech.errors import AlgmechError, EvaluationFault, NonFinite
 from algmech.models import SO3_STRUCTURE, get_model, model_names
 from algmech.prolong import (
@@ -389,7 +389,7 @@ def test_non_finite_coordinates_raise_one_library_error():
     with pytest.raises(NonFinite, match="^components must be finite, got "):
         A_E_map(A, X)
     with pytest.raises(NonFinite, match="^state component y must be finite$"):
-        State.stack([[0.0]], [[np.inf]], [[0.0]])
+        Trajectory([0.0], [[0.0]], [[np.inf]], [[0.0]], 1.0, "rk4")
 
 
 @pytest.mark.parametrize("name", model_names())

@@ -50,6 +50,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import importlib
+import inspect
 import io
 import math
 import os
@@ -144,7 +145,8 @@ class _Group:
 
 def _feed(g: _Group, obj) -> None:
     """Feed ``obj`` to the group ``g`` exactly: arrays by dtype, shape and
-    bytes, floats by ``float.hex``, sequences and carriers item by item."""
+    bytes, floats by ``float.hex``, sequences and carriers item by item; a
+    trajectory by its times, each state's x, y and p, h and method."""
     if isinstance(obj, np.ndarray):
         g.add(f"{obj.dtype.str}{obj.shape}".encode(), [f"{obj.dtype.str}{obj.shape}"])
         values = obj.ravel().tolist()
@@ -159,6 +161,9 @@ def _feed(g: _Group, obj) -> None:
         g.add(b"]", ["]"])
     elif isinstance(obj, BaseException):
         g.text(f"{type(obj).__name__}: {obj}")
+    elif type(obj).__name__ == "Trajectory":  # by its values, however it holds them
+        g.add(b"Trajectory", ["Trajectory"])
+        _feed(g, [obj.times, list(obj.states), obj.h, obj.method])
     elif hasattr(obj, "__dict__") and not isinstance(obj, type):
         g.add(type(obj).__name__.encode(), [type(obj).__name__])
         _feed(g, list(vars(obj).values()))
@@ -202,6 +207,8 @@ def _check_systems(lib):
 
 def _trajectory_groups(lib, groups) -> None:
     dyn = lib.dynamics
+    # the lift check takes the trajectory, or (in older trees) its states and step
+    whole = "traj" in inspect.signature(dyn._lift_residuals).parameters
     for k, (label, sys_, box) in enumerate(_check_systems(lib)):
         for x0, ya0 in _starts(box, sys_.U.r, [k, 0]):
             for h, T in GRIDS:
@@ -215,8 +222,8 @@ def _trajectory_groups(lib, groups) -> None:
                     _feed(groups["integrate"], [label, method, traj])
                     if not isinstance(traj, Exception):
                         _feed(groups["integrate"], _outcome(dyn.energy_drift, sys_, traj))
-                        _feed(groups["lift"], _outcome(
-                            dyn._lift_residuals, sys_, list(traj.states), h, np.inf))
+                        lift = (traj,) if whole else (list(traj.states), h)
+                        _feed(groups["lift"], _outcome(dyn._lift_residuals, sys_, *lift, np.inf))
 
 
 def _sections(bundle) -> list:
